@@ -9,6 +9,7 @@ from ionread import (
     SimConfig,
     evaluate,
     optimize_threshold,
+    resolve_classifier,
     simulate_ensemble,
 )
 
@@ -22,18 +23,19 @@ print("cutoff landscape (n_c: mean error):")
 for n_c, eps in best.landscape[:6]:
     print(f"  {n_c}: {100 * eps:.3f}%")
 
-methods = (
+# Each spec dict is validated and resolved once into a classifier object.
+methods = [resolve_classifier(spec) for spec in (
     {"method": "threshold", "n_c": best.best},
     {"method": "double_threshold", "n_D": 0, "n_B": 4},
     {"method": "simple", "decaying": "bright"},
     {"method": "general"},
-)
+)]
 print(f"\nmethod comparison at t_b={config.t_b} ms "
       f"({config.n_trials} ions per preparation):")
 print(f"{'method':28s} {'eps_bright':>10s} {'eps_dark':>9s} "
       f"{'eps':>7s} {'N_R':>6s}")
-for spec in methods:
-    row = evaluate(ens_b, ens_d, spec)
+for classifier in methods:
+    row = evaluate(ens_b, ens_d, classifier)
     print(f"{row.classifier + ' ' + row.detail:28s} "
           f"{100 * row.epsilon_bright:9.3f}% {100 * row.epsilon_dark:8.3f}% "
           f"{100 * row.epsilon:6.3f}% {row.N_R:6.3f}")

@@ -42,7 +42,8 @@ ens_b = simulate_ensemble(cfg, IonState.BRIGHT, context=(101,), threads=4)
 ens_d = simulate_ensemble(cfg, IonState.DARK, context=(102,), threads=4)
 detector = {"method": "threshold", "n_c": 0}
 m_b, m_d = estimate_transfer_matrices(
-    ens_b, ens_d, lambda counts: decisions_for(counts, detector, PARAMS))
+    ens_b, ens_d, decisions_for(ens_b.counts, detector, PARAMS),
+    decisions_for(ens_d.counts, detector, PARAMS))
 
 print("\ntransfer matrices at t_b = %.1f ms (detector n_c = 0):" % t_b)
 print("M_B (detected bright) =\n%s" % np.array_str(m_b, precision=4))

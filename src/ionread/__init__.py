@@ -20,7 +20,8 @@ Layout:
 ``estimation``
     Decay-curve fitting and lifetime extraction from measured count series.
 ``harness``
-    Sweeps, threshold optimization, efficiency scaling, method comparison,
+    Classifier specs resolved into :class:`Classifier` objects, sweeps,
+    threshold optimization, efficiency scaling, method comparison,
     configuration documents and tabular output; the CLI lives in ``cli``.
 """
 
@@ -84,6 +85,7 @@ from .estimation import (
     steady_state_population,
 )
 from .harness import (
+    Classifier,
     ConfigError,
     ErrorReport,
     SweepSpec,
@@ -96,6 +98,7 @@ from .harness import (
     pi_pulse_sweep,
     rate_params_from_config,
     report_rows_to_csv,
+    resolve_classifier,
     sweep,
     sweep_spec_from_config,
 )
@@ -104,6 +107,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PARAMS",
+    "Classifier",
     "ConfigError",
     "DataFormatError",
     "DecayFit",
@@ -155,6 +159,7 @@ __all__ = [
     "rate_params_from_config",
     "read_counts_csv",
     "report_rows_to_csv",
+    "resolve_classifier",
     "sample_change_times",
     "sample_counts",
     "simple_loglik",

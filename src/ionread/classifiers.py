@@ -106,20 +106,12 @@ def _as_counts(counts) -> np.ndarray:
 
 def threshold_classify(counts, n_c: int) -> Decision:
     """Bright iff strictly more than n_c photons arrived in total."""
-    total = int(_as_counts(counts).sum())
-    return Decision.BRIGHT if total > n_c else Decision.DARK
+    return Decision(int(threshold_decide(_as_counts(counts).sum(), n_c)))
 
 
 def double_threshold_classify(counts, n_D: int, n_B: int) -> Decision:
     """Dark if the total is <= n_D, Bright if > n_B, else Inconclusive."""
-    if n_D > n_B:
-        raise ValueError(f"n_D={n_D} must not exceed n_B={n_B}")
-    total = int(_as_counts(counts).sum())
-    if total <= n_D:
-        return Decision.DARK
-    if total > n_B:
-        return Decision.BRIGHT
-    return Decision.INCONCLUSIVE
+    return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_D, n_B)))
 
 
 def threshold_decide(totals: np.ndarray, n_c: int) -> np.ndarray:
@@ -164,6 +156,28 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     whose linear-in-t_b prefactor went negative and was clamped to zero.
     """
     decaying = IonState(decaying)
+    log_pure, log_stay, log_change, clamped = _single_change_terms(
+        counts, params, tau, decaying)
+    log_mixed = np.logaddexp(log_stay, log_change)
+    if decaying is IonState.DARK:
+        log_pb, log_pd = log_pure, log_mixed
+    else:
+        log_pb, log_pd = log_mixed, log_pure
+    if prefixes:
+        return log_pb, log_pd, np.array(clamped)
+    return log_pb[:, -1], log_pd[:, -1], clamped[:, -1].copy()
+
+
+def _single_change_terms(counts, params: RateParams, tau: float | None,
+                         decaying: IonState):
+    """Every-prefix log terms of the single-change formula.
+
+    Returns (log_pure, log_stay, log_change, clamped), each of shape
+    (n_trials, n_bins): the stable hypothesis, then the no-change and the
+    changed term of the changeable one, whose sum is its likelihood.
+    ``clamped`` marks prefixes whose linear-in-t_b prefactor went negative
+    and was clamped to zero.
+    """
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
     if tau <= 0:
@@ -185,19 +199,11 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     inner = np.logaddexp.accumulate(delta, axis=1)
     k = np.arange(1, m + 1)
     prefac = 1.0 - k * params.t_s / tau
-    clamped2d = np.broadcast_to(prefac < 0, (n, m))
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    log_mixed = np.logaddexp(log_prefac[None, :] + cum_stay,
-                             log_rate + cum_after + inner)
-    if decaying is IonState.DARK:
-        log_pb, log_pd = cum_b, log_mixed
-    else:
-        log_pb, log_pd = log_mixed, cum_d
-    if prefixes:
-        return log_pb, log_pd, np.array(clamped2d)
-    return log_pb[:, -1], log_pd[:, -1], clamped2d[:, -1].copy()
+    return (cum_after, log_prefac[None, :] + cum_stay,
+            log_rate + cum_after + inner, np.broadcast_to(prefac < 0, (n, m)))
 
 
 def simple_time_resolved_classify(counts, params: RateParams,
@@ -214,40 +220,20 @@ def simple_time_resolved_classify(counts, params: RateParams,
     single-change expansion has left its domain of validity.
     """
     decaying = IonState(decaying)
-    if tau is None:
-        tau = params.tau_D if decaying is IonState.DARK else params.tau_B
-    arr = _as_counts(counts)
-    m = arr.size
-    t_b = m * params.t_s
-    log_pb_bin = _log_poisson(arr, params.bright_mean)
-    log_pd_bin = _log_poisson(arr, params.dark_mean)
-    cum_b = np.concatenate([[0.0], np.cumsum(log_pb_bin)])
-    cum_d = np.concatenate([[0.0], np.cumsum(log_pd_bin)])
-    if decaying is IonState.DARK:
-        cum_stay, cum_after = cum_d, cum_b
-    else:
-        cum_stay, cum_after = cum_b, cum_d
-    prefac = 1.0 - t_b / tau
+    *logs, clamped = (term[0, -1] for term in _single_change_terms(
+        _as_counts(counts), params, tau, decaying))
     flags = ()
-    if prefac < 0:
+    if clamped:
         warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
                       RuntimeWarning, stacklevel=2)
         flags = ("prefactor_clamped",)
-        prefac = 0.0
-    # Stabilize in the log domain around the largest contribution.
-    with np.errstate(divide="ignore"):
-        log_terms = (cum_stay[:-1] + (cum_after[m] - cum_after[:-1])
-                     + np.log(params.t_s / tau))
-    log_stay = (np.log(prefac) if prefac > 0 else -np.inf) + cum_stay[m]
-    log_pure = cum_after[m]
-    scale = max(log_pure, log_stay, np.max(log_terms))
-    stayed = np.exp(log_stay - scale)
-    changed = np.exp(log_terms - scale).sum()
-    pure = np.exp(log_pure - scale)
+    # Stabilize around the largest term.
+    scale = max(logs)
+    pure, stayed, changed = np.exp(np.array(logs) - scale)
     if decaying is IonState.DARK:
-        matrix = np.array([[pure, changed], [0.0, stayed]])
+        matrix = [[pure, changed], [0.0, stayed]]
     else:
-        matrix = np.array([[stayed, 0.0], [changed, pure]])
+        matrix = [[stayed, 0.0], [changed, pure]]
     pair = LikelihoodPair(matrix=matrix, log_scale=float(scale), flags=flags)
     return pair.decision, pair
 
@@ -256,25 +242,26 @@ def simple_time_resolved_classify(counts, params: RateParams,
 # Generalized time-resolved method (full two-state hidden Markov model)
 
 
-def general_loglik(counts: np.ndarray, table: ObservationTable,
-                   *, prefixes: bool = False):
-    """Log initial-state likelihoods under the full hidden-Markov model.
+def _initial_logs(acc: np.ndarray, log_scale: np.ndarray):
+    """Initial-state log-likelihoods from scaled (n, 2, 2) products."""
+    with np.errstate(divide="ignore"):
+        return (np.log(acc[:, :, 0].sum(axis=1)) + log_scale,
+                np.log(acc[:, :, 1].sum(axis=1)) + log_scale)
 
-    Left-multiplies the per-bin observation matrices in sequence order with
-    per-step renormalization, so arbitrarily long windows stay in range.
-    Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
-    with ``prefixes``.
+
+def _forward_product(counts2d: np.ndarray, table: ObservationTable,
+                     prefix_logs=None):
+    """Left product of the per-bin observation matrices in sequence order.
+
+    Each step is renormalized, so arbitrarily long windows stay in range.
+    Returns the accumulated (n_trials, 2, 2) products and their log scales.
+    ``prefix_logs``, a pair of (n_trials, n_bins) arrays, receives every
+    prefix's initial-state log-likelihoods when given.
     """
-    counts2d = np.atleast_2d(np.asarray(counts, dtype=np.int64))
-    if counts2d.shape[1] == 0:
-        raise ValueError("counts must contain at least one bin")
     n, m = counts2d.shape
     clamped = table.clamp_counts(counts2d)
     acc = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     log_scale = np.zeros(n)
-    if prefixes:
-        out_b = np.empty((n, m))
-        out_d = np.empty((n, m))
     for k in range(m):
         step = table.entries[clamped[:, k]]
         acc = step @ acc
@@ -282,30 +269,26 @@ def general_loglik(counts: np.ndarray, table: ObservationTable,
         norm = np.where(norm > 0, norm, 1.0)
         acc /= norm[:, None, None]
         log_scale += np.log(norm)
-        if prefixes:
-            with np.errstate(divide="ignore"):
-                out_b[:, k] = np.log(acc[:, :, 0].sum(axis=1)) + log_scale
-                out_d[:, k] = np.log(acc[:, :, 1].sum(axis=1)) + log_scale
-    if prefixes:
-        return out_b, out_d
-    with np.errstate(divide="ignore"):
-        log_pb = np.log(acc[:, :, 0].sum(axis=1)) + log_scale
-        log_pd = np.log(acc[:, :, 1].sum(axis=1)) + log_scale
-    return log_pb, log_pd
-
-
-def general_matrix(counts, table: ObservationTable):
-    """Accumulated 2x2 likelihood matrix and its log scale for one sequence."""
-    arr = _as_counts(counts)
-    acc = np.eye(2)
-    log_scale = 0.0
-    for n in table.clamp_counts(arr):
-        acc = table.entries[n] @ acc
-        norm = acc.sum()
-        if norm > 0:
-            acc /= norm
-            log_scale += np.log(norm)
+        if prefix_logs is not None:
+            prefix_logs[0][:, k], prefix_logs[1][:, k] = _initial_logs(acc, log_scale)
     return acc, log_scale
+
+
+def general_loglik(counts: np.ndarray, table: ObservationTable,
+                   *, prefixes: bool = False):
+    """Log initial-state likelihoods under the full hidden-Markov model.
+
+    Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
+    with ``prefixes``.
+    """
+    counts2d = np.atleast_2d(np.asarray(counts, dtype=np.int64))
+    if counts2d.shape[1] == 0:
+        raise ValueError("counts must contain at least one bin")
+    if not prefixes:
+        return _initial_logs(*_forward_product(counts2d, table))
+    out = (np.empty(counts2d.shape), np.empty(counts2d.shape))
+    _forward_product(counts2d, table, out)
+    return out
 
 
 def generalized_time_resolved_classify(counts, table: ObservationTable):
@@ -315,8 +298,8 @@ def generalized_time_resolved_classify(counts, table: ObservationTable):
     matrix, so both the final-state split and the initial-state likelihoods
     are available to callers.
     """
-    matrix, log_scale = general_matrix(counts, table)
-    pair = LikelihoodPair(matrix=matrix, log_scale=log_scale)
+    acc, log_scale = _forward_product(_as_counts(counts)[None, :], table)
+    pair = LikelihoodPair(matrix=acc[0], log_scale=float(log_scale[0]))
     return pair.decision, pair
 
 
@@ -330,23 +313,14 @@ def decide_from_logs(log_pb: np.ndarray, log_pd: np.ndarray) -> np.ndarray:
 # Pulse-composed detection
 
 
-def pi_pulse_classify(first: Decision, second: Decision) -> Decision:
-    """Combine the two detections of a pulse pair.
+def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Combine the two detections of each pulse pair (decision code arrays).
 
     The pulse inverts the state between windows, so a kept (different
     outcomes) pair is reported as the first detection's outcome, which names
     the pre-pulse state.  Equal outcomes are physically inconsistent with a
     perfect inversion and are discarded as Inconclusive.
     """
-    if first is Decision.INCONCLUSIVE or second is Decision.INCONCLUSIVE:
-        raise ValueError("single detections feeding a pulse pair never abstain")
-    if first is second:
-        return Decision.INCONCLUSIVE
-    return first
-
-
-def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Vectorized pulse-pair combination of two decision code arrays."""
     first = np.asarray(first)
     second = np.asarray(second)
     if np.any(first == Decision.INCONCLUSIVE) or np.any(second == Decision.INCONCLUSIVE):
@@ -354,25 +328,35 @@ def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.where(first == second, Decision.INCONCLUSIVE, first).astype(np.int8)
 
 
+def pi_pulse_classify(first: Decision, second: Decision) -> Decision:
+    """Combine the two detections of one pulse pair."""
+    return Decision(int(pi_pulse_combine(first, second)))
+
+
 # ---------------------------------------------------------------------------
 # Transfer matrices and analytic pulse-pair error propagation
 
 
-def estimate_transfer_matrices(ensemble_bright, ensemble_dark, detector):
+def estimate_transfer_matrices(ensemble_bright, ensemble_dark,
+                               decisions_bright, decisions_dark):
     """Empirical transfer matrices of one detection window.
 
-    ``detector`` maps an (n_trials, n_bins) count array to Bright/Dark
-    decision codes.  Entry [y, z] of M_B is the fraction of initially-z ions
-    that were detected bright and ended the window in state y; M_D likewise
-    for detected dark.  Columns of (M_B + M_D) sum to 1 exactly because every
-    trial lands in exactly one of the four cells.
+    ``decisions_bright`` and ``decisions_dark`` hold one Bright/Dark decision
+    code per trial of the matching ensemble.  Entry [y, z] of M_B is the
+    fraction of initially-z ions that were detected bright and ended the
+    window in state y; M_D likewise for detected dark.  Columns of
+    (M_B + M_D) sum to 1 exactly because every trial lands in exactly one of
+    the four cells.
     """
     m_b = np.zeros((2, 2))
     m_d = np.zeros((2, 2))
-    for col, ens in ((0, ensemble_bright), (1, ensemble_dark)):
+    for col, ens, decisions in ((0, ensemble_bright, decisions_bright),
+                                (1, ensemble_dark, decisions_dark)):
         if ens is None or len(ens) == 0:
             raise ValueError("transfer matrix estimation needs non-empty ensembles")
-        decisions = np.asarray(detector(ens.counts))
+        decisions = np.asarray(decisions)
+        if decisions.shape != (len(ens),):
+            raise ValueError("transfer matrix estimation needs one decision per trial")
         if np.any(decisions == Decision.INCONCLUSIVE):
             raise ValueError("detector must return Bright or Dark for every trial")
         finals = ens.final_states()

@@ -28,27 +28,20 @@ from . import classifiers as cl
 from . import estimation as est
 from .harness import (
     ConfigError,
-    classifier_detail,
-    classifier_label,
     compare_methods,
     decisions_to_csv,
-    decisions_for,
-    evaluate,
-    likelihoods_for,
     load_config,
     pi_pulse_sweep,
     rate_params_from_config,
-    report_from_decisions,
     report_rows_to_csv,
+    resolve_classifier,
     sweep,
     sweep_spec_from_config,
-    validate_classifier,
 )
 from .photon_model import IonState
 from .trajectory import (
     DataFormatError,
     SimConfig,
-    ensembles_from_counts,
     read_counts_csv,
     simulate_ensemble,
     write_change_times_csv,
@@ -139,18 +132,15 @@ def _cmd_simulate(cfg: dict, args) -> int:
 def _cmd_classify(cfg: dict, args) -> int:
     section = _section(cfg, "classify")
     params = rate_params_from_config(cfg)
-    spec = validate_classifier(section.get("classifier", {"method": "general"}))
+    clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     t_b = counts.shape[1] * params.t_s
     seed = int(args.seed) if args.seed is not None else 0
-    decisions = decisions_for(counts, spec, params)
-    logs = likelihoods_for(counts, spec, params)
+    logs = clf.likelihoods(counts, params)
+    decisions = clf.decide(counts, params, logs)
     comments = _echo_comments(cfg, seed)
-    per_state = ensembles_from_counts(initials, counts, t_b, params.t_s)
-    report = None
-    if len(per_state) == 2:
-        report = evaluate(per_state[IonState.BRIGHT], per_state[IonState.DARK],
-                          spec, params)
+    per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
+    report = clf.report(*per_state, t_b=t_b) if all(d.size for d in per_state) else None
     if args.format == "csv":
         decisions_to_csv(args.out_dir / "decisions.csv", trial_ids, initials,
                          decisions, *(logs or (None, None)), comments=comments)
@@ -168,8 +158,7 @@ def _cmd_classify(cfg: dict, args) -> int:
             for i, row in enumerate(rows):
                 row["log_p_B"] = float(logs[0][i])
                 row["log_p_D"] = float(logs[1][i])
-        payload = {"classifier": classifier_label(spec),
-                   "detail": classifier_detail(spec), "rows": rows}
+        payload = {"classifier": clf.label, "detail": clf.detail, "rows": rows}
         if report is not None:
             payload["report"] = report.to_json_dict()
         _write_json(args.out_dir / "decisions.json", "classify", cfg, seed, payload)

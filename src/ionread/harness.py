@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +47,12 @@ _CTX_COMPARE = 6
 _PI_WINDOW_ONE, _PI_WINDOW_TWO, _PI_PULSE = 1, 2, 3
 
 _METHODS = ("threshold", "double_threshold", "simple", "general")
+# The paper's headline pair: optimized count threshold against the
+# generalized likelihood.
+_HEADLINE_CLASSIFIERS = (
+    {"method": "threshold", "n_c": "optimize"},
+    {"method": "general"},
+)
 
 
 class ConfigError(ValueError):
@@ -63,7 +70,7 @@ def _rtag(r: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Classifier dispatch
+# Classifiers
 
 
 def _require(condition, message):
@@ -71,98 +78,226 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def validate_classifier(spec: dict) -> dict:
-    """Check a classifier specification dict and fill in defaults."""
+@dataclass(frozen=True)
+class Classifier:
+    """A classifier specification, validated and resolved once.
+
+    Built by :func:`resolve_classifier`, the one place that maps a method
+    name to its rule.  ``decide`` gives decision codes per row over the
+    whole window; ``column_decisions`` gives one (classifier,
+    decisions_bright, decisions_dark) triple per prefix column, the
+    classifier carrying any threshold optimized on that column.  Reports
+    carry ``label`` as the classifier name, ``detail`` for its parameters
+    and ``n_c`` as the count cutoff (None for likelihood rules).
+    """
+
+    label: ClassVar[str]
+    detail: ClassVar[str] = ""
+
+    def fixed(self) -> "Classifier":
+        """This classifier, refused if a threshold is left to optimize."""
+        return self
+
+    def likelihoods(self, counts, params, *, prefixes=False):
+        """(log_p_B, log_p_D) per row, or per row and prefix with
+        ``prefixes``; None for rules on the total count."""
+        return None
+
+    def report(self, decisions_bright, decisions_dark, *, t_b, r=1.0):
+        return report_from_decisions(
+            decisions_bright, decisions_dark, classifier=self.label,
+            detail=self.detail, t_b=t_b, r=r, n_c=self.n_c)
+
+
+@dataclass(frozen=True)
+class _CountRule(Classifier):
+    """A rule on the total count: Bright above ``n_c``, which "optimize"
+    leaves to be chosen per window from the error landscape."""
+
+    n_c: int | str
+
+    def fixed(self):
+        _require(self.n_c != "optimize",
+                 f"{self.label} with {self.detail} needs optimize_threshold "
+                 "or a sweep, not a direct evaluation")
+        return self
+
+    def decide(self, counts, params=None, logs=None):
+        return self.fixed()._decide(np.asarray(counts).sum(axis=1))
+
+    def optimum(self, totals_bright, totals_dark, grid=None):
+        """(classifier at the error-minimizing cutoff, grid, mean error at
+        each grid value); ties resolve to the smaller cutoff."""
+        values, eps = self._landscape(totals_bright, totals_dark, grid)
+        return replace(self, n_c=int(values[np.argmin(eps)])), values, eps
+
+    def column_decisions(self, counts_bright, counts_dark, cols, params=None):
+        cum_b = np.cumsum(counts_bright, axis=1)
+        cum_d = np.cumsum(counts_dark, axis=1)
+        out = []
+        for col in cols:
+            tot_b, tot_d = cum_b[:, col], cum_d[:, col]
+            rule = self.optimum(tot_b, tot_d)[0] if self.n_c == "optimize" else self
+            out.append((rule, rule._decide(tot_b), rule._decide(tot_d)))
+        return out
+
+
+@dataclass(frozen=True)
+class ThresholdClassifier(_CountRule):
+    label = "threshold"
+
+    @property
+    def detail(self):
+        return f"n_c={self.n_c}"
+
+    def _decide(self, totals):
+        return cl.threshold_decide(totals, self.n_c)
+
+    def _landscape(self, totals_bright, totals_dark, grid):
+        """Mean error of the single-threshold rule at every grid value."""
+        hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0)))
+        grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
+        cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
+        cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
+        idx = np.clip(grid, 0, hi + 1)
+        eps_b = cdf_b[idx] / totals_bright.size          # bright decided dark
+        eps_d = 1.0 - cdf_d[idx] / totals_dark.size      # dark decided bright
+        return grid, 0.5 * (eps_b + eps_d)
+
+
+@dataclass(frozen=True)
+class DoubleThresholdClassifier(_CountRule):
+    """Dark at or below ``n_D``, Bright above ``n_c`` (the spec's n_B), else
+    Inconclusive."""
+
+    n_D: int
+    label = "double_threshold"
+
+    @property
+    def detail(self):
+        return f"n_D={self.n_D};n_B={self.n_c}"
+
+    def _decide(self, totals):
+        return cl.double_threshold_decide(totals, self.n_D, self.n_c)
+
+    def _landscape(self, totals_bright, totals_dark, grid):
+        """Mean relative error of the two-threshold rule over the n_B grid."""
+        n_d = self.n_D
+        hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0), n_d))
+        grid = (np.arange(n_d, hi + 1) if grid is None
+                else np.asarray(sorted(grid), dtype=int))
+        if np.any(grid < n_d):
+            raise ConfigError("n_B grid values must be >= n_D")
+        cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
+        cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
+        idx = np.clip(grid, 0, hi + 1)
+        wrong_b = cdf_b[n_d]
+        kept_b = totals_bright.size - (cdf_b[idx] - cdf_b[n_d])
+        wrong_d = totals_dark.size - cdf_d[idx]
+        kept_d = totals_dark.size - (cdf_d[idx] - cdf_d[n_d])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            eps = 0.5 * (wrong_b / kept_b + wrong_d / kept_d)
+        return grid, np.where((kept_b > 0) & (kept_d > 0), eps, np.inf)
+
+
+@dataclass(frozen=True)
+class _LikelihoodRule(Classifier):
+    """Bright iff the bright initial-state likelihood is larger."""
+
+    n_c = None
+
+    def likelihoods(self, counts, params, *, prefixes=False):
+        _require(params is not None, f"{self.label} requires rate parameters")
+        return self._loglik(counts, params, prefixes)
+
+    def decide(self, counts, params, logs=None):
+        if logs is None:
+            logs = self.likelihoods(counts, params)
+        return cl.decide_from_logs(*logs)
+
+    def column_decisions(self, counts_bright, counts_dark, cols, params):
+        # The last column alone needs no prefix outputs.
+        prefixes = list(cols) != [counts_bright.shape[1] - 1]
+        logs = [self.likelihoods(counts, params, prefixes=prefixes)
+                for counts in (counts_bright, counts_dark)]
+        if not prefixes:
+            return [(self, *(cl.decide_from_logs(*pair) for pair in logs))]
+        return [(self, *(cl.decide_from_logs(lb[:, col], ld[:, col]) for lb, ld in logs))
+                for col in cols]
+
+
+@dataclass(frozen=True)
+class SimpleClassifier(_LikelihoodRule):
+    """The single-change formula; ``tau_ms`` None takes the decaying
+    state's lifetime."""
+
+    decaying: IonState = IonState.DARK
+    tau_ms: float | None = None
+    label = "simple_time_resolved"
+
+    @property
+    def detail(self):
+        tau = f"tau={self.tau_ms:g}" if self.tau_ms else f"tau=tau_{self.decaying.label}"
+        return f"decaying={self.decaying.name.lower()};{tau}"
+
+    def _loglik(self, counts, params, prefixes):
+        log_b, log_d, _ = cl.simple_loglik(counts, params, self.tau_ms,
+                                           decaying=self.decaying, prefixes=prefixes)
+        return log_b, log_d
+
+
+@dataclass(frozen=True)
+class GeneralClassifier(_LikelihoodRule):
+    """The generalized hidden-Markov likelihood."""
+
+    label = "generalized_time_resolved"
+
+    def _loglik(self, counts, params, prefixes):
+        return cl.general_loglik(counts, observation_table_for(params),
+                                 prefixes=prefixes)
+
+
+def resolve_classifier(spec) -> Classifier:
+    """Validate a classifier spec dict and resolve it into its classifier.
+
+    Omitted keys take their defaults (``n_c`` "optimize", ``decaying``
+    "dark").  A :class:`Classifier` passes through unchanged.
+    """
+    if isinstance(spec, Classifier):
+        return spec
     _require(isinstance(spec, dict), "classifier spec must be a mapping")
     method = spec.get("method")
-    _require(method in _METHODS, f"unknown method {method!r}; expected one of {_METHODS}")
-    out = dict(spec)
     if method == "threshold":
-        n_c = out.setdefault("n_c", "optimize")
+        n_c = spec.get("n_c", "optimize")
         _require(n_c == "optimize" or (isinstance(n_c, int) and n_c >= 0),
                  "n_c must be a non-negative integer or 'optimize'")
-    elif method == "double_threshold":
-        n_d, n_b = out.get("n_D"), out.get("n_B")
+        return ThresholdClassifier(n_c)
+    if method == "double_threshold":
+        n_d, n_b = spec.get("n_D"), spec.get("n_B")
         _require(isinstance(n_d, int) and n_d >= 0, "n_D must be a non-negative integer")
         _require(n_b == "optimize" or (isinstance(n_b, int) and n_b >= n_d),
                  "n_B must be an integer >= n_D or 'optimize'")
-    elif method == "simple":
-        tau = out.get("tau_ms")
+        return DoubleThresholdClassifier(n_b, n_d)
+    if method == "simple":
+        tau = spec.get("tau_ms")
         _require(tau is None or (isinstance(tau, (int, float)) and tau > 0),
                  "tau_ms must be positive when given")
-        decaying = out.setdefault("decaying", "dark")
+        decaying = spec.get("decaying", "dark")
         _require(decaying in ("dark", "bright"),
                  "decaying must be 'dark' or 'bright'")
-    return out
+        return SimpleClassifier(IonState.BRIGHT if decaying == "bright" else IonState.DARK,
+                                tau)
+    _require(method == "general", f"unknown method {method!r}; expected one of {_METHODS}")
+    return GeneralClassifier()
 
 
-def _decay_state(spec: dict) -> IonState:
-    return IonState.BRIGHT if spec.get("decaying") == "bright" else IonState.DARK
-
-
-def classifier_label(spec: dict) -> str:
-    method = spec["method"]
-    if method == "threshold":
-        return "threshold"
-    if method == "double_threshold":
-        return "double_threshold"
-    if method == "simple":
-        return "simple_time_resolved"
-    return "generalized_time_resolved"
-
-
-def classifier_detail(spec: dict) -> str:
-    method = spec["method"]
-    if method == "threshold":
-        return f"n_c={spec.get('n_c')}"
-    if method == "double_threshold":
-        return f"n_D={spec.get('n_D')};n_B={spec.get('n_B')}"
-    if method == "simple":
-        decaying = spec.get("decaying", "dark")
-        tau = spec.get("tau_ms")
-        tau_part = f"tau={tau:g}" if tau else f"tau=tau_{decaying[0].upper()}"
-        return f"decaying={decaying};{tau_part}"
-    return ""
-
-
-def decisions_for(counts: np.ndarray, spec: dict, params: RateParams | None):
+def decisions_for(counts: np.ndarray, spec, params: RateParams | None):
     """Decision codes for every row of a count array under one classifier.
 
-    Likelihood methods need the rate parameters (taken from the classifier
-    spec's context by callers); threshold methods do not.
+    ``spec`` is a spec dict or a resolved :class:`Classifier`.  Likelihood
+    methods need the rate parameters; threshold methods do not.
     """
-    spec = validate_classifier(spec)
-    method = spec["method"]
-    counts = np.asarray(counts)
-    totals = counts.sum(axis=1)
-    if method == "threshold":
-        n_c = spec["n_c"]
-        _require(n_c != "optimize",
-                 "n_c='optimize' needs optimize_threshold, not a direct evaluation")
-        return cl.threshold_decide(totals, n_c)
-    if method == "double_threshold":
-        _require(spec["n_B"] != "optimize",
-                 "n_B='optimize' needs optimize_threshold, not a direct evaluation")
-        return cl.double_threshold_decide(totals, spec["n_D"], spec["n_B"])
-    _require(params is not None, f"method {method!r} requires rate parameters")
-    if method == "simple":
-        log_b, log_d, _ = cl.simple_loglik(counts, params, spec.get("tau_ms"),
-                                           decaying=_decay_state(spec))
-        return cl.decide_from_logs(log_b, log_d)
-    log_b, log_d = cl.general_loglik(counts, observation_table_for(params))
-    return cl.decide_from_logs(log_b, log_d)
-
-
-def likelihoods_for(counts: np.ndarray, spec: dict, params: RateParams):
-    """(log_p_B, log_p_D) per trial for likelihood methods, None otherwise."""
-    method = validate_classifier(spec)["method"]
-    if method == "simple":
-        log_b, log_d, _ = cl.simple_loglik(counts, params, spec.get("tau_ms"),
-                                           decaying=_decay_state(spec))
-        return log_b, log_d
-    if method == "general":
-        return cl.general_loglik(counts, observation_table_for(params))
-    return None
+    return resolve_classifier(spec).fixed().decide(np.asarray(counts), params)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +399,16 @@ def report_from_decisions(decisions_bright, decisions_dark, *, classifier, detai
 
 
 def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
-             classifier: dict, params: RateParams | None = None) -> ErrorReport:
-    """Evaluate one classifier on a bright and a dark ensemble."""
+             classifier, params: RateParams | None = None) -> ErrorReport:
+    """Evaluate one classifier (spec dict or :class:`Classifier`) on a
+    bright and a dark ensemble: the last column of the prefix evaluation."""
     if (ensemble_bright.t_b, ensemble_bright.t_s) != (ensemble_dark.t_b, ensemble_dark.t_s):
         raise ValueError("ensembles must share (t_b, t_s)")
     params = params or ensemble_bright.params or ensemble_dark.params
-    spec = validate_classifier(classifier)
-    dec_b = decisions_for(ensemble_bright.counts, spec, params)
-    dec_d = decisions_for(ensemble_dark.counts, spec, params)
-    n_c = spec.get("n_c") if isinstance(spec.get("n_c"), int) else None
-    return report_from_decisions(
-        dec_b, dec_d, classifier=classifier_label(spec),
-        detail=classifier_detail(spec), t_b=ensemble_bright.t_b, n_c=n_c)
+    clf = resolve_classifier(classifier).fixed()
+    ((rule, dec_b, dec_d),) = clf.column_decisions(
+        ensemble_bright.counts, ensemble_dark.counts, [ensemble_bright.n_bins - 1], params)
+    return rule.report(dec_b, dec_d, t_b=ensemble_bright.t_b)
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +425,6 @@ class ThresholdOptimum:
     landscape: tuple
 
 
-def _threshold_landscape(totals_bright, totals_dark, grid):
-    """Mean error of the single-threshold rule at every grid value."""
-    hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0)))
-    grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
-    cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
-    cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
-    idx = np.clip(grid, 0, hi + 1)
-    eps_b = cdf_b[idx] / totals_bright.size          # bright decided dark
-    eps_d = 1.0 - cdf_d[idx] / totals_dark.size      # dark decided bright
-    return grid, 0.5 * (eps_b + eps_d)
-
-
-def _double_threshold_landscape(totals_bright, totals_dark, n_d, grid):
-    """Mean relative error of the two-threshold rule over the n_B grid."""
-    hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0), n_d))
-    grid = (np.arange(n_d, hi + 1) if grid is None
-            else np.asarray(sorted(grid), dtype=int))
-    if np.any(grid < n_d):
-        raise ConfigError("n_B grid values must be >= n_D")
-    cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
-    cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
-    idx = np.clip(grid, 0, hi + 1)
-    wrong_b = cdf_b[n_d]
-    kept_b = totals_bright.size - (cdf_b[idx] - cdf_b[n_d])
-    wrong_d = totals_dark.size - cdf_d[idx]
-    kept_d = totals_dark.size - (cdf_d[idx] - cdf_d[n_d])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps = 0.5 * (wrong_b / kept_b + wrong_d / kept_d)
-    return grid, np.where((kept_b > 0) & (kept_d > 0), eps, np.inf)
-
-
 def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
                        *, family: str = "threshold", n_D: int = 0,
                        grid=None) -> ThresholdOptimum:
@@ -334,21 +436,14 @@ def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
     """
     if grid is not None and len(grid) == 0:
         raise ConfigError("threshold grid must be non-empty")
-    tot_b = ensemble_bright.counts.sum(axis=1)
-    tot_d = ensemble_dark.counts.sum(axis=1)
-    if family == "threshold":
-        values, eps = _threshold_landscape(tot_b, tot_d, grid)
-        best = int(values[np.argmin(eps)])
-        spec = {"method": "threshold", "n_c": best}
-    elif family == "double_threshold":
-        values, eps = _double_threshold_landscape(tot_b, tot_d, n_D, grid)
-        best = int(values[np.argmin(eps)])
-        spec = {"method": "double_threshold", "n_D": n_D, "n_B": best}
-    else:
-        raise ConfigError(f"unknown threshold family {family!r}")
-    report = evaluate(ensemble_bright, ensemble_dark, spec)
-    report = replace(report, n_c=best)
-    return ThresholdOptimum(best=best, report=report,
+    _require(family in ("threshold", "double_threshold"),
+             f"unknown threshold family {family!r}")
+    rule = resolve_classifier({"method": family, "n_c": "optimize",
+                               "n_D": n_D, "n_B": "optimize"})
+    best, values, eps = rule.optimum(ensemble_bright.counts.sum(axis=1),
+                                     ensemble_dark.counts.sum(axis=1), grid)
+    return ThresholdOptimum(best=best.n_c,
+                            report=evaluate(ensemble_bright, ensemble_dark, best),
                             landscape=tuple(zip(values.tolist(), eps.tolist())))
 
 
@@ -360,19 +455,17 @@ def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
 class SweepSpec:
     """A sweep over measurement times (and optionally efficiency factors).
 
-    ``classifiers`` holds classifier spec dicts; thresholds may say
-    "optimize".  Photon rates scale linearly with the efficiency factor r;
-    lifetimes do not depend on the collection efficiency.
+    ``classifiers`` holds classifier spec dicts (or resolved
+    :class:`Classifier` objects); thresholds may say "optimize".  Photon
+    rates scale linearly with the efficiency factor r; lifetimes do not
+    depend on the collection efficiency.
     """
 
     t_b_values: tuple
     n_trials: int
     seed: int
     params: RateParams
-    classifiers: tuple = (
-        {"method": "threshold", "n_c": "optimize"},
-        {"method": "general"},
-    )
+    classifiers: tuple = _HEADLINE_CLASSIFIERS
     efficiency_factors: tuple = (1.0,)
 
     def __post_init__(self):
@@ -382,7 +475,7 @@ class SweepSpec:
         _require(self.n_trials >= 1, "n_trials must be >= 1")
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
-            validate_classifier(spec)
+            resolve_classifier(spec)
         _require(all(r > 0 for r in self.efficiency_factors),
                  "efficiency factors must be > 0")
         object.__setattr__(self, "t_b_values", tuple(sorted(self.t_b_values)))
@@ -394,20 +487,11 @@ class SweepSpec:
         return self.params.t_s
 
 
-def _prefix_columns(spec: SweepSpec):
-    return [n_bins(t_b, spec.t_s) - 1 for t_b in spec.t_b_values]
-
-
-def _sweep_one_factor(spec: SweepSpec, r: float, threads: int):
-    return _sweep_one_factor_with_context(spec, r, threads,
-                                          context=(_CTX_SWEEP, _rtag(r)))
-
-
 def sweep(spec: SweepSpec, *, threads: int = 1) -> list:
     """Evaluate every configured classifier at every (t_b, r) grid point."""
     rows = []
     for r in spec.efficiency_factors:
-        rows.extend(_sweep_one_factor(spec, r, threads))
+        rows.extend(_sweep_on_streams(spec, r, threads, context=(_CTX_SWEEP, _rtag(r))))
     return rows
 
 
@@ -433,10 +517,7 @@ def efficiency_sweep(spec: SweepSpec, *, threads: int = 1):
     factor with the minimal threshold error (n_c re-optimized per t_b),
     the minimal generalized time-resolved error and their difference.
     """
-    base = replace(spec, classifiers=(
-        {"method": "threshold", "n_c": "optimize"},
-        {"method": "general"},
-    ))
+    base = replace(spec, classifiers=_HEADLINE_CLASSIFIERS)
     rows = sweep(base, threads=threads)
     points = []
     for r in base.efficiency_factors:
@@ -462,13 +543,11 @@ def efficiency_sweep(spec: SweepSpec, *, threads: int = 1):
 # Pulse-pair experiments
 
 
-def _pi_pulse_point(spec: SweepSpec, detector: dict, epsilon_pi: float,
+def _pi_pulse_point(spec: SweepSpec, detector: Classifier, epsilon_pi: float,
                     t_b: float, index: int, threads: int) -> ErrorReport:
     params = spec.params
     cfg = SimConfig(n_trials=spec.n_trials, t_b=t_b, seed=spec.seed, params=params)
-    dec1 = {}
-    dec2 = {}
-    window1 = {}
+    window1, dec1, combined = {}, {}, {}
     for state in (IonState.BRIGHT, IonState.DARK):
         ens1 = simulate_ensemble(cfg, state,
                                  context=(_CTX_PI, _PI_WINDOW_ONE, index),
@@ -483,25 +562,24 @@ def _pi_pulse_point(spec: SweepSpec, detector: dict, epsilon_pi: float,
             cfg, flipped, context=(_CTX_PI, _PI_WINDOW_TWO, index, int(state)),
             threads=threads)
         d2 = decisions_for(ens2.counts, detector, params)
-        dec1[state], dec2[state], window1[state] = d1, d2, ens1
-    combined = {state: cl.pi_pulse_combine(dec1[state], dec2[state])
-                for state in dec1}
+        window1[state], dec1[state] = ens1, d1
+        combined[state] = cl.pi_pulse_combine(d1, d2)
     # Analytic cross-check: transfer matrices estimated from window one feed
     # the matrix pipeline; window two obeys the same homogeneous law.
     m_b, m_d = cl.estimate_transfer_matrices(
         window1[IonState.BRIGHT], window1[IonState.DARK],
-        lambda counts: decisions_for(counts, detector, params))
+        dec1[IonState.BRIGHT], dec1[IonState.DARK])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         analytic = cl.pi_pulse_error(m_b, m_d, epsilon_pi)
     return report_from_decisions(
         combined[IonState.BRIGHT], combined[IonState.DARK],
-        classifier=f"pi_pulse+{classifier_label(detector)}",
-        detail=classifier_detail(detector), t_b=t_b,
+        classifier=f"pi_pulse+{detector.label}",
+        detail=detector.detail, t_b=t_b,
         epsilon_analytic=analytic.epsilon_rel, N_R_analytic=analytic.N_R)
 
 
-def pi_pulse_sweep(spec: SweepSpec, detector: dict, epsilon_pi: float,
+def pi_pulse_sweep(spec: SweepSpec, detector, epsilon_pi: float,
                    *, threads: int = 1) -> list:
     """Simulate detection, inverting pulse, detection at every t_b.
 
@@ -512,9 +590,10 @@ def pi_pulse_sweep(spec: SweepSpec, detector: dict, epsilon_pi: float,
     matrices.  Rows with no retained trials come back flagged (NaN epsilon,
     defined False).
     """
-    detector = validate_classifier(detector)
-    _require(detector["method"] != "double_threshold",
+    detector = resolve_classifier(detector)
+    _require(not isinstance(detector, DoubleThresholdClassifier),
              "pulse pairs need a non-abstaining single-detection method")
+    detector = detector.fixed()
     if not 0.0 <= epsilon_pi <= 1.0:
         raise ConfigError("epsilon_pi must lie in [0, 1]")
     return [_pi_pulse_point(spec, detector, epsilon_pi, t_b, i, threads)
@@ -538,24 +617,22 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
     # channel of this qubit family (bright to dark), matching how the
     # original method is applied when benchmarked against the generalized
     # one; the generalized method needs no such choice.
-    methods = (
+    methods = tuple(map(resolve_classifier, (
         {"method": "threshold", "n_c": "optimize"},
         {"method": "simple", "decaying": "bright"},
         {"method": "general"},
-    )
+    )))
     all_rows = []
-    minima = {classifier_label(m): [] for m in methods}
+    minima = {m.label: [] for m in methods}
     for rep in range(repetitions):
         rep_spec = replace(spec, classifiers=methods,
                            seed=spec.seed, efficiency_factors=(1.0,))
-        rep_rows = _sweep_one_factor_with_context(
-            rep_spec, 1.0, threads, context=(_CTX_COMPARE, rep))
+        rep_rows = _sweep_on_streams(rep_spec, 1.0, threads,
+                                     context=(_CTX_COMPARE, rep))
         for row in rep_rows:
             all_rows.append(replace(row, r=float(rep + 1)))
-        for m in methods:
-            label = classifier_label(m)
-            rows = [row for row in rep_rows if row.classifier == label]
-            minima[label].append(min(row.epsilon for row in rows))
+        for label, values in minima.items():
+            values.append(min(row.epsilon for row in rep_rows if row.classifier == label))
     summary = {
         label: {
             "mean": float(np.mean(values)),
@@ -567,9 +644,9 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
     return all_rows, summary
 
 
-def _sweep_one_factor_with_context(spec: SweepSpec, r: float, threads: int,
-                                   context: tuple):
-    """Like _sweep_one_factor but on caller-chosen random streams."""
+def _sweep_on_streams(spec: SweepSpec, r: float, threads: int, context: tuple):
+    """Simulate the longest window at efficiency factor r on the given
+    random streams and evaluate every t_b prefix."""
     params_r = spec.params.scaled(r)
     cfg = SimConfig(n_trials=spec.n_trials, t_b=spec.t_b_values[-1],
                     seed=spec.seed, params=params_r)
@@ -582,62 +659,12 @@ def evaluate_prefixes(spec: SweepSpec, ens_b: Ensemble, ens_d: Ensemble,
                       *, r: float = 1.0) -> list:
     """Evaluate the configured classifiers on existing ensembles at every t_b."""
     params = ens_b.params or spec.params.scaled(r)
-    cols = _prefix_columns(spec)
-    cum_b = np.cumsum(ens_b.counts, axis=1)
-    cum_d = np.cumsum(ens_d.counts, axis=1)
+    cols = [n_bins(t_b, spec.t_s) - 1 for t_b in spec.t_b_values]
     rows = []
-    for cspec in spec.classifiers:
-        cspec = validate_classifier(cspec)
-        method = cspec["method"]
-        label = classifier_label(cspec)
-        if method in ("simple", "general"):
-            if method == "simple":
-                decaying = _decay_state(cspec)
-                lb_b, ld_b, _ = cl.simple_loglik(ens_b.counts, params,
-                                                 cspec.get("tau_ms"),
-                                                 decaying=decaying, prefixes=True)
-                lb_d, ld_d, _ = cl.simple_loglik(ens_d.counts, params,
-                                                 cspec.get("tau_ms"),
-                                                 decaying=decaying, prefixes=True)
-            else:
-                table = observation_table_for(params)
-                lb_b, ld_b = cl.general_loglik(ens_b.counts, table, prefixes=True)
-                lb_d, ld_d = cl.general_loglik(ens_d.counts, table, prefixes=True)
-            for t_b, col in zip(spec.t_b_values, cols):
-                rows.append(report_from_decisions(
-                    cl.decide_from_logs(lb_b[:, col], ld_b[:, col]),
-                    cl.decide_from_logs(lb_d[:, col], ld_d[:, col]),
-                    classifier=label, detail=classifier_detail(cspec),
-                    t_b=t_b, r=r))
-        else:
-            for t_b, col in zip(spec.t_b_values, cols):
-                tot_b, tot_d = cum_b[:, col], cum_d[:, col]
-                if method == "threshold" and cspec["n_c"] == "optimize":
-                    values, eps = _threshold_landscape(tot_b, tot_d, None)
-                    best = int(values[np.argmin(eps)])
-                    rows.append(report_from_decisions(
-                        cl.threshold_decide(tot_b, best),
-                        cl.threshold_decide(tot_d, best),
-                        classifier=label, detail=f"n_c={best}",
-                        t_b=t_b, r=r, n_c=best))
-                elif method == "threshold":
-                    n_c = cspec["n_c"]
-                    rows.append(report_from_decisions(
-                        cl.threshold_decide(tot_b, n_c),
-                        cl.threshold_decide(tot_d, n_c),
-                        classifier=label, detail=classifier_detail(cspec),
-                        t_b=t_b, r=r, n_c=n_c))
-                else:
-                    n_d = cspec["n_D"]
-                    n_b = cspec["n_B"]
-                    if n_b == "optimize":
-                        values, eps = _double_threshold_landscape(tot_b, tot_d, n_d, None)
-                        n_b = int(values[np.argmin(eps)])
-                    rows.append(report_from_decisions(
-                        cl.double_threshold_decide(tot_b, n_d, n_b),
-                        cl.double_threshold_decide(tot_d, n_d, n_b),
-                        classifier=label, detail=f"n_D={n_d};n_B={n_b}",
-                        t_b=t_b, r=r, n_c=n_b))
+    for clf in map(resolve_classifier, spec.classifiers):
+        columns = clf.column_decisions(ens_b.counts, ens_d.counts, cols, params)
+        for t_b, (rule, dec_b, dec_d) in zip(spec.t_b_values, columns):
+            rows.append(rule.report(dec_b, dec_d, t_b=t_b, r=r))
     return rows
 
 
@@ -680,10 +707,7 @@ def sweep_spec_from_config(cfg: dict, *, seed=None) -> SweepSpec:
             n_trials=int(sweep_cfg["n_trials"]),
             seed=int(seed if seed is not None else sweep_cfg["seed"]),
             params=params,
-            classifiers=tuple(sweep_cfg.get("classifiers", (
-                {"method": "threshold", "n_c": "optimize"},
-                {"method": "general"},
-            ))),
+            classifiers=tuple(sweep_cfg.get("classifiers", _HEADLINE_CLASSIFIERS)),
             efficiency_factors=tuple(sweep_cfg.get("efficiency_factors", (1.0,))),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -86,30 +86,24 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble simulation settings.
-
-    ``t_s`` may be omitted (None) to take the sub-bin duration from
-    ``params``; when given it must match, to rule out silent unit drift.
-    """
+    """Ensemble simulation settings; the sub-bin duration ``t_s`` is the
+    one in ``params``."""
 
     n_trials: int
     t_b: float
     seed: int
     params: RateParams
-    t_s: float | None = None
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.t_s is None:
-            object.__setattr__(self, "t_s", self.params.t_s)
-        elif abs(self.t_s - self.params.t_s) > 1e-12:
-            raise ValueError(
-                f"t_s={self.t_s} disagrees with params.t_s={self.params.t_s}"
-            )
         n_bins(self.t_b, self.t_s)
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
+
+    @property
+    def t_s(self) -> float:
+        return self.params.t_s
 
     @property
     def n_bins(self) -> int:

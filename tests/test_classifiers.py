@@ -495,7 +495,8 @@ class TestTransferMatrices:
             # both Poisson tails beyond n_c=4 are < 1e-3 at these means
             return threshold_decide(counts.sum(axis=1), n_c=4)
 
-        m_b, m_d = estimate_transfer_matrices(ens_b, ens_d, near_perfect)
+        m_b, m_d = estimate_transfer_matrices(ens_b, ens_d, near_perfect(ens_b.counts),
+                                              near_perfect(ens_d.counts))
         assert np.allclose(m_b, [[1.0, 0.0], [0.0, 0.0]], atol=4e-3)
         assert np.allclose(m_d, [[0.0, 0.0], [0.0, 1.0]], atol=4e-3)
 
@@ -504,7 +505,8 @@ class TestTransferMatrices:
         ens_b = simulate_ensemble(cfg, IonState.BRIGHT)
         ens_d = simulate_ensemble(cfg, IonState.DARK)
         m_b, m_d = estimate_transfer_matrices(
-            ens_b, ens_d, lambda c: threshold_decide(c.sum(axis=1), 1))
+            ens_b, ens_d, threshold_decide(ens_b.counts.sum(axis=1), 1),
+            threshold_decide(ens_d.counts.sum(axis=1), 1))
         sums = (m_b + m_d).sum(axis=0)
         assert sums[0] == 1.0 and sums[1] == 1.0
 
@@ -512,7 +514,16 @@ class TestTransferMatrices:
         cfg = SimConfig(n_trials=10, t_b=1.0, seed=13, params=P)
         ens = simulate_ensemble(cfg, IonState.BRIGHT)
         with pytest.raises(ValueError):
-            estimate_transfer_matrices(ens, None, lambda c: threshold_decide(c.sum(axis=1), 1))
+            estimate_transfer_matrices(ens, None, threshold_decide(ens.counts.sum(axis=1), 1),
+                                       None)
+
+    def test_one_decision_per_trial_required(self):
+        cfg = SimConfig(n_trials=100, t_b=1.0, seed=14, params=P)
+        ens_b = simulate_ensemble(cfg, IonState.BRIGHT)
+        ens_d = simulate_ensemble(cfg, IonState.DARK)
+        decisions = threshold_decide(ens_b.counts.sum(axis=1), 1)
+        with pytest.raises(ValueError, match="one decision per trial"):
+            estimate_transfer_matrices(ens_b, ens_d, decisions, decisions[:-1])
 
     def test_abstaining_detector_rejected(self):
         cfg = SimConfig(n_trials=100, t_b=1.0, seed=14, params=P)
@@ -520,7 +531,8 @@ class TestTransferMatrices:
         ens_d = simulate_ensemble(cfg, IonState.DARK)
         with pytest.raises(ValueError):
             estimate_transfer_matrices(
-                ens_b, ens_d, lambda c: double_threshold_decide(c.sum(axis=1), 0, 4))
+                ens_b, ens_d, double_threshold_decide(ens_b.counts.sum(axis=1), 0, 4),
+                double_threshold_decide(ens_d.counts.sum(axis=1), 0, 4))
 
 
 def _log_poisson_product(counts, mean):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ionread import classifiers
 from ionread.cli import main
 from ionread.harness import evaluate
 from ionread.photon_model import DEFAULT_PARAMS, IonState
@@ -127,6 +128,40 @@ class TestSimulateClassify:
         assert {r["decision"] for r in doc["rows"]} <= {"B", "D", "I"}
         assert all("log_p_B" in r for r in doc["rows"])
         assert doc["report"]["epsilon"] <= 1.0
+
+
+    def test_classify_runs_filter_once(self, tmp_path, monkeypatch):
+        cfg = _config(
+            tmp_path,
+            simulate={"t_b_ms": 0.5, "n_trials": 64, "seed": 5,
+                      "initial": "both"},
+            classify={"input": "counts.csv",
+                      "classifier": {"method": "general"}},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        calls = []
+        kernel = classifiers.general_loglik
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "general_loglik", counting)
+        assert main(["classify", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert calls == [(128, 5)]
+        assert (out / "report.csv").exists()
+
+    def test_classify_rejects_unoptimized_threshold_before_reading(
+            self, tmp_path, capsys):
+        # The input is malformed: reading it first would exit 3.
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("trial,initial,n_1\n0,B,-3\n")
+        cfg = _config(tmp_path, classify={"input": str(csv_path),
+                                          "classifier": {"method": "threshold"}})
+        assert main(["classify", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "optimize" in capsys.readouterr().err
 
 
 class TestFit:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from ionread import harness
 from ionread.classifiers import Decision, pi_pulse_error
 from ionread.harness import (
     REPORT_COLUMNS,
@@ -22,18 +23,20 @@ from ionread.harness import (
     ErrorReport,
     SweepSpec,
     compare_methods,
+    decisions_for,
     decisions_to_csv,
     efficiency_sweep,
     evaluate,
+    evaluate_prefixes,
     load_config,
     optimize_threshold,
     pi_pulse_sweep,
     rate_params_from_config,
     report_from_decisions,
     report_rows_to_csv,
+    resolve_classifier,
     sweep,
     sweep_spec_from_config,
-    validate_classifier,
 )
 from ionread.photon_model import (
     DEFAULT_PARAMS,
@@ -216,6 +219,14 @@ class TestEvaluate:
         assert report.epsilon == pytest.approx(0.5 * (2 / 3 + 1 / 4))
         assert report.N_R == pytest.approx(7 / 11)
 
+    def test_double_threshold_report_carries_n_B(self):
+        # Every path reports a double threshold's n_c as its n_B.
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 500, seed=4)
+        report = evaluate(ens_b, ens_d,
+                          {"method": "double_threshold", "n_D": 0, "n_B": 4})
+        assert report.n_c == 4
+        assert report.to_json_dict()["n_c"] == 4
+
     def test_json_dict_fields(self):
         row = report_from_decisions(
             np.array([Decision.BRIGHT, Decision.DARK]),
@@ -387,6 +398,37 @@ class TestCompareMethods:
         assert by_rep[1.0] != by_rep[2.0]
 
 
+class TestEntryPointsAgree:
+    """evaluate, the last row of a prefix evaluation and a report built from
+    decisions_for on the stacked counts count the same errors."""
+
+    @pytest.mark.parametrize("method", [
+        {"method": "threshold", "n_c": 1},
+        {"method": "double_threshold", "n_D": 0, "n_B": 4},
+        {"method": "simple", "decaying": "bright", "tau_ms": 5.0},
+        {"method": "general"},
+    ])
+    def test_same_counts_and_epsilon(self, method):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 3000, seed=31)
+        direct = evaluate(ens_b, ens_d, method)
+        spec = _spec(t_b_values=(0.3, 0.5), classifiers=(method,))
+        last = evaluate_prefixes(spec, ens_b, ens_d)[-1]
+        assert last.t_b == 0.5
+        stacked = decisions_for(np.vstack([ens_b.counts, ens_d.counts]), method,
+                                DEFAULT_PARAMS)
+        split = report_from_decisions(stacked[:3000], stacked[3000:],
+                                      classifier=direct.classifier,
+                                      detail=direct.detail, t_b=0.5)
+
+        def key(row):
+            return (row.retained_bright, row.retained_dark, row.wrong_bright,
+                    row.wrong_dark, row.epsilon)
+
+        assert key(direct) == key(last) == key(split)
+        assert (direct.classifier, direct.detail, direct.n_c) == (
+            last.classifier, last.detail, last.n_c)
+
+
 # ---------------------------------------------------------------------------
 # Pulse-pair sweep
 
@@ -422,6 +464,27 @@ class TestPiPulseSweep:
             pi_pulse_sweep(spec, {"method": "double_threshold",
                                   "n_D": 0, "n_B": 2}, 0.02)
 
+    def test_rejects_detector_left_to_optimize_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the detector was checked")
+
+        monkeypatch.setattr(harness, "simulate_ensemble", no_simulation)
+        with pytest.raises(ConfigError, match="optimize"):
+            pi_pulse_sweep(_spec(), {"method": "threshold"}, 0.02)
+
+    def test_detector_runs_once_per_window_and_state(self, monkeypatch):
+        calls = []
+
+        def counting(counts, spec, params):
+            calls.append(counts.shape)
+            return decisions_for(counts, spec, params)
+
+        monkeypatch.setattr(harness, "decisions_for", counting)
+        spec = _spec(n_trials=200)
+        rows = pi_pulse_sweep(spec, {"method": "threshold", "n_c": 1}, 0.02)
+        assert len(rows) == len(spec.t_b_values)
+        assert len(calls) == 4 * len(spec.t_b_values)
+
     def test_rejects_bad_pulse_error(self):
         spec = _spec()
         with pytest.raises(ConfigError, match="epsilon_pi"):
@@ -434,9 +497,9 @@ class TestPiPulseSweep:
 
 class TestValidateClassifier:
     def test_defaults_filled(self):
-        assert validate_classifier({"method": "threshold"})["n_c"] == "optimize"
-        simple = validate_classifier({"method": "simple"})
-        assert simple["decaying"] == "dark"
+        assert resolve_classifier({"method": "threshold"}).n_c == "optimize"
+        simple = resolve_classifier({"method": "simple"})
+        assert simple.decaying is IonState.DARK
 
     @pytest.mark.parametrize("bad", [
         {"method": "nope"},
@@ -450,7 +513,7 @@ class TestValidateClassifier:
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
-            validate_classifier(bad)
+            resolve_classifier(bad)
 
 
 def _write_config(tmp_path, doc, name="config.json"):
