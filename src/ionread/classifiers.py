@@ -18,9 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .photon_model import IonState, ObservationTable, RateParams
+from .photon_model import IonState, ObservationTable, RateParams, _poisson_logpmf
 
 
 class Decision(enum.IntEnum):
@@ -133,10 +132,6 @@ def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarra
 # Simple time-resolved method (single dark->bright change)
 
 
-def _log_poisson(counts: np.ndarray, mean: float) -> np.ndarray:
-    return -mean + xlogy(counts, mean) - gammaln(counts + 1.0)
-
-
 def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = None,
                   *, decaying: IonState = IonState.DARK, prefixes: bool = False):
     """Log-likelihoods of the single-change formula, vectorized.
@@ -184,8 +179,8 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
         raise ValueError("tau must be > 0")
     counts2d = np.atleast_2d(np.asarray(counts, dtype=np.int64))
     n, m = counts2d.shape
-    log_pb_bin = _log_poisson(counts2d, params.bright_mean)
-    log_pd_bin = _log_poisson(counts2d, params.dark_mean)
+    log_pb_bin = _poisson_logpmf(counts2d, params.bright_mean)
+    log_pd_bin = _poisson_logpmf(counts2d, params.dark_mean)
     cum_b = np.cumsum(log_pb_bin, axis=1)
     cum_d = np.cumsum(log_pd_bin, axis=1)
     if decaying is IonState.DARK:

@@ -157,9 +157,11 @@ class ThresholdClassifier(_CountRule):
         """Mean error of the single-threshold rule at every grid value."""
         hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0)))
         grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
+        if np.any(grid < 0):
+            raise ConfigError("n_c grid values must be >= 0")
         cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
         cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
-        idx = np.clip(grid, 0, hi + 1)
+        idx = np.minimum(grid, hi + 1)
         eps_b = cdf_b[idx] / totals_bright.size          # bright decided dark
         eps_d = 1.0 - cdf_d[idx] / totals_dark.size      # dark decided bright
         return grid, 0.5 * (eps_b + eps_d)
@@ -190,7 +192,7 @@ class DoubleThresholdClassifier(_CountRule):
             raise ConfigError("n_B grid values must be >= n_D")
         cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
         cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
-        idx = np.clip(grid, 0, hi + 1)
+        idx = np.minimum(grid, hi + 1)
         wrong_b = cdf_b[n_d]
         kept_b = totals_bright.size - (cdf_b[idx] - cdf_b[n_d])
         wrong_d = totals_dark.size - cdf_d[idx]
@@ -746,19 +748,8 @@ def report_rows_to_csv(rows, path, *, comments=()) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            record = {
-                "classifier": row.classifier, "detail": row.detail,
-                "r": row.r, "t_b_ms": row.t_b, "n_c": row.n_c,
-                "epsilon_bright": row.epsilon_bright,
-                "epsilon_dark": row.epsilon_dark,
-                "epsilon": row.epsilon, "stderr": row.stderr, "N_R": row.N_R,
-                "retained_bright": row.retained_bright,
-                "retained_dark": row.retained_dark,
-                "n_bright": row.n_bright, "n_dark": row.n_dark,
-                "epsilon_analytic": row.epsilon_analytic,
-                "N_R_analytic": row.N_R_analytic,
-            }
-            writer.writerow([_fmt(record[c]) for c in REPORT_COLUMNS])
+            record = row.to_json_dict()
+            writer.writerow([_fmt(record.get(c)) for c in REPORT_COLUMNS])
 
 
 def decisions_to_csv(path, trial_ids, initials, decisions, log_pb=None,

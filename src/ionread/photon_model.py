@@ -16,6 +16,11 @@ The table is the input of the generalized time-resolved classifier: the
 ordered product of ``O(n_k)`` over the sub-bins of a measurement yields the
 likelihood of the count sequence for either initial state.
 
+Every Poisson probability in the package comes from one log-pmf,
+``_poisson_logpmf``: the pure-state pmf, the ``mixed_pmf`` integrand and the
+single-change classifier (:func:`ionread.classifiers.simple_loglik`) all
+call it, and Poisson tails use ``scipy.special.pdtrc``.
+
 Rates are photons per millisecond; times are milliseconds throughout.
 """
 
@@ -29,8 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, xlogy
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 
 class IonState(enum.IntEnum):
@@ -173,23 +177,31 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     return float(np.exp(-t / tau))
 
 
+def _poisson_logpmf(n, mean):
+    """log(e^{-mean} mean^n / n!), elementwise; safe at mean = 0
+    (xlogy(0, 0) = 0)."""
+    return -mean + xlogy(n, mean) - gammaln(n + 1)
+
+
+def _check_counts(n) -> np.ndarray:
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("photon count must be >= 0")
+    if np.any(n != np.floor(n)):
+        raise ValueError("photon count must be an integer")
+    return n
+
+
 def count_pmf(state: IonState, n, params: RateParams):
     """Poisson photon-count pmf of a pure state over one sub-bin.
 
     Mean (R_B + R_D)*t_s for bright, R_D*t_s for dark. ``n`` may be a scalar
-    or an array of counts.
+    or an array of integer counts.
     """
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("photon count must be >= 0")
+    n = _check_counts(n)
     mean = params.bright_mean if state is IonState.BRIGHT else params.dark_mean
-    out = poisson.pmf(n, mean)
+    out = np.exp(_poisson_logpmf(n, mean))
     return float(out) if out.ndim == 0 else out
-
-
-def _poisson_weight(n: int, lam) -> np.ndarray:
-    # e^{-lam} lam^n / n!, safe at lam = 0 (xlogy(0, 0) = 0).
-    return np.exp(-lam + xlogy(n, lam) - gammaln(n + 1))
 
 
 def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
@@ -217,8 +229,7 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
     """
     if direction not in ("BD", "DB"):
         raise ValueError(f"direction must be 'BD' or 'DB', got {direction!r}")
-    if n < 0:
-        raise ValueError("photon count must be >= 0")
+    _check_counts(n)
     if params.R_B == 0:
         raise DegenerateModelError(
             "R_B = 0: bright and dark are indistinguishable and the mixture "
@@ -231,13 +242,13 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
         scale = params.R_B * params.tau_B
 
         def integrand(lam):
-            return np.exp(-(lam - lo) / scale) / scale * _poisson_weight(n, lam)
+            return np.exp(-(lam - lo) / scale) / scale * np.exp(_poisson_logpmf(n, lam))
 
     else:
         scale = params.R_B * params.tau_D
 
         def integrand(lam):
-            return np.exp(-(hi - lam) / scale) / scale * _poisson_weight(n, lam)
+            return np.exp(-(hi - lam) / scale) / scale * np.exp(_poisson_logpmf(n, lam))
 
     value, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return float(value)
@@ -284,11 +295,7 @@ class ObservationTable:
         """O(n), clamping counts beyond n_max to the last entry."""
         if n < 0:
             raise ValueError("photon count must be >= 0")
-        if n > self.n_max:
-            with self._clamp_lock:
-                self.clamped_lookups += 1
-            n = self.n_max
-        return self.entries[n]
+        return self.entries[self.clamp_counts(n)]
 
     def clamp_counts(self, counts: np.ndarray) -> np.ndarray:
         """Clamp an array of counts to n_max, tallying how many were cut."""
@@ -340,28 +347,16 @@ class ObservationTable:
             return cls.from_json_dict(json.load(fh))
 
 
-def _observation_entries(params: RateParams, n_max: int) -> np.ndarray:
-    ns = np.arange(n_max + 1)
-    w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
-    w_dd = stay_prob(IonState.DARK, params.t_s, params)
-    entries = np.empty((n_max + 1, 2, 2))
-    entries[:, 0, 0] = w_bb * count_pmf(IonState.BRIGHT, ns, params)
-    entries[:, 1, 1] = w_dd * count_pmf(IonState.DARK, ns, params)
-    entries[:, 1, 0] = [mixed_pmf("BD", n, params) for n in ns]
-    entries[:, 0, 1] = [mixed_pmf("DB", n, params) for n in ns]
-    return entries
-
-
 def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:
     n_max = entries.shape[0] - 1
     w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
     w_dd = stay_prob(IonState.DARK, params.t_s, params)
     # Tail of the pure-Poisson part is known analytically; the mixture tail
     # is its total mass (1 - stay probability) minus what was tabulated.
-    col0 = w_bb * poisson.sf(n_max, params.bright_mean) + max(
+    col0 = w_bb * pdtrc(n_max, params.bright_mean) + max(
         0.0, (1.0 - w_bb) - entries[:, 1, 0].sum()
     )
-    col1 = w_dd * poisson.sf(n_max, params.dark_mean) + max(
+    col1 = w_dd * pdtrc(n_max, params.dark_mean) + max(
         0.0, (1.0 - w_dd) - entries[:, 0, 1].sum()
     )
     return np.array([col0, col1])
@@ -388,10 +383,24 @@ def build_observation_table(params: RateParams, n_max: int | None = None,
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
-    required = _required_n_max(params, tol)
+    # Grow the table one row at a time; ``required`` is the first n >= 1
+    # whose truncated mass per column is below tol.  Rows past it are built
+    # only up to an explicit, larger n_max.
+    w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
+    w_dd = stay_prob(IonState.DARK, params.t_s, params)
+    rows, required = [], None
+    while required is None or len(rows) <= (n_max or 0):
+        n = len(rows)
+        if n > 10000:
+            raise RuntimeError("observation table failed to converge by n=10000")
+        rows.append([[w_bb * count_pmf(IonState.BRIGHT, n, params), mixed_pmf("DB", n, params)],
+                     [mixed_pmf("BD", n, params), w_dd * count_pmf(IonState.DARK, n, params)]])
+        if (required is None and n >= 1
+                and _truncation_mass(params, np.array(rows)).max() < tol):
+            required = n
     if n_max is None:
         n_max = required
-    entries = _observation_entries(params, n_max)
+    entries = np.array(rows[: n_max + 1])
     truncation = _truncation_mass(params, entries)
     if truncation.max() > tol:
         raise TableTooSmallError(
@@ -400,23 +409,3 @@ def build_observation_table(params: RateParams, n_max: int | None = None,
             required_n_max=required,
         )
     return ObservationTable(params, n_max, tol, entries, truncation)
-
-
-def _required_n_max(params: RateParams, tol: float) -> int:
-    """Smallest n_max whose per-column truncated mass is below tol."""
-    w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
-    w_dd = stay_prob(IonState.DARK, params.t_s, params)
-    # The mixture part's mean never exceeds the bright mean, so the Poisson
-    # tail bound plus an explicit mixture partial sum converges quickly.
-    x_bd_total, x_db_total = 0.0, 0.0
-    n = 0
-    while True:
-        x_bd_total += mixed_pmf("BD", n, params)
-        x_db_total += mixed_pmf("DB", n, params)
-        col0 = w_bb * poisson.sf(n, params.bright_mean) + max(0.0, (1.0 - w_bb) - x_bd_total)
-        col1 = w_dd * poisson.sf(n, params.dark_mean) + max(0.0, (1.0 - w_dd) - x_db_total)
-        if max(col0, col1) < tol and n >= 1:
-            return n
-        n += 1
-        if n > 10000:
-            raise RuntimeError("observation table failed to converge by n=10000")

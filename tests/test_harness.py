@@ -255,6 +255,13 @@ class TestOptimizeThreshold:
         with pytest.raises(ConfigError):
             optimize_threshold(ens_b, ens_d, grid=[])
 
+    def test_negative_grid_rejected(self):
+        # A negative n_c would call every trial bright; it must not be
+        # silently evaluated as n_c = 0.
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 100, seed=1)
+        with pytest.raises(ConfigError):
+            optimize_threshold(ens_b, ens_d, grid=[-1, 0, 1])
+
     def test_poisson_crossover(self):
         # Without transitions the totals are Poisson; the optimal cutoff is
         # the floor of the likelihood-ratio crossover

@@ -5,6 +5,10 @@ The mixture pmf is checked against an independent brute-force Riemann sum
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
+from ionread import photon_model
 from ionread.photon_model import (
     DEFAULT_PARAMS,
     DegenerateModelError,
@@ -119,6 +124,18 @@ class TestCountPmf:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             count_pmf(IonState.BRIGHT, -1, DEFAULT_PARAMS)
+        with pytest.raises(ValueError):
+            count_pmf(IonState.BRIGHT, 1.5, DEFAULT_PARAMS)
+        with pytest.raises(ValueError):
+            count_pmf(IonState.DARK, np.array([0.0, 1.5]), DEFAULT_PARAMS)
+        assert count_pmf(IonState.BRIGHT, 2.0, DEFAULT_PARAMS) == count_pmf(
+            IonState.BRIGHT, 2, DEFAULT_PARAMS)
+
+    def test_mixed_pmf_non_count_rejected(self):
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError):
+                mixed_pmf("BD", bad, DEFAULT_PARAMS)
+        assert mixed_pmf("DB", 2.0, DEFAULT_PARAMS) == mixed_pmf("DB", 2, DEFAULT_PARAMS)
 
 
 class TestMixedPmf:
@@ -212,6 +229,34 @@ class TestObservationTable:
         required = exc.value.required_n_max
         assert required > 3
         assert build_observation_table(DEFAULT_PARAMS, n_max=required).n_max == required
+
+    def test_each_mixture_entry_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(direction, n, params):
+            calls.append((direction, n))
+            return mixed_pmf(direction, n, params)
+
+        monkeypatch.setattr(photon_model, "mixed_pmf", counting)
+        table = build_observation_table(DEFAULT_PARAMS)
+        assert len(calls) == 2 * (table.n_max + 1)
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        with pytest.raises(TableTooSmallError) as exc:
+            build_observation_table(DEFAULT_PARAMS, n_max=3)
+        assert len(calls) == 2 * (exc.value.required_n_max + 1)
+
+    def test_import_and_build_leave_scipy_stats_unloaded(self):
+        # A fresh interpreter: the test modules themselves import scipy.stats.
+        code = ("import sys, ionread\n"
+                "ionread.build_observation_table(ionread.DEFAULT_PARAMS)\n"
+                "print('scipy.stats' in sys.modules)\n")
+        src = str(Path(photon_model.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_degenerate_rejected(self):
         params = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
