@@ -9,6 +9,13 @@ inverting pulse between two detection windows.
 All classifiers are pure functions.  The batch entry points operate on
 (n_trials, n_bins) count arrays in the log domain and can evaluate every
 prefix of the window in one pass, which is what the sweep harness uses.
+They reject negative and fractional counts; the scalar classifiers wrap
+them on one row.  The hidden-Markov product is a scaled forward filter
+(Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four
+length-n_trials arrays hold the entries of every trial's accumulated 2x2
+product, each bin updates them elementwise from four gathered columns of
+the observation table, and a per-bin renormalisation, tallied in a log
+scale, keeps windows of any length in floating range.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, ObservationTable, RateParams, _poisson_logpmf
+from .photon_model import (IonState, ObservationTable, RateParams, _check_counts,
+                           _poisson_logpmf)
 
 
 class Decision(enum.IntEnum):
@@ -90,13 +98,23 @@ class LikelihoodPair:
         return Decision.DARK
 
 
+def _as_count_matrix(counts) -> np.ndarray:
+    """(n_trials, n_bins) int64 counts with at least one bin.
+
+    Negative and fractional counts raise ValueError; counts above a table's
+    n_max pass, for the table to clamp and tally.
+    """
+    counts2d = np.atleast_2d(_check_counts(counts))
+    if counts2d.ndim != 2 or counts2d.shape[1] == 0:
+        raise ValueError("counts must be a 2-d array with at least one bin")
+    return counts2d.astype(np.int64, copy=False)
+
+
 def _as_counts(counts) -> np.ndarray:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a non-empty 1-d sequence")
-    if np.any(arr < 0):
-        raise ValueError("counts must be >= 0")
-    return arr.astype(np.int64)
+    return _as_count_matrix(arr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +195,7 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    counts2d = np.atleast_2d(np.asarray(counts, dtype=np.int64))
+    counts2d = _as_count_matrix(counts)
     n, m = counts2d.shape
     log_pb_bin = _poisson_logpmf(counts2d, params.bright_mean)
     log_pd_bin = _poisson_logpmf(counts2d, params.dark_mean)
@@ -237,36 +255,42 @@ def simple_time_resolved_classify(counts, params: RateParams,
 # Generalized time-resolved method (full two-state hidden Markov model)
 
 
-def _initial_logs(acc: np.ndarray, log_scale: np.ndarray):
-    """Initial-state log-likelihoods from scaled (n, 2, 2) products."""
-    with np.errstate(divide="ignore"):
-        return (np.log(acc[:, :, 0].sum(axis=1)) + log_scale,
-                np.log(acc[:, :, 1].sum(axis=1)) + log_scale)
-
-
 def _forward_product(counts2d: np.ndarray, table: ObservationTable,
                      prefix_logs=None):
     """Left product of the per-bin observation matrices in sequence order.
 
-    Each step is renormalized, so arbitrarily long windows stay in range.
-    Returns the accumulated (n_trials, 2, 2) products and their log scales.
-    ``prefix_logs``, a pair of (n_trials, n_bins) arrays, receives every
-    prefix's initial-state log-likelihoods when given.
+    The product is kept as four length-n_trials arrays (a00, a01, a10, a11),
+    entry [i, j] of each trial's 2x2 matrix: rows are the state after the
+    window, columns the initial state.  Each bin gathers the four entry
+    columns of ``table.entries`` at that bin's clamped counts (s00 .. s11)
+    and forms the matrix product step x acc with eight elementwise
+    multiplies and four adds, then divides the four arrays by their sum and
+    adds its log to ``log_scale``, so arbitrarily long windows stay in
+    range.  Returns ((a00, a01, a10, a11), log_scale); the column
+    sums a00 + a10 and a01 + a11 are the initial-state likelihoods over
+    ``exp(log_scale)``.  ``prefix_logs``, a pair of (n_trials, n_bins)
+    arrays, receives every prefix's initial-state log-likelihoods when given.
     """
     n, m = counts2d.shape
     clamped = table.clamp_counts(counts2d)
-    acc = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    columns = table.entries.reshape(-1, 4).T.copy()    # rows: s00, s01, s10, s11
+    step = np.empty((4, n))
+    a00, a01, a10, a11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
     log_scale = np.zeros(n)
-    for k in range(m):
-        step = table.entries[clamped[:, k]]
-        acc = step @ acc
-        norm = acc.sum(axis=(1, 2))
-        norm = np.where(norm > 0, norm, 1.0)
-        acc /= norm[:, None, None]
-        log_scale += np.log(norm)
-        if prefix_logs is not None:
-            prefix_logs[0][:, k], prefix_logs[1][:, k] = _initial_logs(acc, log_scale)
-    return acc, log_scale
+    with np.errstate(divide="ignore"):
+        for k in range(m):
+            s00, s01, s10, s11 = np.take(columns, clamped[:, k], axis=1, out=step)
+            a00, a01, a10, a11 = (s00 * a00 + s01 * a10, s00 * a01 + s01 * a11,
+                                  s10 * a00 + s11 * a10, s10 * a01 + s11 * a11)
+            norm = a00 + a01 + a10 + a11
+            norm = np.where(norm > 0, norm, 1.0)
+            for a in (a00, a01, a10, a11):
+                a /= norm
+            log_scale += np.log(norm)
+            if prefix_logs is not None:
+                prefix_logs[0][:, k] = np.log(a00 + a10) + log_scale
+                prefix_logs[1][:, k] = np.log(a01 + a11) + log_scale
+    return (a00, a01, a10, a11), log_scale
 
 
 def general_loglik(counts: np.ndarray, table: ObservationTable,
@@ -276,14 +300,14 @@ def general_loglik(counts: np.ndarray, table: ObservationTable,
     Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
     with ``prefixes``.
     """
-    counts2d = np.atleast_2d(np.asarray(counts, dtype=np.int64))
-    if counts2d.shape[1] == 0:
-        raise ValueError("counts must contain at least one bin")
-    if not prefixes:
-        return _initial_logs(*_forward_product(counts2d, table))
-    out = (np.empty(counts2d.shape), np.empty(counts2d.shape))
-    _forward_product(counts2d, table, out)
-    return out
+    counts2d = _as_count_matrix(counts)
+    if prefixes:
+        out = (np.empty(counts2d.shape), np.empty(counts2d.shape))
+        _forward_product(counts2d, table, out)
+        return out
+    (a00, a01, a10, a11), log_scale = _forward_product(counts2d, table)
+    with np.errstate(divide="ignore"):
+        return np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale
 
 
 def generalized_time_resolved_classify(counts, table: ObservationTable):
@@ -294,7 +318,7 @@ def generalized_time_resolved_classify(counts, table: ObservationTable):
     are available to callers.
     """
     acc, log_scale = _forward_product(_as_counts(counts)[None, :], table)
-    pair = LikelihoodPair(matrix=acc[0], log_scale=float(log_scale[0]))
+    pair = LikelihoodPair(matrix=np.reshape(acc, (2, 2)), log_scale=float(log_scale[0]))
     return pair.decision, pair
 
 

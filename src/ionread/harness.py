@@ -756,14 +756,21 @@ def decisions_to_csv(path, trial_ids, initials, decisions, log_pb=None,
                      log_pd=None, *, comments=()) -> None:
     """Per-trial decision export; likelihood columns stay empty for
     threshold methods."""
-    initials = np.asarray(initials)
     decisions = np.asarray(decisions)
+
+    def likelihood(logs):
+        if logs is None:
+            return [""] * decisions.size
+        return ["%.6g" % x for x in np.asarray(logs).tolist()]
+
+    state_labels = np.array([s.label for s in IonState])
+    decision_labels = np.array([d.label for d in Decision])
+    columns = (np.asarray(trial_ids).tolist(), state_labels[np.asarray(initials)].tolist(),
+               decision_labels[decisions].tolist(), likelihood(log_pb), likelihood(log_pd))
+    if any(len(col) != decisions.size for col in columns):
+        raise ValueError("decisions_to_csv needs one value per trial in every column")
     with open(path, "w", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write("trial,initial,decision,p_B,p_D\n")
-        for i in range(decisions.size):
-            p_b = "" if log_pb is None else f"{log_pb[i]:.6g}"
-            p_d = "" if log_pd is None else f"{log_pd[i]:.6g}"
-            fh.write(f"{trial_ids[i]},{IonState(int(initials[i])).label},"
-                     f"{Decision(int(decisions[i])).label},{p_b},{p_d}\n")
+        fh.writelines(map("{},{},{},{},{}\n".format, *columns))

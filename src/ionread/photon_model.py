@@ -187,7 +187,7 @@ def _check_counts(n) -> np.ndarray:
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon count must be >= 0")
-    if np.any(n != np.floor(n)):
+    if n.dtype.kind not in "biu" and np.any(n != np.floor(n)):
         raise ValueError("photon count must be an integer")
     return n
 

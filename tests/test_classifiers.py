@@ -100,6 +100,32 @@ def naive_single_change_bright(counts, params, tau):
     return p_b, p_d
 
 
+
+def matmul_reference(counts, table):
+    """Every prefix's initial-state log-likelihoods from each row's product
+    of ``table.entries[n]`` matrices with plain ``@``, renormalised per bin."""
+    counts = np.minimum(np.asarray(counts), table.n_max)
+    n, m = counts.shape
+    acc = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    log_scale = np.zeros(n)
+    log_b, log_d = np.empty((n, m)), np.empty((n, m))
+    for k in range(m):
+        acc = table.entries[counts[:, k]] @ acc
+        norm = acc.sum(axis=(1, 2))
+        acc /= norm[:, None, None]
+        log_scale += np.log(norm)
+        log_b[:, k] = np.log(acc[:, 0, 0] + acc[:, 1, 0]) + log_scale
+        log_d[:, k] = np.log(acc[:, 0, 1] + acc[:, 1, 1]) + log_scale
+    return log_b, log_d
+
+
+@pytest.fixture(scope="module")
+def long_window_counts():
+    """2 x 4096 simulated trials over 300 bins (t_b = 30 ms)."""
+    cfg = SimConfig(n_trials=4096, t_b=30.0, seed=12, params=P)
+    return np.vstack([simulate_ensemble(cfg, s).counts
+                      for s in (IonState.BRIGHT, IonState.DARK)])
+
 class TestThreshold:
     def test_all_zeros_is_dark(self):
         assert threshold_classify([0, 0, 0], n_c=1) is Decision.DARK
@@ -233,6 +259,24 @@ class TestSimpleTimeResolved:
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
             simple_loglik(np.array([[1]]), P, tau=0.0)
+
+    @pytest.mark.parametrize("bad", [[[-1, 2]], [[1.7, 2]], np.array([[2.0, 0.5]])])
+    @pytest.mark.parametrize("decaying", [IonState.DARK, IonState.BRIGHT])
+    def test_negative_and_fractional_counts_rejected(self, bad, decaying):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="photon count"):
+                simple_loglik(bad, P, decaying=decaying)
+            with pytest.raises(ValueError, match="photon count"):
+                simple_loglik(bad, P, decaying=decaying, prefixes=True)
+            with pytest.raises(ValueError, match="photon count"):
+                simple_time_resolved_classify(bad[0], P, decaying=decaying)
+
+    def test_integer_valued_floats_accepted(self):
+        as_float = simple_loglik([[1.0, 2.0, 0.0]], P)
+        as_int = simple_loglik([[1, 2, 0]], P)
+        for got, expect in zip(as_float, as_int):
+            assert np.array_equal(got, expect)
 
 
 class TestSimpleBrightDecay:
@@ -426,6 +470,72 @@ class TestGeneralizedTimeResolved:
         decision, _ = generalized_time_resolved_classify([10_000], table)
         assert decision is Decision.BRIGHT
         assert table.clamped_lookups > 0
+
+    def test_clamp_tally_counts_each_count_above_table(self, table):
+        counts = np.array([[0, table.n_max, table.n_max + 1],
+                           [10_000, 3, table.n_max + 5],
+                           [1, 2, 3]])
+        before = table.clamped_lookups
+        general_loglik(counts, table)
+        assert table.clamped_lookups - before == 3
+        general_loglik(counts, table, prefixes=True)
+        assert table.clamped_lookups - before == 6
+        generalized_time_resolved_classify(counts[1], table)
+        assert table.clamped_lookups - before == 8
+
+    @pytest.mark.parametrize("bad", [[[-1, 2]], [[1.7, 2]], np.array([[2.0, 0.5]])])
+    def test_negative_and_fractional_counts_rejected(self, table, bad):
+        before = table.clamped_lookups
+        with pytest.raises(ValueError, match="photon count"):
+            general_loglik(bad, table)
+        with pytest.raises(ValueError, match="photon count"):
+            general_loglik(bad, table, prefixes=True)
+        with pytest.raises(ValueError, match="photon count"):
+            generalized_time_resolved_classify(bad[0], table)
+        assert table.clamped_lookups == before
+
+    def test_integer_valued_floats_accepted(self, table):
+        as_float = general_loglik([[1.0, 2.0, 0.0]], table)
+        as_int = general_loglik([[1, 2, 0]], table)
+        for got, expect in zip(as_float, as_int):
+            assert np.array_equal(got, expect)
+
+
+class TestForwardFilterReference:
+    """The forward filter against a test-local product of table matrices."""
+
+    def _check(self, counts, table):
+        ref_b, ref_d = matmul_reference(counts, table)
+        pref_b, pref_d = general_loglik(counts, table, prefixes=True)
+        final_b, final_d = general_loglik(counts, table)
+        np.testing.assert_allclose(pref_b, ref_b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pref_d, ref_d, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(final_b, ref_b[:, -1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(final_d, ref_d[:, -1], rtol=1e-12, atol=0)
+        assert np.array_equal(decide_from_logs(pref_b, pref_d),
+                              decide_from_logs(ref_b, ref_d))
+        assert np.array_equal(decide_from_logs(final_b, final_d),
+                              decide_from_logs(ref_b[:, -1], ref_d[:, -1]))
+
+    def test_random_counts_beyond_table(self, table):
+        rng = np.random.default_rng(21)
+        counts = rng.integers(0, table.n_max + 8, size=(500, 40))
+        assert (counts > table.n_max).any()
+        self._check(counts, table)
+
+    def test_simulated_long_window(self, table, long_window_counts):
+        assert long_window_counts.shape == (8192, 300)
+        self._check(long_window_counts, table)
+
+    def test_scalar_matrix_matches_reference(self, table):
+        rng = np.random.default_rng(22)
+        counts = rng.integers(0, table.n_max + 3, size=25)
+        acc = np.eye(2)
+        for n in np.minimum(counts, table.n_max):
+            acc = table.entries[n] @ acc
+        _, pair = generalized_time_resolved_classify(counts, table)
+        np.testing.assert_allclose(pair.matrix * np.exp(pair.log_scale), acc,
+                                   rtol=1e-12, atol=0)
 
 
 class TestLikelihoodPair:

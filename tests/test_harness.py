@@ -622,3 +622,20 @@ class TestTabularOutput:
         assert lines[1] == "trial,initial,decision,p_B,p_D"
         assert lines[2] == "0,B,B,,"
         assert lines[3] == "1,D,I,,"
+
+    def test_decisions_csv_likelihood_columns(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        decisions_to_csv(path, np.array([4, 9]), np.array([1, 0], dtype=np.int8),
+                         np.array([Decision.DARK, Decision.BRIGHT], dtype=np.int8),
+                         np.array([-48.95486123, -np.inf]),
+                         np.array([-1e-7, -123456789.0]))
+        assert path.read_text().splitlines() == [
+            "trial,initial,decision,p_B,p_D",
+            "4,D,D,-48.9549,-1e-07",
+            "9,B,B,-inf,-1.23457e+08",
+        ]
+
+    def test_decisions_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="one value per trial"):
+            decisions_to_csv(tmp_path / "decisions.csv", [0, 1], np.array([0, 1]),
+                             np.array([0, 1]), np.array([-1.0]), np.array([-2.0, -3.0]))
