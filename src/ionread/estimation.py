@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .photon_model import IonState, RateParams
 
@@ -222,6 +221,10 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
     exhausted before the restart polish stabilizes.  Flat data on either
     side yields a ``degenerate`` flagged fit rather than an error.
     """
+    # Imported here: only fitting needs scipy.optimize, and loading it on
+    # every ``import ionread`` costs the other commands start-up time.
+    from scipy.optimize import minimize
+
     t_b, y_b = _as_series(mean_bright, "mean_bright")
     t_d, y_d = _as_series(mean_dark, "mean_dark")
 

@@ -16,10 +16,12 @@ The table is the input of the generalized time-resolved classifier: the
 ordered product of ``O(n_k)`` over the sub-bins of a measurement yields the
 likelihood of the count sequence for either initial state.
 
-Every Poisson probability in the package comes from one log-pmf,
-``_poisson_logpmf``: the pure-state pmf, the ``mixed_pmf`` integrand and the
-single-change classifier (:func:`ionread.classifiers.simple_loglik`) all
-call it, and Poisson tails use ``scipy.special.pdtrc``.
+The pure-state pmf and the single-change classifier
+(:func:`ionread.classifiers.simple_loglik`) share one Poisson log-pmf,
+``_poisson_logpmf``; Poisson tails use ``scipy.special.pdtrc``.  The
+mixture entries ``mixed_pmf`` integrate that pmf against an exponential
+density in closed form (a confluent hypergeometric function), so no
+numerical integration runs.
 
 Rates are photons per millisecond; times are milliseconds throughout.
 """
@@ -27,14 +29,13 @@ Rates are photons per millisecond; times are milliseconds throughout.
 from __future__ import annotations
 
 import enum
-import json
+import math
 import threading
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, pdtrc, xlogy
+from scipy.special import gammaln, hyp1f1, pdtrc, xlogy
 
 
 class IonState(enum.IntEnum):
@@ -104,7 +105,12 @@ class RateParams:
     def __post_init__(self):
         # R_B = 0 is allowed to exist (a dark-only model is well defined) but
         # is rejected by mixed_pmf and table construction, where it makes
-        # discrimination information-free.
+        # discrimination information-free.  Lifetimes may be +inf (a frozen
+        # ion); NaN fails every comparison below, so rates and t_s are also
+        # checked for finiteness.
+        for name in ("R_B", "R_D", "t_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.R_B < 0:
             raise ValueError(f"R_B must be >= 0, got {self.R_B}")
         if self.R_D < 0:
@@ -209,18 +215,31 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
 
     The mean count of a bin with a change at an interior time is a linear
     function of the change time, sweeping lam over
-    ``[R_D*t_s, (R_D+R_B)*t_s]``.  Weighting the Poisson pmf with the density
-    of the change time gives
+    ``[lo, hi] = [R_D*t_s, (R_D+R_B)*t_s]``.  Weighting the Poisson pmf with
+    the density of the change time gives
 
-        X(n) = integral g(lam) e^{-lam} lam^n / n! dlam
+        X(n) = integral_lo^hi g(lam) e^{-lam} lam^n / n! dlam
 
-    with ``g_BD(lam) = exp(-(lam - R_D*t_s)/(R_B*tau_B))/(R_B*tau_B)`` for a
-    bright->dark change and the mirrored ``g_DB`` for dark->bright.  X is not
-    normalized on its own: summed over n it carries the total change
-    probability, ``sum_n X_BD(n) = 1 - W_BB(t_s)`` (and likewise for DB).
+    with ``g_BD(lam) = exp(-(lam - lo)/s)/s``, ``s = R_B*tau_B``, for a
+    bright->dark change and the mirrored ``g_DB(lam) = exp(-(hi - lam)/s)/s``,
+    ``s = R_B*tau_D``, for dark->bright.  X is not normalized on its own:
+    summed over n it carries the total change probability,
+    ``sum_n X_BD(n) = 1 - W_BB(t_s)`` (and likewise for DB).
 
-    The integral is evaluated by adaptive quadrature with absolute tolerance
-    1e-10 per n (the integrand is smooth over the short interval).
+    The integral has a closed form (Kummer's transformation, Abramowitz &
+    Stegun 13.1.27 with 6.5).  With ``a = 1 + 1/s`` for BD and
+    ``a = 1 - 1/s`` for DB, valid for every sign of ``a``,
+
+        X(n) = [P(hi) e^{-d_hi} 1F1(1; n+2; a hi)
+                - P(lo) e^{-d_lo} 1F1(1; n+2; a lo)] / s
+
+    where ``P(x) = e^{-x} x^{n+1} / (n+1)!`` is the Poisson pmf of n + 1
+    counts, ``d_hi = t_s/tau_B, d_lo = 0`` for BD and ``d_hi = 0,
+    d_lo = t_s/tau_D`` for DB.  It agrees with 50-digit integration within
+    ~5e-15 relative while ``a*hi`` stays below ~50, and within ~1e-10 up to
+    ``a*hi`` ~ 200, where ``hyp1f1`` loses digits.  ``ValueError`` is raised
+    when the bright mean ``hi`` is too large (~700 counts per sub-bin) for
+    double precision.
 
     Parameters
     ----------
@@ -229,7 +248,7 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
     """
     if direction not in ("BD", "DB"):
         raise ValueError(f"direction must be 'BD' or 'DB', got {direction!r}")
-    _check_counts(n)
+    n = int(_check_counts(n))
     if params.R_B == 0:
         raise DegenerateModelError(
             "R_B = 0: bright and dark are indistinguishable and the mixture "
@@ -237,21 +256,27 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
         )
     lo = params.R_D * params.t_s
     hi = (params.R_D + params.R_B) * params.t_s
-
     if direction == "BD":
-        scale = params.R_B * params.tau_B
-
-        def integrand(lam):
-            return np.exp(-(lam - lo) / scale) / scale * np.exp(_poisson_logpmf(n, lam))
-
+        s = params.R_B * params.tau_B
+        a, d_hi, d_lo = 1.0 + 1.0 / s, params.t_s / params.tau_B, 0.0
     else:
-        scale = params.R_B * params.tau_D
+        s = params.R_B * params.tau_D
+        a, d_hi, d_lo = 1.0 - 1.0 / s, 0.0, params.t_s / params.tau_D
 
-        def integrand(lam):
-            return np.exp(-(hi - lam) / scale) / scale * np.exp(_poisson_logpmf(n, lam))
-
-    value, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(value)
+    # P(hi) and P(lo) as running products from e^{-x}: each factor costs
+    # half an ulp, where exp of the log-space sum loses ~|(n+1) log x| ulp,
+    # and no partial product exceeds 1.
+    p_hi, p_lo = math.exp(-hi - d_hi), math.exp(-lo - d_lo)
+    for k in range(1, n + 2):
+        p_hi *= hi / k
+        p_lo *= lo / k
+    value = (p_hi * hyp1f1(1, n + 2, a * hi) - p_lo * hyp1f1(1, n + 2, a * lo)) / s
+    if not math.isfinite(value):
+        raise ValueError(
+            f"mixture entry n={n} is not representable: bright mean "
+            f"{hi:.4g} counts per sub-bin is too large"
+        )
+    return value
 
 
 class ObservationTable:
@@ -284,9 +309,6 @@ class ObservationTable:
             raise ValueError(f"entries must have shape ({self.n_max + 1}, 2, 2)")
         self.entries = entries
         self.entries.setflags(write=False)
-        with np.errstate(divide="ignore"):
-            self.log_entries = np.log(entries)
-        self.log_entries.setflags(write=False)
         self.truncation_mass = np.asarray(truncation_mass, dtype=float)
         self.clamped_lookups = 0
         self._clamp_lock = threading.Lock()
@@ -310,41 +332,6 @@ class ObservationTable:
     def column_sums(self) -> np.ndarray:
         """Per-column total tabulated mass (approaches 1 as n_max grows)."""
         return self.entries.sum(axis=(0, 1))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "observation_table",
-            "version": 1,
-            "params": self.params.to_json_dict(),
-            "n_max": self.n_max,
-            "tol": self.tol,
-            "truncation_mass": self.truncation_mass.tolist(),
-            "entries": self.entries.tolist(),
-        }
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ObservationTable":
-        if doc.get("format") != "observation_table":
-            raise ValueError("not an observation-table document")
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported observation-table version {doc.get('version')!r}")
-        return cls(
-            params=RateParams.from_json_dict(doc["params"]),
-            n_max=int(doc["n_max"]),
-            tol=float(doc["tol"]),
-            entries=np.asarray(doc["entries"], dtype=float),
-            truncation_mass=np.asarray(doc["truncation_mass"], dtype=float),
-        )
-
-    @classmethod
-    def load(cls, path) -> "ObservationTable":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:

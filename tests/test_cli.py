@@ -259,6 +259,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
 
+    def test_non_finite_rate(self, tmp_path, capsys):
+        # Python's json reads NaN; the config must fail before any table build.
+        csv_path = tmp_path / "ok.csv"
+        csv_path.write_text("trial,initial,n_1\n0,B,3\n")
+        cfg = _config(tmp_path,
+                      params={"tau_B_ms": 4.9, "tau_D_ms": 56.0,
+                              "R_B_per_ms": float("nan"), "R_D_per_ms": 0.3,
+                              "t_s_ms": 0.1},
+                      classify={"input": str(csv_path),
+                                "classifier": {"method": "general"}})
+        assert main(["classify", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "R_B must be finite" in capsys.readouterr().err
+
     def test_invalid_classifier(self, tmp_path):
         csv_path = tmp_path / "ok.csv"
         csv_path.write_text("trial,initial,n_1\n0,B,3\n")
