@@ -39,10 +39,12 @@ print(f"dark ions exceeding 10 counts (brightened during readout): "
       f"{100 * np.mean(tot_d > 10):.2f}%")
 
 # One trajectory in detail.
-traj = ens_d[int(np.argmax(tot_d))]
-print(f"\nbusiest initially-dark trajectory: total={traj.counts.sum()}, "
-      f"changes at {np.round(traj.change_times, 3)} ms, "
-      f"final state {traj.final_state.label}")
+busiest = int(np.argmax(tot_d))
+changes = ens_d.change_times[busiest]
+final = IonState(int(ens_d.final_states()[busiest]))
+print(f"\nbusiest initially-dark trajectory: total={tot_d[busiest]}, "
+      f"changes at {np.round(changes[~np.isnan(changes)], 3)} ms, "
+      f"final state {final.label}")
 
 small = SimConfig(n_trials=5, t_b=3.0, seed=7, params=DEFAULT_PARAMS)
 write_ensemble_csv("counts_demo.csv",

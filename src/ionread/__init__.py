@@ -41,13 +41,10 @@ from .trajectory import (
     DataFormatError,
     Ensemble,
     SimConfig,
-    Trajectory,
     deterministic_uniforms,
     ensembles_from_counts,
     n_bins,
     read_counts_csv,
-    sample_change_times,
-    sample_counts,
     simulate_ensemble,
     simulate_ensemble_from_states,
     write_change_times_csv,
@@ -128,7 +125,6 @@ __all__ = [
     "SweepSpec",
     "TableTooSmallError",
     "ThresholdOptimum",
-    "Trajectory",
     "build_observation_table",
     "compare_methods",
     "count_pmf",
@@ -160,8 +156,6 @@ __all__ = [
     "read_counts_csv",
     "report_rows_to_csv",
     "resolve_classifier",
-    "sample_change_times",
-    "sample_counts",
     "simple_loglik",
     "simple_time_resolved_classify",
     "simulate_ensemble",

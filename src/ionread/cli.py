@@ -216,7 +216,6 @@ def _cmd_compare(cfg: dict, args) -> int:
     section = _section(cfg, "compare")
     spec = sweep_spec_from_config(cfg, seed=args.seed)
     repetitions = int(section.get("repetitions", 1))
-    _require(repetitions >= 1, "repetitions must be >= 1")
     rows, summary = compare_methods(spec, repetitions=repetitions,
                                     threads=args.threads)
     comments = _echo_comments(cfg, spec.seed)

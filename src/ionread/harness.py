@@ -615,6 +615,7 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
     all rows of every repetition (rows carry r = repetition index + 1), and
     per-method {mean, std, values} of the per-repetition minima.
     """
+    _require(repetitions >= 1, "repetitions must be >= 1")
     # The single-change reference method is pointed at the dominant change
     # channel of this qubit family (bright to dark), matching how the
     # original method is applied when benchmarked against the generalized

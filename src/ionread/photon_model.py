@@ -47,10 +47,6 @@ class IonState(enum.IntEnum):
     DARK = 1
 
     @property
-    def flipped(self) -> "IonState":
-        return IonState(1 - self.value)
-
-    @property
     def label(self) -> str:
         return "B" if self is IonState.BRIGHT else "D"
 
@@ -313,12 +309,6 @@ class ObservationTable:
         self.clamped_lookups = 0
         self._clamp_lock = threading.Lock()
 
-    def lookup(self, n: int) -> np.ndarray:
-        """O(n), clamping counts beyond n_max to the last entry."""
-        if n < 0:
-            raise ValueError("photon count must be >= 0")
-        return self.entries[self.clamp_counts(n)]
-
     def clamp_counts(self, counts: np.ndarray) -> np.ndarray:
         """Clamp an array of counts to n_max, tallying how many were cut."""
         counts = np.asarray(counts)
@@ -328,10 +318,6 @@ class ObservationTable:
                 self.clamped_lookups += over
             return np.minimum(counts, self.n_max)
         return counts
-
-    def column_sums(self) -> np.ndarray:
-        """Per-column total tabulated mass (approaches 1 as n_max grows)."""
-        return self.entries.sum(axis=(0, 1))
 
 
 def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:

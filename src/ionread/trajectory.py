@@ -4,7 +4,9 @@ A trajectory is one simulated ion: its initial state, the times at which it
 flipped between bright and dark (alternating exponential dwells with means
 tau_B and tau_D), and one Poisson photon count per sub-bin whose mean is the
 background plus the bright rate weighted by the exact bright dwell time
-inside that sub-bin.
+inside that sub-bin.  Trajectories exist only as rows of an
+:class:`Ensemble`: row i of its (N, M) counts and of its NaN-padded (N, J)
+change times is trial i, and all of them are drawn at once, chunk by chunk.
 
 Reproducibility contract: every trial's randomness is a pure function of
 (seed, stream context, trial index).  Trials are processed in fixed-width
@@ -22,7 +24,7 @@ debugging; they are never required to classify.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,40 +50,12 @@ class DataFormatError(ValueError):
 
 def n_bins(t_b: float, t_s: float) -> int:
     """Number of whole sub-bins in a window; rejects non-integer ratios."""
-    if t_b <= 0 or t_s <= 0:
-        raise ValueError("t_b and t_s must be > 0")
+    if not (0 < t_b < np.inf and 0 < t_s < np.inf):  # also False for NaN
+        raise ValueError(f"t_b and t_s must be finite and > 0, got t_b={t_b}, t_s={t_s}")
     m = round(t_b / t_s)
     if m < 1 or abs(m * t_s - t_b) > 1e-6 * t_s:
         raise ValueError(f"t_b={t_b} is not an integer multiple of t_s={t_s}")
     return m
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One simulated ion readout."""
-
-    initial: IonState
-    change_times: np.ndarray
-    counts: np.ndarray
-    t_b: float
-    t_s: float
-
-    def __post_init__(self):
-        m = n_bins(self.t_b, self.t_s)
-        if len(self.counts) != m:
-            raise ValueError(f"expected {m} counts, got {len(self.counts)}")
-        ct = np.asarray(self.change_times, dtype=float)
-        if ct.size and (np.any(np.diff(ct) <= 0) or ct[0] <= 0 or ct[-1] > self.t_b):
-            raise ValueError("change times must be strictly increasing within (0, t_b]")
-
-    def state_at(self, t: float) -> IonState:
-        """State at time t: the initial state flipped once per change <= t."""
-        flips = int(np.count_nonzero(np.asarray(self.change_times) <= t))
-        return self.initial if flips % 2 == 0 else self.initial.flipped
-
-    @property
-    def final_state(self) -> IonState:
-        return self.state_at(self.t_b)
 
 
 @dataclass(frozen=True)
@@ -116,37 +90,17 @@ def _chunk_rng(seed: int, stream: int, context: tuple, chunk_index: int) -> np.r
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def sample_change_times(initial: IonState, t_b: float, params: RateParams,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Alternating exponential dwell times, accumulated until the running sum
-    leaves the window; returns the change times that fell inside (0, t_b]."""
-    if t_b <= 0:
-        raise ValueError("t_b must be > 0")
-    taus = (params.tau_B, params.tau_D)
-    state = int(initial)
-    t = 0.0
-    times = []
-    while True:
-        t += rng.exponential(taus[state])
-        if t > t_b:
-            return np.array(times)
-        times.append(t)
-        state = 1 - state
-
-
 def bright_dwell_per_bin(initial, change_times: np.ndarray, t_b: float,
                          t_s: float) -> np.ndarray:
-    """Exact bright dwell time inside each sub-bin.
+    """Exact (N, M) bright dwell time inside each sub-bin.
 
-    ``initial`` may be an IonState (with change_times of shape (J,) or (N, J))
-    or an int array of per-trial states.  NaN entries pad ragged rows. A
-    change exactly on a bin boundary flips the state for the later bin only.
+    ``initial`` holds the N per-trial states and ``change_times`` is (N, J)
+    with NaN padding ragged rows. A change exactly on a bin boundary flips
+    the state for the later bin only.
     """
-    ct = np.atleast_2d(np.asarray(change_times, dtype=float))
+    ct = np.asarray(change_times, dtype=float)
     n, j = ct.shape
-    initial_arr = np.broadcast_to(
-        np.asarray(initial, dtype=np.int8), (n,)
-    )
+    initial_arr = np.asarray(initial, dtype=np.int8)
     m = n_bins(t_b, t_s)
     edges = np.arange(m + 1) * t_s
     # Segment boundaries: 0, c_1..c_J (NaN padding mapped to t_b), t_b. The
@@ -164,32 +118,17 @@ def bright_dwell_per_bin(initial, change_times: np.ndarray, t_b: float,
         end = bounds[:, i + 1, None]
         overlap = np.clip(edges[None, :], start, end) - start
         cumulative += np.where(is_bright[:, None], overlap, 0.0)
-    dwell = np.diff(cumulative, axis=1)
-    return dwell if np.asarray(change_times).ndim > 1 else dwell[0]
-
-
-def sample_counts(traj: Trajectory, params: RateParams,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Per-sub-bin Poisson counts for an already-sampled trajectory.
-
-    Each sub-bin's mean is R_D*t_s + R_B*(bright dwell within the bin); a bin
-    fully bright gives (R_B+R_D)*t_s, fully dark gives R_D*t_s, and a bin with
-    a single change at time t_j reproduces the linear interpolation between
-    the two.  Bins with several changes use the exact accumulated dwell.
-    """
-    dwell = bright_dwell_per_bin(traj.initial, np.asarray(traj.change_times),
-                                 traj.t_b, traj.t_s)
-    lam = params.R_D * traj.t_s + params.R_B * dwell
-    return rng.poisson(lam)
+    return np.diff(cumulative, axis=1)
 
 
 def _sample_changes_chunk(initial_arr: np.ndarray, t_b: float, params: RateParams,
-                          rng: np.random.Generator):
-    """Vectorized dwell sampling for one chunk. Always draws full-width
-    batches so a trial's values depend only on its slot, not on neighbours."""
+                          rng: np.random.Generator) -> np.ndarray:
+    """Vectorized dwell sampling for one chunk: NaN-padded (width, J) change
+    times. Always draws full-width batches so a trial's values depend only on
+    its slot, not on neighbours."""
     width = initial_arr.shape[0]
     taus = np.array([params.tau_B, params.tau_D])
-    state = initial_arr.astype(np.int8).copy()
+    state = initial_arr.astype(np.int8)
     t = np.zeros(width)
     alive = np.ones(width, dtype=bool)
     columns = []
@@ -198,20 +137,14 @@ def _sample_changes_chunk(initial_arr: np.ndarray, t_b: float, params: RateParam
         alive &= t <= t_b
         columns.append(np.where(alive, t, np.nan))
         state = np.where(alive, 1 - state, state)
-    if columns:
-        times = np.stack(columns, axis=1)
-        n_changes = np.sum(~np.isnan(times), axis=1).astype(np.int32)
-    else:
-        times = np.empty((width, 0))
-        n_changes = np.zeros(width, dtype=np.int32)
-    return times, n_changes
+    return np.stack(columns, axis=1)
 
 
 class Ensemble:
     """A simulated (or ingested) set of trajectories with shared (t_b, t_s).
 
     Stores counts as an (N, M) array and change times as an NaN-padded
-    (N, J_max) array; indexing returns individual :class:`Trajectory` views.
+    (N, J_max) array; trial i is row i of both.
     ``initial`` is a single IonState for ordinary ensembles or a per-trial
     int array for composed experiments (e.g. the second window of a pulse
     pair).  Ingested ensembles have no change times (``None``): ground-truth
@@ -261,40 +194,11 @@ class Ensemble:
     def final_states(self) -> np.ndarray:
         return self.states_at(self.t_b)
 
-    def states_at_bin_edges(self) -> np.ndarray:
-        """(N, M) hidden states at the end of each sub-bin."""
-        self._require_truth()
-        n, m = self.counts.shape
-        flips = np.zeros((n, m + 1), dtype=np.int32)
-        ct = self.change_times
-        if ct.size:
-            rows, cols = np.nonzero(~np.isnan(ct))
-            # A change at exactly k*t_s flips the state observed at edge k.
-            buckets = np.ceil(ct[rows, cols] / self.t_s - 1e-12).astype(int)
-            np.add.at(flips, (rows, np.clip(buckets, 0, m)), 1)
-        parity = np.cumsum(flips, axis=1)[:, 1:] & 1
-        return (self.initial_array()[:, None] ^ parity).astype(np.int8)
-
-    def __getitem__(self, i: int) -> Trajectory:
-        self._require_truth()
-        row = self.change_times[i]
-        init = self.initial if isinstance(self.initial, IonState) else IonState(int(self.initial[i]))
-        return Trajectory(
-            initial=init,
-            change_times=row[~np.isnan(row)],
-            counts=self.counts[i],
-            t_b=self.t_b,
-            t_s=self.t_s,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
                      threads: int = 1):
-    """Simulate all chunks; returns (counts, change_times, n_changes)."""
-    n, m = config.n_trials, config.n_bins
+    """Simulate all chunks; returns (counts, change_times)."""
+    n = config.n_trials
     n_chunks = (n + CHUNK - 1) // CHUNK
     results = [None] * n_chunks
 
@@ -304,12 +208,12 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
         init_chunk = initial_arr_for(start, take)
         rng_changes = _chunk_rng(config.seed, _STREAM_CHANGES, context, ci)
         rng_counts = _chunk_rng(config.seed, _STREAM_COUNTS, context, ci)
-        times, n_changes = _sample_changes_chunk(init_chunk, config.t_b,
-                                                 config.params, rng_changes)
+        times = _sample_changes_chunk(init_chunk, config.t_b, config.params,
+                                      rng_changes)
         dwell = bright_dwell_per_bin(init_chunk, times, config.t_b, config.t_s)
         lam = config.params.R_D * config.t_s + config.params.R_B * dwell
         cnt = rng_counts.poisson(lam)
-        results[ci] = (cnt[:take], times[:take], n_changes[:take])
+        results[ci] = (cnt[:take], times[:take])
 
     if threads > 1 and n_chunks > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -321,12 +225,11 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
             run(ci)
 
     counts = np.concatenate([r[0] for r in results], axis=0)
-    n_changes = np.concatenate([r[2] for r in results])
     j_max = max(r[1].shape[1] for r in results)
     times = np.full((n, j_max), np.nan)
     for ci, r in enumerate(results):
         times[ci * CHUNK:ci * CHUNK + r[1].shape[0], :r[1].shape[1]] = r[1]
-    return counts, times, n_changes
+    return counts, times
 
 
 def simulate_ensemble(config: SimConfig, initial: IonState, *,
@@ -337,11 +240,13 @@ def simulate_ensemble(config: SimConfig, initial: IonState, *,
     ``threads`` only parallelizes chunk processing and never changes results.
     ``context`` namespaces the random streams so that several ensembles of
     the same initial state (e.g. repeated experiments, or the two windows of
-    a pulse pair) can be drawn independently from one seed.
+    a pulse pair) can be drawn independently from one seed.  ``initial``
+    may also be given as the plain int 0 or 1.
     """
+    initial = IonState(initial)
     full_context = (*context, int(initial))
     width_init = np.full(CHUNK, int(initial), dtype=np.int8)
-    counts, times, n_changes = _simulate_chunks(
+    counts, times = _simulate_chunks(
         config, lambda start, take: width_init, full_context, threads
     )
     return Ensemble(initial, counts, times, config.t_b, config.t_s,
@@ -361,7 +266,7 @@ def simulate_ensemble_from_states(config: SimConfig, initial_states: np.ndarray,
         chunk[:take] = initial_states[start:start + take]
         return chunk
 
-    counts, times, n_changes = _simulate_chunks(config, initial_for, context, threads)
+    counts, times = _simulate_chunks(config, initial_for, context, threads)
     return Ensemble(initial_states, counts, times, config.t_b, config.t_s,
                     params=config.params, seed=config.seed)
 
@@ -423,13 +328,13 @@ def read_counts_csv(path):
     trials, initials, rows = [], [], []
     with open(path, newline="") as fh:
         header = None
-        width = None
+        header_line = width = None
         for line_no, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue
             cells = next(csv.reader([line]))
             if header is None:
-                header = cells
+                header, header_line = cells, line_no
                 if header[:2] != ["trial", "initial"] or len(header) < 3:
                     raise DataFormatError(path, line_no,
                                           "header must be trial,initial,n_1,...")
@@ -454,7 +359,7 @@ def read_counts_csv(path):
     if header is None:
         raise DataFormatError(path, 1, "empty file")
     if not rows:
-        raise DataFormatError(path, 2, "no data rows")
+        raise DataFormatError(path, header_line + 1, "no data rows")
     return (np.array(trials), np.array(initials, dtype=np.int8),
             np.array(rows, dtype=np.int64))
 

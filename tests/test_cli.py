@@ -273,6 +273,22 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 2
         assert "R_B must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_b", [float("inf"), float("nan")])
+    def test_non_finite_window(self, tmp_path, capsys, t_b):
+        cfg = _config(tmp_path,
+                      simulate={"t_b_ms": t_b, "n_trials": 10, "seed": 1},
+                      sweep={"t_b_ms": [0.5, t_b], "n_trials": 10, "seed": 1})
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", cfg,
+                         "--out-dir", str(tmp_path)]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
+    def test_zero_repetitions(self, tmp_path, capsys):
+        cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1},
+                      compare={"repetitions": 0})
+        assert main(["compare", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "repetitions must be >= 1" in capsys.readouterr().err
+
     def test_invalid_classifier(self, tmp_path):
         csv_path = tmp_path / "ok.csv"
         csv_path.write_text("trial,initial,n_1\n0,B,3\n")

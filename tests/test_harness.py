@@ -396,6 +396,10 @@ class TestCompareMethods:
                 assert min(rep_rows) == pytest.approx(stats["values"][rep - 1])
             assert stats["mean"] == pytest.approx(np.mean(stats["values"]))
 
+    def test_zero_repetitions_rejected(self):
+        with pytest.raises(ConfigError, match="repetitions must be >= 1"):
+            compare_methods(_spec(t_b_values=(0.5,), n_trials=100), repetitions=0)
+
     def test_repetitions_use_distinct_streams(self):
         spec = _spec(t_b_values=(0.5,), n_trials=3000)
         rows, _ = compare_methods(spec, repetitions=2)

@@ -17,14 +17,11 @@ from ionread.trajectory import (
     DataFormatError,
     Ensemble,
     SimConfig,
-    Trajectory,
     bright_dwell_per_bin,
     deterministic_uniforms,
     ensembles_from_counts,
     n_bins,
     read_counts_csv,
-    sample_change_times,
-    sample_counts,
     simulate_ensemble,
     simulate_ensemble_from_states,
     write_change_times_csv,
@@ -32,6 +29,19 @@ from ionread.trajectory import (
 )
 
 P = DEFAULT_PARAMS
+#: tau_D = inf: a dark ion never brightens, a bright ion decays at most once.
+P_FROZEN_DARK = RateParams(P.R_B, P.R_D, P.tau_B, np.inf, P.t_s)
+
+
+def simulate(n_trials, t_b, initial, params=P, seed=0):
+    return simulate_ensemble(SimConfig(n_trials=n_trials, t_b=t_b, seed=seed,
+                                       params=params), initial)
+
+
+def rows(ens):
+    """(initial state, change times) of every trial, padding stripped."""
+    for state, row in zip(ens.initial_array(), ens.change_times):
+        yield int(state), row[~np.isnan(row)]
 
 
 def python_dwell(initial, change_times, t_b, t_s):
@@ -75,6 +85,12 @@ class TestNBins:
         with pytest.raises(ValueError):
             n_bins(1.0, 0.0)
 
+    @pytest.mark.parametrize("t_b, t_s", [(np.inf, 0.1), (np.nan, 0.1),
+                                          (1.0, np.inf), (1.0, np.nan)])
+    def test_rejects_non_finite(self, t_b, t_s):
+        with pytest.raises(ValueError, match="finite"):
+            n_bins(t_b, t_s)
+
 
 class TestSimConfig:
     def test_t_s_defaults_from_params(self):
@@ -89,26 +105,23 @@ class TestSimConfig:
 
 class TestSampleChangeTimes:
     def test_increasing_within_window(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            ct = sample_change_times(IonState.BRIGHT, 3.0, P, rng)
-            if ct.size:
-                assert ct[0] > 0 and ct[-1] <= 3.0
-                assert np.all(np.diff(ct) > 0)
+        ct = simulate(2000, 3.0, IonState.BRIGHT).change_times
+        inside = ~np.isnan(ct)
+        # NaN only pads the tail of a row.
+        assert np.all(inside[:, :-1] >= inside[:, 1:])
+        assert np.all((ct[inside] > 0) & (ct[inside] <= 3.0))
+        gaps = np.diff(ct, axis=1)
+        assert np.all(gaps[inside[:, 1:]] > 0)
 
     def test_infinite_dark_lifetime_freezes_dark_ion(self):
-        p_inf = RateParams(P.R_B, P.R_D, P.tau_B, np.inf, P.t_s)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            assert sample_change_times(IonState.DARK, 5.0, p_inf, rng).size == 0
+        ens = simulate(500, 5.0, IonState.DARK, P_FROZEN_DARK, seed=1)
+        assert np.all(ens.change_counts_at() == 0)
 
     def test_infinite_dark_lifetime_bright_ion_decays_once(self):
-        p_inf = RateParams(P.R_B, P.R_D, P.tau_B, np.inf, P.t_s)
-        rng = np.random.default_rng(2)
-        sizes = [sample_change_times(IonState.BRIGHT, 200.0, p_inf, rng).size
-                 for _ in range(200)]
-        assert set(sizes) <= {0, 1}
-        assert 1 in sizes
+        ens = simulate(2000, 200.0, IonState.BRIGHT, P_FROZEN_DARK, seed=2)
+        changes = ens.change_counts_at()
+        assert set(changes.tolist()) <= {0, 1}
+        assert 1 in changes
 
     def test_first_dwell_is_exponential(self):
         """KS test of the first dwell against Exp(tau_B) truncated at t_b."""
@@ -125,43 +138,47 @@ class TestSampleChangeTimes:
         assert res.pvalue > 1e-3
 
     def test_second_dwell_is_exponential_with_other_lifetime(self):
-        rng = np.random.default_rng(3)
-        gaps = []
-        while len(gaps) < 2000:
-            ct = sample_change_times(IonState.BRIGHT, 500.0, P, rng)
-            if ct.size >= 2:
-                gaps.append(ct[1] - ct[0])
-        res = stats.kstest(np.array(gaps), "expon", args=(0, P.tau_D))
+        """The sampler alternates lifetimes: bright, then dark.  A 500 ms
+        window truncates the second dwell with probability ~1e-4; change
+        times do not depend on t_s, so coarse sub-bins keep the counts
+        small."""
+        coarse = RateParams(P.R_B, P.R_D, P.tau_B, P.tau_D, t_s=5.0)
+        ct = simulate(20_000, 500.0, IonState.BRIGHT, coarse, seed=3).change_times
+        gaps = (ct[:, 1] - ct[:, 0])[~np.isnan(ct[:, 1])]
+        assert gaps.size > 19_000
+        res = stats.kstest(gaps, "expon", args=(0, P.tau_D))
         assert res.pvalue > 1e-3
+
+
+def dwell_one(initial, change_times, t_b=0.3, t_s=0.1):
+    """Bright dwell of a single trial through the (N, J) batch form."""
+    ct = np.array([change_times], dtype=float).reshape(1, -1)
+    return bright_dwell_per_bin(np.array([int(initial)]), ct, t_b, t_s)[0]
 
 
 class TestBrightDwell:
     def test_change_mid_bin(self):
-        dwell = bright_dwell_per_bin(IonState.BRIGHT, np.array([0.15]), 0.3, 0.1)
+        dwell = dwell_one(IonState.BRIGHT, [0.15])
         assert np.allclose(dwell, [0.1, 0.05, 0.0], atol=1e-15)
 
     def test_change_on_bin_boundary(self):
-        dwell = bright_dwell_per_bin(IonState.DARK, np.array([0.1]), 0.3, 0.1)
+        dwell = dwell_one(IonState.DARK, [0.1])
         assert np.allclose(dwell, [0.0, 0.1, 0.1], atol=1e-15)
-        dwell = bright_dwell_per_bin(IonState.BRIGHT, np.array([0.1]), 0.3, 0.1)
+        dwell = dwell_one(IonState.BRIGHT, [0.1])
         assert np.allclose(dwell, [0.1, 0.0, 0.0], atol=1e-15)
 
     def test_no_changes(self):
-        assert np.allclose(
-            bright_dwell_per_bin(IonState.BRIGHT, np.array([]), 0.3, 0.1), 0.1
-        )
-        assert np.allclose(
-            bright_dwell_per_bin(IonState.DARK, np.array([]), 0.3, 0.1), 0.0
-        )
+        assert np.allclose(dwell_one(IonState.BRIGHT, []), 0.1)
+        assert np.allclose(dwell_one(IonState.DARK, []), 0.0)
 
     def test_matches_interval_sweep_reference(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            initial = IonState(int(rng.integers(2)))
-            ct = sample_change_times(initial, 2.0, P, rng)
-            fast = bright_dwell_per_bin(initial, ct, 2.0, 0.1)
-            slow = python_dwell(initial, ct, 2.0, 0.1)
-            assert np.allclose(fast, slow, atol=1e-12)
+        cfg = SimConfig(n_trials=300, t_b=2.0, seed=11, params=P)
+        initial = (np.arange(300) % 2).astype(np.int8)
+        ens = simulate_ensemble_from_states(cfg, initial)
+        fast = bright_dwell_per_bin(initial, ens.change_times, 2.0, 0.1)
+        assert ens.change_times.shape[1] >= 2
+        for i, (state, ct) in enumerate(rows(ens)):
+            assert np.allclose(fast[i], python_dwell(state, ct, 2.0, 0.1), atol=1e-12)
 
     def test_ragged_rows_with_nan_padding(self):
         ct = np.array([[0.15, np.nan], [0.05, 0.25]])
@@ -170,27 +187,23 @@ class TestBrightDwell:
         assert np.allclose(dwell[1], [0.05, 0.1, 0.05], atol=1e-15)
 
     def test_total_dwell_sums_to_bright_time(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            ct = sample_change_times(IonState.BRIGHT, 3.0, P, rng)
-            dwell = bright_dwell_per_bin(IonState.BRIGHT, ct, 3.0, 0.1)
-            bounds = np.concatenate([[0.0], ct, [3.0]])
-            segs = np.diff(bounds)
-            assert np.isclose(dwell.sum(), segs[::2].sum(), atol=1e-12)
+        ens = simulate(100, 3.0, IonState.BRIGHT, seed=12)
+        dwell = bright_dwell_per_bin(ens.initial_array(), ens.change_times, 3.0, 0.1)
+        for i, (_, ct) in enumerate(rows(ens)):
+            segs = np.diff(np.concatenate([[0.0], ct, [3.0]]))
+            assert np.isclose(dwell[i].sum(), segs[::2].sum(), atol=1e-12)
 
 
 class TestSampleCounts:
     def test_count_length_and_dtype(self):
-        rng = np.random.default_rng(5)
-        traj = Trajectory(IonState.BRIGHT, np.array([1.23]), np.zeros(30, int), 3.0, 0.1)
-        counts = sample_counts(traj, P, rng)
-        assert counts.shape == (30,)
+        counts = simulate(20, 3.0, IonState.BRIGHT, seed=5).counts
+        assert counts.shape == (20, 30)
         assert counts.dtype.kind == "i"
 
     def test_dark_ion_sees_background_only(self):
-        rng = np.random.default_rng(6)
-        traj = Trajectory(IonState.DARK, np.array([]), np.zeros(50, int), 5.0, 0.1)
-        counts = np.array([sample_counts(traj, P, rng) for _ in range(2000)])
+        ens = simulate(2000, 5.0, IonState.DARK, P_FROZEN_DARK, seed=6)
+        assert np.all(ens.change_counts_at() == 0)
+        counts = ens.counts
         mean = counts.mean()
         se = counts.std() / np.sqrt(counts.size)
         assert abs(mean - P.dark_mean) < 5 * se
@@ -251,13 +264,6 @@ class TestEnsembleStatistics:
         expect = np.exp(-3.0 / P.tau_B)
         se = np.sqrt(expect * (1 - expect) / len(bright))
         assert abs(p0 - expect) < 5 * se
-
-    def test_bin_edge_states_match_trajectory_view(self, bright):
-        edge_states = bright.states_at_bin_edges()
-        for i in range(100):
-            traj = bright[i]
-            for k in (1, 7, 30):
-                assert edge_states[i, k - 1] == int(traj.state_at(k * P.t_s))
 
 
 class TestReproducibility:
@@ -380,25 +386,26 @@ class TestMixedInitialStates:
             simulate_ensemble_from_states(cfg, np.zeros(5, dtype=np.int8))
 
 
-class TestTrajectoryValidation:
-    def test_rejects_wrong_count_length(self):
-        with pytest.raises(ValueError):
-            Trajectory(IonState.BRIGHT, np.array([]), np.zeros(5, int), 1.0, 0.1)
-
-    def test_rejects_unsorted_change_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(IonState.BRIGHT, np.array([0.5, 0.2]), np.zeros(10, int), 1.0, 0.1)
-
-    def test_rejects_out_of_window_change(self):
-        with pytest.raises(ValueError):
-            Trajectory(IonState.BRIGHT, np.array([1.5]), np.zeros(10, int), 1.0, 0.1)
-
+class TestEnsembleStates:
     def test_state_at(self):
-        traj = Trajectory(IonState.BRIGHT, np.array([0.25, 0.6]), np.zeros(10, int), 1.0, 0.1)
-        assert traj.state_at(0.1) is IonState.BRIGHT
-        assert traj.state_at(0.25) is IonState.DARK
-        assert traj.state_at(0.5) is IonState.DARK
-        assert traj.final_state is IonState.BRIGHT
+        ens = Ensemble(np.array([0, 1], dtype=np.int8), np.zeros((2, 10), int),
+                       np.array([[0.25, 0.6], [0.4, np.nan]]), 1.0, 0.1)
+        assert ens.states_at(0.1).tolist() == [0, 1]
+        assert ens.states_at(0.25).tolist() == [1, 1]
+        assert ens.states_at(0.5).tolist() == [1, 0]
+        assert ens.final_states().tolist() == [0, 0]
+
+    def test_plain_int_initial_state(self, tmp_path):
+        cfg = SimConfig(n_trials=5, t_b=0.5, seed=9, params=P)
+        ens = simulate_ensemble(cfg, 1)
+        assert ens.initial is IonState.DARK
+        assert ens.initial_array().tolist() == [1] * 5
+        assert np.array_equal(ens.counts, simulate_ensemble(cfg, IonState.DARK).counts)
+        path = tmp_path / "counts.csv"
+        write_ensemble_csv(path, [ens])
+        _, initials, counts = read_counts_csv(path)
+        assert initials.tolist() == [1] * 5
+        assert np.array_equal(counts, ens.counts)
 
 
 class TestCsvInterchange:
@@ -470,9 +477,16 @@ class TestCsvInterchange:
         with pytest.raises(DataFormatError):
             read_counts_csv(path)
 
+    def test_header_only_reports_line_after_header(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("# a\n# b\n# c\ntrial,initial,n_1\n")
+        with pytest.raises(DataFormatError, match="no data rows") as err:
+            read_counts_csv(path)
+        assert err.value.line == 5
+
     def test_ingested_ensembles_refuse_truth_queries(self, tmp_path):
         ens = Ensemble(IonState.BRIGHT, np.zeros((4, 5), dtype=int), None, 0.5, 0.1)
         with pytest.raises(ValueError, match="ground-truth"):
             ens.final_states()
         with pytest.raises(ValueError, match="ground-truth"):
-            ens[0]
+            ens.states_at(0.1)
