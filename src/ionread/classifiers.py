@@ -10,7 +10,9 @@ All classifiers are pure functions.  The batch entry points operate on
 (n_trials, n_bins) count arrays in the log domain and can evaluate every
 prefix of the window in one pass, which is what the sweep harness uses.
 They reject negative and fractional counts; the scalar classifiers wrap
-them on one row.  The hidden-Markov product is a scaled forward filter
+them on one row.  The single-change formula gathers each bin's Poisson
+log-pmf from a vector over 0..max count instead of evaluating it per cell.
+The hidden-Markov product is a scaled forward filter
 (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four
 length-n_trials arrays hold the entries of every trial's accumulated 2x2
 product, each bin updates them elementwise from four gathered columns of
@@ -197,8 +199,11 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
         raise ValueError("tau must be > 0")
     counts2d = _as_count_matrix(counts)
     n, m = counts2d.shape
-    log_pb_bin = _poisson_logpmf(counts2d, params.bright_mean)
-    log_pd_bin = _poisson_logpmf(counts2d, params.dark_mean)
+    # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
+    hi = int(counts2d.max(initial=0))
+    cells, index = (np.arange(hi + 1), counts2d) if hi < counts2d.size else (counts2d, ...)
+    log_pb_bin = _poisson_logpmf(cells, params.bright_mean)[index]
+    log_pd_bin = _poisson_logpmf(cells, params.dark_mean)[index]
     cum_b = np.cumsum(log_pb_bin, axis=1)
     cum_d = np.cumsum(log_pd_bin, axis=1)
     if decaying is IonState.DARK:

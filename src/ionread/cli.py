@@ -29,6 +29,7 @@ from . import estimation as est
 from .harness import (
     ConfigError,
     compare_methods,
+    config_int,
     decisions_to_csv,
     load_config,
     pi_pulse_sweep,
@@ -94,8 +95,8 @@ def _cmd_simulate(cfg: dict, args) -> int:
     params = rate_params_from_config(cfg)
     try:
         t_b = float(section["t_b_ms"])
-        n_trials = int(section["n_trials"])
-        seed = int(args.seed if args.seed is not None else section["seed"])
+        n_trials = config_int(section["n_trials"], "n_trials")
+        seed = config_int(args.seed if args.seed is not None else section["seed"], "seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulate section: {exc}") from None
     initial = section.get("initial", "both")
@@ -215,7 +216,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
 def _cmd_compare(cfg: dict, args) -> int:
     section = _section(cfg, "compare")
     spec = sweep_spec_from_config(cfg, seed=args.seed)
-    repetitions = int(section.get("repetitions", 1))
+    repetitions = config_int(section.get("repetitions", 1), "repetitions")
     rows, summary = compare_methods(spec, repetitions=repetitions,
                                     threads=args.threads)
     comments = _echo_comments(cfg, spec.seed)

@@ -10,6 +10,12 @@ re-simulating per point; the restriction of the hidden process to a shorter
 window has exactly the distribution of a shorter simulation, so prefix rows
 are statistically identical to per-point runs while sharing trajectories
 across t_b values.
+
+Likelihood rules score each distinct count record once: equal rows get
+equal log-likelihoods, so the kernel runs on one row per record (grouped by
+its bytes) and the results are gathered back.  Grouping is skipped where it
+cannot pay: below 1024 rows, with a count above 255, or when over half of
+the first 1024 rows are distinct, as in bright windows of many bins.
 """
 
 from __future__ import annotations
@@ -76,6 +82,13 @@ def _rtag(r: float) -> int:
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
+
+
+def config_int(value, name: str) -> int:
+    """``int(value)``, refusing a non-integral float instead of truncating it."""
+    _require(not isinstance(value, float) or value.is_integer(),
+             f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -202,30 +215,58 @@ class DoubleThresholdClassifier(_CountRule):
         return grid, np.where((kept_b > 0) & (kept_d > 0), eps, np.inf)
 
 
+_GROUP_SAMPLE = 1024
+
+
+def _distinct_records(counts):
+    """(one row per distinct count record, index gathering them back to every
+    row), or (..., ...) where the module docstring's rule skips grouping."""
+    n, m = counts.shape
+
+    def keys(rows):  # each row as one exact byte-string key
+        return np.ascontiguousarray(rows, dtype=np.uint8).view(np.dtype((np.void, m)))[:, 0]
+
+    if (n < _GROUP_SAMPLE or counts.max() > 255
+            or np.unique(keys(counts[:_GROUP_SAMPLE])).size > _GROUP_SAMPLE // 2):
+        return ..., ...
+    _, first, inverse = np.unique(keys(counts), return_index=True, return_inverse=True)
+    return first, inverse
+
+
 @dataclass(frozen=True)
 class _LikelihoodRule(Classifier):
     """Bright iff the bright initial-state likelihood is larger."""
 
     n_c = None
 
-    def likelihoods(self, counts, params, *, prefixes=False):
+    def _scored(self, counts, params, prefixes):
+        """Kernel logs of the distinct rows, and the index gathering them back."""
         _require(params is not None, f"{self.label} requires rate parameters")
-        return self._loglik(counts, params, prefixes)
+        counts = self._clamped(cl._as_count_matrix(counts), params)
+        first, inverse = _distinct_records(counts)
+        return self._loglik(counts[first], params, prefixes), inverse
+
+    def _clamped(self, counts, params):
+        return counts
+
+    def likelihoods(self, counts, params, *, prefixes=False):
+        logs, inverse = self._scored(counts, params, prefixes)
+        return tuple(log[inverse] for log in logs)
 
     def decide(self, counts, params, logs=None):
-        if logs is None:
-            logs = self.likelihoods(counts, params)
-        return cl.decide_from_logs(*logs)
+        logs, inverse = (logs, ...) if logs is not None else self._scored(counts, params, False)
+        return cl.decide_from_logs(*logs)[inverse]
 
     def column_decisions(self, counts_bright, counts_dark, cols, params):
-        # The last column alone needs no prefix outputs.
+        # The last column alone needs no prefix outputs; one comparison then
+        # decides every column, on distinct rows only.
         prefixes = list(cols) != [counts_bright.shape[1] - 1]
-        logs = [self.likelihoods(counts, params, prefixes=prefixes)
-                for counts in (counts_bright, counts_dark)]
-        if not prefixes:
-            return [(self, *(cl.decide_from_logs(*pair) for pair in logs))]
-        return [(self, *(cl.decide_from_logs(lb[:, col], ld[:, col]) for lb, ld in logs))
-                for col in cols]
+        decisions = []
+        for counts in (counts_bright, counts_dark):
+            logs, inverse = self._scored(counts, params, prefixes)
+            logs = (log[:, cols] if prefixes else log[:, None] for log in logs)
+            decisions.append(cl.decide_from_logs(*logs)[inverse].T)
+        return [(self, dec_b, dec_d) for dec_b, dec_d in zip(*decisions)]
 
 
 @dataclass(frozen=True)
@@ -253,6 +294,10 @@ class GeneralClassifier(_LikelihoodRule):
     """The generalized hidden-Markov likelihood."""
 
     label = "generalized_time_resolved"
+
+    def _clamped(self, counts, params):
+        # The table tallies every clamped count here, before grouping.
+        return observation_table_for(params).clamp_counts(counts)
 
     def _loglik(self, counts, params, prefixes):
         return cl.general_loglik(counts, observation_table_for(params),
@@ -339,29 +384,14 @@ class ErrorReport:
     N_R_analytic: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "classifier": self.classifier,
-            "detail": self.detail,
-            "t_b_ms": self.t_b,
-            "r": self.r,
-            "n_bright": self.n_bright,
-            "n_dark": self.n_dark,
-            "retained_bright": self.retained_bright,
-            "retained_dark": self.retained_dark,
-            "wrong_bright": self.wrong_bright,
-            "wrong_dark": self.wrong_dark,
-            "epsilon_bright": self.epsilon_bright,
-            "epsilon_dark": self.epsilon_dark,
-            "epsilon": self.epsilon,
-            "stderr": self.stderr,
-            "N_R": self.N_R,
-            "defined": self.defined,
-        }
-        if self.n_c is not None:
-            out["n_c"] = self.n_c
-        if self.epsilon_analytic is not None:
-            out["epsilon_analytic"] = self.epsilon_analytic
-            out["N_R_analytic"] = self.N_R_analytic
+        """The fields in declaration order, ``t_b`` as ``t_b_ms``; ``n_c`` and
+        the analytic pair only when set."""
+        out = {"t_b_ms" if name == "t_b" else name: value
+               for name, value in vars(self).items()}
+        if self.n_c is None:
+            del out["n_c"]
+        if self.epsilon_analytic is None:
+            del out["epsilon_analytic"], out["N_R_analytic"]
         return out
 
 
@@ -632,8 +662,7 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
                            seed=spec.seed, efficiency_factors=(1.0,))
         rep_rows = _sweep_on_streams(rep_spec, 1.0, threads,
                                      context=(_CTX_COMPARE, rep))
-        for row in rep_rows:
-            all_rows.append(replace(row, r=float(rep + 1)))
+        all_rows.extend(replace(row, r=float(rep + 1)) for row in rep_rows)
         for label, values in minima.items():
             values.append(min(row.epsilon for row in rep_rows if row.classifier == label))
     summary = {
@@ -707,8 +736,8 @@ def sweep_spec_from_config(cfg: dict, *, seed=None) -> SweepSpec:
     try:
         return SweepSpec(
             t_b_values=tuple(sweep_cfg["t_b_ms"]),
-            n_trials=int(sweep_cfg["n_trials"]),
-            seed=int(seed if seed is not None else sweep_cfg["seed"]),
+            n_trials=config_int(sweep_cfg["n_trials"], "n_trials"),
+            seed=config_int(seed if seed is not None else sweep_cfg["seed"], "seed"),
             params=params,
             classifiers=tuple(sweep_cfg.get("classifiers", _HEADLINE_CLASSIFIERS)),
             efficiency_factors=tuple(sweep_cfg.get("efficiency_factors", (1.0,))),

@@ -99,26 +99,21 @@ def bright_dwell_per_bin(initial, change_times: np.ndarray, t_b: float,
     the state for the later bin only.
     """
     ct = np.asarray(change_times, dtype=float)
-    n, j = ct.shape
+    n = ct.shape[0]
     initial_arr = np.asarray(initial, dtype=np.int8)
     m = n_bins(t_b, t_s)
-    edges = np.arange(m + 1) * t_s
-    # Segment boundaries: 0, c_1..c_J (NaN padding mapped to t_b), t_b. The
-    # state on segment i is the initial state flipped i times.
-    bounds = np.empty((n, j + 2))
-    bounds[:, 0] = 0.0
-    bounds[:, 1:-1] = np.where(np.isnan(ct), t_b, ct)
-    bounds[:, -1] = t_b
-    cumulative = np.zeros((n, m + 1))
-    for i in range(j + 1):
-        is_bright = ((i & 1) ^ initial_arr) == 0
-        if not np.any(is_bright):
-            continue
-        start = bounds[:, i, None]
-        end = bounds[:, i + 1, None]
-        overlap = np.clip(edges[None, :], start, end) - start
-        cumulative += np.where(is_bright[:, None], overlap, 0.0)
-    return np.diff(cumulative, axis=1)
+    edges = np.minimum(np.arange(m + 1) * t_s, t_b)
+    # Each change in bin k (edges[k] <= c < edges[k+1]) flips the state from
+    # bin k + 1 on and moves edges[k+1] - c of bin k to the new state.
+    rows, col = np.nonzero(ct < edges[-1])    # False for NaN padding
+    times = ct[rows, col]
+    k = np.searchsorted(edges, times, side="right") - 1
+    flips = np.bincount(rows * (m + 1) + k + 1, minlength=n * (m + 1)).reshape(n, m + 1)
+    bright_at_start = (np.cumsum(flips[:, :m], axis=1) & 1) == initial_arr[:, None]
+    into_bright = ((col + 1) & 1) == initial_arr[rows]
+    shift = np.bincount(rows * m + k, np.where(into_bright, 1.0, -1.0) * (edges[k + 1] - times),
+                        minlength=n * m).reshape(n, m)
+    return np.diff(edges) * bright_at_start + shift
 
 
 def _sample_changes_chunk(initial_arr: np.ndarray, t_b: float, params: RateParams,

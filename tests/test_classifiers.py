@@ -35,6 +35,7 @@ from ionread.photon_model import (
     DEFAULT_PARAMS,
     IonState,
     RateParams,
+    _poisson_logpmf,
     build_observation_table,
     count_pmf,
     mixed_pmf,
@@ -277,6 +278,21 @@ class TestSimpleTimeResolved:
         as_int = simple_loglik([[1, 2, 0]], P)
         for got, expect in zip(as_float, as_int):
             assert np.array_equal(got, expect)
+
+    def test_gathered_log_pmf_is_per_cell_log_pmf(self):
+        counts = np.random.default_rng(8).integers(0, 14, size=(400, 7))
+        log_b, _, _ = simple_loglik(counts, P, prefixes=True)
+        _, log_d, _ = simple_loglik(counts, P, decaying=IonState.BRIGHT, prefixes=True)
+        assert np.array_equal(log_b, np.cumsum(_poisson_logpmf(counts, P.bright_mean), axis=1))
+        assert np.array_equal(log_d, np.cumsum(_poisson_logpmf(counts, P.dark_mean), axis=1))
+
+    def test_huge_count_evaluated_per_cell(self):
+        # A log-pmf vector over 0..10^12 would not fit in memory; the values
+        # are those of the per-cell evaluation.
+        log_b, log_d, clamped = simple_loglik([[10**12, 0]], P, prefixes=True)
+        assert log_b.tolist() == [[-26142441101126.242, -26142441101127.87]]
+        assert log_d.tolist() == [[-26142441101132.57, -26142441101134.2]]
+        assert not clamped.any()
 
 
 class TestSimpleBrightDecay:

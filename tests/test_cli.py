@@ -289,6 +289,33 @@ class TestExitCodes:
         assert main(["compare", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "repetitions must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_trials", "seed"])
+    def test_fractional_simulate_and_sweep_values(self, tmp_path, capsys, key):
+        section = {"t_b_ms": 0.5, "n_trials": 10, "seed": 1}
+        cfg = _config(tmp_path, simulate={**section, key: 2.9},
+                      sweep={**section, "t_b_ms": [0.5], key: 2.9})
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", cfg,
+                         "--out-dir", str(tmp_path)]) == 2
+            assert f"{key} must be an integer, got 2.9" in capsys.readouterr().err
+
+    def test_fractional_repetitions(self, tmp_path, capsys):
+        cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1},
+                      compare={"repetitions": 1.9})
+        assert main(["compare", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "repetitions must be an integer, got 1.9" in capsys.readouterr().err
+
+    def test_integer_valued_floats_accepted(self, tmp_path):
+        section = {"t_b_ms": 0.5, "n_trials": 3.0, "seed": 1.0}
+        cfg = _config(tmp_path, simulate=section,
+                      sweep={**section, "t_b_ms": [0.5]}, compare={"repetitions": 2.0})
+        for command in ("simulate", "sweep", "compare"):
+            assert main([command, "--config", cfg,
+                         "--out-dir", str(tmp_path)]) == 0
+        assert len(read_counts_csv(tmp_path / "counts.csv")[0]) == 6  # 3 per state
+        summary = json.loads((tmp_path / "compare_summary.json").read_text())
+        assert summary["repetitions"] == 2
+
     def test_invalid_classifier(self, tmp_path):
         csv_path = tmp_path / "ok.csv"
         csv_path.write_text("trial,initial,n_1\n0,B,3\n")

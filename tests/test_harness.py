@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from ionread import harness
-from ionread.classifiers import Decision, pi_pulse_error
+from ionread.classifiers import (
+    Decision,
+    decide_from_logs,
+    general_loglik,
+    pi_pulse_error,
+    simple_loglik,
+)
 from ionread.harness import (
     REPORT_COLUMNS,
     ConfigError,
@@ -438,6 +444,90 @@ class TestEntryPointsAgree:
         assert key(direct) == key(last) == key(split)
         assert (direct.classifier, direct.detail, direct.n_c) == (
             last.classifier, last.detail, last.n_c)
+
+
+class TestDistinctRecordScoring:
+    """Likelihood rules score each distinct count record once; logs and
+    decisions equal the direct kernel call on every row, bit for bit."""
+
+    RULES = {
+        "general": {"method": "general"},
+        "simple_bright": {"method": "simple", "decaying": "bright"},
+        "simple_dark_tau": {"method": "simple", "tau_ms": 20.0},
+    }
+
+    @staticmethod
+    def _counts(case):
+        rng = np.random.default_rng(17)
+        if case == "dark_ensemble":      # heavy repeats, 30 bins
+            return _sim_pair(DEFAULT_PARAMS, 3.0, 4096, seed=41)[1].counts
+        if case == "pulse_windows":      # heavy repeats, 3 bins of 1/30 ms
+            params = RateParams(R_B=16.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=1 / 30)
+            return np.vstack([e.counts for e in _sim_pair(params, 0.1, 2048, seed=43)])
+        if case == "all_distinct":
+            return rng.integers(0, 10, size=(2048, 30))
+        # Repeated rows with a count above 255.
+        rows = rng.integers(0, 3, size=(8, 5))
+        rows[3, 2] = 300
+        return np.repeat(rows, 256, axis=0)
+
+    @staticmethod
+    def _direct(spec, counts, prefixes):
+        if spec["method"] == "general":
+            return general_loglik(counts, harness.observation_table_for(DEFAULT_PARAMS),
+                                  prefixes=prefixes)
+        decaying = IonState.BRIGHT if spec.get("decaying") == "bright" else IonState.DARK
+        return simple_loglik(counts, DEFAULT_PARAMS, spec.get("tau_ms"),
+                             decaying=decaying, prefixes=prefixes)[:2]
+
+    @pytest.mark.parametrize("case, grouped", [
+        ("dark_ensemble", True), ("pulse_windows", True),
+        ("all_distinct", False), ("above_255", False)])
+    def test_grouping_rule(self, case, grouped):
+        first, inverse = harness._distinct_records(self._counts(case))
+        assert isinstance(first, np.ndarray) == grouped
+        if grouped:
+            assert first.size < inverse.size // 2
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("case", ["dark_ensemble", "pulse_windows",
+                                      "all_distinct", "above_255"])
+    def test_equals_direct_kernel(self, rule, case):
+        spec = self.RULES[rule]
+        clf = resolve_classifier(spec)
+        counts = self._counts(case)
+        for prefixes in (False, True):
+            direct = self._direct(spec, counts, prefixes)
+            got = clf.likelihoods(counts, DEFAULT_PARAMS, prefixes=prefixes)
+            assert all(np.array_equal(g, d) for g, d in zip(got, direct, strict=True))
+        final = self._direct(spec, counts, False)
+        assert np.array_equal(clf.decide(counts, DEFAULT_PARAMS), decide_from_logs(*final))
+        assert np.array_equal(decisions_for(counts, spec, DEFAULT_PARAMS),
+                              decide_from_logs(*final))
+        m = counts.shape[1]
+        ((_, dec_b, dec_d),) = clf.column_decisions(counts, counts[::-1], [m - 1],
+                                                    DEFAULT_PARAMS)
+        assert np.array_equal(dec_b, decide_from_logs(*final))
+        assert np.array_equal(dec_d, decide_from_logs(*final)[::-1])
+        log_b, log_d = self._direct(spec, counts, True)
+        cols = list(range(m))[::2]
+        columns = clf.column_decisions(counts, counts[::-1], cols, DEFAULT_PARAMS)
+        for col, (rule_out, dec_b, dec_d) in zip(cols, columns, strict=True):
+            expect = decide_from_logs(log_b[:, col], log_d[:, col])
+            assert rule_out is clf
+            assert np.array_equal(dec_b, expect)
+            assert np.array_equal(dec_d, expect[::-1])
+
+    def test_clamp_tally_counts_every_repeated_count(self):
+        table = harness.observation_table_for(DEFAULT_PARAMS)
+        rows = np.array([[0, table.n_max + 1, 1], [table.n_max + 3, 0, table.n_max + 1]])
+        counts = np.repeat(rows, 1024, axis=0)
+        clamped = np.minimum(counts, table.n_max)
+        assert harness._distinct_records(clamped)[0].size == 2
+        before = table.clamped_lookups
+        decisions = decisions_for(counts, {"method": "general"}, DEFAULT_PARAMS)
+        assert table.clamped_lookups - before == 3 * 1024
+        assert np.array_equal(decisions, decide_from_logs(*general_loglik(clamped, table)))
 
 
 # ---------------------------------------------------------------------------
