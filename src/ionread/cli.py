@@ -22,8 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classifiers as cl
 from . import estimation as est
 from .harness import (
@@ -43,6 +41,7 @@ from .photon_model import IonState
 from .trajectory import (
     DataFormatError,
     SimConfig,
+    _labels,
     read_counts_csv,
     simulate_ensemble,
     write_change_times_csv,
@@ -68,22 +67,14 @@ def _echo_comments(cfg: dict, seed: int) -> tuple:
 
 def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
     doc = {"format": "ionread_report", "version": 1, "command": command,
-           "seed": seed, "config": cfg}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _report_json_rows(rows):
-    return [row.to_json_dict() for row in rows]
+           "seed": seed, "config": cfg, **payload}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _input_path(section: dict, out_dir: Path) -> Path:
     src = section.get("input")
     _require(isinstance(src, str) and src, "section needs an 'input' CSV path")
-    path = Path(src)
-    return path if path.is_absolute() else out_dir / path
+    return out_dir / src  # an absolute path replaces out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +100,15 @@ def _cmd_simulate(cfg: dict, args) -> int:
                  for s in states]
     comments = _echo_comments(cfg, seed)
     if args.format == "csv":
-        write_ensemble_csv(args.out_dir / "counts.csv", ensembles,
-                           comments=comments)
+        write_ensemble_csv(args.out_dir / "counts.csv", ensembles, comments=comments)
         emitted = ["counts.csv"]
         if section.get("change_times", False):
             write_change_times_csv(args.out_dir / "change_times.csv", ensembles)
             emitted.append("change_times.csv")
     else:
-        rows = []
-        for ens in ensembles:
-            labels = [IonState(int(s)).label for s in ens.initial_array()]
-            rows.extend({"trial": i, "initial": labels[i],
-                         "counts": ens.counts[i].tolist()}
-                        for i in range(len(ens)))
+        rows = [{"trial": i, "initial": label, "counts": counts} for ens in ensembles
+                for i, label, counts in zip(range(len(ens)), _labels(ens.initial_array()),
+                                            ens.counts.tolist())]
         _write_json(args.out_dir / "counts.json", "simulate", cfg, seed,
                     {"t_b_ms": t_b, "rows": rows})
         emitted = ["counts.json"]
@@ -151,14 +138,11 @@ def _cmd_classify(cfg: dict, args) -> int:
                                comments=comments)
             emitted.append("report.csv")
     else:
-        rows = [{"trial": int(trial_ids[i]),
-                 "initial": IonState(int(initials[i])).label,
-                 "decision": cl.Decision(int(decisions[i])).label}
-                for i in range(decisions.size)]
+        columns = {"trial": trial_ids.tolist(), "initial": _labels(initials),
+                   "decision": _labels(decisions, cl.Decision)}
         if logs is not None:
-            for i, row in enumerate(rows):
-                row["log_p_B"] = float(logs[0][i])
-                row["log_p_D"] = float(logs[1][i])
+            columns.update(log_p_B=logs[0].tolist(), log_p_D=logs[1].tolist())
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         payload = {"classifier": clf.label, "detail": clf.detail, "rows": rows}
         if report is not None:
             payload["report"] = report.to_json_dict()
@@ -181,9 +165,7 @@ def _cmd_fit(cfg: dict, args) -> int:
     report["config"] = cfg
     report["seed"] = int(args.seed) if args.seed is not None else 0
     out = args.out_dir / "fit.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -208,7 +190,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
     else:
         out = args.out_dir / "sweep.json"
         _write_json(out, "sweep", cfg, spec.seed,
-                    {"rows": _report_json_rows(rows)})
+                    {"rows": [row.to_json_dict() for row in rows]})
     print(f"wrote {out}")
     return 0
 
@@ -228,7 +210,7 @@ def _cmd_compare(cfg: dict, args) -> int:
     else:
         _write_json(args.out_dir / "compare.json", "compare", cfg, spec.seed,
                     {"repetitions": repetitions, "summary": summary,
-                     "rows": _report_json_rows(rows)})
+                     "rows": [row.to_json_dict() for row in rows]})
         emitted = ["compare.json"]
     for name in emitted:
         print(f"wrote {args.out_dir / name}")

@@ -20,8 +20,8 @@ the first 1024 rows are distinct, as in bright windows of many bins.
 
 from __future__ import annotations
 
-import csv
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -36,6 +36,9 @@ from .photon_model import IonState, RateParams, build_observation_table
 from .trajectory import (
     Ensemble,
     SimConfig,
+    _labels,
+    _row_blocks,
+    _write_csv,
     deterministic_uniforms,
     n_bins,
     simulate_ensemble,
@@ -755,11 +758,7 @@ def sweep_spec_from_config(cfg: dict, *, seed=None) -> SweepSpec:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 REPORT_COLUMNS = (
@@ -772,35 +771,25 @@ REPORT_COLUMNS = (
 
 def report_rows_to_csv(rows, path, *, comments=()) -> None:
     """Write ErrorReport rows as a plot-ready CSV (6 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            record = row.to_json_dict()
-            writer.writerow([_fmt(record.get(c)) for c in REPORT_COLUMNS])
+    records = [row.to_json_dict() for row in rows]
+    blocks = ([[_fmt(record.get(c)) for record in records[block]] for c in REPORT_COLUMNS]
+              for block in _row_blocks(len(records)))
+    _write_csv(path, REPORT_COLUMNS, blocks, comments=comments)
 
 
 def decisions_to_csv(path, trial_ids, initials, decisions, log_pb=None,
                      log_pd=None, *, comments=()) -> None:
     """Per-trial decision export; likelihood columns stay empty for
     threshold methods."""
-    decisions = np.asarray(decisions)
-
-    def likelihood(logs):
-        if logs is None:
-            return [""] * decisions.size
-        return ["%.6g" % x for x in np.asarray(logs).tolist()]
-
-    state_labels = np.array([s.label for s in IonState])
-    decision_labels = np.array([d.label for d in Decision])
-    columns = (np.asarray(trial_ids).tolist(), state_labels[np.asarray(initials)].tolist(),
-               decision_labels[decisions].tolist(), likelihood(log_pb), likelihood(log_pd))
-    if any(len(col) != decisions.size for col in columns):
+    ids, states, codes = (np.asarray(c) for c in (trial_ids, initials, decisions))
+    logs = [None if log is None else np.asarray(log) for log in (log_pb, log_pd)]
+    if any(c is not None and c.shape != (codes.size,) for c in (ids, states, codes, *logs)):
         raise ValueError("decisions_to_csv needs one value per trial in every column")
-    with open(path, "w", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write("trial,initial,decision,p_B,p_D\n")
-        fh.writelines(map("{},{},{},{},{}\n".format, *columns))
+    # A missing likelihood column is empty cells; the writer stops at the
+    # shortest column.
+    blocks = ((ids[rows].tolist(), _labels(states[rows]), _labels(codes[rows], Decision),
+               *(itertools.repeat("") if log is None
+                 else ["%.6g" % x for x in log[rows].tolist()] for log in logs))
+              for rows in _row_blocks(codes.size))
+    _write_csv(path, ("trial", "initial", "decision", "p_B", "p_D"), blocks,
+               comments=comments, newline="\n")

@@ -17,13 +17,19 @@ count, chunk execution order, or total trial count.
 
 CSV interchange: ensembles serialize to ``trial,initial,n_1,...,n_M`` rows
 (initial is ``B`` or ``D``); the same schema is the ingestion format for
-experimental data.  Change times can be written to a sidecar file for
+experimental data.  The reader skips ``#`` comment lines and blank lines,
+accepts quoted fields and reads the state label case-insensitively.  Any
+malformed row, an out-of-range count included, raises
+:class:`DataFormatError` with the file and its physical line number, and
+``ionread`` exits 3.  Change times can be written to a sidecar file for
 debugging; they are never required to classify.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,11 @@ CHUNK = 4096
 _STREAM_CHANGES = 1
 _STREAM_COUNTS = 2
 _STREAM_EXTRA = 3
+
+
+def _row_blocks(n: int):
+    """Slices of at most CHUNK consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
 class DataFormatError(ValueError):
@@ -271,16 +282,39 @@ def deterministic_uniforms(seed: int, context: tuple, n: int) -> np.ndarray:
     for auxiliary per-trial coin flips (e.g. pulse errors) so that composed
     experiments stay reproducible under the same contract as ensembles."""
     out = np.empty(n)
-    for ci in range((n + CHUNK - 1) // CHUNK):
-        rng = _chunk_rng(seed, _STREAM_EXTRA, context, ci)
-        block = rng.random(CHUNK)
-        take = min(CHUNK, n - ci * CHUNK)
-        out[ci * CHUNK:ci * CHUNK + take] = block[:take]
+    for ci, rows in enumerate(_row_blocks(n)):
+        block = _chunk_rng(seed, _STREAM_EXTRA, context, ci).random(CHUNK)
+        out[rows] = block[:rows.stop - rows.start]
     return out
 
 
 # ---------------------------------------------------------------------------
 # CSV interchange
+
+
+def _labels(codes, kind=IonState) -> list:
+    """The label of each state code (or each code of another ``kind``)."""
+    return np.array([member.label for member in kind])[np.asarray(codes)].tolist()
+
+
+def _write_csv(path, header, blocks, *, comments=(), newline="\r\n") -> None:
+    """The one CSV artifact writer: ``# comment`` lines (ending ``\\n``), then
+    the header and the rows of each block, ending ``newline``.  A block is a
+    tuple of columns whose rows end with the shortest one; cells are written
+    unquoted, as ``str.format`` renders them."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        fh.write(",".join(header) + newline)
+        for columns in blocks:
+            fh.writelines(map((",".join(["{}"] * len(columns)) + newline).format, *columns))
+
+
+def _ensemble_blocks(ensembles):
+    """(ensemble, rows, trial ids from 0, initial labels) per block of rows."""
+    for ens in ensembles:
+        initial = ens.initial_array()
+        for rows in _row_blocks(len(ens)):
+            yield ens, rows, range(rows.start, rows.stop), _labels(initial[rows])
 
 
 def write_ensemble_csv(path, ensembles, *, comments=()) -> None:
@@ -289,83 +323,72 @@ def write_ensemble_csv(path, ensembles, *, comments=()) -> None:
     m = ensembles[0].n_bins
     if any(e.n_bins != m for e in ensembles):
         raise ValueError("all ensembles in one file must share the bin count")
-    with open(path, "w", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "initial"] + [f"n_{k}" for k in range(1, m + 1)])
-        for ens in ensembles:
-            labels = [IonState(int(s)).label for s in ens.initial_array()]
-            for i in range(len(ens)):
-                writer.writerow([i, labels[i]] + list(map(int, ens.counts[i])))
+    blocks = ((trials, labels, *ens.counts[rows].astype(np.int64, copy=False).T.tolist())
+              for ens, rows, trials, labels in _ensemble_blocks(ensembles))
+    _write_csv(path, ["trial", "initial"] + [f"n_{k}" for k in range(1, m + 1)],
+               blocks, comments=comments)
 
 
 def write_change_times_csv(path, ensembles) -> None:
-    """Sidecar dump of ground-truth change times (ragged rows)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "initial", "change_times_ms"])
-        for ens in ensembles:
-            labels = [IonState(int(s)).label for s in ens.initial_array()]
-            for i in range(len(ens)):
-                row = ens.change_times[i]
-                times = [f"{t:.9g}" for t in row[~np.isnan(row)]]
-                writer.writerow([i, labels[i]] + times)
+    """Sidecar dump of ground-truth change times: ragged rows whose times ride
+    in the last cell, each after its comma, without the NaN (unequal) padding."""
+    def blocks():
+        for ens, rows, trials, labels in _ensemble_blocks(ensembles):
+            times = ([f",{t:.9g}" if t == t else "" for t in column]
+                     for column in ens.change_times[rows].T.tolist())
+            yield trials, map("".join, zip(labels, *times))
+
+    _write_csv(path, ["trial", "initial", "change_times_ms"], blocks())
 
 
 def read_counts_csv(path):
-    """Read a counts CSV into (trial_ids, initial, counts).
+    """Read a counts CSV into (trial_ids, initial, counts) in one streaming
+    pass; the module docstring says what it accepts and rejects."""
+    line_no = 0
+    trials, initials = array("q"), bytearray()
 
-    Accepts the schema written by :func:`write_ensemble_csv`; comment lines
-    starting with ``#`` are skipped.  Raises :class:`DataFormatError` with a
-    line number on malformed input.
-    """
-    trials, initials, rows = [], [], []
-    with open(path, newline="") as fh:
-        header = None
-        header_line = width = None
+    def data_lines(fh):
+        nonlocal line_no
         for line_no, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header, header_line = cells, line_no
-                if header[:2] != ["trial", "initial"] or len(header) < 3:
-                    raise DataFormatError(path, line_no,
-                                          "header must be trial,initial,n_1,...")
-                expected = [f"n_{k}" for k in range(1, len(header) - 1)]
-                if header[2:] != expected:
-                    raise DataFormatError(path, line_no,
-                                          "count columns must be n_1..n_M in order")
-                width = len(header)
-                continue
-            if len(cells) != width:
-                raise DataFormatError(path, line_no,
-                                      f"expected {width} fields, got {len(cells)}")
-            try:
-                trials.append(int(cells[0]))
-                initials.append(int(IonState.from_label(cells[1])))
-                counts = [int(c) for c in cells[2:]]
-            except ValueError as exc:
-                raise DataFormatError(path, line_no, str(exc)) from None
-            if any(c < 0 for c in counts):
-                raise DataFormatError(path, line_no, "negative photon count")
-            rows.append(counts)
+            if line.strip() and not line.startswith("#"):
+                yield line
+
+    def count_rows(rows, width):
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            trials.append(int(row[0]))
+            initials.append(IonState.from_label(row[1]))
+            counts = row[2:]
+            # Only a row with a minus sign can hold a negative count.
+            if "-" in "".join(counts) and min(map(int, counts)) < 0:
+                raise ValueError("negative photon count")
+            yield counts
+
+    with open(path, newline="") as fh:
+        rows = csv.reader(data_lines(fh))
+        try:
+            header = next(rows, None)
+            header_line = line_no
+            if header is not None:
+                if len(header) < 3 or header != ["trial", "initial"] + [
+                        f"n_{k}" for k in range(1, len(header) - 1)]:
+                    raise ValueError("header must be trial,initial,n_1,...,n_M")
+                cells = itertools.chain.from_iterable(count_rows(rows, len(header)))
+                counts = np.fromiter(map(int, cells), np.int64)
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise DataFormatError(path, line_no, str(exc)) from None
     if header is None:
         raise DataFormatError(path, 1, "empty file")
-    if not rows:
+    if not trials:
         raise DataFormatError(path, header_line + 1, "no data rows")
-    return (np.array(trials), np.array(initials, dtype=np.int8),
-            np.array(rows, dtype=np.int64))
+    return (np.frombuffer(trials, np.int64), np.frombuffer(initials, np.int8),
+            counts.reshape(len(trials), -1))
 
 
 def ensembles_from_counts(initials: np.ndarray, counts: np.ndarray,
                           t_b: float, t_s: float):
     """Split ingested rows into per-initial-state ensembles (no ground truth).
     Returns a dict keyed by IonState with only the states present."""
-    out = {}
-    for state in (IonState.BRIGHT, IonState.DARK):
-        mask = initials == int(state)
-        if np.any(mask):
-            out[state] = Ensemble(state, counts[mask], None, t_b, t_s)
-    return out
+    return {state: Ensemble(state, counts[initials == state], None, t_b, t_s)
+            for state in IonState if np.any(initials == state)}

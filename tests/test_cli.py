@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, reproducibility, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -34,6 +35,39 @@ def _read_report_csv(path):
         rows = list(csv.DictReader(line for line in fh
                                    if not line.startswith("#")))
     return rows
+
+
+def _artifact_digests(tmp_path):
+    """sha256 of every artifact of simulate, classify (general and
+    threshold), sweep and compare on one small config.  4,100 trials per
+    state put every per-trial file across a CHUNK boundary."""
+    sections = {
+        "simulate": {"t_b_ms": 0.5, "n_trials": 4100, "seed": 3,
+                     "initial": "both", "change_times": True},
+        "sweep": {"t_b_ms": [0.3, 0.5], "n_trials": 600, "seed": 7,
+                  "classifiers": [{"method": "threshold", "n_c": "optimize"},
+                                  {"method": "simple"}, {"method": "general"}],
+                  "efficiency_factors": [1.0, 0.5]},
+        "compare": {"repetitions": 2},
+    }
+    out = tmp_path / "out"
+    runs = [("simulate", None, "csv"), ("simulate", None, "json")]
+    runs += [("classify", {"method": "general"}, fmt) for fmt in ("csv", "json")]
+    runs += [("classify", {"method": "threshold", "n_c": 2}, fmt) for fmt in ("csv", "json")]
+    runs += [("sweep", None, "csv"), ("compare", None, "csv")]
+    digests = {}
+    for command, classifier, fmt in runs:
+        cfg = _config(tmp_path, **sections,
+                      classify={"input": "counts.csv", "classifier": classifier})
+        before = set(out.iterdir()) if out.exists() else set()
+        assert main([command, "--config", cfg, "--out-dir", str(out),
+                     "--format", fmt]) == 0
+        for path in sorted(set(out.iterdir()) - before):
+            key = f"{classifier['method']}/{path.name}" if classifier else path.name
+            digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if command == "classify":
+                path.unlink()
+    return digests
 
 
 class TestSimulateClassify:
@@ -236,6 +270,30 @@ class TestSweepCompare:
             "threshold", "simple_time_resolved", "generalized_time_resolved"}
 
 
+#: Taken from the tree before the CSV writers were rebuilt on one row writer.
+#: The JSON log-likelihoods print at full precision, so these hold for one
+#: numpy/scipy build (here numpy 2.4.6, scipy 1.17.1).
+ARTIFACT_DIGESTS = {
+    "counts.csv": "4194534b39c638d653f9c7ad22db2323c18761abd40615ddf067e931627f2781",
+    "change_times.csv": "e60c40654c2e8885b7ef73b1cdf0a2e5b137ad3b7c8bcbf455cd3d14bd3f999e",
+    "counts.json": "e39a7b664ada3ea18c4f3c6d4bb8e8e4d74175432c0f310105c7e9203df6225e",
+    "general/decisions.csv": "5d130384fd056d50dd733c1b573d5585fe1d311d264d5f76ea3c48c8d31b862d",
+    "general/report.csv": "4f99739733c0593e389556e16a7f0ec9edf337229b8fcfed198e64cc577c742d",
+    "general/decisions.json": "4503bd25b70acf8b648095a90e799bda501ce41d44c228e093f46459969d682f",
+    "threshold/decisions.csv": "66290d6d9b80607681aa498f5bf96bcfb2c16c09ba878cb0bd9ba18741203e73",
+    "threshold/report.csv": "7db07ecb177c132d83c073fd406b74424835d5022abdd1aa7a3651f6bf95c2b9",
+    "threshold/decisions.json": "4eebd952b2e6d0a5670252101080c7fbc2ad5b338d2b700b7eec10f5b75ad9e9",
+    "sweep.csv": "c07f9bf3d16850522c9ef27393e918d71637bba43aa8ab32d417d8b4b158477c",
+    "compare.csv": "44ac1af44ca2804567f482700c62b1c67b4e53e1f2bea4bc7337367aa5e08f7b",
+    "compare_summary.json": "ce70e271e806d18c9534cc5ffda82c1ff450b2cb68830588c9feb49425cd5ab8",
+}
+
+
+class TestArtifactBytes:
+    def test_frozen_artifact_digests(self, tmp_path):
+        assert _artifact_digests(tmp_path) == ARTIFACT_DIGESTS
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         bad = _write(tmp_path / "bad.json", {"format": "other"})
@@ -258,6 +316,15 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    def test_out_of_range_count(self, tmp_path, capsys):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("trial,initial,n_1\n0,B,99999999999999999999999\n")
+        cfg = _config(tmp_path, classify={"input": str(csv_path),
+                                          "classifier": {"method": "general"}})
+        assert main(["classify", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "big.csv:2" in capsys.readouterr().err
 
     def test_non_finite_rate(self, tmp_path, capsys):
         # Python's json reads NaN; the config must fail before any table build.

@@ -477,6 +477,50 @@ class TestCsvInterchange:
         with pytest.raises(DataFormatError):
             read_counts_csv(path)
 
+    @pytest.mark.parametrize("text, trials, initials, counts", [
+        pytest.param('"trial","initial","n_1","n_2"\n"0","B","3",4\n',
+                     [0], [0], [[3, 4]], id="quoted_fields"),
+        pytest.param("trial,initial,n_1\r\n0,B,1\r\n1,D,0\r\n",
+                     [0, 1], [0, 1], [[1], [0]], id="crlf"),
+        pytest.param("trial,initial,n_1\n\n0,B,1\n  \n\n1,D,0\n\n",
+                     [0, 1], [0, 1], [[1], [0]], id="blank_lines"),
+        pytest.param("trial,initial,n_1\n0,b,1\n1,d,0\n",
+                     [0, 1], [0, 1], [[1], [0]], id="lowercase_labels"),
+        pytest.param("trial,initial,n_1\n0,B,9223372036854775807\n",
+                     [0], [0], [[2**63 - 1]], id="int64_max_count"),
+    ])
+    def test_accepted_inputs(self, tmp_path, text, trials, initials, counts):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        got = read_counts_csv(path)
+        assert [a.dtype for a in got] == [np.int64, np.int8, np.int64]
+        assert [a.tolist() for a in got] == [trials, initials, counts]
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("trial,initial,n_1\n0,B,1\n# note\n1,Q,2\n", 4,
+                     id="comment_between_rows"),
+        pytest.param("trial,initial,n_1\n0,B,1\n\n1,D,1.5\n", 4,
+                     id="fractional_count"),
+    ])
+    def test_error_line_numbers(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_counts_csv(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("0,B,99999999999999999999999", id="count_over_int64"),
+        pytest.param("99999999999999999999999,B,1", id="trial_over_int64"),
+        pytest.param("0,B," + "1" * 200_000, id="field_over_csv_size_limit"),
+    ])
+    def test_oversized_value_rejected(self, tmp_path, row):
+        path = tmp_path / "big.csv"
+        path.write_text(f"trial,initial,n_1\n1,D,0\n{row}\n")
+        with pytest.raises(DataFormatError) as err:
+            read_counts_csv(path)
+        assert err.value.line == 3
+
     def test_header_only_reports_line_after_header(self, tmp_path):
         path = tmp_path / "header_only.csv"
         path.write_text("# a\n# b\n# c\ntrial,initial,n_1\n")
