@@ -10,9 +10,13 @@ All classifiers are pure functions.  The batch entry points operate on
 (n_trials, n_bins) count arrays in the log domain and can evaluate every
 prefix of the window in one pass, which is what the sweep harness uses.
 They reject negative and fractional counts; the scalar classifiers wrap
-them on one row.  The single-change formula gathers each bin's Poisson
-log-pmf from a vector over 0..max count instead of evaluating it per cell.
-The hidden-Markov product is a scaled forward filter
+them on one row.  Inside, both kernels run bin-major, on (n_bins,
+n_trials) arrays, so each bin reads and writes contiguous rows; prefix
+results come back as transposed views.  The single-change formula gathers
+each bin's Poisson log-pmf from a vector over 0..max count instead of
+evaluating it per cell, and forms its running sums with one elementwise
+add or logaddexp per bin, the operations of ``ufunc.accumulate`` in its
+order.  The hidden-Markov product is a scaled forward filter
 (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four
 length-n_trials arrays hold the entries of every trial's accumulated 2x2
 product, each bin updates them elementwise from four gathered columns of
@@ -179,16 +183,24 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     else:
         log_pb, log_pd = log_mixed, log_pure
     if prefixes:
-        return log_pb, log_pd, np.array(clamped)
-    return log_pb[:, -1], log_pd[:, -1], clamped[:, -1].copy()
+        return log_pb.T, log_pd.T, np.array(clamped).T
+    return log_pb[-1], log_pd[-1], clamped[-1].copy()
+
+
+def _running(ufunc, rows: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate(rows, axis=0)`` in place and bit for bit, one
+    contiguous elementwise call per row."""
+    for k in range(1, len(rows)):
+        ufunc(rows[k - 1], rows[k], out=rows[k])
+    return rows
 
 
 def _single_change_terms(counts, params: RateParams, tau: float | None,
                          decaying: IonState):
-    """Every-prefix log terms of the single-change formula.
+    """Every-prefix log terms of the single-change formula, bin-major.
 
     Returns (log_pure, log_stay, log_change, clamped), each of shape
-    (n_trials, n_bins): the stable hypothesis, then the no-change and the
+    (n_bins, n_trials): the stable hypothesis, then the no-change and the
     changed term of the changeable one, whose sum is its likelihood.
     ``clamped`` marks prefixes whose linear-in-t_b prefactor went negative
     and was clamped to zero.
@@ -197,15 +209,13 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    counts2d = _as_count_matrix(counts)
-    n, m = counts2d.shape
+    counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
+    m, n = counts_t.shape
     # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
-    hi = int(counts2d.max(initial=0))
-    cells, index = (np.arange(hi + 1), counts2d) if hi < counts2d.size else (counts2d, ...)
-    log_pb_bin = _poisson_logpmf(cells, params.bright_mean)[index]
-    log_pd_bin = _poisson_logpmf(cells, params.dark_mean)[index]
-    cum_b = np.cumsum(log_pb_bin, axis=1)
-    cum_d = np.cumsum(log_pd_bin, axis=1)
+    hi = int(counts_t.max(initial=0))
+    cells, index = (np.arange(hi + 1), counts_t) if hi < counts_t.size else (counts_t, ...)
+    cum_b = _running(np.add, _poisson_logpmf(cells, params.bright_mean)[index])
+    cum_d = _running(np.add, _poisson_logpmf(cells, params.dark_mean)[index])
     if decaying is IonState.DARK:
         cum_stay, cum_after = cum_d, cum_b
     else:
@@ -213,15 +223,16 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
     # Change during bin i contributes exp(cum_stay[i-1] + cum_after[k]
     # - cum_after[i-1]) to the k-bin prefix; factor exp(cum_after[k]) out of
     # the inner sum.
-    delta = np.concatenate([np.zeros((n, 1)), cum_stay - cum_after], axis=1)[:, :-1]
-    inner = np.logaddexp.accumulate(delta, axis=1)
+    inner = np.zeros((m, n))
+    np.subtract(cum_stay[:-1], cum_after[:-1], out=inner[1:])
+    _running(np.logaddexp, inner)
     k = np.arange(1, m + 1)
     prefac = 1.0 - k * params.t_s / tau
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    return (cum_after, log_prefac[None, :] + cum_stay,
-            log_rate + cum_after + inner, np.broadcast_to(prefac < 0, (n, m)))
+    return (cum_after, log_prefac[:, None] + cum_stay,
+            log_rate + cum_after + inner, np.broadcast_to((prefac < 0)[:, None], (m, n)))
 
 
 def simple_time_resolved_classify(counts, params: RateParams,
@@ -238,7 +249,7 @@ def simple_time_resolved_classify(counts, params: RateParams,
     single-change expansion has left its domain of validity.
     """
     decaying = IonState(decaying)
-    *logs, clamped = (term[0, -1] for term in _single_change_terms(
+    *logs, clamped = (term[-1, 0] for term in _single_change_terms(
         _as_counts(counts), params, tau, decaying))
     flags = ()
     if clamped:
@@ -267,24 +278,26 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable,
     The product is kept as four length-n_trials arrays (a00, a01, a10, a11),
     entry [i, j] of each trial's 2x2 matrix: rows are the state after the
     window, columns the initial state.  Each bin gathers the four entry
-    columns of ``table.entries`` at that bin's clamped counts (s00 .. s11)
-    and forms the matrix product step x acc with eight elementwise
-    multiplies and four adds, then divides the four arrays by their sum and
-    adds its log to ``log_scale``, so arbitrarily long windows stay in
-    range.  Returns ((a00, a01, a10, a11), log_scale); the column
-    sums a00 + a10 and a01 + a11 are the initial-state likelihoods over
-    ``exp(log_scale)``.  ``prefix_logs``, a pair of (n_trials, n_bins)
+    columns of ``table.entries`` at its row of the clamped counts, copied
+    bin-major at the narrowest dtype that holds n_max (s00 .. s11), and
+    forms the matrix product step x acc with eight elementwise multiplies
+    and four adds, then divides the four arrays by their sum and adds its
+    log to ``log_scale``, so arbitrarily long windows stay in range.
+    Returns ((a00, a01, a10, a11), log_scale); the column sums a00 + a10
+    and a01 + a11 are the initial-state likelihoods over
+    ``exp(log_scale)``.  ``prefix_logs``, a pair of (n_bins, n_trials)
     arrays, receives every prefix's initial-state log-likelihoods when given.
     """
     n, m = counts2d.shape
-    clamped = table.clamp_counts(counts2d)
+    rows = np.ascontiguousarray(table.clamp_counts(counts2d).T,
+                                dtype=np.min_scalar_type(table.n_max))
     columns = table.entries.reshape(-1, 4).T.copy()    # rows: s00, s01, s10, s11
     step = np.empty((4, n))
     a00, a01, a10, a11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
     log_scale = np.zeros(n)
     with np.errstate(divide="ignore"):
         for k in range(m):
-            s00, s01, s10, s11 = np.take(columns, clamped[:, k], axis=1, out=step)
+            s00, s01, s10, s11 = np.take(columns, rows[k], axis=1, out=step)
             a00, a01, a10, a11 = (s00 * a00 + s01 * a10, s00 * a01 + s01 * a11,
                                   s10 * a00 + s11 * a10, s10 * a01 + s11 * a11)
             norm = a00 + a01 + a10 + a11
@@ -293,8 +306,8 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable,
                 a /= norm
             log_scale += np.log(norm)
             if prefix_logs is not None:
-                prefix_logs[0][:, k] = np.log(a00 + a10) + log_scale
-                prefix_logs[1][:, k] = np.log(a01 + a11) + log_scale
+                prefix_logs[0][k] = np.log(a00 + a10) + log_scale
+                prefix_logs[1][k] = np.log(a01 + a11) + log_scale
     return (a00, a01, a10, a11), log_scale
 
 
@@ -303,13 +316,13 @@ def general_loglik(counts: np.ndarray, table: ObservationTable,
     """Log initial-state likelihoods under the full hidden-Markov model.
 
     Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
-    with ``prefixes``.
+    with ``prefixes``, the latter as transposed views of bin-major arrays.
     """
     counts2d = _as_count_matrix(counts)
     if prefixes:
-        out = (np.empty(counts2d.shape), np.empty(counts2d.shape))
+        out = (np.empty(counts2d.shape[::-1]), np.empty(counts2d.shape[::-1]))
         _forward_product(counts2d, table, out)
-        return out
+        return out[0].T, out[1].T
     (a00, a01, a10, a11), log_scale = _forward_product(counts2d, table)
     with np.errstate(divide="ignore"):
         return np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale

@@ -11,9 +11,13 @@ window has exactly the distribution of a shorter simulation, so prefix rows
 are statistically identical to per-point runs while sharing trajectories
 across t_b values.
 
-Likelihood rules score each distinct count record once: equal rows get
-equal log-likelihoods, so the kernel runs on one row per record (grouped by
-its bytes) and the results are gathered back.  Grouping is skipped where it
+A sweep tallies each column's errors without building decision arrays.
+Count rules read the optimum and the tallies of every column from one
+histogram of prefix totals per state.  Likelihood rules score each
+distinct count record once: equal rows get equal log-likelihoods, so the
+kernel runs on one row per record (grouped by its bytes), and a column's
+comparison on those rows is weighted by how many trials hold each record;
+single decisions are gathered back instead.  Grouping is skipped where it
 cannot pay: below 1024 rows, with a count above 255, or when over half of
 the first 1024 rows are distinct, as in bright windows of many bins.
 """
@@ -100,11 +104,12 @@ class Classifier:
 
     Built by :func:`resolve_classifier`, the one place that maps a method
     name to its rule.  ``decide`` gives decision codes per row over the
-    whole window; ``column_decisions`` gives one (classifier,
-    decisions_bright, decisions_dark) triple per prefix column, the
-    classifier carrying any threshold optimized on that column.  Reports
-    carry ``label`` as the classifier name, ``detail`` for its parameters
-    and ``n_c`` as the count cutoff (None for likelihood rules).
+    whole window; ``column_tallies`` gives one (classifier, tally_bright,
+    tally_dark) triple per prefix column, the classifier carrying any
+    threshold optimized on that column and each tally the (n, retained,
+    wrong) trial counts of one preparation.  Reports carry ``label`` as the
+    classifier name, ``detail`` for its parameters and ``n_c`` as the count
+    cutoff (None for likelihood rules).
     """
 
     label: ClassVar[str]
@@ -124,11 +129,20 @@ class Classifier:
             decisions_bright, decisions_dark, classifier=self.label,
             detail=self.detail, t_b=t_b, r=r, n_c=self.n_c)
 
+    def column_reports(self, counts_bright, counts_dark, t_bs, cols, params, r=1.0):
+        """One report per prefix column, at the matching t_b."""
+        tallies = self.column_tallies(counts_bright, counts_dark, cols, params)
+        return [report_from_tallies(bright, dark, classifier=rule.label, detail=rule.detail,
+                                    t_b=t_b, r=r, n_c=rule.n_c)
+                for t_b, (rule, bright, dark) in zip(t_bs, tallies, strict=True)]
+
 
 @dataclass(frozen=True)
 class _CountRule(Classifier):
-    """A rule on the total count: Bright above ``n_c``, which "optimize"
-    leaves to be chosen per window from the error landscape."""
+    """A rule on the total count: Dark at or below ``n_D``, Bright above
+    ``n_c`` (the spec's n_B for a double threshold), else Inconclusive.
+    ``n_c`` "optimize" leaves the cut to be chosen per window from the
+    error landscape."""
 
     n_c: int | str
 
@@ -139,23 +153,45 @@ class _CountRule(Classifier):
         return self
 
     def decide(self, counts, params=None, logs=None):
-        return self.fixed()._decide(np.asarray(counts).sum(axis=1))
+        rule = self.fixed()
+        return cl.double_threshold_decide(np.asarray(counts).sum(axis=1), rule.n_D, rule.n_c)
 
-    def optimum(self, totals_bright, totals_dark, grid=None):
+    def optimum(self, cdf_b, cdf_d, grid=None):
         """(classifier at the error-minimizing cutoff, grid, mean error at
-        each grid value); ties resolve to the smaller cutoff."""
-        values, eps = self._landscape(totals_bright, totals_dark, grid)
+        each grid value) from the cumulative total histograms of one window;
+        ties resolve to the smaller cutoff."""
+        values, eps = self._landscape(cdf_b, cdf_d, grid)
         return replace(self, n_c=int(values[np.argmin(eps)])), values, eps
 
-    def column_decisions(self, counts_bright, counts_dark, cols, params=None):
-        cum_b = np.cumsum(counts_bright, axis=1)
-        cum_d = np.cumsum(counts_dark, axis=1)
+    def column_tallies(self, counts_bright, counts_dark, cols, params=None):
+        # A grid wider than a column's largest total only repeats the error
+        # at that total, so the shared width leaves every optimum as it is.
         out = []
-        for col in cols:
-            tot_b, tot_d = cum_b[:, col], cum_d[:, col]
-            rule = self.optimum(tot_b, tot_d)[0] if self.n_c == "optimize" else self
-            out.append((rule, rule._decide(tot_b), rule._decide(tot_d)))
+        for cdf_b, cdf_d in zip(*_prefix_cdfs(counts_bright, counts_dark, cols)):
+            rule = self.optimum(cdf_b, cdf_d)[0] if self.n_c == "optimize" else self
+            out.append((rule, *rule._tallies(cdf_b, cdf_d)))
         return out
+
+    def _tallies(self, cdf_b, cdf_d):
+        """(n, retained, wrong) per state from its cumulative histogram."""
+        low, high = np.minimum((self.n_D, self.n_c), cdf_b.size - 1)
+        out = []
+        for cdf, wrong_is_bright in ((cdf_b, False), (cdf_d, True)):
+            n, dark, not_bright = int(cdf[-1]), int(cdf[low]), int(cdf[high])
+            out.append((n, n - (not_bright - dark), n - not_bright if wrong_is_bright else dark))
+        return out
+
+
+def _prefix_cdfs(counts_bright, counts_dark, cols):
+    """Cumulative histograms of each state's prefix totals: one (len(cols),
+    width) array per state, row i over the totals 0..width-1 of column
+    cols[i]; the width is shared and leaves each row's last entry at n."""
+    totals = [cl._running(np.add, np.ascontiguousarray(counts.T))[cols]
+              for counts in (counts_bright, counts_dark)]   # bin-major
+    width = max(int(t.max(initial=0)) for t in totals) + 2
+    offsets = np.arange(len(cols))[:, None] * width
+    return [np.cumsum(np.bincount((t + offsets).ravel(), minlength=len(cols) * width)
+                      .reshape(len(cols), width), axis=1) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -166,28 +202,24 @@ class ThresholdClassifier(_CountRule):
     def detail(self):
         return f"n_c={self.n_c}"
 
-    def _decide(self, totals):
-        return cl.threshold_decide(totals, self.n_c)
+    @property
+    def n_D(self):          # a single cut: nothing is Inconclusive
+        return self.n_c
 
-    def _landscape(self, totals_bright, totals_dark, grid):
+    def _landscape(self, cdf_b, cdf_d, grid):
         """Mean error of the single-threshold rule at every grid value."""
-        hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0)))
+        hi = cdf_b.size - 2
         grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
         if np.any(grid < 0):
             raise ConfigError("n_c grid values must be >= 0")
-        cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
-        cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
         idx = np.minimum(grid, hi + 1)
-        eps_b = cdf_b[idx] / totals_bright.size          # bright decided dark
-        eps_d = 1.0 - cdf_d[idx] / totals_dark.size      # dark decided bright
+        eps_b = cdf_b[idx] / cdf_b[-1]          # bright decided dark
+        eps_d = 1.0 - cdf_d[idx] / cdf_d[-1]    # dark decided bright
         return grid, 0.5 * (eps_b + eps_d)
 
 
 @dataclass(frozen=True)
 class DoubleThresholdClassifier(_CountRule):
-    """Dark at or below ``n_D``, Bright above ``n_c`` (the spec's n_B), else
-    Inconclusive."""
-
     n_D: int
     label = "double_threshold"
 
@@ -195,24 +227,18 @@ class DoubleThresholdClassifier(_CountRule):
     def detail(self):
         return f"n_D={self.n_D};n_B={self.n_c}"
 
-    def _decide(self, totals):
-        return cl.double_threshold_decide(totals, self.n_D, self.n_c)
-
-    def _landscape(self, totals_bright, totals_dark, grid):
+    def _landscape(self, cdf_b, cdf_d, grid):
         """Mean relative error of the two-threshold rule over the n_B grid."""
-        n_d = self.n_D
-        hi = int(max(totals_bright.max(initial=0), totals_dark.max(initial=0), n_d))
-        grid = (np.arange(n_d, hi + 1) if grid is None
+        n_d, top = self.n_D, cdf_b.size - 1
+        grid = (np.arange(n_d, max(top - 1, n_d) + 1) if grid is None
                 else np.asarray(sorted(grid), dtype=int))
         if np.any(grid < n_d):
             raise ConfigError("n_B grid values must be >= n_D")
-        cdf_b = np.cumsum(np.bincount(totals_bright, minlength=hi + 2))
-        cdf_d = np.cumsum(np.bincount(totals_dark, minlength=hi + 2))
-        idx = np.minimum(grid, hi + 1)
-        wrong_b = cdf_b[n_d]
-        kept_b = totals_bright.size - (cdf_b[idx] - cdf_b[n_d])
-        wrong_d = totals_dark.size - cdf_d[idx]
-        kept_d = totals_dark.size - (cdf_d[idx] - cdf_d[n_d])
+        idx = np.minimum(grid, top)
+        wrong_b = cdf_b[min(n_d, top)]
+        kept_b = cdf_b[-1] - (cdf_b[idx] - wrong_b)
+        wrong_d = cdf_d[-1] - cdf_d[idx]
+        kept_d = cdf_d[-1] - (cdf_d[idx] - cdf_d[min(n_d, top)])
         with np.errstate(invalid="ignore", divide="ignore"):
             eps = 0.5 * (wrong_b / kept_b + wrong_d / kept_d)
         return grid, np.where((kept_b > 0) & (kept_d > 0), eps, np.inf)
@@ -260,16 +286,22 @@ class _LikelihoodRule(Classifier):
         logs, inverse = (logs, ...) if logs is not None else self._scored(counts, params, False)
         return cl.decide_from_logs(*logs)[inverse]
 
-    def column_decisions(self, counts_bright, counts_dark, cols, params):
-        # The last column alone needs no prefix outputs; one comparison then
-        # decides every column, on distinct rows only.
+    def column_tallies(self, counts_bright, counts_dark, cols, params):
+        # The last column alone needs no prefix outputs.  One comparison per
+        # state decides every column on the distinct rows, each weighted by
+        # the number of trials holding its record.
         prefixes = list(cols) != [counts_bright.shape[1] - 1]
-        decisions = []
-        for counts in (counts_bright, counts_dark):
-            logs, inverse = self._scored(counts, params, prefixes)
-            logs = (log[:, cols] if prefixes else log[:, None] for log in logs)
-            decisions.append(cl.decide_from_logs(*logs)[inverse].T)
-        return [(self, dec_b, dec_d) for dec_b, dec_d in zip(*decisions)]
+        tallies = []
+        for counts, wrong_is_bright in ((counts_bright, False), (counts_dark, True)):
+            (log_b, log_d), inverse = self._scored(counts, params, prefixes)
+            brighter = (log_b > log_d).T        # bin-major: one row per column
+            brighter = brighter[cols] if prefixes else brighter[None]
+            weights = (np.bincount(inverse) if inverse is not ...
+                       else np.ones(brighter.shape[1], dtype=np.int64))
+            n = counts.shape[0]
+            tallies.append([(n, n, int(k) if wrong_is_bright else n - int(k))
+                            for k in brighter @ weights])
+        return [(self, bright, dark) for bright, dark in zip(*tallies)]
 
 
 @dataclass(frozen=True)
@@ -402,17 +434,22 @@ def report_from_decisions(decisions_bright, decisions_dark, *, classifier, detai
                           t_b, r=1.0, n_c=None, epsilon_analytic=None,
                           N_R_analytic=None) -> ErrorReport:
     """Assemble an ErrorReport from per-trial decision codes."""
-    stats = []
-    for codes, wrong_code in ((decisions_bright, Decision.DARK),
-                              (decisions_dark, Decision.BRIGHT)):
-        codes = np.asarray(codes)
-        n = codes.size
-        kept = codes != Decision.INCONCLUSIVE
-        retained = int(np.count_nonzero(kept))
-        wrong = int(np.count_nonzero(codes == wrong_code))
-        eps = wrong / retained if retained else float("nan")
-        stats.append((n, retained, wrong, eps))
-    (n_b, ret_b, wrong_b, eps_b), (n_d, ret_d, wrong_d, eps_d) = stats
+    tallies = [(codes.size, int(np.count_nonzero(codes != Decision.INCONCLUSIVE)),
+                int(np.count_nonzero(codes == wrong_code)))
+               for codes, wrong_code in ((np.asarray(decisions_bright), Decision.DARK),
+                                         (np.asarray(decisions_dark), Decision.BRIGHT))]
+    return report_from_tallies(
+        *tallies, classifier=classifier, detail=detail, t_b=t_b, r=r, n_c=n_c,
+        epsilon_analytic=epsilon_analytic, N_R_analytic=N_R_analytic)
+
+
+def report_from_tallies(bright, dark, *, classifier, detail, t_b, r=1.0, n_c=None,
+                        epsilon_analytic=None, N_R_analytic=None) -> ErrorReport:
+    """Assemble an ErrorReport from the (n, retained, wrong) trial counts of
+    each preparation."""
+    (n_b, ret_b, wrong_b), (n_d, ret_d, wrong_d) = bright, dark
+    eps_b, eps_d = (wrong / ret if ret else float("nan")
+                    for ret, wrong in ((ret_b, wrong_b), (ret_d, wrong_d)))
     defined = ret_b > 0 and ret_d > 0
     if defined:
         epsilon = 0.5 * (eps_b + eps_d)
@@ -441,9 +478,9 @@ def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
         raise ValueError("ensembles must share (t_b, t_s)")
     params = params or ensemble_bright.params or ensemble_dark.params
     clf = resolve_classifier(classifier).fixed()
-    ((rule, dec_b, dec_d),) = clf.column_decisions(
-        ensemble_bright.counts, ensemble_dark.counts, [ensemble_bright.n_bins - 1], params)
-    return rule.report(dec_b, dec_d, t_b=ensemble_bright.t_b)
+    (report,) = clf.column_reports(ensemble_bright.counts, ensemble_dark.counts,
+                                   [ensemble_bright.t_b], [ensemble_bright.n_bins - 1], params)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +512,8 @@ def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
              f"unknown threshold family {family!r}")
     rule = resolve_classifier({"method": family, "n_c": "optimize",
                                "n_D": n_D, "n_B": "optimize"})
-    best, values, eps = rule.optimum(ensemble_bright.counts.sum(axis=1),
-                                     ensemble_dark.counts.sum(axis=1), grid)
+    (cdf_b,), (cdf_d,) = _prefix_cdfs(ensemble_bright.counts, ensemble_dark.counts, [-1])
+    best, values, eps = rule.optimum(cdf_b, cdf_d, grid)
     return ThresholdOptimum(best=best.n_c,
                             report=evaluate(ensemble_bright, ensemble_dark, best),
                             landscape=tuple(zip(values.tolist(), eps.tolist())))
@@ -695,12 +732,9 @@ def evaluate_prefixes(spec: SweepSpec, ens_b: Ensemble, ens_d: Ensemble,
     """Evaluate the configured classifiers on existing ensembles at every t_b."""
     params = ens_b.params or spec.params.scaled(r)
     cols = [n_bins(t_b, spec.t_s) - 1 for t_b in spec.t_b_values]
-    rows = []
-    for clf in map(resolve_classifier, spec.classifiers):
-        columns = clf.column_decisions(ens_b.counts, ens_d.counts, cols, params)
-        for t_b, (rule, dec_b, dec_d) in zip(spec.t_b_values, columns):
-            rows.append(rule.report(dec_b, dec_d, t_b=t_b, r=r))
-    return rows
+    return [row for clf in map(resolve_classifier, spec.classifiers)
+            for row in clf.column_reports(ens_b.counts, ens_d.counts, spec.t_b_values,
+                                          cols, params, r)]
 
 
 # ---------------------------------------------------------------------------

@@ -203,38 +203,37 @@ class Ensemble:
 
 def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
                      threads: int = 1):
-    """Simulate all chunks; returns (counts, change_times)."""
-    n = config.n_trials
-    n_chunks = (n + CHUNK - 1) // CHUNK
-    results = [None] * n_chunks
+    """Simulate all chunks; returns (counts, change_times).  Each chunk writes
+    its own rows of one preallocated count array."""
+    blocks = list(_row_blocks(config.n_trials))
+    counts = np.empty((config.n_trials, config.n_bins), dtype=np.int64)
+    chunk_times = [None] * len(blocks)
 
     def run(ci: int):
-        start = ci * CHUNK
-        take = min(CHUNK, n - start)
-        init_chunk = initial_arr_for(start, take)
+        rows = blocks[ci]
+        take = rows.stop - rows.start
+        init_chunk = initial_arr_for(rows.start, take)
         rng_changes = _chunk_rng(config.seed, _STREAM_CHANGES, context, ci)
         rng_counts = _chunk_rng(config.seed, _STREAM_COUNTS, context, ci)
         times = _sample_changes_chunk(init_chunk, config.t_b, config.params,
                                       rng_changes)
         dwell = bright_dwell_per_bin(init_chunk, times, config.t_b, config.t_s)
         lam = config.params.R_D * config.t_s + config.params.R_B * dwell
-        cnt = rng_counts.poisson(lam)
-        results[ci] = (cnt[:take], times[:take])
+        counts[rows] = rng_counts.poisson(lam)[:take]
+        chunk_times[ci] = times[:take]
 
-    if threads > 1 and n_chunks > 1:
+    if threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_chunks)))
+            list(pool.map(run, range(len(blocks))))
     else:
-        for ci in range(n_chunks):
+        for ci in range(len(blocks)):
             run(ci)
 
-    counts = np.concatenate([r[0] for r in results], axis=0)
-    j_max = max(r[1].shape[1] for r in results)
-    times = np.full((n, j_max), np.nan)
-    for ci, r in enumerate(results):
-        times[ci * CHUNK:ci * CHUNK + r[1].shape[0], :r[1].shape[1]] = r[1]
+    times = np.full((config.n_trials, max(t.shape[1] for t in chunk_times)), np.nan)
+    for rows, t in zip(blocks, chunk_times):
+        times[rows, :t.shape[1]] = t
     return counts, times
 
 

@@ -7,6 +7,7 @@ regression cannot hide inside a shared helper.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from ionread.classifiers import (
     Decision,
     LikelihoodPair,
+    _running,
+    _single_change_terms,
     decide_from_logs,
     double_threshold_classify,
     double_threshold_decide,
@@ -552,6 +555,54 @@ class TestForwardFilterReference:
         _, pair = generalized_time_resolved_classify(counts, table)
         np.testing.assert_allclose(pair.matrix * np.exp(pair.log_scale), acc,
                                    rtol=1e-12, atol=0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPrefixColumnsExact:
+    """Prefix column k of either kernel is the final-only result on the first
+    k + 1 bins, bit for bit: the bin-major layout and the per-bin running
+    sums change no operation and no order of operations."""
+
+    # R_D = 0 gives -inf dark log-pmfs, so the running logaddexp sees -inf.
+    NO_DARK = RateParams(R_B=16.0, R_D=0.0, tau_B=4.9, tau_D=56.0, t_s=0.1)
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        cfg = SimConfig(n_trials=512, t_b=3.0, seed=23, params=P)
+        simulated = [simulate_ensemble(cfg, s).counts for s in IonState]
+        wide = np.random.default_rng(24).integers(0, 40, size=(256, 30))
+        return np.vstack([*simulated, wide])
+
+    def test_general(self, counts, table):
+        assert (counts > table.n_max).any()
+        prefix = general_loglik(counts, table, prefixes=True)
+        for k in range(counts.shape[1]):
+            final = general_loglik(counts[:, :k + 1], table)
+            assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
+    @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
+    @pytest.mark.parametrize("decaying", list(IonState))
+    def test_simple(self, counts, params, tau, decaying):
+        if tau is not None or params is self.NO_DARK:     # -inf terms are covered
+            terms = _single_change_terms(counts, params, tau, decaying)[:3]
+            assert any(np.isneginf(term).any() for term in terms)
+        prefix = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
+        for k in range(counts.shape[1]):
+            final = simple_loglik(counts[:, :k + 1], params, tau, decaying=decaying)
+            assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
+
+    def test_running_equals_accumulate(self):
+        rng = np.random.default_rng(25)
+        x = rng.normal(scale=30.0, size=(40, 300))
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        for ufunc in (np.add, np.logaddexp):
+            assert _same_bits(_running(ufunc, x.copy()), ufunc.accumulate(x, axis=0))
 
 
 class TestLikelihoodPair:

@@ -19,9 +19,11 @@ from ionread import harness
 from ionread.classifiers import (
     Decision,
     decide_from_logs,
+    double_threshold_decide,
     general_loglik,
     pi_pulse_error,
     simple_loglik,
+    threshold_decide,
 )
 from ionread.harness import (
     REPORT_COLUMNS,
@@ -51,6 +53,7 @@ from ionread.photon_model import (
     build_observation_table,
 )
 from ionread.trajectory import (
+    Ensemble,
     SimConfig,
     ensembles_from_counts,
     n_bins,
@@ -446,6 +449,85 @@ class TestEntryPointsAgree:
             last.classifier, last.detail, last.n_c)
 
 
+class TestPrefixTallies:
+    """``evaluate_prefixes`` tallies each column's errors instead of building
+    decision arrays.  Every row equals, field by field, a report built here
+    with ``report_from_decisions`` from the per-trial decisions of direct
+    rule and kernel calls on the truncated window."""
+
+    CLASSIFIERS = (
+        {"method": "threshold", "n_c": "optimize"},
+        {"method": "threshold", "n_c": 2},
+        {"method": "double_threshold", "n_D": 0, "n_B": "optimize"},
+        {"method": "double_threshold", "n_D": 1, "n_B": 6},
+        {"method": "double_threshold", "n_D": 0, "n_B": 1000},
+        {"method": "simple", "decaying": "bright"},
+        {"method": "simple", "tau_ms": 0.5},        # prefactor clamped past 0.5 ms
+        {"method": "simple", "tau_ms": math.inf},
+        {"method": "general"},
+    )
+    # R_B = 0 makes both states emit alike: the single-change formula with
+    # tau = inf then ties exactly on every record, and with 5 dark counts
+    # per bin no trial keeps a zero total past one bin, so the n_B = 1000
+    # double threshold retains nothing there.  The generalized method
+    # refuses a table without signal, so it sits this case out.
+    EDGE_PARAMS = RateParams(R_B=0.0, R_D=50.0, tau_B=4.9, tau_D=56.0, t_s=0.1)
+
+    @staticmethod
+    def _reference(clf, counts_b, counts_d, t_b, params, r):
+        m = n_bins(t_b, params.t_s)
+        counts_b, counts_d = counts_b[:, :m], counts_d[:, :m]
+        if getattr(clf, "n_c", None) == "optimize":
+            n_d = getattr(clf, "n_D", 0)
+            best = optimize_threshold(Ensemble(IonState.BRIGHT, counts_b, None, t_b, params.t_s),
+                                      Ensemble(IonState.DARK, counts_d, None, t_b, params.t_s),
+                                      family=clf.label, n_D=n_d).best
+            clf = resolve_classifier({"method": clf.label, "n_c": best, "n_D": n_d, "n_B": best})
+
+        def decide(counts):
+            if clf.label == "threshold":
+                return threshold_decide(counts.sum(axis=1), clf.n_c)
+            if clf.label == "double_threshold":
+                return double_threshold_decide(counts.sum(axis=1), clf.n_D, clf.n_c)
+            if clf.label == "generalized_time_resolved":
+                return decide_from_logs(*general_loglik(counts, harness.observation_table_for(params)))
+            return decide_from_logs(*simple_loglik(counts, params, clf.tau_ms,
+                                                   decaying=clf.decaying)[:2])
+
+        return report_from_decisions(decide(counts_b), decide(counts_d), classifier=clf.label,
+                                     detail=clf.detail, t_b=t_b, r=r, n_c=clf.n_c)
+
+    def _check(self, params, t_b_values, r, seed, classifiers=CLASSIFIERS):
+        spec = SweepSpec(t_b_values=t_b_values, n_trials=2048, seed=seed, params=params,
+                         classifiers=classifiers)
+        ens_b, ens_d = _sim_pair(params.scaled(r), t_b_values[-1], 2048, seed=seed)
+        rows = evaluate_prefixes(spec, ens_b, ens_d, r=r)
+        expect = [self._reference(resolve_classifier(c), ens_b.counts, ens_d.counts, t_b,
+                                  params.scaled(r), r)
+                  for c in classifiers for t_b in t_b_values]
+        assert len(rows) == len(expect)
+        for got, ref in zip(rows, expect):
+            assert repr(got) == repr(ref)
+        return rows, ens_b, ens_d
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_rows_equal_decision_reference(self, r):
+        self._check(DEFAULT_PARAMS, (0.1, 0.2, 0.5, 1.0), r, seed=61)
+
+    def test_undefined_column_and_exact_tie(self):
+        rows, ens_b, _ = self._check(self.EDGE_PARAMS, (0.1, 0.3), 1.0, seed=62,
+                                     classifiers=self.CLASSIFIERS[:-1])
+        wide = [row for row in rows if row.detail == "n_D=0;n_B=1000"]
+        assert wide[0].defined and not wide[1].defined
+        assert math.isnan(wide[1].epsilon) and wide[1].retained_bright == 0
+        log_b, log_d, _ = simple_loglik(ens_b.counts, self.EDGE_PARAMS, math.inf,
+                                        prefixes=True)
+        assert np.array_equal(log_b, log_d)
+        tie_rows = [row for row in rows if row.detail == "decaying=dark;tau=inf"]
+        assert [row.wrong_bright for row in tie_rows] == [2048, 2048]   # ties go to Dark
+        assert [row.wrong_dark for row in tie_rows] == [0, 0]
+
+
 class TestDistinctRecordScoring:
     """Likelihood rules score each distinct count record once; logs and
     decisions equal the direct kernel call on every row, bit for bit."""
@@ -504,19 +586,22 @@ class TestDistinctRecordScoring:
         assert np.array_equal(clf.decide(counts, DEFAULT_PARAMS), decide_from_logs(*final))
         assert np.array_equal(decisions_for(counts, spec, DEFAULT_PARAMS),
                               decide_from_logs(*final))
+        # Column tallies: the final column alone (no prefix outputs) and every
+        # other column.  Each column's per-row decisions come from ``decide``
+        # on the truncated window, which must match the prefix kernel row by
+        # row; the tallies must count them.  The dark side is every other
+        # row, so the two states' tallies differ.
         m = counts.shape[1]
-        ((_, dec_b, dec_d),) = clf.column_decisions(counts, counts[::-1], [m - 1],
-                                                    DEFAULT_PARAMS)
-        assert np.array_equal(dec_b, decide_from_logs(*final))
-        assert np.array_equal(dec_d, decide_from_logs(*final)[::-1])
         log_b, log_d = self._direct(spec, counts, True)
-        cols = list(range(m))[::2]
-        columns = clf.column_decisions(counts, counts[::-1], cols, DEFAULT_PARAMS)
-        for col, (rule_out, dec_b, dec_d) in zip(cols, columns, strict=True):
-            expect = decide_from_logs(log_b[:, col], log_d[:, col])
-            assert rule_out is clf
-            assert np.array_equal(dec_b, expect)
-            assert np.array_equal(dec_d, expect[::-1])
+        for cols in ([m - 1], list(range(m))[::2]):
+            tallies = clf.column_tallies(counts, counts[1::2], cols, DEFAULT_PARAMS)
+            for col, (rule_out, bright, dark) in zip(cols, tallies, strict=True):
+                expect = decide_from_logs(log_b[:, col], log_d[:, col])
+                assert np.array_equal(clf.decide(counts[:, :col + 1], DEFAULT_PARAMS), expect)
+                assert rule_out is clf
+                n_b, n_d = len(counts), len(counts[1::2])
+                assert bright == (n_b, n_b, int(np.count_nonzero(expect == Decision.DARK)))
+                assert dark == (n_d, n_d, int(np.count_nonzero(expect[1::2] == Decision.BRIGHT)))
 
     def test_clamp_tally_counts_every_repeated_count(self):
         table = harness.observation_table_for(DEFAULT_PARAMS)

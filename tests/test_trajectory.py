@@ -6,6 +6,7 @@ deterministic in practice for the pinned seeds.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ class TestReproducibility:
         assert np.array_equal(serial.counts, threaded.counts)
         assert np.array_equal(serial.change_times, threaded.change_times,
                               equal_nan=True)
+
+    def test_chunks_fill_shared_array_under_thread_switching(self):
+        # Chunks write disjoint rows of one preallocated count array; with
+        # more workers than cores and a tiny switch interval, a lost or
+        # misplaced row would show as a difference from the serial run.
+        cfg = SimConfig(n_trials=8 * CHUNK - 5, t_b=0.5, seed=80, params=P)
+        states = (np.arange(cfg.n_trials) % 2).astype(np.int8)
+        serial = (simulate_ensemble(cfg, IonState.DARK).counts,
+                  simulate_ensemble_from_states(cfg, states).counts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = (simulate_ensemble(cfg, IonState.DARK, threads=6).counts,
+                        simulate_ensemble_from_states(cfg, states, threads=6).counts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded, strict=True))
 
     def test_initial_states_use_distinct_streams(self):
         cfg = SimConfig(n_trials=1000, t_b=1.0, seed=79, params=P)
