@@ -26,10 +26,12 @@ from . import classifiers as cl
 from . import estimation as est
 from .harness import (
     ConfigError,
+    GeneralClassifier,
     compare_methods,
     config_int,
     decisions_to_csv,
     load_config,
+    observation_table_for,
     pi_pulse_sweep,
     rate_params_from_config,
     report_rows_to_csv,
@@ -122,6 +124,11 @@ def _cmd_classify(cfg: dict, args) -> int:
     params = rate_params_from_config(cfg)
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
+    if isinstance(clf, GeneralClassifier):
+        n_max = observation_table_for(params).n_max
+        if counts.max() > n_max:
+            print(f"warning: {(counts > n_max).sum()} counts exceed the table's n_max = {n_max} "
+                  f"(largest {counts.max()}); they are scored as {n_max}", file=sys.stderr)
     t_b = counts.shape[1] * params.t_s
     seed = int(args.seed) if args.seed is not None else 0
     logs = clf.likelihoods(counts, params)
@@ -258,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require(args.threads >= 1, "threads must be >= 1")
         cfg = load_config(args.config)
         args.out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args)

@@ -17,19 +17,20 @@ count, chunk execution order, or total trial count.
 
 CSV interchange: ensembles serialize to ``trial,initial,n_1,...,n_M`` rows
 (initial is ``B`` or ``D``); the same schema is the ingestion format for
-experimental data.  The reader skips ``#`` comment lines and blank lines,
-accepts quoted fields and reads the state label case-insensitively.  Any
-malformed row, an out-of-range count included, raises
+experimental data.  The reader takes ``\n`` or ``\r\n`` line ends (the
+last may be missing), skips ``#`` lines and empty or whitespace-only lines,
+and takes any field inside one pair of double quotes.  The label is ``B``,
+``D``, ``b`` or ``d``; trial ids and counts are an optional ``-`` and ASCII
+digits within int64, and a negative count is refused.  Anything else raises
 :class:`DataFormatError` with the file and its physical line number, and
-``ionread`` exits 3.  Change times can be written to a sidecar file for
+``ionread`` exits 3: among others a ``+`` sign, an ``_``, a non-ASCII digit,
+a space around a field, a quoted field that runs over two lines, or lone
+``\r`` line ends.  Change times can be written to a sidecar file for
 debugging; they are never required to classify.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class DataFormatError(ValueError):
     def __init__(self, path, line, message):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
-        self.line = line
+        self.line = int(line)
 
 
 def n_bins(t_b: float, t_s: float) -> int:
@@ -205,6 +206,8 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
                      threads: int = 1):
     """Simulate all chunks; returns (counts, change_times).  Each chunk writes
     its own rows of one preallocated count array."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     blocks = list(_row_blocks(config.n_trials))
     counts = np.empty((config.n_trials, config.n_bins), dtype=np.int64)
     chunk_times = [None] * len(blocks)
@@ -341,48 +344,98 @@ def write_change_times_csv(path, ensembles) -> None:
 
 
 def read_counts_csv(path):
-    """Read a counts CSV into (trial_ids, initial, counts) in one streaming
-    pass; the module docstring says what it accepts and rejects."""
-    line_no = 0
-    trials, initials = array("q"), bytearray()
-
-    def data_lines(fh):
-        nonlocal line_no
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip() and not line.startswith("#"):
-                yield line
-
-    def count_rows(rows, width):
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            trials.append(int(row[0]))
-            initials.append(IonState.from_label(row[1]))
-            counts = row[2:]
-            # Only a row with a minus sign can hold a negative count.
-            if "-" in "".join(counts) and min(map(int, counts)) < 0:
-                raise ValueError("negative photon count")
-            yield counts
-
-    with open(path, newline="") as fh:
-        rows = csv.reader(data_lines(fh))
-        try:
-            header = next(rows, None)
-            header_line = line_no
-            if header is not None:
-                if len(header) < 3 or header != ["trial", "initial"] + [
-                        f"n_{k}" for k in range(1, len(header) - 1)]:
-                    raise ValueError("header must be trial,initial,n_1,...,n_M")
-                cells = itertools.chain.from_iterable(count_rows(rows, len(header)))
-                counts = np.fromiter(map(int, cells), np.int64)
-        except (ValueError, OverflowError, csv.Error) as exc:
-            raise DataFormatError(path, line_no, str(exc)) from None
-    if header is None:
+    """Read a counts CSV into (trial_ids, initial, counts).  The file is read
+    once as bytes and tokenised with numpy in blocks of at most CHUNK data
+    lines; the module docstring says what it accepts and rejects."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    # Newlines are found 1 MiB at a time, so no per-byte array spans the file.
+    ends = np.concatenate([np.flatnonzero(buf[i:i + 2**20] == 10) + i
+                           for i in range(0, buf.size, 2**20)])
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= buf[ends - 1] == 13  # CRLF; before an empty line sits a newline, not a CR
+    comment = buf[starts] == 35
+    skip = comment.copy()
+    spaced = np.flatnonzero(np.isin(buf[starts], list(b" \t\n\r\v\f")))
+    skip[spaced] = [not data[s:e].strip()
+                    for s, e in zip(starts[spaced].tolist(), ends[spaced].tolist())]
+    lines = np.flatnonzero(~skip)
+    if lines.size == 0:
         raise DataFormatError(path, 1, "empty file")
-    if not trials:
-        raise DataFormatError(path, header_line + 1, "no data rows")
-    return (np.frombuffer(trials, np.int64), np.frombuffer(initials, np.int8),
-            counts.reshape(len(trials), -1))
+    header = [f[1:-1] if len(f) > 1 and f[0] == f[-1] == '"' else f for f in
+              data[starts[lines[0]]:ends[lines[0]]].decode(errors="replace").split(",")]
+    if len(header) < 3 or header != ["trial", "initial"] + [
+            f"n_{k}" for k in range(1, len(header) - 1)]:
+        raise DataFormatError(path, lines[0] + 1, "header must be trial,initial,n_1,...,n_M")
+    if lines.size == 1:
+        raise DataFormatError(path, lines[0] + 2, "no data rows")
+    lines, width = lines[1:], len(header)
+    trials, initials = np.empty(lines.size, np.int64), np.empty(lines.size, np.int8)
+    counts = np.empty((lines.size, width - 2), np.int64)
+    for r0 in range(0, lines.size, CHUNK):
+        rows = lines[r0:r0 + CHUNK]
+        lo = starts[rows[0]]
+        b = buf[lo:ends[rows[-1]] + 1]
+        s, e = starts[rows] - lo, ends[rows] - lo
+        inner = rows[0] + np.flatnonzero(comment[rows[0]:rows[-1]])
+        if inner.size:  # a comment between rows holds no separators
+            b = b.copy()
+            for c in inner:
+                b[starts[c] - lo:ends[c] - lo] = 35
+        commas = np.flatnonzero(b == 44)
+        per_line = np.diff(np.searchsorted(commas, s), append=commas.size)
+        ragged = np.flatnonzero(per_line != width - 1)
+        k = ragged[0] if ragged.size else rows.size  # rows before k have width fields
+        sep = np.empty((k, width + 1), np.intp)
+        sep[:, 0], sep[:, -1] = s[:k] - 1, e[:k]
+        sep[:, 1:-1] = commas[:k * (width - 1)].reshape(k, width - 1)
+        ds, fe = sep[:, :-1] + 1, sep[:, 1:]  # each field's first byte and its end
+        lead = b[ds]
+        if (lead == 34).any():  # strip one pair of quotes around a field
+            quoted = (fe - ds >= 2) & (lead == 34) & (b[fe - 1] == 34)
+            ds, fe = ds + quoted, fe - quoted
+            lead = b[ds]
+        label = lead[:, 1] | 32  # lower case
+        minus = lead == 45
+        minus[:, 1] = False
+        ds += minus
+        nd = fe - ds  # digits of each integer field
+        # One gather reads every one-digit field; longer ones take place values.
+        v = (b[ds] - np.uint8(48)).astype(np.uint64)
+        multi = np.flatnonzero(nd > 1)
+        places = np.minimum(nd.ravel()[multi], 19)
+        for n in np.unique(places):
+            at = multi[places == n]
+            v.ravel()[at] = ((b[ds.ravel()[at, None] + np.arange(n)] - np.uint8(48))
+                             @ 10 ** np.arange(n - 1, -1, -1, dtype=np.uint64))
+        v = v.view(np.int64)  # 19-digit values above the int64 maximum turn negative
+        over = (nd > 19) | ((nd == 19) & (v < 0))
+        v[minus] *= -1
+        fail = (nd < 1) | over
+        fail[:, 1] = (nd[:, 1] != 1) | ((label != 98) & (label != 100))
+        fail[:, 2:] |= v[:, 2:] < 0
+        # The rest of an integer field is digits: a line holds as many as these fields are long.
+        digit = ((b[:e[k - 1] + 1] - np.uint8(48)) < 10).view(np.uint8)
+        bad = fail.any(axis=1) | (np.add.reduceat(digit, s[:k], dtype=np.int32)
+                                  != nd.sum(axis=1) - nd[:, 1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            wrong = np.array([not data[lo + a:lo + z].isdigit() for a, z in zip(ds[i], fe[i])])
+            wrong[1] = fail[i, 1]
+            j = int(np.argmax(wrong | fail[i]))
+            text = repr(data[lo + ds[i, j] - minus[i, j]:lo + fe[i, j]].decode(errors="replace"))
+            raise DataFormatError(path, rows[i] + 1, (
+                f"unknown state label {text}, expected 'B' or 'D'" if j == 1 else
+                f"invalid literal for int() with base 10: {text}" if wrong[j] else
+                f"integer out of int64 range: {text}" if over[i, j] else "negative photon count"))
+        if k < rows.size:
+            raise DataFormatError(path, rows[k] + 1,
+                                  f"expected {width} fields, got {per_line[k] + 1}")
+        trials[r0:r0 + k], initials[r0:r0 + k], counts[r0:r0 + k] = v[:, 0], label == 100, v[:, 2:]
+    return trials, initials, counts
 
 
 def ensembles_from_counts(initials: np.ndarray, counts: np.ndarray,

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from ionread import classifiers
 from ionread.cli import main
 from ionread.harness import evaluate
-from ionread.photon_model import DEFAULT_PARAMS, IonState
+from ionread.photon_model import DEFAULT_PARAMS, IonState, build_observation_table
 from ionread.trajectory import SimConfig, read_counts_csv, simulate_ensemble
 
 
@@ -186,6 +187,18 @@ class TestSimulateClassify:
         assert calls == [(128, 5)]
         assert (out / "report.csv").exists()
 
+    def test_classify_warns_about_counts_above_the_table(self, tmp_path, capsys):
+        csv_path = tmp_path / "hot.csv"
+        csv_path.write_text("trial,initial,n_1,n_2\n0,B,3,99\n1,D,0,1\n")
+        n_max = build_observation_table(DEFAULT_PARAMS).n_max
+        for method, warning in (("general", [
+                f"warning: 1 counts exceed the table's n_max = {n_max} (largest 99); "
+                f"they are scored as {n_max}"]), ("simple", [])):
+            cfg = _config(tmp_path, classify={"input": str(csv_path),
+                                              "classifier": {"method": method}})
+            assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+            assert capsys.readouterr().err.splitlines() == warning
+
     def test_classify_rejects_unoptimized_threshold_before_reading(
             self, tmp_path, capsys):
         # The input is malformed: reading it first would exit 3.
@@ -316,6 +329,16 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = _config(tmp_path, simulate={"t_b_ms": 0.5, "n_trials": 10, "seed": 1})
+        running = threading.active_count()
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path),
+                     "--threads", threads]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "counts.csv").exists()
+        assert threading.active_count() == running
 
     def test_out_of_range_count(self, tmp_path, capsys):
         csv_path = tmp_path / "big.csv"

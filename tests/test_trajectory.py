@@ -5,8 +5,11 @@ Statistical checks run at 5 sigma (or KS significance 1e-3) so they are
 deterministic in practice for the pinned seeds.
 """
 
+import csv
 import hashlib
+import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -59,6 +62,49 @@ def python_dwell(initial, change_times, t_b, t_s):
                 dwell[k] += max(0.0, min(hi, b) - max(lo, a))
         state = 1 - state
     return dwell
+
+
+def reference_read_counts_csv(path):
+    """The counts CSV read row by row with the csv module: the reference for
+    the bulk reader on valid files."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+    header, *body = csv.reader(lines)
+    assert header == ["trial", "initial"] + [f"n_{k}" for k in range(1, len(header) - 1)]
+    assert all(len(row) == len(header) for row in body)
+    return (np.array([int(row[0]) for row in body], np.int64),
+            np.array([IonState.from_label(row[1]) for row in body], np.int8),
+            np.array([[int(c) for c in row[2:]] for row in body],
+                     np.int64).reshape(len(body), len(header) - 2))
+
+
+def random_counts_text(rng, n_rows, n_counts):
+    """A valid counts CSV with every accepted variation: comment and blank
+    lines anywhere, LF or CRLF per line, quoted fields, mixed-case labels,
+    negative trial ids, counts up to the int64 maximum, and a final newline
+    or none."""
+    def cell(value):
+        return f'"{value}"' if rng.random() < 0.05 else str(value)
+
+    def filler():
+        while rng.random() < 0.02:
+            lines.append(str(rng.choice(["", "  ", "\t", "# note, 1,2", "#"])))
+
+    lines = []
+    filler()
+    lines.append(",".join(map(cell, ["trial", "initial"]
+                              + [f"n_{k}" for k in range(1, n_counts + 1)])))
+    huge = rng.random((n_rows, n_counts)) < 0.01
+    counts = np.where(huge, rng.integers(0, 2**63 - 1, (n_rows, n_counts), endpoint=True),
+                      rng.poisson(2.0, (n_rows, n_counts)))
+    labels = rng.choice(list("BbDd"), n_rows)
+    for trial, label, row in zip(rng.integers(-10**6, 10**6, n_rows).tolist(),
+                                 labels.tolist(), counts.tolist()):
+        filler()
+        lines.append(",".join([cell(trial), cell(label)] + [cell(c) for c in row]))
+    filler()
+    text = "".join(line + end for line, end in zip(lines, rng.choice(["\n", "\r\n"], len(lines))))
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
 
 
 def occupancy_bright(initial, t, params):
@@ -293,6 +339,16 @@ class TestReproducibility:
         assert np.array_equal(serial.change_times, threaded.change_times,
                               equal_nan=True)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        cfg = SimConfig(n_trials=3 * CHUNK, t_b=0.5, seed=1, params=P)
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            simulate_ensemble(cfg, IonState.BRIGHT, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            simulate_ensemble_from_states(cfg, np.zeros(3 * CHUNK, np.int8), threads=threads)
+        assert threading.active_count() == running
+
     def test_chunks_fill_shared_array_under_thread_switching(self):
         # Chunks write disjoint rows of one preallocated count array; with
         # more workers than cores and a tiny switch interval, a lost or
@@ -506,6 +562,10 @@ class TestCsvInterchange:
                      [0, 1], [0, 1], [[1], [0]], id="lowercase_labels"),
         pytest.param("trial,initial,n_1\n0,B,9223372036854775807\n",
                      [0], [0], [[2**63 - 1]], id="int64_max_count"),
+        pytest.param("trial,initial,n_1\n-7,B,1\n", [-7], [0], [[1]],
+                     id="negative_trial_id"),
+        pytest.param("trial,initial,n_1\n0,B,1\n1,D,2", [0, 1], [0, 1], [[1], [2]],
+                     id="no_final_newline"),
     ])
     def test_accepted_inputs(self, tmp_path, text, trials, initials, counts):
         path = tmp_path / "in.csv"
@@ -538,6 +598,57 @@ class TestCsvInterchange:
         with pytest.raises(DataFormatError) as err:
             read_counts_csv(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param("trial,initial,n_1\n1,D,0\n0,B,+5\n", 3, "'+5'", id="plus_sign"),
+        pytest.param("trial,initial,n_1\n1,D,0\n0,B,1_0\n", 3, "'1_0'", id="underscore"),
+        pytest.param("trial,initial,n_1\n1,D,0\n0,B,\u0661\n", 3, "'\u0661'",
+                     id="non_ascii_digit"),
+        pytest.param("trial,initial,n_1\n1,D,0\n0,B, 5\n", 3, "' 5'", id="space_around_count"),
+        pytest.param("trial,initial,n_1\n1,D,0\n0, B,5\n", 3, "' B'", id="space_around_label"),
+        pytest.param('trial,initial,n_1\n1,D,0\n0,B,"5\n"\n', 3, "'\"5'",
+                     id="quoted_field_spanning_lines"),
+        pytest.param("trial,initial,n_1\r0,B,1\r", 1, "header", id="lone_cr_line_ends"),
+        pytest.param("trial,initial,n_1\n1,D,0\n0,B,9223372036854775808\n", 3,
+                     "out of int64 range", id="nineteen_digits_over_int64"),
+    ])
+    def test_rejected_inputs(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError, match=re.escape(message)) as err:
+            read_counts_csv(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("seed, n_rows, n_counts", [
+        (0, 1, 1), (1, 9, 40), (2, 200, 17),
+        (3, CHUNK - 1, 3), (4, CHUNK, 1), (5, CHUNK + 1, 12),
+    ])
+    def test_matches_reference_reader(self, tmp_path, seed, n_rows, n_counts):
+        path = tmp_path / "random.csv"
+        path.write_bytes(random_counts_text(np.random.default_rng(seed), n_rows,
+                                            n_counts).encode())
+        got, want = read_counts_csv(path), reference_read_counts_csv(path)
+        assert [a.dtype for a in got] == [np.int64, np.int8, np.int64]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", ["x", "+", " ", "\u0661", '"', ",", "-"])
+    def test_bad_byte_deep_in_file_names_its_line(self, tmp_path, bad):
+        lines = ["# run 3", "trial,initial,n_1,n_2"]
+        for i in range(2 * CHUNK + 50):
+            if i % 1000 == 999:
+                lines.append("# a comment, with commas, 1,2,3")
+            if i % 777 == 5:
+                lines.append("  ")
+            if i == CHUNK + 1234:  # in the second block of rows
+                target = len(lines)
+            lines.append(f"{i},{'BD'[i % 2]},{i % 7},{i % 13}")
+        lines[target] = lines[target][:2] + bad + lines[target][2:]  # inside the trial id
+        path = tmp_path / "deep.csv"
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(DataFormatError) as err:
+            read_counts_csv(path)
+        assert err.value.line == target + 1
 
     def test_header_only_reports_line_after_header(self, tmp_path):
         path = tmp_path / "header_only.csv"
