@@ -25,6 +25,8 @@ Layout:
     configuration documents and tabular output; the CLI lives in ``cli``.
 """
 
+import types as _types
+
 from .photon_model import (
     DEFAULT_PARAMS,
     DegenerateModelError,
@@ -102,69 +104,6 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_PARAMS",
-    "Classifier",
-    "ConfigError",
-    "DataFormatError",
-    "DecayFit",
-    "Decision",
-    "DegenerateModelError",
-    "Ensemble",
-    "ErrorReport",
-    "FitConvergenceError",
-    "IonState",
-    "LaserPhysics",
-    "LifetimeEstimate",
-    "LikelihoodPair",
-    "ObservationTable",
-    "PiPulseResult",
-    "PulseChannel",
-    "RateParams",
-    "SimConfig",
-    "SweepSpec",
-    "TableTooSmallError",
-    "ThresholdOptimum",
-    "build_observation_table",
-    "compare_methods",
-    "count_pmf",
-    "decide_from_logs",
-    "derive_lifetimes",
-    "deterministic_uniforms",
-    "double_threshold_classify",
-    "efficiency_sweep",
-    "ensembles_from_counts",
-    "estimate_transfer_matrices",
-    "evaluate",
-    "fit_decay_curves",
-    "fit_report",
-    "fluorescence_rate",
-    "general_loglik",
-    "generalized_time_resolved_classify",
-    "load_config",
-    "mean_count_series",
-    "mean_count_window",
-    "mixed_pmf",
-    "n_bins",
-    "optimize_threshold",
-    "pi_pulse_classify",
-    "pi_pulse_combine",
-    "pi_pulse_error",
-    "pi_pulse_sweep",
-    "population_dynamics",
-    "rate_params_from_config",
-    "read_counts_csv",
-    "report_rows_to_csv",
-    "resolve_classifier",
-    "simple_loglik",
-    "simple_time_resolved_classify",
-    "simulate_ensemble",
-    "simulate_ensemble_from_states",
-    "stay_prob",
-    "steady_state_population",
-    "sweep",
-    "sweep_spec_from_config",
-    "threshold_classify",
-    "write_change_times_csv",
-    "write_ensemble_csv",
-]
+# Every public name imported above, and nothing else.
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

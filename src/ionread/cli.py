@@ -20,18 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import classifiers as cl
 from . import estimation as est
 from .harness import (
     ConfigError,
-    GeneralClassifier,
     compare_methods,
     config_int,
     decisions_to_csv,
     load_config,
-    observation_table_for,
     pi_pulse_sweep,
     rate_params_from_config,
     report_rows_to_csv,
@@ -124,15 +123,14 @@ def _cmd_classify(cfg: dict, args) -> int:
     params = rate_params_from_config(cfg)
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
-    if isinstance(clf, GeneralClassifier):
-        n_max = observation_table_for(params).n_max
-        if counts.max() > n_max:
-            print(f"warning: {(counts > n_max).sum()} counts exceed the table's n_max = {n_max} "
-                  f"(largest {counts.max()}); they are scored as {n_max}", file=sys.stderr)
     t_b = counts.shape[1] * params.t_s
     seed = int(args.seed) if args.seed is not None else 0
-    logs = clf.likelihoods(counts, params)
+    with warnings.catch_warnings(record=True) as caught:   # model mismatch: to stderr
+        warnings.simplefilter("always")
+        logs = clf.likelihoods(counts, params)
     decisions = clf.decide(counts, params, logs)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     comments = _echo_comments(cfg, seed)
     per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
     report = clf.report(*per_state, t_b=t_b) if all(d.size for d in per_state) else None

@@ -11,15 +11,18 @@ window has exactly the distribution of a shorter simulation, so prefix rows
 are statistically identical to per-point runs while sharing trajectories
 across t_b values.
 
-A sweep tallies each column's errors without building decision arrays.
-Count rules read the optimum and the tallies of every column from one
-histogram of prefix totals per state.  Likelihood rules score each
-distinct count record once: equal rows get equal log-likelihoods, so the
-kernel runs on one row per record (grouped by its bytes), and a column's
-comparison on those rows is weighted by how many trials hold each record;
-single decisions are gathered back instead.  Grouping is skipped where it
-cannot pay: below 1024 rows, with a count above 255, or when over half of
-the first 1024 rows are distinct, as in bright windows of many bins.
+Each call (a sweep, ``evaluate``, ``optimize_threshold``, ``decisions_for``,
+a ``classify``) prepares each state's counts once for all its classifiers:
+they are validated, clamped, grouped and histogrammed at most once.  A sweep
+tallies each column's errors without building decision arrays.  Count rules
+read the optimum and the tallies of every column from one histogram of
+prefix totals per state.  Likelihood rules score each distinct count record
+once: equal rows get equal log-likelihoods, so the kernel runs on one row
+per record (grouped by its bytes), and a column's comparison on those rows
+is weighted by how many trials hold each record; single decisions are
+gathered back instead.  Grouping is skipped where it cannot pay: below 1024
+rows, with a count above 255, or when over half of the first 1024 rows are
+distinct, as in bright windows of many bins.
 """
 
 from __future__ import annotations
@@ -107,9 +110,11 @@ class Classifier:
     whole window; ``column_tallies`` gives one (classifier, tally_bright,
     tally_dark) triple per prefix column, the classifier carrying any
     threshold optimized on that column and each tally the (n, retained,
-    wrong) trial counts of one preparation.  Reports carry ``label`` as the
-    classifier name, ``detail`` for its parameters and ``n_c`` as the count
-    cutoff (None for likelihood rules).
+    wrong) trial counts of one preparation.  These methods take count arrays
+    or :class:`_PreparedCounts`, so one call prepares each state once and
+    all its classifiers share it.  Reports carry ``label`` as the classifier
+    name, ``detail`` for its parameters and ``n_c`` as the count cutoff
+    (None for likelihood rules).
     """
 
     label: ClassVar[str]
@@ -154,7 +159,7 @@ class _CountRule(Classifier):
 
     def decide(self, counts, params=None, logs=None):
         rule = self.fixed()
-        return cl.double_threshold_decide(np.asarray(counts).sum(axis=1), rule.n_D, rule.n_c)
+        return cl.double_threshold_decide(_prepare(counts).counts.sum(axis=1), rule.n_D, rule.n_c)
 
     def optimum(self, cdf_b, cdf_d, grid=None):
         """(classifier at the error-minimizing cutoff, grid, mean error at
@@ -165,33 +170,22 @@ class _CountRule(Classifier):
 
     def column_tallies(self, counts_bright, counts_dark, cols, params=None):
         # A grid wider than a column's largest total only repeats the error
-        # at that total, so the shared width leaves every optimum as it is.
+        # at that total, so histograms as wide as the whole window leave
+        # every optimum as it is.
+        cdfs = [_prepare(counts).cdfs[cols] for counts in (counts_bright, counts_dark)]
         out = []
-        for cdf_b, cdf_d in zip(*_prefix_cdfs(counts_bright, counts_dark, cols)):
+        for cdf_b, cdf_d in zip(*cdfs):
             rule = self.optimum(cdf_b, cdf_d)[0] if self.n_c == "optimize" else self
             out.append((rule, *rule._tallies(cdf_b, cdf_d)))
         return out
 
     def _tallies(self, cdf_b, cdf_d):
         """(n, retained, wrong) per state from its cumulative histogram."""
-        low, high = np.minimum((self.n_D, self.n_c), cdf_b.size - 1)
         out = []
         for cdf, wrong_is_bright in ((cdf_b, False), (cdf_d, True)):
-            n, dark, not_bright = int(cdf[-1]), int(cdf[low]), int(cdf[high])
+            n, dark, not_bright = int(cdf[-1]), int(_at(cdf, self.n_D)), int(_at(cdf, self.n_c))
             out.append((n, n - (not_bright - dark), n - not_bright if wrong_is_bright else dark))
         return out
-
-
-def _prefix_cdfs(counts_bright, counts_dark, cols):
-    """Cumulative histograms of each state's prefix totals: one (len(cols),
-    width) array per state, row i over the totals 0..width-1 of column
-    cols[i]; the width is shared and leaves each row's last entry at n."""
-    totals = [cl._running(np.add, np.ascontiguousarray(counts.T))[cols]
-              for counts in (counts_bright, counts_dark)]   # bin-major
-    width = max(int(t.max(initial=0)) for t in totals) + 2
-    offsets = np.arange(len(cols))[:, None] * width
-    return [np.cumsum(np.bincount((t + offsets).ravel(), minlength=len(cols) * width)
-                      .reshape(len(cols), width), axis=1) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -207,14 +201,14 @@ class ThresholdClassifier(_CountRule):
         return self.n_c
 
     def _landscape(self, cdf_b, cdf_d, grid):
-        """Mean error of the single-threshold rule at every grid value."""
-        hi = cdf_b.size - 2
+        """Mean error of the single-threshold rule at every grid value, by
+        default every total up to the larger state's largest."""
+        hi = max(cdf_b.size, cdf_d.size) - 2
         grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
         if np.any(grid < 0):
             raise ConfigError("n_c grid values must be >= 0")
-        idx = np.minimum(grid, hi + 1)
-        eps_b = cdf_b[idx] / cdf_b[-1]          # bright decided dark
-        eps_d = 1.0 - cdf_d[idx] / cdf_d[-1]    # dark decided bright
+        eps_b = _at(cdf_b, grid) / cdf_b[-1]          # bright decided dark
+        eps_d = 1.0 - _at(cdf_d, grid) / cdf_d[-1]    # dark decided bright
         return grid, 0.5 * (eps_b + eps_d)
 
 
@@ -229,16 +223,15 @@ class DoubleThresholdClassifier(_CountRule):
 
     def _landscape(self, cdf_b, cdf_d, grid):
         """Mean relative error of the two-threshold rule over the n_B grid."""
-        n_d, top = self.n_D, cdf_b.size - 1
+        n_d, top = self.n_D, max(cdf_b.size, cdf_d.size) - 1
         grid = (np.arange(n_d, max(top - 1, n_d) + 1) if grid is None
                 else np.asarray(sorted(grid), dtype=int))
         if np.any(grid < n_d):
             raise ConfigError("n_B grid values must be >= n_D")
-        idx = np.minimum(grid, top)
-        wrong_b = cdf_b[min(n_d, top)]
-        kept_b = cdf_b[-1] - (cdf_b[idx] - wrong_b)
-        wrong_d = cdf_d[-1] - cdf_d[idx]
-        kept_d = cdf_d[-1] - (cdf_d[idx] - cdf_d[min(n_d, top)])
+        wrong_b = _at(cdf_b, n_d)
+        kept_b = cdf_b[-1] - (_at(cdf_b, grid) - wrong_b)
+        wrong_d = cdf_d[-1] - _at(cdf_d, grid)
+        kept_d = cdf_d[-1] - (_at(cdf_d, grid) - _at(cdf_d, n_d))
         with np.errstate(invalid="ignore", divide="ignore"):
             eps = 0.5 * (wrong_b / kept_b + wrong_d / kept_d)
         return grid, np.where((kept_b > 0) & (kept_d > 0), eps, np.inf)
@@ -262,6 +255,56 @@ def _distinct_records(counts):
     return first, inverse
 
 
+class _PreparedCounts:
+    """One state's counts, prepared for every classifier of one call.  Each
+    view is built on first use: ``counts`` validated to int64, their
+    ``records`` (:func:`_distinct_records`), the copy clamped to a table and
+    the cumulative histograms of its prefix totals."""
+
+    def __init__(self, counts):
+        self._raw, self._clamped = counts, {}
+
+    @functools.cached_property
+    def counts(self):
+        return cl._as_count_matrix(self._raw)
+
+    @functools.cached_property
+    def records(self):
+        return _distinct_records(self.counts)
+
+    def clamped(self, table):
+        """(counts clamped to the table's n_max, their records, how many
+        counts were clamped).  The table tallies each clamped count once;
+        records are grouped again only when something was clamped."""
+        if table not in self._clamped:
+            counts = table.clamp_counts(self.counts)
+            self._clamped[table] = ((counts, self.records, 0) if counts is self.counts else
+                                    (counts, _distinct_records(counts),
+                                     int(np.count_nonzero(counts != self.counts))))
+        return self._clamped[table]
+
+    @functools.cached_property
+    def cdfs(self):
+        """Cumulative histograms of the prefix totals, (n_bins, width): row k
+        over the totals 0..width-1 of bins 0..k; the width, the largest total
+        + 2, leaves each row's last entry at n."""
+        totals = cl._running(np.add, np.ascontiguousarray(self.counts.T))   # bin-major
+        m, width = totals.shape[0], int(totals[-1].max(initial=0)) + 2
+        totals += np.arange(m)[:, None] * width
+        hist = np.bincount(totals.ravel(), minlength=m * width).reshape(m, width)
+        return np.cumsum(hist, axis=1)
+
+
+def _prepare(counts) -> _PreparedCounts:
+    """Prepared counts; prepared counts pass through unchanged."""
+    return counts if isinstance(counts, _PreparedCounts) else _PreparedCounts(counts)
+
+
+def _at(cdf, index):
+    """A cumulative histogram at ``index``, constant past its last entry."""
+    return cdf[np.minimum(index, cdf.size - 1)]
+
+
 @dataclass(frozen=True)
 class _LikelihoodRule(Classifier):
     """Bright iff the bright initial-state likelihood is larger."""
@@ -271,12 +314,7 @@ class _LikelihoodRule(Classifier):
     def _scored(self, counts, params, prefixes):
         """Kernel logs of the distinct rows, and the index gathering them back."""
         _require(params is not None, f"{self.label} requires rate parameters")
-        counts = self._clamped(cl._as_count_matrix(counts), params)
-        first, inverse = _distinct_records(counts)
-        return self._loglik(counts[first], params, prefixes), inverse
-
-    def _clamped(self, counts, params):
-        return counts
+        return self._loglik(_prepare(counts), params, prefixes)
 
     def likelihoods(self, counts, params, *, prefixes=False):
         logs, inverse = self._scored(counts, params, prefixes)
@@ -290,15 +328,16 @@ class _LikelihoodRule(Classifier):
         # The last column alone needs no prefix outputs.  One comparison per
         # state decides every column on the distinct rows, each weighted by
         # the number of trials holding its record.
-        prefixes = list(cols) != [counts_bright.shape[1] - 1]
+        states = _prepare(counts_bright), _prepare(counts_dark)
+        prefixes = list(cols) != [states[0].counts.shape[1] - 1]
         tallies = []
-        for counts, wrong_is_bright in ((counts_bright, False), (counts_dark, True)):
-            (log_b, log_d), inverse = self._scored(counts, params, prefixes)
+        for state, wrong_is_bright in zip(states, (False, True)):
+            (log_b, log_d), inverse = self._scored(state, params, prefixes)
             brighter = (log_b > log_d).T        # bin-major: one row per column
             brighter = brighter[cols] if prefixes else brighter[None]
             weights = (np.bincount(inverse) if inverse is not ...
                        else np.ones(brighter.shape[1], dtype=np.int64))
-            n = counts.shape[0]
+            n = state.counts.shape[0]
             tallies.append([(n, n, int(k) if wrong_is_bright else n - int(k))
                             for k in brighter @ weights])
         return [(self, bright, dark) for bright, dark in zip(*tallies)]
@@ -307,7 +346,8 @@ class _LikelihoodRule(Classifier):
 @dataclass(frozen=True)
 class SimpleClassifier(_LikelihoodRule):
     """The single-change formula; ``tau_ms`` None takes the decaying
-    state's lifetime."""
+    state's lifetime.  A window longer than tau clamps the no-change
+    prefactor to 0 and warns (RuntimeWarning)."""
 
     decaying: IonState = IonState.DARK
     tau_ms: float | None = None
@@ -318,25 +358,31 @@ class SimpleClassifier(_LikelihoodRule):
         tau = f"tau={self.tau_ms:g}" if self.tau_ms else f"tau=tau_{self.decaying.label}"
         return f"decaying={self.decaying.name.lower()};{tau}"
 
-    def _loglik(self, counts, params, prefixes):
-        log_b, log_d, _ = cl.simple_loglik(counts, params, self.tau_ms,
-                                           decaying=self.decaying, prefixes=prefixes)
-        return log_b, log_d
+    def _loglik(self, state, params, prefixes):
+        first, inverse = state.records
+        log_b, log_d, clamped = cl.simple_loglik(state.counts[first], params, self.tau_ms,
+                                                 decaying=self.decaying, prefixes=prefixes)
+        if clamped.any():
+            warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
+                          RuntimeWarning, stacklevel=3)
+        return (log_b, log_d), inverse
 
 
 @dataclass(frozen=True)
 class GeneralClassifier(_LikelihoodRule):
-    """The generalized hidden-Markov likelihood."""
+    """The generalized hidden-Markov likelihood.  Counts above the table's
+    n_max are scored as n_max and warn (RuntimeWarning)."""
 
     label = "generalized_time_resolved"
 
-    def _clamped(self, counts, params):
-        # The table tallies every clamped count here, before grouping.
-        return observation_table_for(params).clamp_counts(counts)
-
-    def _loglik(self, counts, params, prefixes):
-        return cl.general_loglik(counts, observation_table_for(params),
-                                 prefixes=prefixes)
+    def _loglik(self, state, params, prefixes):
+        table = observation_table_for(params)
+        counts, (first, inverse), over = state.clamped(table)
+        if over:
+            warnings.warn(f"{over} counts exceed the table's n_max = {table.n_max} (largest "
+                          f"{state.counts.max()}); they are scored as {table.n_max}",
+                          RuntimeWarning, stacklevel=3)
+        return cl.general_loglik(counts[first], table, prefixes=prefixes), inverse
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -379,7 +425,7 @@ def decisions_for(counts: np.ndarray, spec, params: RateParams | None):
     ``spec`` is a spec dict or a resolved :class:`Classifier`.  Likelihood
     methods need the rate parameters; threshold methods do not.
     """
-    return resolve_classifier(spec).fixed().decide(np.asarray(counts), params)
+    return resolve_classifier(spec).fixed().decide(counts, params)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +520,18 @@ def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
              classifier, params: RateParams | None = None) -> ErrorReport:
     """Evaluate one classifier (spec dict or :class:`Classifier`) on a
     bright and a dark ensemble: the last column of the prefix evaluation."""
+    t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
+    params = params or ensemble_bright.params or ensemble_dark.params
+    (report,) = resolve_classifier(classifier).fixed().column_reports(*states, t_bs, cols, params)
+    return report
+
+
+def _window(ensemble_bright, ensemble_dark):
+    """[t_b], [last column] of the ensembles' shared window, their prepared counts."""
     if (ensemble_bright.t_b, ensemble_bright.t_s) != (ensemble_dark.t_b, ensemble_dark.t_s):
         raise ValueError("ensembles must share (t_b, t_s)")
-    params = params or ensemble_bright.params or ensemble_dark.params
-    clf = resolve_classifier(classifier).fixed()
-    (report,) = clf.column_reports(ensemble_bright.counts, ensemble_dark.counts,
-                                   [ensemble_bright.t_b], [ensemble_bright.n_bins - 1], params)
-    return report
+    return ([ensemble_bright.t_b], [ensemble_bright.n_bins - 1],
+            *(_prepare(e.counts) for e in (ensemble_bright, ensemble_dark)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +563,10 @@ def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
              f"unknown threshold family {family!r}")
     rule = resolve_classifier({"method": family, "n_c": "optimize",
                                "n_D": n_D, "n_B": "optimize"})
-    (cdf_b,), (cdf_d,) = _prefix_cdfs(ensemble_bright.counts, ensemble_dark.counts, [-1])
-    best, values, eps = rule.optimum(cdf_b, cdf_d, grid)
-    return ThresholdOptimum(best=best.n_c,
-                            report=evaluate(ensemble_bright, ensemble_dark, best),
+    t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
+    best, values, eps = rule.optimum(*(state.cdfs[-1] for state in states), grid)
+    (report,) = best.column_reports(*states, t_bs, cols, None)
+    return ThresholdOptimum(best=best.n_c, report=report,
                             landscape=tuple(zip(values.tolist(), eps.tolist())))
 
 
@@ -732,9 +783,9 @@ def evaluate_prefixes(spec: SweepSpec, ens_b: Ensemble, ens_d: Ensemble,
     """Evaluate the configured classifiers on existing ensembles at every t_b."""
     params = ens_b.params or spec.params.scaled(r)
     cols = [n_bins(t_b, spec.t_s) - 1 for t_b in spec.t_b_values]
+    states = _prepare(ens_b.counts), _prepare(ens_d.counts)
     return [row for clf in map(resolve_classifier, spec.classifiers)
-            for row in clf.column_reports(ens_b.counts, ens_d.counts, spec.t_b_values,
-                                          cols, params, r)]
+            for row in clf.column_reports(*states, spec.t_b_values, cols, params, r)]
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,9 @@ class ObservationTable:
 
     Instances are immutable after construction and safe for concurrent
     reads.  ``clamped_lookups`` is the one exception: a diagnostic counter of
-    how many classified counts exceeded n_max and were clamped (incremented
-    under a lock; it never influences results).
+    counts that exceeded n_max and were clamped.  A harness call clamps each
+    state's counts once, so it tallies each such count once per call
+    (incremented under a lock; it never influences results).
     """
 
     def __init__(self, params: RateParams, n_max: int, tol: float,

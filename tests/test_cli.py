@@ -199,6 +199,31 @@ class TestSimulateClassify:
             assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
             assert capsys.readouterr().err.splitlines() == warning
 
+    def test_classify_warns_about_a_clamped_single_change_prefactor(self, tmp_path, capsys):
+        cfg = _config(
+            tmp_path,
+            simulate={"t_b_ms": 3.0, "n_trials": 64, "seed": 5, "initial": "both"},
+            classify={"input": "counts.csv",
+                      "classifier": {"method": "simple", "tau_ms": 0.5}},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--config", cfg, "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: t_b >= tau: single-change prefactor clamped to 0"]
+        assert captured.out.splitlines() == [f"wrote {out / name}"
+                                             for name in ("decisions.csv", "report.csv")]
+        _, _, counts = read_counts_csv(out / "counts.csv")
+        log_b, log_d, clamped = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
+        assert clamped.all()
+        with open(out / "decisions.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [row["decision"] for row in rows] == [
+            classifiers.Decision(int(code)).label
+            for code in classifiers.decide_from_logs(log_b, log_d)]
+
     def test_classify_rejects_unoptimized_threshold_before_reading(
             self, tmp_path, capsys):
         # The input is malformed: reading it first would exit 3.

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from ionread import harness
+from ionread import classifiers, harness
 from ionread.classifiers import (
     Decision,
     decide_from_logs,
@@ -613,6 +613,95 @@ class TestDistinctRecordScoring:
         decisions = decisions_for(counts, {"method": "general"}, DEFAULT_PARAMS)
         assert table.clamped_lookups - before == 3 * 1024
         assert np.array_equal(decisions, decide_from_logs(*general_loglik(clamped, table)))
+
+
+class TestSharedPreparation:
+    """Each call prepares each state's counts once for all its classifiers:
+    one validation, one grouping (two where the general table clamps) and
+    one prefix-total histogram per state."""
+
+    FOUR = ({"method": "threshold", "n_c": "optimize"},
+            {"method": "double_threshold", "n_D": 0, "n_B": "optimize"},
+            {"method": "simple", "decaying": "bright"},
+            {"method": "general"})
+
+    @staticmethod
+    def _counted(monkeypatch, ensembles):
+        """Counters of the validations of each ensemble's whole count array,
+        of record groupings and of prefix-total running sums (the integer
+        ones: the single-change kernel runs float sums through the same
+        helper)."""
+        calls = {"validate": [0] * len(ensembles), "group": 0, "totals": 0}
+        validate, group, running = (classifiers._as_count_matrix, harness._distinct_records,
+                                    classifiers._running)
+
+        def counting_validate(counts):
+            for i, ens in enumerate(ensembles):
+                calls["validate"][i] += counts is ens.counts
+            return validate(counts)
+
+        def counting_group(counts):
+            calls["group"] += 1
+            return group(counts)
+
+        def counting_running(ufunc, rows):
+            calls["totals"] += rows.dtype.kind in "iu"
+            return running(ufunc, rows)
+
+        monkeypatch.setattr(classifiers, "_as_count_matrix", counting_validate)
+        monkeypatch.setattr(harness, "_distinct_records", counting_group)
+        monkeypatch.setattr(classifiers, "_running", counting_running)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:1 counts exceed the table:RuntimeWarning")
+    @pytest.mark.parametrize("clamps", [False, True])
+    def test_four_classifier_sweep_prepares_each_state_once(self, monkeypatch, clamps):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 1.0, 2048, seed=31)
+        table = harness.observation_table_for(DEFAULT_PARAMS)
+        if clamps:
+            ens_d.counts[5, 3] = table.n_max + 2
+        spec = _spec(t_b_values=(0.3, 0.5, 1.0), classifiers=self.FOUR)
+        expected = evaluate_prefixes(spec, ens_b, ens_d)
+        calls = self._counted(monkeypatch, (ens_b, ens_d))
+        before = table.clamped_lookups
+        assert evaluate_prefixes(spec, ens_b, ens_d) == expected
+        assert calls == {"validate": [1, 1], "group": 3 if clamps else 2, "totals": 2}
+        assert table.clamped_lookups - before == clamps
+
+    def test_optimize_threshold_builds_histograms_once(self, monkeypatch):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 2048, seed=37)
+        expected = optimize_threshold(ens_b, ens_d)
+        calls = self._counted(monkeypatch, (ens_b, ens_d))
+        assert optimize_threshold(ens_b, ens_d) == expected
+        assert calls == {"validate": [1, 1], "group": 0, "totals": 2}
+
+    @pytest.mark.parametrize("spec", FOUR, ids=lambda s: s["method"])
+    @pytest.mark.parametrize("bad", [[[-5, 1]], [[0.5, 0.7]]], ids=["negative", "fractional"])
+    def test_every_method_rejects_bad_counts(self, spec, bad):
+        fixed = {**spec, "n_c": 0, "n_B": 1}
+        with pytest.raises(ValueError, match="photon count"):
+            decisions_for(bad, fixed, DEFAULT_PARAMS)
+        t_s = DEFAULT_PARAMS.t_s
+        good, wrong = (Ensemble(state, counts, None, 2 * t_s, t_s, DEFAULT_PARAMS)
+                       for state, counts in ((IonState.BRIGHT, [[3, 0]]), (IonState.DARK, bad)))
+        for ensembles in ((good, wrong), (wrong, good)):
+            with pytest.raises(ValueError, match="photon count"):
+                evaluate(*ensembles, fixed)
+
+    def test_model_mismatch_warns(self):
+        table = harness.observation_table_for(DEFAULT_PARAMS)
+        hot = [[0, table.n_max + 3], [table.n_max + 1, 1]]
+        with pytest.warns(RuntimeWarning, match=f"2 counts exceed the table's n_max = "
+                                                f"{table.n_max} \\(largest {table.n_max + 3}\\)"):
+            decisions_for(hot, {"method": "general"}, DEFAULT_PARAMS)
+        long_window = np.zeros((3, 10), dtype=int)     # 1 ms against tau = 0.5 ms
+        with pytest.warns(RuntimeWarning, match="prefactor clamped"):
+            decisions_for(long_window, {"method": "simple", "tau_ms": 0.5}, DEFAULT_PARAMS)
+
+    def test_count_rule_tallies_reject_bad_counts(self):
+        with pytest.raises(ValueError, match="photon count"):
+            resolve_classifier({"method": "threshold", "n_c": 0}).column_tallies(
+                [[3, 0], [2, 1]], [[0, -1], [0, 0]], [0, 1])
 
 
 # ---------------------------------------------------------------------------
