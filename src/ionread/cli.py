@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataFormatError as exc:
+    except (DataFormatError, est.FitConvergenceError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

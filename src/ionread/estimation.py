@@ -16,6 +16,7 @@ bright-state photon rate R_B.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -206,6 +207,66 @@ def _warm_start(t_b, y_b, t_d, y_d):
     return a0, b0, c0, tau0
 
 
+class _BudgetSpent(Exception):
+    """An objective call past the evaluation budget."""
+
+
+def _nelder_mead(func, x0, maxfev):
+    """Adaptive Nelder–Mead (Gao & Han, Comput. Optim. Appl. 51:259, 2012)
+    with xatol 1e-10 and fatol 1e-14, ported step for step from scipy
+    1.17.1's unbounded ``_minimize_neldermead``: same (x, f, nfev) bits.
+    A call past ``maxfev`` aborts its step, and the simplex is sorted as it
+    stands (a shrink may leave moved vertices unscored) and returned."""
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim, nfev = np.full(n + 1, np.inf), 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return func(x)
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    with contextlib.suppress(_BudgetSpent):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    sim, fsim = sort(*sort(sim, fsim))      # twice, as scipy: argsort may swap ties
+    while nfev < maxfev:
+        with contextlib.suppress(_BudgetSpent):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:                   # contract outside if fxr < fsim[-1], else inside
+                outside = fxr < fsim[-1]
+                xc = ((1 + psi) * xbar - psi * sim[-1] if outside
+                      else (1 - psi) * xbar + psi * sim[-1])
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:               # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        sim, fsim = sort(sim, fsim)
+    return sim[0], np.min(fsim), nfev
+
+
 def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
                      rel_tol: float = 1e-12) -> DecayFit:
     """Jointly fit (a, b, c, tau) to bright and dark mean-count series.
@@ -214,24 +275,24 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
     not coincide.  Minimizes the root-sum-square residual over both series
     by simplex descent on log-parameters (which keeps all four parameters
     positive), multi-started from a moment-based warm start plus five
-    log-spaced tau values, then polished by restarts until the objective
-    improves by less than ``rel_tol`` relatively.
+    log-spaced tau values, then polished by up to five restarts until the
+    objective improves by less than ``rel_tol`` relatively.  ``max_evals``
+    caps each of these up to 11 simplex runs, not their total.
 
     Raises FitConvergenceError (carrying the best iterate) if the budget is
     exhausted before the restart polish stabilizes.  Flat data on either
     side yields a ``degenerate`` flagged fit rather than an error.
     """
-    # Imported here: only fitting needs scipy.optimize, and loading it on
-    # every ``import ionread`` costs the other commands start-up time.
-    from scipy.optimize import minimize
-
     t_b, y_b = _as_series(mean_bright, "mean_bright")
     t_d, y_d = _as_series(mean_dark, "mean_dark")
+    shared = np.array_equal(t_b, t_d)   # mean_count_series gives one grid
 
     def objective(theta):
         a, b, c, tau = np.exp(theta)
-        rb = y_b - (a + b * np.exp(-t_b / tau))
-        rd = y_d - (a - c * np.exp(-t_d / tau))
+        e_b = np.exp(-t_b / tau)
+        e_d = e_b if shared else np.exp(-t_d / tau)
+        rb = y_b - (a + b * e_b)
+        rd = y_d - (a - c * e_d)
         return math.sqrt(np.dot(rb, rb) + np.dot(rd, rd))
 
     a0, b0, c0, tau0 = _warm_start(t_b, y_b, t_d, y_d)
@@ -242,24 +303,20 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
 
     best_x, best_f, evals = None, np.inf, 0
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "fatol": 1e-14,
-                                "xatol": 1e-10, "adaptive": True})
-        evals += res.nfev
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
+        x, fun, nfev = _nelder_mead(objective, x0, max_evals)
+        evals += nfev
+        if fun < best_f:
+            best_x, best_f = x, fun
 
     # Restart polish: a fresh simplex escapes premature collapse; stop when
     # the relative improvement is below rel_tol.
     converged = False
     for _ in range(5):
-        res = minimize(objective, best_x, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "fatol": 1e-14,
-                                "xatol": 1e-10, "adaptive": True})
-        evals += res.nfev
-        improvement = best_f - res.fun
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
+        x, fun, nfev = _nelder_mead(objective, best_x, max_evals)
+        evals += nfev
+        improvement = best_f - fun
+        if fun < best_f:
+            best_x, best_f = x, fun
         if improvement <= rel_tol * max(best_f, 1e-30):
             converged = True
             break
@@ -271,8 +328,8 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
                    residual=float(best_f), n_evaluations=evals,
                    converged=converged, degenerate=degenerate)
     if not converged:
-        raise FitConvergenceError(
-            f"no convergence after {evals} evaluations", best=fit)
+        raise FitConvergenceError(f"no convergence after {evals} evaluations; "
+                                  f"best residual {fit.residual!r}", best=fit)
     return fit
 
 

@@ -21,7 +21,12 @@ The pure-state pmf and the single-change classifier
 ``_poisson_logpmf``; Poisson tails use ``scipy.special.pdtrc``.  The
 mixture entries ``mixed_pmf`` integrate that pmf against an exponential
 density in closed form (a confluent hypergeometric function), so no
-numerical integration runs.
+numerical integration runs.  ``_poisson_logpmf``, ``mixed_pmf`` and
+``_truncation_mass`` import scipy.special when called, so only a process
+that builds a table or scores with the simple likelihood loads it
+(``compare``, and ``classify`` or ``sweep`` with a likelihood method);
+``import ionread``, ``simulate``, ``fit`` and count-threshold ``classify``
+and ``sweep`` run on numpy alone.
 
 Rates are photons per millisecond; times are milliseconds throughout.
 """
@@ -35,7 +40,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, pdtrc, xlogy
 
 
 class IonState(enum.IntEnum):
@@ -182,6 +186,7 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
 def _poisson_logpmf(n, mean):
     """log(e^{-mean} mean^n / n!), elementwise; safe at mean = 0
     (xlogy(0, 0) = 0)."""
+    from scipy.special import gammaln, xlogy
     return -mean + xlogy(n, mean) - gammaln(n + 1)
 
 
@@ -259,6 +264,7 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
         s = params.R_B * params.tau_D
         a, d_hi, d_lo = 1.0 - 1.0 / s, 0.0, params.t_s / params.tau_D
 
+    from scipy.special import hyp1f1
     # P(hi) and P(lo) as running products from e^{-x}: each factor costs
     # half an ulp, where exp of the log-space sum loses ~|(n+1) log x| ulp,
     # and no partial product exceeds 1.
@@ -322,6 +328,7 @@ class ObservationTable:
 
 
 def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:
+    from scipy.special import pdtrc
     n_max = entries.shape[0] - 1
     w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
     w_dd = stay_prob(IonState.DARK, params.t_s, params)

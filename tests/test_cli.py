@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from ionread import classifiers
+from ionread import classifiers, estimation
 from ionread.cli import main
 from ionread.harness import evaluate
 from ionread.photon_model import DEFAULT_PARAMS, IonState, build_observation_table
@@ -40,8 +40,8 @@ def _read_report_csv(path):
 
 def _artifact_digests(tmp_path):
     """sha256 of every artifact of simulate, classify (general and
-    threshold), sweep and compare on one small config.  4,100 trials per
-    state put every per-trial file across a CHUNK boundary."""
+    threshold), fit, sweep and compare on one small config.  4,100 trials
+    per state put every per-trial file across a CHUNK boundary."""
     sections = {
         "simulate": {"t_b_ms": 0.5, "n_trials": 4100, "seed": 3,
                      "initial": "both", "change_times": True},
@@ -55,10 +55,13 @@ def _artifact_digests(tmp_path):
     runs = [("simulate", None, "csv"), ("simulate", None, "json")]
     runs += [("classify", {"method": "general"}, fmt) for fmt in ("csv", "json")]
     runs += [("classify", {"method": "threshold", "n_c": 2}, fmt) for fmt in ("csv", "json")]
-    runs += [("sweep", None, "csv"), ("compare", None, "csv")]
+    runs += [("fit", None, "csv"), ("sweep", None, "csv"), ("compare", None, "csv")]
     digests = {}
     for command, classifier, fmt in runs:
-        cfg = _config(tmp_path, **sections,
+        # The fit section rides only on the fit run: the other artifacts echo
+        # their config, and their digests predate it.
+        fit = {"fit": {"input": "counts.csv"}} if command == "fit" else {}
+        cfg = _config(tmp_path, **sections, **fit,
                       classify={"input": "counts.csv", "classifier": classifier})
         before = set(out.iterdir()) if out.exists() else set()
         assert main([command, "--config", cfg, "--out-dir", str(out),
@@ -308,7 +311,8 @@ class TestSweepCompare:
             "threshold", "simple_time_resolved", "generalized_time_resolved"}
 
 
-#: Taken from the tree before the CSV writers were rebuilt on one row writer.
+#: Taken from the tree before the CSV writers were rebuilt on one row writer;
+#: ``fit.json`` from the tree whose fit still ran scipy.optimize's Nelder–Mead.
 #: The JSON log-likelihoods print at full precision, so these hold for one
 #: numpy/scipy build (here numpy 2.4.6, scipy 1.17.1).
 ARTIFACT_DIGESTS = {
@@ -321,6 +325,7 @@ ARTIFACT_DIGESTS = {
     "threshold/decisions.csv": "66290d6d9b80607681aa498f5bf96bcfb2c16c09ba878cb0bd9ba18741203e73",
     "threshold/report.csv": "7db07ecb177c132d83c073fd406b74424835d5022abdd1aa7a3651f6bf95c2b9",
     "threshold/decisions.json": "4eebd952b2e6d0a5670252101080c7fbc2ad5b338d2b700b7eec10f5b75ad9e9",
+    "fit.json": "e321ac49c3748186199f7ecd54324fd8145bd3ed2373f1c90745744edb17a9e7",
     "sweep.csv": "c07f9bf3d16850522c9ef27393e918d71637bba43aa8ab32d417d8b4b158477c",
     "compare.csv": "44ac1af44ca2804567f482700c62b1c67b4e53e1f2bea4bc7337367aa5e08f7b",
     "compare_summary.json": "ce70e271e806d18c9534cc5ffda82c1ff450b2cb68830588c9feb49425cd5ab8",
@@ -413,6 +418,19 @@ class TestExitCodes:
             assert main([command, "--config", cfg,
                          "--out-dir", str(tmp_path)]) == 2
             assert f"{key} must be an integer, got 2.9" in capsys.readouterr().err
+
+    def test_fit_not_converged(self, tmp_path, capsys, monkeypatch):
+        fit = estimation.fit_decay_curves
+        monkeypatch.setattr(estimation, "fit_decay_curves",
+                            lambda *series: fit(*series, max_evals=20))
+        cfg = _config(tmp_path,
+                      simulate={"t_b_ms": 1.0, "n_trials": 200, "seed": 1},
+                      fit={"input": "counts.csv"})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: no convergence after 220 evaluations; best residual" in err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_fractional_repetitions(self, tmp_path, capsys):
         cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1},

@@ -6,10 +6,15 @@ oracles; the fitter against noiseless round trips and a ground-truth
 simulation.
 """
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import minimize
 
+from ionread import estimation
 from ionread.estimation import (
     DecayFit,
     FitConvergenceError,
@@ -144,6 +149,14 @@ class TestFitDecayCurves:
         for got, want in ((fit.a, 1.2), (fit.b, 3.3), (fit.c, 0.9), (fit.tau, 6.0)):
             assert got == pytest.approx(want, rel=1e-6)
 
+    def test_round_trip_on_two_time_grids(self):
+        # The objective shares one exp(-t/tau) only when the grids coincide.
+        times = np.arange(1, 25) * 0.5
+        bright, dark = make_series(1.2, 3.3, 0.9, 6.0, times)
+        fit = fit_decay_curves(bright, dark[::3])
+        for got, want in ((fit.a, 1.2), (fit.b, 3.3), (fit.c, 0.9), (fit.tau, 6.0)):
+            assert got == pytest.approx(want, rel=1e-6)
+
     def test_round_trip_from_physics_curves(self):
         """Series built by mean_count_window recover the implied (a,b,c,tau)."""
         dt = 1.0 / 3.0
@@ -204,6 +217,73 @@ class TestFitDecayCurves:
         assert report["fit"]["tau_ms"] == fit.tau
         assert report["lifetimes"]["tau_B_ms"] == pytest.approx(4.9173, rel=1e-3)
         assert report["fit"]["n_evaluations"] == fit.n_evaluations
+
+
+def _fit_simplex_runs(seed, monkeypatch):
+    """(objective, x0) of each simplex run of the fit to one seed's series."""
+    params = RateParams(P.R_B, P.R_D, P.tau_B, P.tau_D, 1.0 / 3.0)
+    cfg = SimConfig(n_trials=500, t_b=10.0, seed=seed, params=params)
+    ens = [simulate_ensemble(cfg, s) for s in IonState]
+    series = mean_count_series(np.concatenate([e.initial_array() for e in ens]),
+                               np.concatenate([e.counts for e in ens]), params.t_s)
+    runs, port = [], estimation._nelder_mead
+
+    def spy(func, x0, maxfev):
+        runs.append((func, np.array(x0)))
+        return port(func, x0, maxfev)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "_nelder_mead", spy)
+        fit_decay_curves(series[IonState.BRIGHT], series[IonState.DARK])
+    return runs
+
+
+def _call_kinds(func, x0):
+    """The step kind of each objective call of an unlimited port run, read
+    from the line of ``_nelder_mead`` that made it."""
+    lines, first = inspect.getsourcelines(estimation._nelder_mead)
+    kinds = {}
+    for offset, text in enumerate(lines):
+        for call, kind in (("f(sim[k])", "initial"), ("f(xr)", "reflection"),
+                           ("f(xe)", "expansion"), ("f(xc)", "contraction"),
+                           ("f(sim[j])", "shrink")):
+            if call in text:
+                kinds[first + offset] = kind
+    seen = []
+
+    def traced(x):
+        seen.append(kinds[sys._getframe(2).f_lineno])
+        return func(x)
+
+    estimation._nelder_mead(traced, x0, 10_000)
+    return seen
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` returns scipy's adaptive Nelder–Mead result bit for
+    bit, also when the budget runs out part-way through a step."""
+
+    @pytest.mark.parametrize("seed", [2, 9, 31])
+    def test_matches_scipy_bits(self, seed, monkeypatch):
+        exhausted = set()
+        for func, x0 in _fit_simplex_runs(seed, monkeypatch):
+            kinds = _call_kinds(func, x0)
+            budgets = {10_000, 2}       # 2: out during the initial simplex
+            for kind in ("expansion", "contraction", "shrink"):
+                if kind in kinds:       # out at the first such call
+                    budgets.add(kinds.index(kind))
+                    exhausted.add(kind)
+            if "shrink" in kinds:       # and part-way through that shrink
+                budgets.add(kinds.index("shrink") + 2)
+            for budget in budgets:
+                x, fun, nfev = estimation._nelder_mead(func, x0, budget)
+                want = minimize(func, x0, method="Nelder-Mead",
+                                options={"maxfev": budget, "fatol": 1e-14,
+                                         "xatol": 1e-10, "adaptive": True})
+                assert x.tobytes() == want.x.tobytes()
+                assert float(fun).hex() == float(want.fun).hex()
+                assert nfev == want.nfev
+        assert exhausted == {"expansion", "contraction", "shrink"}
 
 
 class TestDeriveLifetimes:

@@ -277,6 +277,30 @@ class TestObservationTable:
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == "[]"
 
+    def test_simulate_and_fit_run_on_numpy_alone(self, tmp_path):
+        # A fresh interpreter: import, simulate, CSV round trip and a fit
+        # load no scipy module; the first table build loads scipy.special.
+        code = ("import sys, ionread\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "params = ionread.RateParams(16.0, 0.3, 4.9, 56.0, 1.0 / 3.0)\n"
+                "cfg = ionread.SimConfig(n_trials=200, t_b=10.0, seed=5, params=params)\n"
+                "ens = [ionread.simulate_ensemble(cfg, s) for s in ionread.IonState]\n"
+                f"path = {str(tmp_path / 'counts.csv')!r}\n"
+                "ionread.write_ensemble_csv(path, ens)\n"
+                "_, initials, counts = ionread.read_counts_csv(path)\n"
+                "series = ionread.mean_count_series(initials, counts, params.t_s)\n"
+                "ionread.fit_decay_curves(*series.values())\n"
+                "print(loaded())\n"
+                "ionread.build_observation_table(params)\n"
+                "print('scipy.special' in loaded())\n")
+        src = str(Path(photon_model.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["[]", "True"]
+
     def test_degenerate_rejected(self):
         params = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
         with pytest.raises(DegenerateModelError):
