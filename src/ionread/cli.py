@@ -29,6 +29,7 @@ from .harness import (
     ConfigError,
     compare_methods,
     config_int,
+    config_number,
     decisions_to_csv,
     load_config,
     pi_pulse_sweep,
@@ -86,7 +87,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
     section = _section(cfg, "simulate")
     params = rate_params_from_config(cfg)
     try:
-        t_b = float(section["t_b_ms"])
+        t_b = float(config_number(section["t_b_ms"], "t_b_ms"))
         n_trials = config_int(section["n_trials"], "n_trials")
         seed = config_int(args.seed if args.seed is not None else section["seed"], "seed")
     except (KeyError, TypeError, ValueError) as exc:
@@ -125,12 +126,8 @@ def _cmd_classify(cfg: dict, args) -> int:
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     t_b = counts.shape[1] * params.t_s
     seed = int(args.seed) if args.seed is not None else 0
-    with warnings.catch_warnings(record=True) as caught:   # model mismatch: to stderr
-        warnings.simplefilter("always")
-        logs = clf.likelihoods(counts, params)
+    logs = clf.likelihoods(counts, params)
     decisions = clf.decide(counts, params, logs)
-    for caught_warning in caught:
-        print(f"warning: {caught_warning.message}", file=sys.stderr)
     comments = _echo_comments(cfg, seed)
     per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
     report = clf.report(*per_state, t_b=t_b) if all(d.size for d in per_state) else None
@@ -181,7 +178,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
     if pulse is not None:
         _require(isinstance(pulse, dict), "'pi_pulse' must be an object")
         try:
-            epsilon_pi = float(pulse["epsilon_pi"])
+            epsilon_pi = float(config_number(pulse["epsilon_pi"], "epsilon_pi"))
             detector = pulse["detector"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid pi_pulse section: {exc}") from None
@@ -262,20 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _require(args.threads >= 1, "threads must be >= 1")
-        cfg = load_config(args.config)
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, est.FitConvergenceError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:   # model mismatch: to stderr
+        warnings.simplefilter("always")
+        try:
+            _require(args.threads >= 1, "threads must be >= 1")
+            cfg = load_config(args.config)
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[args.command](cfg, args)
+        except (DataFormatError, est.FitConvergenceError) as exc:
+            error, status = f"data error: {exc}", 3
+        except (ValueError, OSError) as exc:        # ConfigError among them
+            error, status = f"config error: {exc}", 2
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+    print(error, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

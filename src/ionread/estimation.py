@@ -216,23 +216,26 @@ def _nelder_mead(func, x0, maxfev):
     with xatol 1e-10 and fatol 1e-14, ported step for step from scipy
     1.17.1's unbounded ``_minimize_neldermead``: same (x, f, nfev) bits.
     A call past ``maxfev`` aborts its step, and the simplex is sorted as it
-    stands (a shrink may leave moved vertices unscored) and returned."""
-    n = len(x0)
+    stands (a shrink may leave moved vertices unscored) and returned.  The
+    bookkeeping runs on Python floats in numpy's operation order (centroid
+    rows summed in turn, as ``np.add.reduce``); ``np.argsort`` (scipy's tie
+    order) and ``np.min`` (NaN if any is) remain.  ``func`` gets ndarrays."""
+    n, x0 = len(x0), np.asarray(x0, dtype=float).tolist()
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    sim = np.tile(x0, (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim, nfev = np.full(n + 1, np.inf), 0
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025] + x0[k + 1:]
+                  for k in range(n)]
+    fsim, nfev = [math.inf] * (n + 1), 0
 
     def f(x):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return func(x)
+        return func(np.array(x))
 
     def sort(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     with contextlib.suppress(_BudgetSpent):
         for k in range(n + 1):
@@ -240,31 +243,34 @@ def _nelder_mead(func, x0, maxfev):
     sim, fsim = sort(*sort(sim, fsim))      # twice, as scipy: argsort may swap ties
     while nfev < maxfev:
         with contextlib.suppress(_BudgetSpent):
-            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            if (all(abs(a - b) <= 1e-10 for x in sim[1:] for a, b in zip(x, sim[0]))
+                    and all(abs(fsim[0] - v) <= 1e-14 for v in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = sim[0]
+            for x in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            xr = [2 * a - w for a, w in zip(xbar, sim[-1])]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = (1 + chi) * xbar - chi * sim[-1]
+                xe = [(1 + chi) * a - chi * w for a, w in zip(xbar, sim[-1])]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:                   # contract outside if fxr < fsim[-1], else inside
                 outside = fxr < fsim[-1]
-                xc = ((1 + psi) * xbar - psi * sim[-1] if outside
-                      else (1 - psi) * xbar + psi * sim[-1])
+                xc = ([(1 + psi) * a - psi * w for a, w in zip(xbar, sim[-1])] if outside
+                      else [(1 - psi) * a + psi * w for a, w in zip(xbar, sim[-1])])
                 fxc = f(xc)
                 if fxc <= fxr if outside else fxc < fsim[-1]:
                     sim[-1], fsim[-1] = xc, fxc
                 else:               # shrink toward the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [b + sigma * (v - b) for b, v in zip(sim[0], sim[j])]
                         fsim[j] = f(sim[j])
         sim, fsim = sort(sim, fsim)
-    return sim[0], np.min(fsim), nfev
+    return np.array(sim[0]), np.min(fsim), nfev
 
 
 def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
@@ -287,10 +293,10 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
     t_d, y_d = _as_series(mean_dark, "mean_dark")
     shared = np.array_equal(t_b, t_d)   # mean_count_series gives one grid
 
-    def objective(theta):
-        a, b, c, tau = np.exp(theta)
-        e_b = np.exp(-t_b / tau)
-        e_d = e_b if shared else np.exp(-t_d / tau)
+    def objective(theta, neg_t_b=-t_b, neg_t_d=-t_d):
+        a, b, c, tau = np.exp(theta).tolist()
+        e_b = np.exp(neg_t_b / tau)
+        e_d = e_b if shared else np.exp(neg_t_d / tau)
         rb = y_b - (a + b * e_b)
         rd = y_d - (a - c * e_d)
         return math.sqrt(np.dot(rb, rb) + np.dot(rd, rd))

@@ -94,9 +94,15 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def config_number(value, name: str):
+    """``value``, refusing a boolean: JSON ``true`` is no number, though Python counts it 1."""
+    _require(not isinstance(value, bool), f"{name} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def config_int(value, name: str) -> int:
-    """``int(value)``, refusing a non-integral float instead of truncating it."""
-    _require(not isinstance(value, float) or value.is_integer(),
+    """``int(value)``, refusing a boolean and a non-integral float, not truncating it."""
+    _require(not isinstance(config_number(value, name), float) or value.is_integer(),
              f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -288,7 +294,7 @@ class _PreparedCounts:
         """Cumulative histograms of the prefix totals, (n_bins, width): row k
         over the totals 0..width-1 of bins 0..k; the width, the largest total
         + 2, leaves each row's last entry at n."""
-        totals = cl._running(np.add, np.ascontiguousarray(self.counts.T))   # bin-major
+        totals = cl._running(np.add, np.array(self.counts.T, order="C"))   # a bin-major copy
         m, width = totals.shape[0], int(totals[-1].max(initial=0)) + 2
         totals += np.arange(m)[:, None] * width
         hist = np.bincount(totals.ravel(), minlength=m * width).reshape(m, width)
@@ -397,18 +403,18 @@ def resolve_classifier(spec) -> Classifier:
     method = spec.get("method")
     if method == "threshold":
         n_c = spec.get("n_c", "optimize")
-        _require(n_c == "optimize" or (isinstance(n_c, int) and n_c >= 0),
+        _require(n_c == "optimize" or (type(n_c) is int and n_c >= 0),   # not a bool
                  "n_c must be a non-negative integer or 'optimize'")
         return ThresholdClassifier(n_c)
     if method == "double_threshold":
         n_d, n_b = spec.get("n_D"), spec.get("n_B")
-        _require(isinstance(n_d, int) and n_d >= 0, "n_D must be a non-negative integer")
-        _require(n_b == "optimize" or (isinstance(n_b, int) and n_b >= n_d),
+        _require(type(n_d) is int and n_d >= 0, "n_D must be a non-negative integer")
+        _require(n_b == "optimize" or (type(n_b) is int and n_b >= n_d),
                  "n_B must be an integer >= n_D or 'optimize'")
         return DoubleThresholdClassifier(n_b, n_d)
     if method == "simple":
         tau = spec.get("tau_ms")
-        _require(tau is None or (isinstance(tau, (int, float)) and tau > 0),
+        _require(tau is None or (type(tau) in (int, float) and tau > 0),
                  "tau_ms must be positive when given")
         decaying = spec.get("decaying", "dark")
         _require(decaying in ("dark", "bright"),
@@ -804,7 +810,7 @@ def load_config(path) -> dict:
     _require(isinstance(cfg, dict), "config root must be an object")
     _require(cfg.get("format") == CONFIG_FORMAT,
              f"config 'format' must be {CONFIG_FORMAT!r}")
-    _require(cfg.get("version") == CONFIG_VERSION,
+    _require(config_number(cfg.get("version"), "version") == CONFIG_VERSION,
              f"config 'version' must be {CONFIG_VERSION}")
     _require(isinstance(cfg.get("params"), dict), "config needs a 'params' object")
     return cfg
@@ -812,8 +818,8 @@ def load_config(path) -> dict:
 
 def rate_params_from_config(cfg: dict) -> RateParams:
     try:
-        return RateParams.from_json_dict(cfg["params"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return RateParams.from_json_dict({k: config_number(v, k) for k, v in cfg["params"].items()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:   # AttributeError: no object
         raise ConfigError(f"invalid params: {exc}") from None
 
 
@@ -823,12 +829,13 @@ def sweep_spec_from_config(cfg: dict, *, seed=None) -> SweepSpec:
     _require(isinstance(sweep_cfg, dict), "config needs a 'sweep' object")
     try:
         return SweepSpec(
-            t_b_values=tuple(sweep_cfg["t_b_ms"]),
+            t_b_values=tuple(config_number(t_b, "t_b_ms") for t_b in sweep_cfg["t_b_ms"]),
             n_trials=config_int(sweep_cfg["n_trials"], "n_trials"),
             seed=config_int(seed if seed is not None else sweep_cfg["seed"], "seed"),
             params=params,
             classifiers=tuple(sweep_cfg.get("classifiers", _HEADLINE_CLASSIFIERS)),
-            efficiency_factors=tuple(sweep_cfg.get("efficiency_factors", (1.0,))),
+            efficiency_factors=tuple(config_number(r, "efficiency_factors")
+                                     for r in sweep_cfg.get("efficiency_factors", (1.0,))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

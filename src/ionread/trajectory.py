@@ -106,26 +106,38 @@ def bright_dwell_per_bin(initial, change_times: np.ndarray, t_b: float,
                          t_s: float) -> np.ndarray:
     """Exact (N, M) bright dwell time inside each sub-bin.
 
-    ``initial`` holds the N per-trial states and ``change_times`` is (N, J)
-    with NaN padding ragged rows. A change exactly on a bin boundary flips
-    the state for the later bin only.
+    ``initial`` holds the N per-trial states and ``change_times`` is (N, J),
+    rising along each row, with NaN padding ragged rows. A change exactly on
+    a bin boundary flips the state for the later bin only. Built from runs
+    of changes in one (row, bin) cell: a bin holds all or none of its width,
+    by the flip parity at its start, plus the signed time its changes move,
+    summed in change order, as a dense per-cell ``np.bincount`` would.
     """
     ct = np.asarray(change_times, dtype=float)
     n = ct.shape[0]
-    initial_arr = np.asarray(initial, dtype=np.int8)
+    initial_arr = np.asarray(initial, dtype=np.uint8)
     m = n_bins(t_b, t_s)
     edges = np.minimum(np.arange(m + 1) * t_s, t_b)
     # Each change in bin k (edges[k] <= c < edges[k+1]) flips the state from
     # bin k + 1 on and moves edges[k+1] - c of bin k to the new state.
-    rows, col = np.nonzero(ct < edges[-1])    # False for NaN padding
-    times = ct[rows, col]
-    k = np.searchsorted(edges, times, side="right") - 1
-    flips = np.bincount(rows * (m + 1) + k + 1, minlength=n * (m + 1)).reshape(n, m + 1)
-    bright_at_start = (np.cumsum(flips[:, :m], axis=1) & 1) == initial_arr[:, None]
-    into_bright = ((col + 1) & 1) == initial_arr[rows]
-    shift = np.bincount(rows * m + k, np.where(into_bright, 1.0, -1.0) * (edges[k + 1] - times),
-                        minlength=n * m).reshape(n, m)
-    return np.diff(edges) * bright_at_start + shift
+    inside = ct < edges[-1]                   # False for NaN padding
+    times = ct[inside]
+    rows, col = np.nonzero(inside)
+    k = np.minimum((times / t_s).astype(np.intp), m - 1)   # off by at most one
+    k += (edges[k + 1] <= times).astype(np.intp) - (edges[k] > times)
+    cell = rows * m + k                       # rises: a cell's changes form one run
+    ends = np.ones(cell.size, dtype=bool)     # the last change of each run
+    np.not_equal(cell[1:], cell[:-1], out=ends[:-1])
+    last = np.flatnonzero(ends)
+    # Each bin's parity of all changes before it; a row's own is relative to its first bin.
+    seen = np.repeat(np.concatenate(([False], (last & 1) == 0)),
+                     np.diff(np.concatenate(([0], cell[last] + 1, [n * m]))))
+    bright = seen.reshape(n, m) == (seen[::m] ^ initial_arr)[:, None]
+    sign = np.where((col & 1) != initial_arr[rows], 1.0, -1.0)   # +1 into bright
+    shift = np.bincount(np.cumsum(ends) - ends, sign * (edges[k + 1] - times))
+    dwell = np.where(bright, np.diff(edges), 0.0)
+    dwell.ravel()[cell[last]] += shift
+    return dwell
 
 
 def _sample_changes_chunk(initial_arr: np.ndarray, t_b: float, params: RateParams,
@@ -221,8 +233,9 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
         times = _sample_changes_chunk(init_chunk, config.t_b, config.params,
                                       rng_changes)
         dwell = bright_dwell_per_bin(init_chunk, times, config.t_b, config.t_s)
-        lam = config.params.R_D * config.t_s + config.params.R_B * dwell
-        counts[rows] = rng_counts.poisson(lam)[:take]
+        dwell *= config.params.R_B            # the Poisson means, in place
+        dwell += config.params.R_D * config.t_s
+        counts[rows] = rng_counts.poisson(dwell)[:take]
         chunk_times[ci] = times[:take]
 
     if threads > 1 and len(blocks) > 1:

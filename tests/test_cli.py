@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+import re
 import threading
 
 import numpy as np
 import pytest
 
-from ionread import classifiers, estimation
+from ionread import classifiers, estimation, harness
 from ionread.cli import main
 from ionread.harness import evaluate
 from ionread.photon_model import DEFAULT_PARAMS, IonState, build_observation_table
@@ -283,6 +284,19 @@ class TestSweepCompare:
                                                    "generalized_time_resolved"}
         assert all(0.0 <= float(r["epsilon"]) <= 1.0 for r in rows)
 
+    def test_sweep_prints_counts_above_the_table_as_warning_lines(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # A 3-count table: the bright ensemble's counts exceed it.
+        monkeypatch.setattr(harness, "observation_table_for",
+                            lambda params: build_observation_table(params, n_max=3, tol=1.0))
+        cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 500, "seed": 7,
+                                       "classifiers": [{"method": "general"}]})
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(re.fullmatch(r"warning: \d+ counts exceed the table's n_max = 3 "
+                                        r"\(largest \d+\); they are scored as 3", line)
+                           for line in err)
+
     def test_pi_pulse_sweep_mode(self, tmp_path):
         cfg = _config(tmp_path, sweep={
             "t_b_ms": [0.2], "n_trials": 4000, "seed": 7,
@@ -408,6 +422,39 @@ class TestExitCodes:
                       compare={"repetitions": 0})
         assert main(["compare", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "repetitions must be >= 1" in capsys.readouterr().err
+
+    _SIM = {"t_b_ms": 0.5, "n_trials": 10, "seed": 1}
+    _SWEEP = {"t_b_ms": [0.5], "n_trials": 10, "seed": 1}
+
+    @pytest.mark.parametrize("command, field, doc", [
+        ("simulate", "n_trials", {"simulate": {**_SIM, "n_trials": True}}),
+        ("simulate", "seed", {"simulate": {**_SIM, "seed": True}}),
+        ("simulate", "t_b_ms", {"simulate": {**_SIM, "t_b_ms": True}}),
+        ("simulate", "R_B_per_ms", {"simulate": _SIM, "params": {
+            "tau_B_ms": 4.9, "tau_D_ms": 56.0, "R_B_per_ms": True, "R_D_per_ms": 0.3,
+            "t_s_ms": 0.1}}),
+        ("simulate", "version", {"simulate": _SIM, "version": True}),
+        ("sweep", "n_trials", {"sweep": {**_SWEEP, "n_trials": True}}),
+        ("sweep", "seed", {"sweep": {**_SWEEP, "seed": True}}),
+        ("sweep", "t_b_ms", {"sweep": {**_SWEEP, "t_b_ms": [True]}}),
+        ("sweep", "efficiency_factors", {"sweep": {**_SWEEP, "efficiency_factors": [True]}}),
+        ("sweep", "epsilon_pi", {"sweep": {**_SWEEP, "pi_pulse": {
+            "epsilon_pi": True, "detector": {"method": "general"}}}}),
+        ("compare", "repetitions", {"sweep": _SWEEP, "compare": {"repetitions": True}}),
+        ("classify", "n_c", {"classify": {"input": "none.csv", "classifier": {
+            "method": "threshold", "n_c": True}}}),
+        ("classify", "n_D", {"classify": {"input": "none.csv", "classifier": {
+            "method": "double_threshold", "n_D": True, "n_B": 4}}}),
+        ("classify", "n_B", {"classify": {"input": "none.csv", "classifier": {
+            "method": "double_threshold", "n_D": 0, "n_B": True}}}),
+        ("classify", "tau_ms", {"classify": {"input": "none.csv", "classifier": {
+            "method": "simple", "tau_ms": True}}}),
+    ])
+    def test_boolean_in_a_numeric_field(self, tmp_path, capsys, command, field, doc):
+        cfg = _config(tmp_path, **doc)
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"{field} must be " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     @pytest.mark.parametrize("key", ["n_trials", "seed"])
     def test_fractional_simulate_and_sweep_values(self, tmp_path, capsys, key):

@@ -11,6 +11,7 @@ must agree within a few binomial standard errors.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,35 @@ class TestSharedPreparation:
         with pytest.raises(ValueError, match="photon count"):
             resolve_classifier({"method": "threshold", "n_c": 0}).column_tallies(
                 [[3, 0], [2, 1]], [[0, -1], [0, 0]], [0, 1])
+
+
+class TestCallerCountsUntouched:
+    """Prefix histograms are built on a copy of the counts: a caller's array
+    is never written, in any memory order, and one trial is no exception."""
+
+    def test_fortran_ordered_counts(self):
+        spec = SweepSpec(t_b_values=(0.5, 1.0), n_trials=2000, seed=3,
+                         params=DEFAULT_PARAMS, classifiers=TestSharedPreparation.FOUR)
+        cfg = SimConfig(n_trials=2000, t_b=1.0, seed=3, params=DEFAULT_PARAMS)
+        counts = [simulate_ensemble(cfg, s).counts for s in IonState]
+        fortran = [np.asfortranarray(c) for c in counts]
+
+        def rows(arrays):
+            ens = [Ensemble(s, c, None, 1.0, DEFAULT_PARAMS.t_s, params=DEFAULT_PARAMS)
+                   for s, c in zip(IonState, arrays)]
+            return evaluate_prefixes(spec, *ens)
+
+        want = rows([c.copy() for c in counts])
+        assert rows(fortran) == want
+        assert all(np.array_equal(f, c) for f, c in zip(fortran, counts))
+        general = [row.epsilon for row in want if row.classifier == "generalized_time_resolved"]
+        assert len(general) == 2 and max(general) < 0.05
+
+    def test_one_trial_sweep_clamps_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(SweepSpec(t_b_values=(0.5,), n_trials=1, seed=1, params=DEFAULT_PARAMS))
+        assert len(rows) == 2
 
 
 # ---------------------------------------------------------------------------

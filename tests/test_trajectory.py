@@ -203,6 +203,40 @@ def dwell_one(initial, change_times, t_b=0.3, t_s=0.1):
     return bright_dwell_per_bin(np.array([int(initial)]), ct, t_b, t_s)[0]
 
 
+def dense_dwell(initial, change_times, t_b, t_s):
+    """The bright dwell built with dense per-cell scatters: flip counts and
+    time shifts bincounted into (N, M) arrays, the parity from a running sum.
+    ``bright_dwell_per_bin`` must return these bits exactly."""
+    ct = np.asarray(change_times, dtype=float)
+    n = ct.shape[0]
+    initial_arr = np.asarray(initial, dtype=np.int8)
+    m = n_bins(t_b, t_s)
+    edges = np.minimum(np.arange(m + 1) * t_s, t_b)
+    rows, col = np.nonzero(ct < edges[-1])
+    times = ct[rows, col]
+    k = np.searchsorted(edges, times, side="right") - 1
+    flips = np.bincount(rows * (m + 1) + k + 1, minlength=n * (m + 1)).reshape(n, m + 1)
+    bright_at_start = (np.cumsum(flips[:, :m], axis=1) & 1) == initial_arr[:, None]
+    into_bright = ((col + 1) & 1) == initial_arr[rows]
+    shift = np.bincount(rows * m + k, np.where(into_bright, 1.0, -1.0) * (edges[k + 1] - times),
+                        minlength=n * m).reshape(n, m)
+    return np.diff(edges) * bright_at_start + shift
+
+
+def edge_heavy_change_times(rng, n, t_b, t_s, per_row):
+    """(n, J) rising change times, NaN padded, that land on bin edges, one
+    ulp either side of them, and at random, with several in one bin."""
+    m = n_bins(t_b, t_s)
+    edges = np.arange(m + 1) * t_s
+    pool = np.concatenate([edges[:-1], np.nextafter(edges[1:], 0), np.nextafter(edges[:-1], 1),
+                           rng.uniform(0, t_b, 4 * m)])
+    out = np.full((n, per_row), np.nan)
+    for i in range(n):
+        picked = np.unique(rng.choice(pool, rng.integers(0, per_row + 1)))
+        out[i, :picked.size] = picked
+    return out
+
+
 class TestBrightDwell:
     def test_change_mid_bin(self):
         dwell = dwell_one(IonState.BRIGHT, [0.15])
@@ -232,6 +266,34 @@ class TestBrightDwell:
         dwell = bright_dwell_per_bin(np.array([0, 1]), ct, 0.3, 0.1)
         assert np.allclose(dwell[0], [0.1, 0.05, 0.0], atol=1e-15)
         assert np.allclose(dwell[1], [0.05, 0.1, 0.05], atol=1e-15)
+
+    @pytest.mark.parametrize("t_b, t_s", [(0.1, 0.1), (0.3, 0.1), (3.0, 0.1), (30.0, 0.1),
+                                          (0.1, 1 / 30), (1.0, 1 / 30), (2.9, 0.1 + 1e-12)])
+    def test_bits_equal_dense_scatter_on_edge_heavy_rows(self, t_b, t_s):
+        rng = np.random.default_rng(14)
+        ct = edge_heavy_change_times(rng, 400, t_b, t_s, per_row=9)
+        initial = rng.integers(0, 2, 400).astype(np.int8)
+        assert np.isnan(ct).all(axis=1).any()   # rows with no change
+        got = bright_dwell_per_bin(initial, ct, t_b, t_s)
+        assert got.tobytes() == dense_dwell(initial, ct, t_b, t_s).tobytes()
+
+    @pytest.mark.parametrize("params, t_b", [
+        (P, 30.0), (P, 3.0), (P, 0.1),
+        (RateParams(P.R_B, P.R_D, P.tau_B, P.tau_D, 1 / 30), 1 / 30),
+        (RateParams(P.R_B, P.R_D, 0.05, 0.07, 0.1), 3.0),     # several changes per bin
+    ])
+    def test_bits_equal_dense_scatter_on_simulated_chunks(self, params, t_b):
+        cfg = SimConfig(n_trials=CHUNK, t_b=t_b, seed=5, params=params)
+        initial = (np.arange(CHUNK) % 3 == 0).astype(np.int8)
+        ens = simulate_ensemble_from_states(cfg, initial)
+        got = bright_dwell_per_bin(initial, ens.change_times, t_b, params.t_s)
+        want = dense_dwell(initial, ens.change_times, t_b, params.t_s)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bits_equal_dense_scatter_without_changes(self):
+        for ct in (np.empty((5, 0)), np.full((5, 3), np.nan)):
+            got = bright_dwell_per_bin(np.array([0, 1, 0, 1, 1]), ct, 0.3, 0.1)
+            assert got.tobytes() == dense_dwell(np.array([0, 1, 0, 1, 1]), ct, 0.3, 0.1).tobytes()
 
     def test_total_dwell_sums_to_bright_time(self):
         ens = simulate(100, 3.0, IonState.BRIGHT, seed=12)
@@ -429,6 +491,13 @@ ENSEMBLE_DIGESTS = {
 }
 
 
+# sha256 of both 300-bin ensembles (t_b = 30 ms) of a 600-trial config at
+# seed 14: initially bright, initially dark.
+LONG_WINDOW_DIGESTS = (
+    "0a8d2f7782cd6954dafbb78646bdfaea9949a2f66834de8c010262f8a731854d",
+    "02e148ab50dba6f2c4934d6d4ef03c8bdb23099da61c428777972c5ffd71b2e3")
+
+
 class TestEnsembleDigests:
     """Freeze whole ensembles at chunk-straddling sizes, so any change to
     the simulation's random layout fails here first."""
@@ -441,6 +510,11 @@ class TestEnsembleDigests:
                _counts_digest(simulate_ensemble(cfg, IonState.DARK).counts),
                _counts_digest(simulate_ensemble_from_states(cfg, states).counts))
         assert got == ENSEMBLE_DIGESTS[seed, n]
+
+    def test_frozen_long_window_digests(self):
+        cfg = SimConfig(n_trials=600, t_b=30.0, seed=14, params=P)
+        got = tuple(_counts_digest(simulate_ensemble(cfg, s).counts) for s in IonState)
+        assert got == LONG_WINDOW_DIGESTS
 
 
 class TestMixedInitialStates:
