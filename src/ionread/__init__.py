@@ -48,7 +48,6 @@ from .trajectory import (
     n_bins,
     read_counts_csv,
     simulate_ensemble,
-    simulate_ensemble_from_states,
     write_change_times_csv,
     write_ensemble_csv,
 )

@@ -27,6 +27,7 @@ from . import classifiers as cl
 from . import estimation as est
 from .harness import (
     ConfigError,
+    _require,
     compare_methods,
     config_int,
     config_number,
@@ -49,11 +50,6 @@ from .trajectory import (
     write_change_times_csv,
     write_ensemble_csv,
 )
-
-
-def _require(condition, message):
-    if not condition:
-        raise ConfigError(message)
 
 
 def _section(cfg: dict, name: str) -> dict:

@@ -173,13 +173,11 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
 
 
 def _as_series(series, name: str):
+    """(t, mean) columns of a (K, 2) series, K >= 3, at rising times > 0."""
     arr = np.asarray(series, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        t, y = arr[:, 0], arr[:, 1]
-    elif arr.ndim == 2 and arr.shape[0] == 2:
-        t, y = arr[0], arr[1]
-    else:
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{name} must be a (K, 2) series of (t, mean) pairs")
+    t, y = arr[:, 0], arr[:, 1]
     if t.size < 3:
         raise ValueError(f"{name} must span at least 3 points")
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):
@@ -273,8 +271,7 @@ def _nelder_mead(func, x0, maxfev):
     return np.array(sim[0]), np.min(fsim), nfev
 
 
-def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
-                     rel_tol: float = 1e-12) -> DecayFit:
+def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000) -> DecayFit:
     """Jointly fit (a, b, c, tau) to bright and dark mean-count series.
 
     Each series is a (K, 2) array of (t, mean) rows; the two time grids need
@@ -282,8 +279,8 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
     by simplex descent on log-parameters (which keeps all four parameters
     positive), multi-started from a moment-based warm start plus five
     log-spaced tau values, then polished by up to five restarts until the
-    objective improves by less than ``rel_tol`` relatively.  ``max_evals``
-    caps each of these up to 11 simplex runs, not their total.
+    objective improves by at most 1e-12 relatively.  ``max_evals`` caps
+    each of these up to 11 simplex runs, not their total.
 
     Raises FitConvergenceError (carrying the best iterate) if the budget is
     exhausted before the restart polish stabilizes.  Flat data on either
@@ -315,7 +312,7 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
             best_x, best_f = x, fun
 
     # Restart polish: a fresh simplex escapes premature collapse; stop when
-    # the relative improvement is below rel_tol.
+    # the relative improvement is at most 1e-12.
     converged = False
     for _ in range(5):
         x, fun, nfev = _nelder_mead(objective, best_x, max_evals)
@@ -323,7 +320,7 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000,
         improvement = best_f - fun
         if fun < best_f:
             best_x, best_f = x, fun
-        if improvement <= rel_tol * max(best_f, 1e-30):
+        if improvement <= 1e-12 * max(best_f, 1e-30):
             converged = True
             break
 

@@ -43,13 +43,13 @@ from .photon_model import IonState, RateParams, build_observation_table
 from .trajectory import (
     Ensemble,
     SimConfig,
+    _check_seed,
     _labels,
     _row_blocks,
     _write_csv,
     deterministic_uniforms,
     n_bins,
     simulate_ensemble,
-    simulate_ensemble_from_states,
 )
 
 CONFIG_FORMAT = "ionread_config"
@@ -95,8 +95,8 @@ def _require(condition, message):
 
 
 def config_number(value, name: str):
-    """``value``, refusing a boolean: JSON ``true`` is no number, though Python counts it 1."""
-    _require(not isinstance(value, bool), f"{name} must be a number, got {json.dumps(value)}")
+    """``value`` if an int or a float: JSON ``"7"`` and ``true`` are no numbers."""
+    _require(type(value) in (int, float), f"{name} must be a number, got {json.dumps(value)}")
     return value
 
 
@@ -135,10 +135,10 @@ class Classifier:
         ``prefixes``; None for rules on the total count."""
         return None
 
-    def report(self, decisions_bright, decisions_dark, *, t_b, r=1.0):
+    def report(self, decisions_bright, decisions_dark, *, t_b):
         return report_from_decisions(
             decisions_bright, decisions_dark, classifier=self.label,
-            detail=self.detail, t_b=t_b, r=r, n_c=self.n_c)
+            detail=self.detail, t_b=t_b, n_c=self.n_c)
 
     def column_reports(self, counts_bright, counts_dark, t_bs, cols, params, r=1.0):
         """One report per prefix column, at the matching t_b."""
@@ -167,11 +167,11 @@ class _CountRule(Classifier):
         rule = self.fixed()
         return cl.double_threshold_decide(_prepare(counts).counts.sum(axis=1), rule.n_D, rule.n_c)
 
-    def optimum(self, cdf_b, cdf_d, grid=None):
+    def optimum(self, cdf_b, cdf_d):
         """(classifier at the error-minimizing cutoff, grid, mean error at
         each grid value) from the cumulative total histograms of one window;
         ties resolve to the smaller cutoff."""
-        values, eps = self._landscape(cdf_b, cdf_d, grid)
+        values, eps = self._landscape(cdf_b, cdf_d)
         return replace(self, n_c=int(values[np.argmin(eps)])), values, eps
 
     def column_tallies(self, counts_bright, counts_dark, cols, params=None):
@@ -206,13 +206,10 @@ class ThresholdClassifier(_CountRule):
     def n_D(self):          # a single cut: nothing is Inconclusive
         return self.n_c
 
-    def _landscape(self, cdf_b, cdf_d, grid):
-        """Mean error of the single-threshold rule at every grid value, by
-        default every total up to the larger state's largest."""
-        hi = max(cdf_b.size, cdf_d.size) - 2
-        grid = np.arange(hi + 1) if grid is None else np.asarray(sorted(grid), dtype=int)
-        if np.any(grid < 0):
-            raise ConfigError("n_c grid values must be >= 0")
+    def _landscape(self, cdf_b, cdf_d):
+        """Mean error of the single-threshold rule at every total up to the
+        larger state's largest."""
+        grid = np.arange(max(cdf_b.size, cdf_d.size) - 1)
         eps_b = _at(cdf_b, grid) / cdf_b[-1]          # bright decided dark
         eps_d = 1.0 - _at(cdf_d, grid) / cdf_d[-1]    # dark decided bright
         return grid, 0.5 * (eps_b + eps_d)
@@ -227,13 +224,11 @@ class DoubleThresholdClassifier(_CountRule):
     def detail(self):
         return f"n_D={self.n_D};n_B={self.n_c}"
 
-    def _landscape(self, cdf_b, cdf_d, grid):
-        """Mean relative error of the two-threshold rule over the n_B grid."""
-        n_d, top = self.n_D, max(cdf_b.size, cdf_d.size) - 1
-        grid = (np.arange(n_d, max(top - 1, n_d) + 1) if grid is None
-                else np.asarray(sorted(grid), dtype=int))
-        if np.any(grid < n_d):
-            raise ConfigError("n_B grid values must be >= n_D")
+    def _landscape(self, cdf_b, cdf_d):
+        """Mean relative error of the two-threshold rule at every n_B from n_D
+        up to the larger state's largest total (n_D alone if that is less)."""
+        n_d = self.n_D
+        grid = np.arange(n_d, max(max(cdf_b.size, cdf_d.size) - 2, n_d) + 1)
         wrong_b = _at(cdf_b, n_d)
         kept_b = cdf_b[-1] - (_at(cdf_b, grid) - wrong_b)
         wrong_d = cdf_d[-1] - _at(cdf_d, grid)
@@ -279,14 +274,13 @@ class _PreparedCounts:
         return _distinct_records(self.counts)
 
     def clamped(self, table):
-        """(counts clamped to the table's n_max, their records, how many
-        counts were clamped).  The table tallies each clamped count once;
-        records are grouped again only when something was clamped."""
+        """(counts clamped to the table's n_max, how many were clamped), once
+        per table, which tallies each clamped count once.  Equal rows stay
+        equal when clamped, so ``records`` group the clamped rows too."""
         if table not in self._clamped:
             counts = table.clamp_counts(self.counts)
-            self._clamped[table] = ((counts, self.records, 0) if counts is self.counts else
-                                    (counts, _distinct_records(counts),
-                                     int(np.count_nonzero(counts != self.counts))))
+            self._clamped[table] = counts, (0 if counts is self.counts else
+                                            int(np.count_nonzero(counts != self.counts)))
         return self._clamped[table]
 
     @functools.cached_property
@@ -383,7 +377,7 @@ class GeneralClassifier(_LikelihoodRule):
 
     def _loglik(self, state, params, prefixes):
         table = observation_table_for(params)
-        counts, (first, inverse), over = state.clamped(table)
+        (counts, over), (first, inverse) = state.clamped(table), state.records
         if over:
             warnings.warn(f"{over} counts exceed the table's n_max = {table.n_max} (largest "
                           f"{state.counts.max()}); they are scored as {table.n_max}",
@@ -532,12 +526,18 @@ def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
     return report
 
 
-def _window(ensemble_bright, ensemble_dark):
-    """[t_b], [last column] of the ensembles' shared window, their prepared counts."""
-    if (ensemble_bright.t_b, ensemble_bright.t_s) != (ensemble_dark.t_b, ensemble_dark.t_s):
+def _window(ensemble_bright, ensemble_dark, t_bs=None, t_s=None):
+    """Sorted ``t_bs`` (default: the window's t_b), their last columns and the
+    prepared counts of two ensembles that share a window binned at ``t_s``."""
+    t_b, ens_t_s = ensemble_bright.t_b, ensemble_bright.t_s
+    if (t_b, ens_t_s) != (ensemble_dark.t_b, ensemble_dark.t_s):
         raise ValueError("ensembles must share (t_b, t_s)")
-    return ([ensemble_bright.t_b], [ensemble_bright.n_bins - 1],
-            *(_prepare(e.counts) for e in (ensemble_bright, ensemble_dark)))
+    t_bs = t_bs or [t_b]
+    cols = [n_bins(t, t_s or ens_t_s) - 1 for t in t_bs]
+    if t_s not in (None, ens_t_s) or cols[-1] >= ensemble_bright.n_bins:
+        raise ValueError(f"t_b up to {t_bs[-1]} ms at t_s = {t_s} ms does not fit ensembles "
+                         f"of t_b = {t_b} ms at t_s = {ens_t_s} ms")
+    return t_bs, cols, *(_prepare(e.counts) for e in (ensemble_bright, ensemble_dark))
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +555,19 @@ class ThresholdOptimum:
 
 
 def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
-                       *, family: str = "threshold", n_D: int = 0,
-                       grid=None) -> ThresholdOptimum:
-    """Exhaustive grid search for the error-minimizing threshold.
+                       *, family: str = "threshold", n_D: int = 0) -> ThresholdOptimum:
+    """Exhaustive search for the error-minimizing threshold.
 
     ``family`` is "threshold" (optimizes n_c) or "double_threshold"
-    (optimizes n_B at fixed n_D).  The default grid spans every achievable
-    total count.  Ties resolve to the smaller threshold.
+    (optimizes n_B at fixed n_D) over every total count either ensemble
+    reaches, from n_D up.  Ties resolve to the smaller threshold.
     """
-    if grid is not None and len(grid) == 0:
-        raise ConfigError("threshold grid must be non-empty")
     _require(family in ("threshold", "double_threshold"),
              f"unknown threshold family {family!r}")
     rule = resolve_classifier({"method": family, "n_c": "optimize",
                                "n_D": n_D, "n_B": "optimize"})
     t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
-    best, values, eps = rule.optimum(*(state.cdfs[-1] for state in states), grid)
+    best, values, eps = rule.optimum(*(state.cdfs[-1] for state in states))
     (report,) = best.column_reports(*states, t_bs, cols, None)
     return ThresholdOptimum(best=best.n_c, report=report,
                             landscape=tuple(zip(values.tolist(), eps.tolist())))
@@ -602,6 +599,7 @@ class SweepSpec:
         for t_b in self.t_b_values:
             n_bins(t_b, self.params.t_s)
         _require(self.n_trials >= 1, "n_trials must be >= 1")
+        _check_seed(self.seed)
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
             resolve_classifier(spec)
@@ -687,9 +685,8 @@ def _pi_pulse_point(spec: SweepSpec, detector: Classifier, epsilon_pi: float,
                                    (_CTX_PI, _PI_PULSE, index, int(state)),
                                    spec.n_trials)
         flipped = np.where(u < 1.0 - epsilon_pi, 1 - finals, finals).astype(np.int8)
-        ens2 = simulate_ensemble_from_states(
-            cfg, flipped, context=(_CTX_PI, _PI_WINDOW_TWO, index, int(state)),
-            threads=threads)
+        ens2 = simulate_ensemble(cfg, flipped, threads=threads,
+                                 context=(_CTX_PI, _PI_WINDOW_TWO, index, int(state)))
         d2 = decisions_for(ens2.counts, detector, params)
         window1[state], dec1[state] = ens1, d1
         combined[state] = cl.pi_pulse_combine(d1, d2)
@@ -786,12 +783,12 @@ def _sweep_on_streams(spec: SweepSpec, r: float, threads: int, context: tuple):
 
 def evaluate_prefixes(spec: SweepSpec, ens_b: Ensemble, ens_d: Ensemble,
                       *, r: float = 1.0) -> list:
-    """Evaluate the configured classifiers on existing ensembles at every t_b."""
+    """Evaluate the configured classifiers on existing ensembles, binned at
+    the spec's t_s and spanning its longest t_b, at every t_b."""
+    t_bs, cols, *states = _window(ens_b, ens_d, spec.t_b_values, spec.t_s)
     params = ens_b.params or spec.params.scaled(r)
-    cols = [n_bins(t_b, spec.t_s) - 1 for t_b in spec.t_b_values]
-    states = _prepare(ens_b.counts), _prepare(ens_d.counts)
     return [row for clf in map(resolve_classifier, spec.classifiers)
-            for row in clf.column_reports(*states, spec.t_b_values, cols, params, r)]
+            for row in clf.column_reports(*states, t_bs, cols, params, r)]
 
 
 # ---------------------------------------------------------------------------

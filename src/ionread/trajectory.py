@@ -70,6 +70,11 @@ def n_bins(t_b: float, t_s: float) -> int:
     return m
 
 
+def _check_seed(seed) -> None:   # each seed in range keys streams of its own
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble simulation settings; the sub-bin duration ``t_s`` is the
@@ -84,8 +89,7 @@ class SimConfig:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         n_bins(self.t_b, self.t_s)
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed must be an integer")
+        _check_seed(self.seed)
 
     @property
     def t_s(self) -> float:
@@ -98,7 +102,7 @@ class SimConfig:
 
 def _chunk_rng(seed: int, stream: int, context: tuple, chunk_index: int) -> np.random.Generator:
     """Counter-based generator for one (stream, context, chunk) cell."""
-    entropy = (int(seed) % 2**64, stream, *(int(c) for c in context), chunk_index)
+    entropy = (int(seed), stream, *(int(c) for c in context), chunk_index)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -214,10 +218,9 @@ class Ensemble:
         return self.states_at(self.t_b)
 
 
-def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
-                     threads: int = 1):
-    """Simulate all chunks; returns (counts, change_times).  Each chunk writes
-    its own rows of one preallocated count array."""
+def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threads: int):
+    """Simulate all chunks; returns (counts, change_times).  Each chunk pads its
+    rows of ``states`` with ``fill`` and writes its rows of one count array."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     blocks = list(_row_blocks(config.n_trials))
@@ -227,7 +230,8 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
     def run(ci: int):
         rows = blocks[ci]
         take = rows.stop - rows.start
-        init_chunk = initial_arr_for(rows.start, take)
+        init_chunk = np.full(CHUNK, fill, dtype=np.int8)
+        init_chunk[:take] = states[rows]
         rng_changes = _chunk_rng(config.seed, _STREAM_CHANGES, context, ci)
         rng_counts = _chunk_rng(config.seed, _STREAM_COUNTS, context, ci)
         times = _sample_changes_chunk(init_chunk, config.t_b, config.params,
@@ -253,7 +257,7 @@ def _simulate_chunks(config: SimConfig, initial_arr_for, context: tuple,
     return counts, times
 
 
-def simulate_ensemble(config: SimConfig, initial: IonState, *,
+def simulate_ensemble(config: SimConfig, initial, *,
                       threads: int = 1, context: tuple = ()) -> Ensemble:
     """Simulate ``config.n_trials`` independent trajectories.
 
@@ -261,34 +265,21 @@ def simulate_ensemble(config: SimConfig, initial: IonState, *,
     ``threads`` only parallelizes chunk processing and never changes results.
     ``context`` namespaces the random streams so that several ensembles of
     the same initial state (e.g. repeated experiments, or the two windows of
-    a pulse pair) can be drawn independently from one seed.  ``initial``
-    may also be given as the plain int 0 or 1.
+    a pulse pair) can be drawn independently from one seed.  ``initial`` is
+    one state (an IonState or the int 0 or 1), which also keys the streams,
+    or a per-trial int8 array of shape (n_trials,), keyed by ``context`` alone.
     """
-    initial = IonState(initial)
-    full_context = (*context, int(initial))
-    width_init = np.full(CHUNK, int(initial), dtype=np.int8)
-    counts, times = _simulate_chunks(
-        config, lambda start, take: width_init, full_context, threads
-    )
+    if np.ndim(initial) == 0:
+        initial = IonState(initial)
+        fill, context = int(initial), (*context, int(initial))
+        states = np.full(config.n_trials, fill, dtype=np.int8)
+    else:
+        initial = states = np.asarray(initial, dtype=np.int8)
+        if initial.shape != (config.n_trials,):
+            raise ValueError("initial must have shape (n_trials,)")
+        fill = 0
+    counts, times = _simulate_chunks(config, states, fill, context, threads)
     return Ensemble(initial, counts, times, config.t_b, config.t_s,
-                    params=config.params, seed=config.seed)
-
-
-def simulate_ensemble_from_states(config: SimConfig, initial_states: np.ndarray, *,
-                                  threads: int = 1, context: tuple = (9,)) -> Ensemble:
-    """Like :func:`simulate_ensemble` with a per-trial initial state vector
-    (used for the second detection window after a pulse)."""
-    initial_states = np.asarray(initial_states, dtype=np.int8)
-    if initial_states.shape != (config.n_trials,):
-        raise ValueError("initial_states must have shape (n_trials,)")
-
-    def initial_for(start, take):
-        chunk = np.zeros(CHUNK, dtype=np.int8)
-        chunk[:take] = initial_states[start:start + take]
-        return chunk
-
-    counts, times = _simulate_chunks(config, initial_for, context, threads)
-    return Ensemble(initial_states, counts, times, config.t_b, config.t_s,
                     params=config.params, seed=config.seed)
 
 

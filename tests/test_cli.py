@@ -384,6 +384,17 @@ class TestExitCodes:
         assert not (tmp_path / "counts.csv").exists()
         assert threading.active_count() == running
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_range(self, tmp_path, capsys, seed):
+        # -1 and 2**64 - 1 once keyed the same streams; no seed aliases another now.
+        cfg = _config(tmp_path, simulate={"t_b_ms": 0.5, "n_trials": 10, "seed": 1},
+                      sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1})
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", cfg, "--out-dir", str(tmp_path),
+                         "--seed", seed]) == 2
+            assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_out_of_range_count(self, tmp_path, capsys):
         csv_path = tmp_path / "big.csv"
         csv_path.write_text("trial,initial,n_1\n0,B,99999999999999999999999\n")
@@ -449,6 +460,15 @@ class TestExitCodes:
             "method": "double_threshold", "n_D": 0, "n_B": True}}}),
         ("classify", "tau_ms", {"classify": {"input": "none.csv", "classifier": {
             "method": "simple", "tau_ms": True}}}),
+        # A JSON string is no number either, though float() reads it.
+        ("simulate", "n_trials", {"simulate": {**_SIM, "n_trials": "7"}}),
+        ("simulate", "t_b_ms", {"simulate": {**_SIM, "t_b_ms": "1"}}),
+        ("simulate", "R_B_per_ms", {"simulate": _SIM, "params": {
+            "tau_B_ms": 4.9, "tau_D_ms": 56.0, "R_B_per_ms": "16", "R_D_per_ms": 0.3,
+            "t_s_ms": 0.1}}),
+        ("sweep", "epsilon_pi", {"sweep": {**_SWEEP, "pi_pulse": {
+            "epsilon_pi": "0.02", "detector": {"method": "general"}}}}),
+        ("compare", "repetitions", {"sweep": _SWEEP, "compare": {"repetitions": "2"}}),
     ])
     def test_boolean_in_a_numeric_field(self, tmp_path, capsys, command, field, doc):
         cfg = _config(tmp_path, **doc)

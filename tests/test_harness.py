@@ -12,6 +12,7 @@ must agree within a few binomial standard errors.
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,24 +255,6 @@ class TestEvaluate:
 
 
 class TestOptimizeThreshold:
-    def test_single_point_grid_returned(self):
-        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 2000, seed=1)
-        out = optimize_threshold(ens_b, ens_d, grid=[3])
-        assert out.best == 3
-        assert out.landscape[0][0] == 3
-
-    def test_empty_grid_rejected(self):
-        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 100, seed=1)
-        with pytest.raises(ConfigError):
-            optimize_threshold(ens_b, ens_d, grid=[])
-
-    def test_negative_grid_rejected(self):
-        # A negative n_c would call every trial bright; it must not be
-        # silently evaluated as n_c = 0.
-        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 100, seed=1)
-        with pytest.raises(ConfigError):
-            optimize_threshold(ens_b, ens_d, grid=[-1, 0, 1])
-
     def test_poisson_crossover(self):
         # Without transitions the totals are Poisson; the optimal cutoff is
         # the floor of the likelihood-ratio crossover
@@ -302,8 +285,9 @@ class TestOptimizeThreshold:
 
     def test_landscape_matches_direct_evaluation(self):
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 5000, seed=5)
-        out = optimize_threshold(ens_b, ens_d, grid=[0, 1, 2])
-        for n_c, eps in out.landscape:
+        out = optimize_threshold(ens_b, ens_d)
+        assert [n_c for n_c, _ in out.landscape[:3]] == [0, 1, 2]
+        for n_c, eps in out.landscape[:3]:
             direct = evaluate(ens_b, ens_d,
                               {"method": "threshold", "n_c": int(n_c)})
             assert eps == pytest.approx(direct.epsilon, abs=1e-12)
@@ -367,6 +351,26 @@ class TestSweep:
             _spec(efficiency_factors=(0.0,))
         with pytest.raises(ConfigError):
             _spec(n_trials=0)
+
+    @pytest.mark.parametrize("seed, ok", [(-1, False), (0, True), (2**64 - 1, True),
+                                          (2**64, False)])
+    def test_seed_range(self, seed, ok):
+        if ok:
+            assert _spec(seed=seed).seed == seed
+        else:
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                _spec(seed=seed)
+
+    @pytest.mark.parametrize("spec", [
+        # Read at the ensembles' 0.1 ms bins, the row labelled 0.5 ms would
+        # hold the 1.0 ms result.
+        _spec(t_b_values=(0.5,), params=replace(DEFAULT_PARAMS, t_s=0.05)),
+        _spec(t_b_values=(0.5, 1.5)),        # beyond the 1.0 ms window
+    ], ids=["finer_t_s", "longer_t_b"])
+    def test_evaluate_prefixes_refuses_a_mismatched_window(self, spec):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 1.0, 200, seed=1)
+        with pytest.raises(ValueError, match="does not fit ensembles of t_b = 1.0 ms"):
+            evaluate_prefixes(spec, ens_b, ens_d)
 
 
 class TestEfficiencySweep:
@@ -618,8 +622,8 @@ class TestDistinctRecordScoring:
 
 class TestSharedPreparation:
     """Each call prepares each state's counts once for all its classifiers:
-    one validation, one grouping (two where the general table clamps) and
-    one prefix-total histogram per state."""
+    one validation, one grouping and one prefix-total histogram per state,
+    also where the general table clamps."""
 
     FOUR = ({"method": "threshold", "n_c": "optimize"},
             {"method": "double_threshold", "n_D": 0, "n_B": "optimize"},
@@ -666,7 +670,7 @@ class TestSharedPreparation:
         calls = self._counted(monkeypatch, (ens_b, ens_d))
         before = table.clamped_lookups
         assert evaluate_prefixes(spec, ens_b, ens_d) == expected
-        assert calls == {"validate": [1, 1], "group": 3 if clamps else 2, "totals": 2}
+        assert calls == {"validate": [1, 1], "group": 2, "totals": 2}
         assert table.clamped_lookups - before == clamps
 
     def test_optimize_threshold_builds_histograms_once(self, monkeypatch):

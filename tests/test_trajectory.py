@@ -27,7 +27,6 @@ from ionread.trajectory import (
     n_bins,
     read_counts_csv,
     simulate_ensemble,
-    simulate_ensemble_from_states,
     write_change_times_csv,
     write_ensemble_csv,
 )
@@ -149,6 +148,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_trials=0, t_b=1.0, seed=1, params=P)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SimConfig(n_trials=1, t_b=1.0, seed=seed, params=P)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_bounds_simulate(self, seed):
+        cfg = SimConfig(n_trials=3, t_b=0.2, seed=seed, params=P)
+        assert simulate_ensemble(cfg, IonState.BRIGHT).counts.shape == (3, 2)
+
 
 class TestSampleChangeTimes:
     def test_increasing_within_window(self):
@@ -255,7 +264,7 @@ class TestBrightDwell:
     def test_matches_interval_sweep_reference(self):
         cfg = SimConfig(n_trials=300, t_b=2.0, seed=11, params=P)
         initial = (np.arange(300) % 2).astype(np.int8)
-        ens = simulate_ensemble_from_states(cfg, initial)
+        ens = simulate_ensemble(cfg, initial, context=(9,))
         fast = bright_dwell_per_bin(initial, ens.change_times, 2.0, 0.1)
         assert ens.change_times.shape[1] >= 2
         for i, (state, ct) in enumerate(rows(ens)):
@@ -285,7 +294,7 @@ class TestBrightDwell:
     def test_bits_equal_dense_scatter_on_simulated_chunks(self, params, t_b):
         cfg = SimConfig(n_trials=CHUNK, t_b=t_b, seed=5, params=params)
         initial = (np.arange(CHUNK) % 3 == 0).astype(np.int8)
-        ens = simulate_ensemble_from_states(cfg, initial)
+        ens = simulate_ensemble(cfg, initial, context=(9,))
         got = bright_dwell_per_bin(initial, ens.change_times, t_b, params.t_s)
         want = dense_dwell(initial, ens.change_times, t_b, params.t_s)
         assert got.tobytes() == want.tobytes()
@@ -408,7 +417,7 @@ class TestReproducibility:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             simulate_ensemble(cfg, IonState.BRIGHT, threads=threads)
         with pytest.raises(ValueError, match="threads must be >= 1"):
-            simulate_ensemble_from_states(cfg, np.zeros(3 * CHUNK, np.int8), threads=threads)
+            simulate_ensemble(cfg, np.zeros(3 * CHUNK, np.int8), threads=threads)
         assert threading.active_count() == running
 
     def test_chunks_fill_shared_array_under_thread_switching(self):
@@ -418,12 +427,12 @@ class TestReproducibility:
         cfg = SimConfig(n_trials=8 * CHUNK - 5, t_b=0.5, seed=80, params=P)
         states = (np.arange(cfg.n_trials) % 2).astype(np.int8)
         serial = (simulate_ensemble(cfg, IonState.DARK).counts,
-                  simulate_ensemble_from_states(cfg, states).counts)
+                  simulate_ensemble(cfg, states, context=(9,)).counts)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = (simulate_ensemble(cfg, IonState.DARK, threads=6).counts,
-                        simulate_ensemble_from_states(cfg, states, threads=6).counts)
+                        simulate_ensemble(cfg, states, threads=6, context=(9,)).counts)
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded, strict=True))
@@ -508,7 +517,7 @@ class TestEnsembleDigests:
         states = (np.arange(n) % 3 == 0).astype(np.int8)
         got = (_counts_digest(simulate_ensemble(cfg, IonState.BRIGHT).counts),
                _counts_digest(simulate_ensemble(cfg, IonState.DARK).counts),
-               _counts_digest(simulate_ensemble_from_states(cfg, states).counts))
+               _counts_digest(simulate_ensemble(cfg, states, context=(9,)).counts))
         assert got == ENSEMBLE_DIGESTS[seed, n]
 
     def test_frozen_long_window_digests(self):
@@ -521,7 +530,7 @@ class TestMixedInitialStates:
     def test_per_trial_initial_respected(self):
         cfg = SimConfig(n_trials=20_000, t_b=0.5, seed=55, params=P)
         init = (np.arange(20_000) % 2).astype(np.int8)
-        ens = simulate_ensemble_from_states(cfg, init)
+        ens = simulate_ensemble(cfg, init, context=(9,))
         assert np.array_equal(ens.initial_array(), init)
         bright_rows = ens.counts[init == 0]
         dark_rows = ens.counts[init == 1]
@@ -531,7 +540,7 @@ class TestMixedInitialStates:
     def test_shape_validation(self):
         cfg = SimConfig(n_trials=10, t_b=0.5, seed=55, params=P)
         with pytest.raises(ValueError):
-            simulate_ensemble_from_states(cfg, np.zeros(5, dtype=np.int8))
+            simulate_ensemble(cfg, np.zeros(5, dtype=np.int8))
 
 
 class TestEnsembleStates:
