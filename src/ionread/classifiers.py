@@ -48,13 +48,6 @@ class Decision(enum.IntEnum):
     def label(self) -> str:
         return {0: "B", 1: "D", 2: "I"}[int(self)]
 
-    @classmethod
-    def from_label(cls, label: str) -> "Decision":
-        try:
-            return {"B": cls.BRIGHT, "D": cls.DARK, "I": cls.INCONCLUSIVE}[label]
-        except KeyError:
-            raise ValueError(f"unknown decision label {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class LikelihoodPair:
@@ -129,7 +122,7 @@ def _as_counts(counts) -> np.ndarray:
 
 def threshold_classify(counts, n_c: int) -> Decision:
     """Bright iff strictly more than n_c photons arrived in total."""
-    return Decision(int(threshold_decide(_as_counts(counts).sum(), n_c)))
+    return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_c, n_c)))
 
 
 def double_threshold_classify(counts, n_D: int, n_B: int) -> Decision:
@@ -137,12 +130,8 @@ def double_threshold_classify(counts, n_D: int, n_B: int) -> Decision:
     return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_D, n_B)))
 
 
-def threshold_decide(totals: np.ndarray, n_c: int) -> np.ndarray:
-    """Vectorized threshold decisions from total counts."""
-    return np.where(np.asarray(totals) > n_c, Decision.BRIGHT, Decision.DARK).astype(np.int8)
-
-
 def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarray:
+    """Count-rule decisions from total counts; n_D = n_B is a single threshold."""
     if n_D > n_B:
         raise ValueError(f"n_D={n_D} must not exceed n_B={n_B}")
     totals = np.asarray(totals)
@@ -172,7 +161,7 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
 
     Returns (log_p_B, log_p_D, clamped): arrays of shape (n_trials,) or, with
     prefixes, (n_trials, n_bins); ``clamped`` marks rows (or prefix cells)
-    whose linear-in-t_b prefactor went negative and was clamped to zero.
+    whose linear-in-t_b prefactor went negative and was clamped to zero, with a warning.
     """
     decaying = IonState(decaying)
     log_pure, log_stay, log_change, clamped = _single_change_terms(
@@ -203,7 +192,7 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
     (n_bins, n_trials): the stable hypothesis, then the no-change and the
     changed term of the changeable one, whose sum is its likelihood.
     ``clamped`` marks prefixes whose linear-in-t_b prefactor went negative
-    and was clamped to zero.
+    and was clamped to zero, which warns once per call (RuntimeWarning).
     """
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
@@ -228,6 +217,9 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
     _running(np.logaddexp, inner)
     k = np.arange(1, m + 1)
     prefac = 1.0 - k * params.t_s / tau
+    if prefac[-1] < 0:
+        warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
+                      RuntimeWarning, stacklevel=3)
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
@@ -245,17 +237,13 @@ def simple_time_resolved_classify(counts, params: RateParams,
     no-change term lands in D^(iD) and the changed term in B^(iD), while the
     bright hypothesis has no decay channel, so D^(iB) = 0 (mirrored for
     ``decaying=BRIGHT``).  A window longer than tau drives the no-change
-    prefactor negative; it is clamped to zero and flagged, since the
-    single-change expansion has left its domain of validity.
+    prefactor negative; it is clamped to zero, flagged and warned about,
+    since the single-change expansion has left its domain of validity.
     """
     decaying = IonState(decaying)
     *logs, clamped = (term[-1, 0] for term in _single_change_terms(
         _as_counts(counts), params, tau, decaying))
-    flags = ()
-    if clamped:
-        warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                      RuntimeWarning, stacklevel=2)
-        flags = ("prefactor_clamped",)
+    flags = ("prefactor_clamped",) if clamped else ()
     # Stabilize around the largest term.
     scale = max(logs)
     pure, stayed, changed = np.exp(np.array(logs) - scale)
@@ -317,6 +305,7 @@ def general_loglik(counts: np.ndarray, table: ObservationTable,
 
     Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
     with ``prefixes``, the latter as transposed views of bin-major arrays.
+    Counts above the table's n_max are scored as n_max, with a warning.
     """
     counts2d = _as_count_matrix(counts)
     if prefixes:
@@ -333,7 +322,7 @@ def generalized_time_resolved_classify(counts, table: ObservationTable):
 
     Returns (Decision, LikelihoodPair); the pair carries the accumulated
     matrix, so both the final-state split and the initial-state likelihoods
-    are available to callers.
+    are available to callers.  Counts above n_max warn, as in general_loglik.
     """
     acc, log_scale = _forward_product(_as_counts(counts)[None, :], table)
     pair = LikelihoodPair(matrix=np.reshape(acc, (2, 2)), log_scale=float(log_scale[0]))

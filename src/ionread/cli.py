@@ -44,6 +44,7 @@ from .photon_model import IonState
 from .trajectory import (
     DataFormatError,
     SimConfig,
+    _check_seed,
     _labels,
     read_counts_csv,
     simulate_ensemble,
@@ -85,7 +86,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
     try:
         t_b = float(config_number(section["t_b_ms"], "t_b_ms"))
         n_trials = config_int(section["n_trials"], "n_trials")
-        seed = config_int(args.seed if args.seed is not None else section["seed"], "seed")
+        seed = args.seed if args.seed is not None else config_int(section["seed"], "seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulate section: {exc}") from None
     initial = section.get("initial", "both")
@@ -105,7 +106,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
             emitted.append("change_times.csv")
     else:
         rows = [{"trial": i, "initial": label, "counts": counts} for ens in ensembles
-                for i, label, counts in zip(range(len(ens)), _labels(ens.initial_array()),
+                for i, label, counts in zip(range(len(ens)), _labels(ens.initial),
                                             ens.counts.tolist())]
         _write_json(args.out_dir / "counts.json", "simulate", cfg, seed,
                     {"t_b_ms": t_b, "rows": rows})
@@ -121,7 +122,7 @@ def _cmd_classify(cfg: dict, args) -> int:
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     t_b = counts.shape[1] * params.t_s
-    seed = int(args.seed) if args.seed is not None else 0
+    seed = args.seed or 0
     logs = clf.likelihoods(counts, params)
     decisions = clf.decide(counts, params, logs)
     comments = _echo_comments(cfg, seed)
@@ -161,7 +162,7 @@ def _cmd_fit(cfg: dict, args) -> int:
     fit = est.fit_decay_curves(series[IonState.BRIGHT], series[IonState.DARK])
     report = est.fit_report(fit)
     report["config"] = cfg
-    report["seed"] = int(args.seed) if args.seed is not None else 0
+    report["seed"] = args.seed or 0
     out = args.out_dir / "fit.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
@@ -259,6 +260,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             _require(args.threads >= 1, "threads must be >= 1")
+            if args.seed is not None:    # classify and fit only echo it into artifacts
+                _check_seed(args.seed)
             cfg = load_config(args.config)
             args.out_dir.mkdir(parents=True, exist_ok=True)
             return _COMMANDS[args.command](cfg, args)

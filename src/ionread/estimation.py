@@ -24,6 +24,8 @@ import numpy as np
 
 from .photon_model import IonState, RateParams
 
+#: Objective evaluations allowed to each simplex run of :func:`fit_decay_curves`.
+MAX_EVALS = 10_000
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -271,7 +273,7 @@ def _nelder_mead(func, x0, maxfev):
     return np.array(sim[0]), np.min(fsim), nfev
 
 
-def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000) -> DecayFit:
+def fit_decay_curves(mean_bright, mean_dark) -> DecayFit:
     """Jointly fit (a, b, c, tau) to bright and dark mean-count series.
 
     Each series is a (K, 2) array of (t, mean) rows; the two time grids need
@@ -279,7 +281,7 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000) -> Deca
     by simplex descent on log-parameters (which keeps all four parameters
     positive), multi-started from a moment-based warm start plus five
     log-spaced tau values, then polished by up to five restarts until the
-    objective improves by at most 1e-12 relatively.  ``max_evals`` caps
+    objective improves by at most 1e-12 relatively.  ``MAX_EVALS`` caps
     each of these up to 11 simplex runs, not their total.
 
     Raises FitConvergenceError (carrying the best iterate) if the budget is
@@ -306,7 +308,7 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000) -> Deca
 
     best_x, best_f, evals = None, np.inf, 0
     for x0 in starts:
-        x, fun, nfev = _nelder_mead(objective, x0, max_evals)
+        x, fun, nfev = _nelder_mead(objective, x0, MAX_EVALS)
         evals += nfev
         if fun < best_f:
             best_x, best_f = x, fun
@@ -315,7 +317,7 @@ def fit_decay_curves(mean_bright, mean_dark, *, max_evals: int = 10_000) -> Deca
     # the relative improvement is at most 1e-12.
     converged = False
     for _ in range(5):
-        x, fun, nfev = _nelder_mead(objective, best_x, max_evals)
+        x, fun, nfev = _nelder_mead(objective, best_x, MAX_EVALS)
         evals += nfev
         improvement = best_f - fun
         if fun < best_f:

@@ -13,16 +13,16 @@ across t_b values.
 
 Each call (a sweep, ``evaluate``, ``optimize_threshold``, ``decisions_for``,
 a ``classify``) prepares each state's counts once for all its classifiers:
-they are validated, clamped, grouped and histogrammed at most once.  A sweep
-tallies each column's errors without building decision arrays.  Count rules
-read the optimum and the tallies of every column from one histogram of
-prefix totals per state.  Likelihood rules score each distinct count record
-once: equal rows get equal log-likelihoods, so the kernel runs on one row
-per record (grouped by its bytes), and a column's comparison on those rows
-is weighted by how many trials hold each record; single decisions are
-gathered back instead.  Grouping is skipped where it cannot pay: below 1024
-rows, with a count above 255, or when over half of the first 1024 rows are
-distinct, as in bright windows of many bins.
+they are validated, clamped (warning once), grouped and histogrammed at most
+once.  A sweep tallies each column's errors without building decision
+arrays.  Count rules read the optimum and the tallies of every column from
+one histogram of prefix totals per state.  Likelihood rules score each
+distinct count record once: equal rows get equal log-likelihoods, so the
+kernel runs on one row per record (grouped by its bytes), and a column's
+comparison on those rows is weighted by how many trials hold each record;
+single decisions are gathered back instead.  Grouping is skipped where it
+cannot pay: below 1024 rows, with a count above 255, or when over half of
+the first 1024 rows are distinct, as in bright windows of many bins.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ class Classifier:
         """This classifier, refused if a threshold is left to optimize."""
         return self
 
-    def likelihoods(self, counts, params, *, prefixes=False):
-        """(log_p_B, log_p_D) per row, or per row and prefix with
-        ``prefixes``; None for rules on the total count."""
+    def likelihoods(self, counts, params):
+        """(log_p_B, log_p_D) per row; None for rules on the total count."""
         return None
 
     def report(self, decisions_bright, decisions_dark, *, t_b):
@@ -274,13 +273,11 @@ class _PreparedCounts:
         return _distinct_records(self.counts)
 
     def clamped(self, table):
-        """(counts clamped to the table's n_max, how many were clamped), once
-        per table, which tallies each clamped count once.  Equal rows stay
-        equal when clamped, so ``records`` group the clamped rows too."""
+        """Counts clamped to the table's n_max, once per table, which tallies
+        and warns about each clamped count once.  Equal rows stay equal when
+        clamped, so ``records`` group the clamped rows too."""
         if table not in self._clamped:
-            counts = table.clamp_counts(self.counts)
-            self._clamped[table] = counts, (0 if counts is self.counts else
-                                            int(np.count_nonzero(counts != self.counts)))
+            self._clamped[table] = table.clamp_counts(self.counts)
         return self._clamped[table]
 
     @functools.cached_property
@@ -316,8 +313,8 @@ class _LikelihoodRule(Classifier):
         _require(params is not None, f"{self.label} requires rate parameters")
         return self._loglik(_prepare(counts), params, prefixes)
 
-    def likelihoods(self, counts, params, *, prefixes=False):
-        logs, inverse = self._scored(counts, params, prefixes)
+    def likelihoods(self, counts, params):
+        logs, inverse = self._scored(counts, params, False)
         return tuple(log[inverse] for log in logs)
 
     def decide(self, counts, params, logs=None):
@@ -347,7 +344,7 @@ class _LikelihoodRule(Classifier):
 class SimpleClassifier(_LikelihoodRule):
     """The single-change formula; ``tau_ms`` None takes the decaying
     state's lifetime.  A window longer than tau clamps the no-change
-    prefactor to 0 and warns (RuntimeWarning)."""
+    prefactor to 0, and :func:`classifiers.simple_loglik` warns."""
 
     decaying: IonState = IonState.DARK
     tau_ms: float | None = None
@@ -360,29 +357,21 @@ class SimpleClassifier(_LikelihoodRule):
 
     def _loglik(self, state, params, prefixes):
         first, inverse = state.records
-        log_b, log_d, clamped = cl.simple_loglik(state.counts[first], params, self.tau_ms,
-                                                 decaying=self.decaying, prefixes=prefixes)
-        if clamped.any():
-            warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                          RuntimeWarning, stacklevel=3)
-        return (log_b, log_d), inverse
+        return cl.simple_loglik(state.counts[first], params, self.tau_ms,
+                                decaying=self.decaying, prefixes=prefixes)[:2], inverse
 
 
 @dataclass(frozen=True)
 class GeneralClassifier(_LikelihoodRule):
     """The generalized hidden-Markov likelihood.  Counts above the table's
-    n_max are scored as n_max and warn (RuntimeWarning)."""
+    n_max are scored as n_max, and the table warns once per state."""
 
     label = "generalized_time_resolved"
 
     def _loglik(self, state, params, prefixes):
         table = observation_table_for(params)
-        (counts, over), (first, inverse) = state.clamped(table), state.records
-        if over:
-            warnings.warn(f"{over} counts exceed the table's n_max = {table.n_max} (largest "
-                          f"{state.counts.max()}); they are scored as {table.n_max}",
-                          RuntimeWarning, stacklevel=3)
-        return cl.general_loglik(counts[first], table, prefixes=prefixes), inverse
+        first, inverse = state.records
+        return cl.general_loglik(state.clamped(table)[first], table, prefixes=prefixes), inverse
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -749,11 +738,10 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
         {"method": "simple", "decaying": "bright"},
         {"method": "general"},
     )))
+    rep_spec = replace(spec, classifiers=methods, efficiency_factors=(1.0,))
     all_rows = []
     minima = {m.label: [] for m in methods}
     for rep in range(repetitions):
-        rep_spec = replace(spec, classifiers=methods,
-                           seed=spec.seed, efficiency_factors=(1.0,))
         rep_rows = _sweep_on_streams(rep_spec, 1.0, threads,
                                      context=(_CTX_COMPARE, rep))
         all_rows.extend(replace(row, r=float(rep + 1)) for row in rep_rows)

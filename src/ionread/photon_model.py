@@ -296,10 +296,10 @@ class ObservationTable:
     n_max leaves per-column mass ``truncation_mass`` unaccounted for.
 
     Instances are immutable after construction and safe for concurrent
-    reads.  ``clamped_lookups`` is the one exception: a diagnostic counter of
-    counts that exceeded n_max and were clamped.  A harness call clamps each
-    state's counts once, so it tallies each such count once per call
-    (incremented under a lock; it never influences results).
+    reads.  ``clamped_lookups`` is the one exception: a tally of the counts
+    above n_max that :meth:`clamp_counts` scored as n_max, with a warning.
+    A harness call clamps each state's counts once, so it tallies and warns
+    about each once per call (under a lock; it never influences results).
     """
 
     def __init__(self, params: RateParams, n_max: int, tol: float,
@@ -317,12 +317,15 @@ class ObservationTable:
         self._clamp_lock = threading.Lock()
 
     def clamp_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Clamp an array of counts to n_max, tallying how many were cut."""
+        """Clamp counts to n_max; tally and warn (RuntimeWarning) when any is cut."""
         counts = np.asarray(counts)
         over = int(np.count_nonzero(counts > self.n_max))
         if over:
             with self._clamp_lock:
                 self.clamped_lookups += over
+            warnings.warn(f"{over} counts exceed the table's n_max = {self.n_max} (largest "
+                          f"{counts.max()}); they are scored as {self.n_max}",
+                          RuntimeWarning, stacklevel=2)
             return np.minimum(counts, self.n_max)
         return counts
 
@@ -351,7 +354,7 @@ def build_observation_table(params: RateParams, n_max: int | None = None,
     per column falls below ``tol`` (12-16 entries at the default rates).  An
     explicit ``n_max`` that leaves more than ``tol`` truncated raises
     :class:`TableTooSmallError` carrying the size that would have sufficed.
-    Counts above n_max encountered later are clamped, not rejected.
+    Counts above n_max encountered later are clamped with a warning, not rejected.
     """
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")

@@ -167,15 +167,14 @@ class Ensemble:
     """A simulated (or ingested) set of trajectories with shared (t_b, t_s).
 
     Stores counts as an (N, M) array and change times as an NaN-padded
-    (N, J_max) array; trial i is row i of both.
-    ``initial`` is a single IonState for ordinary ensembles or a per-trial
-    int array for composed experiments (e.g. the second window of a pulse
-    pair).  Ingested ensembles have no change times (``None``): ground-truth
-    methods raise on them.
+    (N, J_max) array; trial i is row i of both.  ``initial`` is a read-only
+    int8 copy of the initial states, one per trial, taken from one state or
+    from a per-trial array (e.g. the second window of a pulse pair).
+    Ingested ensembles have no change times (``None``): ground-truth methods
+    raise on them.
     """
 
     def __init__(self, initial, counts, change_times, t_b, t_s, params=None, seed=None):
-        self.initial = initial
         self.counts = np.asarray(counts)
         self.change_times = change_times if change_times is None else np.asarray(change_times)
         self.t_b = float(t_b)
@@ -184,6 +183,8 @@ class Ensemble:
         self.seed = seed
         if self.counts.ndim != 2 or self.counts.shape[1] != n_bins(t_b, t_s):
             raise ValueError("counts must be (n_trials, n_bins)")
+        self.initial = np.broadcast_to(np.asarray(initial, dtype=np.int8), len(self)).copy()
+        self.initial.setflags(write=False)
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -191,11 +192,6 @@ class Ensemble:
     @property
     def n_bins(self) -> int:
         return self.counts.shape[1]
-
-    def initial_array(self) -> np.ndarray:
-        if isinstance(self.initial, IonState):
-            return np.full(len(self), int(self.initial), dtype=np.int8)
-        return np.asarray(self.initial, dtype=np.int8)
 
     def _require_truth(self):
         if self.change_times is None:
@@ -212,7 +208,7 @@ class Ensemble:
 
     def states_at(self, t: float) -> np.ndarray:
         """True hidden state (0/1) of each trial at time t."""
-        return (self.initial_array() ^ (self.change_counts_at(t) & 1)).astype(np.int8)
+        return (self.initial ^ (self.change_counts_at(t) & 1)).astype(np.int8)
 
     def final_states(self) -> np.ndarray:
         return self.states_at(self.t_b)
@@ -270,16 +266,15 @@ def simulate_ensemble(config: SimConfig, initial, *,
     or a per-trial int8 array of shape (n_trials,), keyed by ``context`` alone.
     """
     if np.ndim(initial) == 0:
-        initial = IonState(initial)
-        fill, context = int(initial), (*context, int(initial))
-        states = np.full(config.n_trials, fill, dtype=np.int8)
+        fill = int(IonState(initial))
+        context = (*context, fill)
+    elif np.shape(initial) != (config.n_trials,):
+        raise ValueError("initial must have shape (n_trials,)")
     else:
-        initial = states = np.asarray(initial, dtype=np.int8)
-        if initial.shape != (config.n_trials,):
-            raise ValueError("initial must have shape (n_trials,)")
         fill = 0
+    states = np.broadcast_to(np.asarray(initial, dtype=np.int8), config.n_trials)
     counts, times = _simulate_chunks(config, states, fill, context, threads)
-    return Ensemble(initial, counts, times, config.t_b, config.t_s,
+    return Ensemble(states, counts, times, config.t_b, config.t_s,
                     params=config.params, seed=config.seed)
 
 
@@ -318,9 +313,8 @@ def _write_csv(path, header, blocks, *, comments=(), newline="\r\n") -> None:
 def _ensemble_blocks(ensembles):
     """(ensemble, rows, trial ids from 0, initial labels) per block of rows."""
     for ens in ensembles:
-        initial = ens.initial_array()
         for rows in _row_blocks(len(ens)):
-            yield ens, rows, range(rows.start, rows.stop), _labels(initial[rows])
+            yield ens, rows, range(rows.start, rows.stop), _labels(ens.initial[rows])
 
 
 def write_ensemble_csv(path, ensembles, *, comments=()) -> None:

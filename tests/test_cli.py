@@ -220,7 +220,8 @@ class TestSimulateClassify:
         assert captured.out.splitlines() == [f"wrote {out / name}"
                                              for name in ("decisions.csv", "report.csv")]
         _, _, counts = read_counts_csv(out / "counts.csv")
-        log_b, log_d, clamped = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
+        with pytest.warns(RuntimeWarning, match="prefactor clamped"):
+            log_b, log_d, clamped = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
         assert clamped.all()
         with open(out / "decisions.csv") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -386,14 +387,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_range(self, tmp_path, capsys, seed):
-        # -1 and 2**64 - 1 once keyed the same streams; no seed aliases another now.
+        # -1 and 2**64 - 1 once keyed the same streams; no seed aliases another
+        # now.  classify and fit draw nothing, but echo the seed into artifacts.
+        counts = tmp_path / "counts.csv"
+        counts.write_text("trial,initial,n_1,n_2\n0,B,3,2\n1,D,0,0\n")
         cfg = _config(tmp_path, simulate={"t_b_ms": 0.5, "n_trials": 10, "seed": 1},
-                      sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1})
-        for command in ("simulate", "sweep"):
-            assert main([command, "--config", cfg, "--out-dir", str(tmp_path),
-                         "--seed", seed]) == 2
+                      sweep={"t_b_ms": [0.5], "n_trials": 10, "seed": 1},
+                      classify={"input": str(counts)}, fit={"input": str(counts)},
+                      compare={"repetitions": 1})
+        out = tmp_path / "out"
+        for command in ("simulate", "classify", "fit", "sweep", "compare"):
+            assert main([command, "--config", cfg, "--out-dir", str(out), "--seed", seed]) == 2
             assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+        assert not out.exists()
 
     def test_out_of_range_count(self, tmp_path, capsys):
         csv_path = tmp_path / "big.csv"
@@ -487,9 +493,7 @@ class TestExitCodes:
             assert f"{key} must be an integer, got 2.9" in capsys.readouterr().err
 
     def test_fit_not_converged(self, tmp_path, capsys, monkeypatch):
-        fit = estimation.fit_decay_curves
-        monkeypatch.setattr(estimation, "fit_decay_curves",
-                            lambda *series: fit(*series, max_evals=20))
+        monkeypatch.setattr(estimation, "MAX_EVALS", 20)
         cfg = _config(tmp_path,
                       simulate={"t_b_ms": 1.0, "n_trials": 200, "seed": 1},
                       fit={"input": "counts.csv"})

@@ -192,7 +192,7 @@ class TestFitDecayCurves:
         cfg = SimConfig(n_trials=2000, t_b=10.0, seed=31, params=params)
         ens_b = simulate_ensemble(cfg, IonState.BRIGHT)
         ens_d = simulate_ensemble(cfg, IonState.DARK)
-        initials = np.concatenate([ens_b.initial_array(), ens_d.initial_array()])
+        initials = np.concatenate([ens_b.initial, ens_d.initial])
         counts = np.concatenate([ens_b.counts, ens_d.counts])
         series = mean_count_series(initials, counts, params.t_s)
         fit = fit_decay_curves(series[IonState.BRIGHT], series[IonState.DARK])
@@ -224,7 +224,7 @@ def _fit_simplex_runs(seed, monkeypatch):
     params = RateParams(P.R_B, P.R_D, P.tau_B, P.tau_D, 1.0 / 3.0)
     cfg = SimConfig(n_trials=500, t_b=10.0, seed=seed, params=params)
     ens = [simulate_ensemble(cfg, s) for s in IonState]
-    series = mean_count_series(np.concatenate([e.initial_array() for e in ens]),
+    series = mean_count_series(np.concatenate([e.initial for e in ens]),
                                np.concatenate([e.counts for e in ens]), params.t_s)
     runs, port = [], estimation._nelder_mead
 

@@ -9,6 +9,7 @@ landscape and the pulse-pair transfer matrices; the Monte Carlo pipeline
 must agree within a few binomial standard errors.
 """
 
+import contextlib
 import json
 import math
 import warnings
@@ -25,7 +26,6 @@ from ionread.classifiers import (
     general_loglik,
     pi_pulse_error,
     simple_loglik,
-    threshold_decide,
 )
 from ionread.harness import (
     REPORT_COLUMNS,
@@ -490,9 +490,7 @@ class TestPrefixTallies:
             clf = resolve_classifier({"method": clf.label, "n_c": best, "n_D": n_d, "n_B": best})
 
         def decide(counts):
-            if clf.label == "threshold":
-                return threshold_decide(counts.sum(axis=1), clf.n_c)
-            if clf.label == "double_threshold":
+            if clf.label in ("threshold", "double_threshold"):   # a threshold's n_D is its n_c
                 return double_threshold_decide(counts.sum(axis=1), clf.n_D, clf.n_c)
             if clf.label == "generalized_time_resolved":
                 return decide_from_logs(*general_loglik(counts, harness.observation_table_for(params)))
@@ -517,7 +515,8 @@ class TestPrefixTallies:
 
     @pytest.mark.parametrize("r", [1.0, 0.5])
     def test_rows_equal_decision_reference(self, r):
-        self._check(DEFAULT_PARAMS, (0.1, 0.2, 0.5, 1.0), r, seed=61)
+        with pytest.warns(RuntimeWarning, match="prefactor clamped"):    # tau_ms 0.5 at 1 ms
+            self._check(DEFAULT_PARAMS, (0.1, 0.2, 0.5, 1.0), r, seed=61)
 
     def test_undefined_column_and_exact_tie(self):
         rows, ens_b, _ = self._check(self.EDGE_PARAMS, (0.1, 0.3), 1.0, seed=62,
@@ -580,14 +579,18 @@ class TestDistinctRecordScoring:
     @pytest.mark.parametrize("case", ["dark_ensemble", "pulse_windows",
                                       "all_distinct", "above_255"])
     def test_equals_direct_kernel(self, rule, case):
+        # A count of 300 is above the general table's n_max.
+        with (pytest.warns(RuntimeWarning, match="counts exceed the table's n_max")
+              if (rule, case) == ("general", "above_255") else contextlib.nullcontext()):
+            self._equals_direct_kernel(rule, case)
+
+    def _equals_direct_kernel(self, rule, case):
         spec = self.RULES[rule]
         clf = resolve_classifier(spec)
         counts = self._counts(case)
-        for prefixes in (False, True):
-            direct = self._direct(spec, counts, prefixes)
-            got = clf.likelihoods(counts, DEFAULT_PARAMS, prefixes=prefixes)
-            assert all(np.array_equal(g, d) for g, d in zip(got, direct, strict=True))
         final = self._direct(spec, counts, False)
+        got = clf.likelihoods(counts, DEFAULT_PARAMS)
+        assert all(np.array_equal(g, d) for g, d in zip(got, final, strict=True))
         assert np.array_equal(clf.decide(counts, DEFAULT_PARAMS), decide_from_logs(*final))
         assert np.array_equal(decisions_for(counts, spec, DEFAULT_PARAMS),
                               decide_from_logs(*final))
@@ -615,7 +618,8 @@ class TestDistinctRecordScoring:
         clamped = np.minimum(counts, table.n_max)
         assert harness._distinct_records(clamped)[0].size == 2
         before = table.clamped_lookups
-        decisions = decisions_for(counts, {"method": "general"}, DEFAULT_PARAMS)
+        with pytest.warns(RuntimeWarning, match="^3072 counts exceed the table's n_max"):
+            decisions = decisions_for(counts, {"method": "general"}, DEFAULT_PARAMS)
         assert table.clamped_lookups - before == 3 * 1024
         assert np.array_equal(decisions, decide_from_logs(*general_loglik(clamped, table)))
 
@@ -658,7 +662,6 @@ class TestSharedPreparation:
         monkeypatch.setattr(classifiers, "_running", counting_running)
         return calls
 
-    @pytest.mark.filterwarnings("ignore:1 counts exceed the table:RuntimeWarning")
     @pytest.mark.parametrize("clamps", [False, True])
     def test_four_classifier_sweep_prepares_each_state_once(self, monkeypatch, clamps):
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 1.0, 2048, seed=31)
@@ -666,12 +669,17 @@ class TestSharedPreparation:
         if clamps:
             ens_d.counts[5, 3] = table.n_max + 2
         spec = _spec(t_b_values=(0.3, 0.5, 1.0), classifiers=self.FOUR)
-        expected = evaluate_prefixes(spec, ens_b, ens_d)
-        calls = self._counted(monkeypatch, (ens_b, ens_d))
-        before = table.clamped_lookups
-        assert evaluate_prefixes(spec, ens_b, ens_d) == expected
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = evaluate_prefixes(spec, ens_b, ens_d)
+            calls = self._counted(monkeypatch, (ens_b, ens_d))
+            before = table.clamped_lookups
+            assert evaluate_prefixes(spec, ens_b, ens_d) == expected
         assert calls == {"validate": [1, 1], "group": 2, "totals": 2}
         assert table.clamped_lookups - before == clamps
+        assert [str(w.message) for w in caught] == [
+            f"1 counts exceed the table's n_max = {table.n_max} (largest {table.n_max + 2}); "
+            f"they are scored as {table.n_max}"] * 2 * clamps
 
     def test_optimize_threshold_builds_histograms_once(self, monkeypatch):
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 2048, seed=37)

@@ -7,6 +7,7 @@ The mixture pmf is checked against an independent brute-force Riemann sum
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -308,10 +309,18 @@ class TestObservationTable:
 
     def test_clamping_counts(self):
         table = build_observation_table(DEFAULT_PARAMS)
-        assert table.clamp_counts(np.array([table.n_max + 5])).tolist() == [table.n_max]
+        n = table.n_max
+        with pytest.warns(RuntimeWarning, match=f"^1 counts exceed the table's n_max = {n} "
+                          f"\\(largest {n + 5}\\); they are scored as {n}$"):
+            assert table.clamp_counts(np.array([table.n_max + 5])).tolist() == [table.n_max]
         assert table.clamped_lookups == 1
-        clamped = table.clamp_counts(np.array([0, 1, table.n_max + 2]))
+        with pytest.warns(RuntimeWarning, match=f"largest {n + 2}"):
+            clamped = table.clamp_counts(np.array([0, 1, table.n_max + 2]))
         assert clamped.max() == table.n_max
+        assert table.clamped_lookups == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.clamp_counts(np.array([0, n])).tolist() == [0, n]
         assert table.clamped_lookups == 2
 
 

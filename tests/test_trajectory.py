@@ -43,7 +43,7 @@ def simulate(n_trials, t_b, initial, params=P, seed=0):
 
 def rows(ens):
     """(initial state, change times) of every trial, padding stripped."""
-    for state, row in zip(ens.initial_array(), ens.change_times):
+    for state, row in zip(ens.initial, ens.change_times):
         yield int(state), row[~np.isnan(row)]
 
 
@@ -306,7 +306,7 @@ class TestBrightDwell:
 
     def test_total_dwell_sums_to_bright_time(self):
         ens = simulate(100, 3.0, IonState.BRIGHT, seed=12)
-        dwell = bright_dwell_per_bin(ens.initial_array(), ens.change_times, 3.0, 0.1)
+        dwell = bright_dwell_per_bin(ens.initial, ens.change_times, 3.0, 0.1)
         for i, (_, ct) in enumerate(rows(ens)):
             segs = np.diff(np.concatenate([[0.0], ct, [3.0]]))
             assert np.isclose(dwell[i].sum(), segs[::2].sum(), atol=1e-12)
@@ -531,11 +531,22 @@ class TestMixedInitialStates:
         cfg = SimConfig(n_trials=20_000, t_b=0.5, seed=55, params=P)
         init = (np.arange(20_000) % 2).astype(np.int8)
         ens = simulate_ensemble(cfg, init, context=(9,))
-        assert np.array_equal(ens.initial_array(), init)
+        assert np.array_equal(ens.initial, init)
         bright_rows = ens.counts[init == 0]
         dark_rows = ens.counts[init == 1]
         assert bright_rows[:, 0].mean() > 1.0
         assert dark_rows[:, 0].mean() < 0.2
+
+    def test_initial_states_are_the_ensembles_own(self):
+        cfg = SimConfig(n_trials=4, t_b=0.5, seed=55, params=P)
+        states = np.zeros(4, dtype=np.int8)
+        ens = simulate_ensemble(cfg, states, context=(9,))
+        finals = ens.final_states()
+        states[:] = 1
+        assert np.array_equal(ens.final_states(), finals)
+        assert ens.initial.tolist() == [0] * 4
+        with pytest.raises(ValueError, match="read-only"):
+            ens.initial[0] = 1
 
     def test_shape_validation(self):
         cfg = SimConfig(n_trials=10, t_b=0.5, seed=55, params=P)
@@ -555,8 +566,7 @@ class TestEnsembleStates:
     def test_plain_int_initial_state(self, tmp_path):
         cfg = SimConfig(n_trials=5, t_b=0.5, seed=9, params=P)
         ens = simulate_ensemble(cfg, 1)
-        assert ens.initial is IonState.DARK
-        assert ens.initial_array().tolist() == [1] * 5
+        assert ens.initial.tolist() == [1] * 5
         assert np.array_equal(ens.counts, simulate_ensemble(cfg, IonState.DARK).counts)
         path = tmp_path / "counts.csv"
         write_ensemble_csv(path, [ens])
