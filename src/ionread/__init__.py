@@ -33,7 +33,6 @@ from .photon_model import (
     IonState,
     ObservationTable,
     RateParams,
-    TableTooSmallError,
     build_observation_table,
     count_pmf,
     mixed_pmf,

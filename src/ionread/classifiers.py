@@ -56,12 +56,12 @@ class LikelihoodPair:
     ``matrix`` is the accumulated 2x2 array
     ``[[B^(iB), B^(iD)], [D^(iB), D^(iD)]]`` (rows: state after the window,
     columns: initial state), scaled by ``exp(log_scale)`` to keep entries in
-    floating range.  Column sums give the initial-state likelihoods.
+    floating range.  Column sums give the initial-state likelihoods; a
+    model mismatch warns where it happens and leaves no mark here.
     """
 
     matrix: np.ndarray
     log_scale: float = 0.0
-    flags: tuple = ()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -159,21 +159,20 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     decaying state's lifetime.  With ``prefixes`` the formula is evaluated
     for every leading sub-window length in one pass.
 
-    Returns (log_p_B, log_p_D, clamped): arrays of shape (n_trials,) or, with
-    prefixes, (n_trials, n_bins); ``clamped`` marks rows (or prefix cells)
-    whose linear-in-t_b prefactor went negative and was clamped to zero, with a warning.
+    Returns (log_p_B, log_p_D), as :func:`general_loglik` does, of shape
+    (n_trials,) or, with prefixes, (n_trials, n_bins).  A window longer than
+    tau clamps the linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
     decaying = IonState(decaying)
-    log_pure, log_stay, log_change, clamped = _single_change_terms(
-        counts, params, tau, decaying)
+    log_pure, log_stay, log_change = _single_change_terms(counts, params, tau, decaying)
     log_mixed = np.logaddexp(log_stay, log_change)
     if decaying is IonState.DARK:
         log_pb, log_pd = log_pure, log_mixed
     else:
         log_pb, log_pd = log_mixed, log_pure
     if prefixes:
-        return log_pb.T, log_pd.T, np.array(clamped).T
-    return log_pb[-1], log_pd[-1], clamped[-1].copy()
+        return log_pb.T, log_pd.T
+    return log_pb[-1], log_pd[-1]
 
 
 def _running(ufunc, rows: np.ndarray) -> np.ndarray:
@@ -188,11 +187,10 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
                          decaying: IonState):
     """Every-prefix log terms of the single-change formula, bin-major.
 
-    Returns (log_pure, log_stay, log_change, clamped), each of shape
-    (n_bins, n_trials): the stable hypothesis, then the no-change and the
-    changed term of the changeable one, whose sum is its likelihood.
-    ``clamped`` marks prefixes whose linear-in-t_b prefactor went negative
-    and was clamped to zero, which warns once per call (RuntimeWarning).
+    Returns (log_pure, log_stay, log_change), each (n_bins, n_trials): the
+    stable hypothesis, then the no-change and the changed term of the
+    changeable one, whose sum is its likelihood.  A negative linear-in-t_b
+    prefactor is clamped to zero, which warns once per call (RuntimeWarning).
     """
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
@@ -223,8 +221,7 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    return (cum_after, log_prefac[:, None] + cum_stay,
-            log_rate + cum_after + inner, np.broadcast_to((prefac < 0)[:, None], (m, n)))
+    return cum_after, log_prefac[:, None] + cum_stay, log_rate + cum_after + inner
 
 
 def simple_time_resolved_classify(counts, params: RateParams,
@@ -237,21 +234,19 @@ def simple_time_resolved_classify(counts, params: RateParams,
     no-change term lands in D^(iD) and the changed term in B^(iD), while the
     bright hypothesis has no decay channel, so D^(iB) = 0 (mirrored for
     ``decaying=BRIGHT``).  A window longer than tau drives the no-change
-    prefactor negative; it is clamped to zero, flagged and warned about,
-    since the single-change expansion has left its domain of validity.
+    prefactor negative; it is clamped to zero with a RuntimeWarning, since
+    the single-change expansion has left its domain of validity.
     """
     decaying = IonState(decaying)
-    *logs, clamped = (term[-1, 0] for term in _single_change_terms(
-        _as_counts(counts), params, tau, decaying))
-    flags = ("prefactor_clamped",) if clamped else ()
-    # Stabilize around the largest term.
-    scale = max(logs)
-    pure, stayed, changed = np.exp(np.array(logs) - scale)
+    logs = np.array([term[-1, 0] for term in
+                     _single_change_terms(_as_counts(counts), params, tau, decaying)])
+    scale = max(logs)       # stabilize around the largest term
+    pure, stayed, changed = np.exp(logs - scale)
     if decaying is IonState.DARK:
         matrix = [[pure, changed], [0.0, stayed]]
     else:
         matrix = [[stayed, 0.0], [changed, pure]]
-    pair = LikelihoodPair(matrix=matrix, log_scale=float(scale), flags=flags)
+    pair = LikelihoodPair(matrix=matrix, log_scale=float(scale))
     return pair.decision, pair
 
 

@@ -358,7 +358,7 @@ class SimpleClassifier(_LikelihoodRule):
     def _loglik(self, state, params, prefixes):
         first, inverse = state.records
         return cl.simple_loglik(state.counts[first], params, self.tau_ms,
-                                decaying=self.decaying, prefixes=prefixes)[:2], inverse
+                                decaying=self.decaying, prefixes=prefixes), inverse
 
 
 @dataclass(frozen=True)
@@ -465,16 +465,15 @@ class ErrorReport:
         return out
 
 
-def report_from_decisions(decisions_bright, decisions_dark, *, classifier, detail,
-                          t_b, r=1.0, n_c=None, epsilon_analytic=None,
-                          N_R_analytic=None) -> ErrorReport:
-    """Assemble an ErrorReport from per-trial decision codes."""
+def report_from_decisions(decisions_bright, decisions_dark, *, classifier, detail, t_b,
+                          n_c=None, epsilon_analytic=None, N_R_analytic=None) -> ErrorReport:
+    """Assemble an ErrorReport (r = 1) from per-trial decision codes."""
     tallies = [(codes.size, int(np.count_nonzero(codes != Decision.INCONCLUSIVE)),
                 int(np.count_nonzero(codes == wrong_code)))
                for codes, wrong_code in ((np.asarray(decisions_bright), Decision.DARK),
                                          (np.asarray(decisions_dark), Decision.BRIGHT))]
     return report_from_tallies(
-        *tallies, classifier=classifier, detail=detail, t_b=t_b, r=r, n_c=n_c,
+        *tallies, classifier=classifier, detail=detail, t_b=t_b, n_c=n_c,
         epsilon_analytic=epsilon_analytic, N_R_analytic=N_R_analytic)
 
 
@@ -544,17 +543,17 @@ class ThresholdOptimum:
 
 
 def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
-                       *, family: str = "threshold", n_D: int = 0) -> ThresholdOptimum:
+                       classifier={"method": "threshold"}) -> ThresholdOptimum:
     """Exhaustive search for the error-minimizing threshold.
 
-    ``family`` is "threshold" (optimizes n_c) or "double_threshold"
-    (optimizes n_B at fixed n_D) over every total count either ensemble
-    reaches, from n_D up.  Ties resolve to the smaller threshold.
+    ``classifier`` (a spec dict or resolved) is a threshold, optimizing n_c,
+    or a double threshold, optimizing n_B at its n_D, with that cutoff
+    "optimize"; anything else raises :class:`ConfigError`.  The search runs
+    over every total either ensemble reaches, from n_D up; ties resolve low.
     """
-    _require(family in ("threshold", "double_threshold"),
-             f"unknown threshold family {family!r}")
-    rule = resolve_classifier({"method": family, "n_c": "optimize",
-                               "n_D": n_D, "n_B": "optimize"})
+    rule = resolve_classifier(classifier)
+    _require(isinstance(rule, _CountRule) and rule.n_c == "optimize", "optimize_threshold needs "
+             f"a count rule whose cutoff is 'optimize', got {rule.label}({rule.detail})")
     t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
     best, values, eps = rule.optimum(*(state.cdfs[-1] for state in states))
     (report,) = best.column_reports(*states, t_bs, cols, None)

@@ -67,15 +67,6 @@ class DegenerateModelError(ValueError):
     density's change of variables is singular."""
 
 
-class TableTooSmallError(ValueError):
-    """Raised when an explicit n_max leaves more truncated probability mass
-    than the requested tolerance. Carries an estimate of the required size."""
-
-    def __init__(self, message: str, required_n_max: int):
-        super().__init__(message)
-        self.required_n_max = required_n_max
-
-
 @dataclass(frozen=True)
 class RateParams:
     """Physical parameters of the readout model.
@@ -295,24 +286,24 @@ class ObservationTable:
     W_BB + W_BD = 1 and column 1 totals W_DD + W_DB = 1, so truncating at
     n_max leaves per-column mass ``truncation_mass`` unaccounted for.
 
-    Instances are immutable after construction and safe for concurrent
-    reads.  ``clamped_lookups`` is the one exception: a tally of the counts
+    Instances are immutable after construction, read-only ``entries`` and
+    ``truncation_mass`` arrays included, and safe for concurrent reads.
+    ``clamped_lookups`` is the one exception: a tally of the counts
     above n_max that :meth:`clamp_counts` scored as n_max, with a warning.
     A harness call clamps each state's counts once, so it tallies and warns
     about each once per call (under a lock; it never influences results).
     """
 
-    def __init__(self, params: RateParams, n_max: int, tol: float,
-                 entries: np.ndarray, truncation_mass: np.ndarray):
+    def __init__(self, params: RateParams, n_max: int, entries: np.ndarray,
+                 truncation_mass: np.ndarray):
         self.params = params
         self.n_max = int(n_max)
-        self.tol = float(tol)
-        entries = np.asarray(entries, dtype=float)
-        if entries.shape != (self.n_max + 1, 2, 2):
+        self.entries = np.asarray(entries, dtype=float)
+        if self.entries.shape != (self.n_max + 1, 2, 2):
             raise ValueError(f"entries must have shape ({self.n_max + 1}, 2, 2)")
-        self.entries = entries
-        self.entries.setflags(write=False)
-        self.truncation_mass = np.asarray(truncation_mass, dtype=float)
+        self.truncation_mass = np.array(truncation_mass, dtype=float)
+        for array in (self.entries, self.truncation_mass):
+            array.setflags(write=False)
         self.clamped_lookups = 0
         self._clamp_lock = threading.Lock()
 
@@ -346,50 +337,27 @@ def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:
     return np.array([col0, col1])
 
 
-def build_observation_table(params: RateParams, n_max: int | None = None,
-                            tol: float = 1e-9) -> ObservationTable:
-    """Tabulate O(n) for n = 0..n_max.
+def build_observation_table(params: RateParams, tol: float = 1e-9) -> ObservationTable:
+    """Tabulate O(n) for n = 0..n_max, the first n_max >= 1 whose truncated
+    probability mass per column is below ``tol``.
 
-    With ``n_max=None`` the table grows until the truncated probability mass
-    per column falls below ``tol`` (12-16 entries at the default rates).  An
-    explicit ``n_max`` that leaves more than ``tol`` truncated raises
-    :class:`TableTooSmallError` carrying the size that would have sufficed.
-    Counts above n_max encountered later are clamped with a warning, not rejected.
+    The table grows one row at a time and stops there: ``tol`` alone sizes
+    it (n_max = 14 at the default rates and ``tol``).  Counts above n_max
+    met later are clamped with a warning, not rejected.
     """
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")
     if params.coarse_subbin:
-        warnings.warn(
-            f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
-            "single-change-per-sub-bin observation model degrades",
-            stacklevel=2,
-        )
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-
-    # Grow the table one row at a time; ``required`` is the first n >= 1
-    # whose truncated mass per column is below tol.  Rows past it are built
-    # only up to an explicit, larger n_max.
+        warnings.warn(f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
+                      "single-change-per-sub-bin observation model degrades", stacklevel=2)
     w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
     w_dd = stay_prob(IonState.DARK, params.t_s, params)
-    rows, required = [], None
-    while required is None or len(rows) <= (n_max or 0):
-        n = len(rows)
-        if n > 10000:
-            raise RuntimeError("observation table failed to converge by n=10000")
+    rows = []
+    for n in range(10001):
         rows.append([[w_bb * count_pmf(IonState.BRIGHT, n, params), mixed_pmf("DB", n, params)],
                      [mixed_pmf("BD", n, params), w_dd * count_pmf(IonState.DARK, n, params)]])
-        if (required is None and n >= 1
-                and _truncation_mass(params, np.array(rows)).max() < tol):
-            required = n
-    if n_max is None:
-        n_max = required
-    entries = np.array(rows[: n_max + 1])
-    truncation = _truncation_mass(params, entries)
-    if truncation.max() > tol:
-        raise TableTooSmallError(
-            f"n_max={n_max} leaves truncated mass {truncation.max():.3g} > tol={tol:.3g}; "
-            f"n_max={required} would suffice",
-            required_n_max=required,
-        )
-    return ObservationTable(params, n_max, tol, entries, truncation)
+        entries = np.array(rows)
+        truncation = _truncation_mass(params, entries)
+        if n >= 1 and truncation.max() < tol:
+            return ObservationTable(params, n, entries, truncation)
+    raise RuntimeError("observation table failed to converge by n=10000")

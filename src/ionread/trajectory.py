@@ -100,6 +100,15 @@ class SimConfig:
         return n_bins(self.t_b, self.t_s)
 
 
+def _initial_states(initial) -> np.ndarray:
+    """``initial`` as int8 states, each checked before the cast to be 0 or 1."""
+    raw = np.asarray(initial)
+    bad = raw[~np.isin(raw, (0, 1))]
+    if bad.size:
+        raise ValueError(f"initial states must be 0 (bright) or 1 (dark), got {bad[0].item()!r}")
+    return raw.astype(np.int8)
+
+
 def _chunk_rng(seed: int, stream: int, context: tuple, chunk_index: int) -> np.random.Generator:
     """Counter-based generator for one (stream, context, chunk) cell."""
     entropy = (int(seed), stream, *(int(c) for c in context), chunk_index)
@@ -169,21 +178,20 @@ class Ensemble:
     Stores counts as an (N, M) array and change times as an NaN-padded
     (N, J_max) array; trial i is row i of both.  ``initial`` is a read-only
     int8 copy of the initial states, one per trial, taken from one state or
-    from a per-trial array (e.g. the second window of a pulse pair).
-    Ingested ensembles have no change times (``None``): ground-truth methods
-    raise on them.
+    from a per-trial array (e.g. the second window of a pulse pair); a state
+    other than 0 or 1 raises ValueError.  Ingested ensembles have no
+    ``params`` and no change times: ground-truth methods raise on them.
     """
 
-    def __init__(self, initial, counts, change_times, t_b, t_s, params=None, seed=None):
+    def __init__(self, initial, counts, change_times, t_b, t_s, params=None):
         self.counts = np.asarray(counts)
         self.change_times = change_times if change_times is None else np.asarray(change_times)
         self.t_b = float(t_b)
         self.t_s = float(t_s)
         self.params = params
-        self.seed = seed
         if self.counts.ndim != 2 or self.counts.shape[1] != n_bins(t_b, t_s):
             raise ValueError("counts must be (n_trials, n_bins)")
-        self.initial = np.broadcast_to(np.asarray(initial, dtype=np.int8), len(self)).copy()
+        self.initial = np.broadcast_to(_initial_states(initial), len(self)).copy()
         self.initial.setflags(write=False)
 
     def __len__(self) -> int:
@@ -263,19 +271,18 @@ def simulate_ensemble(config: SimConfig, initial, *,
     the same initial state (e.g. repeated experiments, or the two windows of
     a pulse pair) can be drawn independently from one seed.  ``initial`` is
     one state (an IonState or the int 0 or 1), which also keys the streams,
-    or a per-trial int8 array of shape (n_trials,), keyed by ``context`` alone.
+    or a per-trial array of 0s and 1s of shape (n_trials,), keyed by
+    ``context`` alone; any other value raises ValueError before a draw.
     """
-    if np.ndim(initial) == 0:
-        fill = int(IonState(initial))
+    states = _initial_states(initial)
+    fill = int(states) if states.ndim == 0 else 0
+    if states.ndim == 0:
         context = (*context, fill)
-    elif np.shape(initial) != (config.n_trials,):
+    elif states.shape != (config.n_trials,):
         raise ValueError("initial must have shape (n_trials,)")
-    else:
-        fill = 0
-    states = np.broadcast_to(np.asarray(initial, dtype=np.int8), config.n_trials)
+    states = np.broadcast_to(states, config.n_trials)
     counts, times = _simulate_chunks(config, states, fill, context, threads)
-    return Ensemble(states, counts, times, config.t_b, config.t_s,
-                    params=config.params, seed=config.seed)
+    return Ensemble(states, counts, times, config.t_b, config.t_s, params=config.params)
 
 
 def deterministic_uniforms(seed: int, context: tuple, n: int) -> np.ndarray:

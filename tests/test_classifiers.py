@@ -210,15 +210,14 @@ class TestSimpleTimeResolved:
     def test_batch_matches_scalar_and_prefixes(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(20, 9))
-        log_b, log_d, clamped = simple_loglik(counts, P)
-        log_b_pref, log_d_pref, _ = simple_loglik(counts, P, prefixes=True)
-        assert not clamped.any()
+        log_b, log_d = simple_loglik(counts, P)
+        log_b_pref, log_d_pref = simple_loglik(counts, P, prefixes=True)
         for i in range(20):
             _, pair = simple_time_resolved_classify(counts[i], P)
             assert log_b[i] == pytest.approx(pair.log_p_B, abs=1e-10)
             assert log_d[i] == pytest.approx(pair.log_p_D, abs=1e-10)
             for k in (1, 5, 9):
-                lb_k, ld_k, _ = simple_loglik(counts[i:i + 1, :k], P)
+                lb_k, ld_k = simple_loglik(counts[i:i + 1, :k], P)
                 assert log_b_pref[i, k - 1] == pytest.approx(lb_k[0], abs=1e-12)
                 assert log_d_pref[i, k - 1] == pytest.approx(ld_k[0], abs=1e-12)
 
@@ -245,17 +244,23 @@ class TestSimpleTimeResolved:
         _, pair_head = simple_time_resolved_classify(head, P)
         assert pair_tail.p_D > pair_head.p_D
 
-    def test_long_window_clamps_prefactor_and_flags(self):
+    def test_long_window_clamps_prefactor_and_warns(self):
+        # The warning is the one signal of a clamped prefactor: the kernels
+        # return the likelihood pair alone.
         counts = [0] * 10
         with pytest.warns(RuntimeWarning, match="clamped"):
             _, pair = simple_time_resolved_classify(counts, P, tau=0.5)
-        assert "prefactor_clamped" in pair.flags
         assert pair.matrix[1, 1] == 0.0
+        assert not hasattr(pair, "flags")
         for prefixes in (False, True):
             with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
                                                     "clamped to 0$"):
-                _, _, clamped = simple_loglik(np.array([counts]), P, tau=0.5, prefixes=prefixes)
-            assert clamped[..., -1].all()
+                logs = simple_loglik(np.array([counts]), P, tau=0.5, prefixes=prefixes)
+            assert len(logs) == 2
+            assert all(log.shape == ((1, 10) if prefixes else (1,)) for log in logs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(simple_loglik(np.array([counts[:5]]), P, tau=0.5)) == 2
 
     def test_default_tau_is_dark_lifetime(self):
         counts = [0, 1, 2]
@@ -287,18 +292,17 @@ class TestSimpleTimeResolved:
 
     def test_gathered_log_pmf_is_per_cell_log_pmf(self):
         counts = np.random.default_rng(8).integers(0, 14, size=(400, 7))
-        log_b, _, _ = simple_loglik(counts, P, prefixes=True)
-        _, log_d, _ = simple_loglik(counts, P, decaying=IonState.BRIGHT, prefixes=True)
+        log_b, _ = simple_loglik(counts, P, prefixes=True)
+        _, log_d = simple_loglik(counts, P, decaying=IonState.BRIGHT, prefixes=True)
         assert np.array_equal(log_b, np.cumsum(_poisson_logpmf(counts, P.bright_mean), axis=1))
         assert np.array_equal(log_d, np.cumsum(_poisson_logpmf(counts, P.dark_mean), axis=1))
 
     def test_huge_count_evaluated_per_cell(self):
         # A log-pmf vector over 0..10^12 would not fit in memory; the values
         # are those of the per-cell evaluation.
-        log_b, log_d, clamped = simple_loglik([[10**12, 0]], P, prefixes=True)
+        log_b, log_d = simple_loglik([[10**12, 0]], P, prefixes=True)
         assert log_b.tolist() == [[-26142441101126.242, -26142441101127.87]]
         assert log_d.tolist() == [[-26142441101132.57, -26142441101134.2]]
-        assert not clamped.any()
 
 
 class TestSimpleBrightDecay:
@@ -335,8 +339,7 @@ class TestSimpleBrightDecay:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(15)
         counts = rng.integers(0, 6, size=(20, 9))
-        log_b, log_d, clamped = simple_loglik(counts, P, decaying=IonState.BRIGHT)
-        assert not clamped.any()
+        log_b, log_d = simple_loglik(counts, P, decaying=IonState.BRIGHT)
         for i in range(20):
             _, pair = simple_time_resolved_classify(counts[i], P,
                                                     decaying=IonState.BRIGHT)
@@ -464,7 +467,7 @@ class TestGeneralizedTimeResolved:
             ratio_d = _log_poisson_product(counts, frozen.dark_mean)
             expect = Decision.BRIGHT if ratio_b > ratio_d else Decision.DARK
             assert decide_from_logs(log_b, log_d)[0] == int(expect)
-            lb_s, ld_s, _ = simple_loglik(counts[None, :], frozen, tau=np.inf)
+            lb_s, ld_s = simple_loglik(counts[None, :], frozen, tau=np.inf)
             assert decide_from_logs(lb_s, ld_s)[0] == int(expect)
 
     def test_monotone_sufficiency_without_transitions(self):
@@ -606,7 +609,7 @@ class TestPrefixColumnsExact:
         with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau == 0.5
               else contextlib.nullcontext()):
             if tau is not None or params is self.NO_DARK:     # -inf terms are covered
-                terms = _single_change_terms(counts, params, tau, decaying)[:3]
+                terms = _single_change_terms(counts, params, tau, decaying)
                 assert any(np.isneginf(term).any() for term in terms)
             prefix = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
             finals = [simple_loglik(counts[:, :k + 1], params, tau, decaying=decaying)

@@ -221,8 +221,7 @@ class TestSimulateClassify:
                                              for name in ("decisions.csv", "report.csv")]
         _, _, counts = read_counts_csv(out / "counts.csv")
         with pytest.warns(RuntimeWarning, match="prefactor clamped"):
-            log_b, log_d, clamped = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
-        assert clamped.all()
+            log_b, log_d = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
         with open(out / "decisions.csv") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         assert [row["decision"] for row in rows] == [
@@ -287,16 +286,18 @@ class TestSweepCompare:
 
     def test_sweep_prints_counts_above_the_table_as_warning_lines(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # A 3-count table: the bright ensemble's counts exceed it.
+        # A table sized by a loose tol (n_max = 3): the bright ensemble's counts exceed it.
+        n_max = build_observation_table(DEFAULT_PARAMS, tol=0.1).n_max
+        assert n_max == 3
         monkeypatch.setattr(harness, "observation_table_for",
-                            lambda params: build_observation_table(params, n_max=3, tol=1.0))
+                            lambda params: build_observation_table(params, tol=0.1))
         cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 500, "seed": 7,
                                        "classifiers": [{"method": "general"}]})
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert err and all(re.fullmatch(r"warning: \d+ counts exceed the table's n_max = 3 "
-                                        r"\(largest \d+\); they are scored as 3", line)
-                           for line in err)
+        pattern = (rf"warning: \d+ counts exceed the table's n_max = {n_max} "
+                   rf"\(largest \d+\); they are scored as {n_max}")
+        assert err and all(re.fullmatch(pattern, line) for line in err)
 
     def test_pi_pulse_sweep_mode(self, tmp_path):
         cfg = _config(tmp_path, sweep={

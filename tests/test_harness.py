@@ -277,8 +277,8 @@ class TestOptimizeThreshold:
 
     def test_double_threshold_family(self):
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 100000, seed=29)
-        out = optimize_threshold(ens_b, ens_d, family="double_threshold",
-                                 n_D=0)
+        out = optimize_threshold(ens_b, ens_d,
+                                 {"method": "double_threshold", "n_D": 0, "n_B": "optimize"})
         assert out.best == 4
         assert out.report.N_R == pytest.approx(0.86, abs=0.02)
         assert out.report.epsilon < 0.011
@@ -293,9 +293,28 @@ class TestOptimizeThreshold:
             assert eps == pytest.approx(direct.epsilon, abs=1e-12)
 
     def test_unknown_family_rejected(self):
+        # Only a count rule whose cutoff is "optimize" has a threshold to search.
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 100, seed=1)
-        with pytest.raises(ConfigError, match="family"):
-            optimize_threshold(ens_b, ens_d, family="triple")
+        with pytest.raises(ConfigError, match="unknown method 'triple'"):
+            optimize_threshold(ens_b, ens_d, {"method": "triple"})
+        for spec in ({"method": "threshold", "n_c": 3},
+                     {"method": "double_threshold", "n_D": 0, "n_B": 4},
+                     {"method": "simple"}, {"method": "general"},
+                     resolve_classifier({"method": "general"})):
+            with pytest.raises(ConfigError, match="^optimize_threshold needs a count rule "
+                                                  "whose cutoff is 'optimize', got "):
+                optimize_threshold(ens_b, ens_d, spec)
+
+    def test_spec_default_and_resolved_spec_agree(self):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 0.5, 3000, seed=3)
+        expected = optimize_threshold(ens_b, ens_d)
+        for spec in ({"method": "threshold"}, {"method": "threshold", "n_c": "optimize"},
+                     resolve_classifier({"method": "threshold"})):
+            assert optimize_threshold(ens_b, ens_d, spec) == expected
+        double = {"method": "double_threshold", "n_D": 1, "n_B": "optimize"}
+        assert (optimize_threshold(ens_b, ens_d, double)
+                == optimize_threshold(ens_b, ens_d, resolve_classifier(double)))
+        assert optimize_threshold(ens_b, ens_d, double).report.detail.startswith("n_D=1;")
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +502,10 @@ class TestPrefixTallies:
         m = n_bins(t_b, params.t_s)
         counts_b, counts_d = counts_b[:, :m], counts_d[:, :m]
         if getattr(clf, "n_c", None) == "optimize":
-            n_d = getattr(clf, "n_D", 0)
             best = optimize_threshold(Ensemble(IonState.BRIGHT, counts_b, None, t_b, params.t_s),
                                       Ensemble(IonState.DARK, counts_d, None, t_b, params.t_s),
-                                      family=clf.label, n_D=n_d).best
-            clf = resolve_classifier({"method": clf.label, "n_c": best, "n_D": n_d, "n_B": best})
+                                      clf).best
+            clf = replace(clf, n_c=best)
 
         def decide(counts):
             if clf.label in ("threshold", "double_threshold"):   # a threshold's n_D is its n_c
@@ -495,10 +513,11 @@ class TestPrefixTallies:
             if clf.label == "generalized_time_resolved":
                 return decide_from_logs(*general_loglik(counts, harness.observation_table_for(params)))
             return decide_from_logs(*simple_loglik(counts, params, clf.tau_ms,
-                                                   decaying=clf.decaying)[:2])
+                                                   decaying=clf.decaying))
 
-        return report_from_decisions(decide(counts_b), decide(counts_d), classifier=clf.label,
-                                     detail=clf.detail, t_b=t_b, r=r, n_c=clf.n_c)
+        return replace(report_from_decisions(decide(counts_b), decide(counts_d),
+                                             classifier=clf.label, detail=clf.detail,
+                                             t_b=t_b, n_c=clf.n_c), r=r)
 
     def _check(self, params, t_b_values, r, seed, classifiers=CLASSIFIERS):
         spec = SweepSpec(t_b_values=t_b_values, n_trials=2048, seed=seed, params=params,
@@ -524,8 +543,8 @@ class TestPrefixTallies:
         wide = [row for row in rows if row.detail == "n_D=0;n_B=1000"]
         assert wide[0].defined and not wide[1].defined
         assert math.isnan(wide[1].epsilon) and wide[1].retained_bright == 0
-        log_b, log_d, _ = simple_loglik(ens_b.counts, self.EDGE_PARAMS, math.inf,
-                                        prefixes=True)
+        log_b, log_d = simple_loglik(ens_b.counts, self.EDGE_PARAMS, math.inf,
+                                     prefixes=True)
         assert np.array_equal(log_b, log_d)
         tie_rows = [row for row in rows if row.detail == "decaying=dark;tau=inf"]
         assert [row.wrong_bright for row in tie_rows] == [2048, 2048]   # ties go to Dark
@@ -564,7 +583,7 @@ class TestDistinctRecordScoring:
                                   prefixes=prefixes)
         decaying = IonState.BRIGHT if spec.get("decaying") == "bright" else IonState.DARK
         return simple_loglik(counts, DEFAULT_PARAMS, spec.get("tau_ms"),
-                             decaying=decaying, prefixes=prefixes)[:2]
+                             decaying=decaying, prefixes=prefixes)
 
     @pytest.mark.parametrize("case, grouped", [
         ("dark_ensemble", True), ("pulse_windows", True),

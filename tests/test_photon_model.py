@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
-from ionread import photon_model
+from ionread import harness, photon_model
 from ionread.photon_model import (
     DEFAULT_PARAMS,
     DegenerateModelError,
     IonState,
     RateParams,
-    TableTooSmallError,
     build_observation_table,
     count_pmf,
     mixed_pmf,
@@ -209,7 +208,7 @@ class TestObservationTable:
         assert table.truncation_mass.max() < 1e-9
 
     def test_column_normalization(self):
-        table = build_observation_table(DEFAULT_PARAMS, n_max=20)
+        table = build_observation_table(DEFAULT_PARAMS, tol=1e-12)
         sums = table.entries.sum(axis=(0, 1))
         assert np.all(np.abs(sums - 1.0) < 1e-9)
         assert np.all(table.entries >= 0.0)
@@ -227,7 +226,7 @@ class TestObservationTable:
             assert o[0, 1] == pytest.approx(mixed_pmf("DB", n, DEFAULT_PARAMS))
 
     def test_tabulated_mean_identity(self):
-        table = build_observation_table(DEFAULT_PARAMS, n_max=25, tol=1e-9)
+        table = build_observation_table(DEFAULT_PARAMS, tol=1e-12)
         ns = np.arange(table.n_max + 1)
         w_bb = stay_prob(IonState.BRIGHT, 0.1, DEFAULT_PARAMS)
         tab_mean = float(ns @ table.entries[:, 0, 0]) / w_bb
@@ -240,12 +239,33 @@ class TestObservationTable:
         assert table.entries[0, 1, 1] == pytest.approx(w_dd, rel=1e-12)
         assert np.all(table.entries[1:, 1, 1] == 0.0)
 
-    def test_too_small_error_carries_estimate(self):
-        with pytest.raises(TableTooSmallError) as exc:
-            build_observation_table(DEFAULT_PARAMS, n_max=3, tol=1e-9)
-        required = exc.value.required_n_max
-        assert required > 3
-        assert build_observation_table(DEFAULT_PARAMS, n_max=required).n_max == required
+    @pytest.mark.parametrize("t_s, n_max", [(0.1, 14), (1.0 / 30.0, 9)])
+    def test_tol_pins_n_max(self, t_s, n_max):
+        params = replace(DEFAULT_PARAMS, t_s=t_s)
+        table = build_observation_table(params)
+        assert table.n_max == n_max
+        # The first size below tol: one row fewer leaves more than tol out.
+        assert table.truncation_mass.max() < 1e-9
+        shorter = photon_model._truncation_mass(params, table.entries[:-1])
+        assert shorter.max() >= 1e-9
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, t_s=1.0 / 30.0)])
+    def test_tighter_tol_only_appends_rows(self, params):
+        tables = [build_observation_table(params, tol=tol) for tol in (1e-6, 1e-9, 1e-12)]
+        assert tables[0].n_max < tables[1].n_max < tables[2].n_max
+        for small, large in zip(tables, tables[1:]):
+            assert small.entries.tobytes() == large.entries[:small.n_max + 1].tobytes()
+        for table, tol in zip(tables, (1e-6, 1e-9, 1e-12)):
+            assert table.truncation_mass.max() < tol
+
+    def test_shared_table_is_read_only(self):
+        table = harness.observation_table_for(DEFAULT_PARAMS)
+        before = table.truncation_mass.copy()
+        for array in (table.truncation_mass, table.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert np.array_equal(harness.observation_table_for(DEFAULT_PARAMS).truncation_mass,
+                              before)
 
     def test_each_mixture_entry_computed_once(self, monkeypatch):
         calls = []
@@ -255,13 +275,11 @@ class TestObservationTable:
             return mixed_pmf(direction, n, params)
 
         monkeypatch.setattr(photon_model, "mixed_pmf", counting)
-        table = build_observation_table(DEFAULT_PARAMS)
-        assert len(calls) == 2 * (table.n_max + 1)
-        assert len(set(calls)) == len(calls)
-        calls.clear()
-        with pytest.raises(TableTooSmallError) as exc:
-            build_observation_table(DEFAULT_PARAMS, n_max=3)
-        assert len(calls) == 2 * (exc.value.required_n_max + 1)
+        for tol in (1e-9, 1e-12):
+            calls.clear()
+            table = build_observation_table(DEFAULT_PARAMS, tol=tol)
+            assert len(calls) == 2 * (table.n_max + 1)
+            assert len(set(calls)) == len(calls)
 
     def test_import_and_build_leave_scipy_stats_unloaded(self):
         # A fresh interpreter: the test modules themselves import these.
@@ -358,7 +376,8 @@ def test_mixture_between_pure_means_property(n):
 
 def test_poisson_sf_consistency():
     """The truncation-mass bookkeeping and scipy's survival function agree."""
-    table = build_observation_table(DEFAULT_PARAMS, n_max=14)
+    table = build_observation_table(DEFAULT_PARAMS)
+    assert table.n_max == 14
     w_bb = np.exp(-0.1 / 4.9)
     direct = w_bb * (1.0 - poisson.cdf(14, 1.63))
     assert direct <= table.truncation_mass[0] + 1e-15

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ionread import trajectory
 from ionread.photon_model import DEFAULT_PARAMS, IonState, RateParams
 from ionread.trajectory import (
     CHUNK,
@@ -552,6 +553,26 @@ class TestMixedInitialStates:
         cfg = SimConfig(n_trials=10, t_b=0.5, seed=55, params=P)
         with pytest.raises(ValueError):
             simulate_ensemble(cfg, np.zeros(5, dtype=np.int8))
+
+    @pytest.mark.parametrize("initial", [[0, 1, -1, 0], [0, 1, 0.5, 0], [0, 1, 2, 3],
+                                         [0, 1, 256, 0]])
+    def test_states_other_than_0_and_1_rejected_before_a_draw(self, initial, monkeypatch):
+        # Checked on the raw values: an int8 cast would keep -1, truncate
+        # 0.5 and wrap 256 to 0.
+        def no_draw(*args):
+            raise AssertionError("drew random numbers for an invalid ensemble")
+
+        monkeypatch.setattr(trajectory, "_chunk_rng", no_draw)
+        cfg = SimConfig(n_trials=4, t_b=0.5, seed=55, params=P)
+        with pytest.raises(ValueError, match=r"^initial states must be 0 \(bright\) or "
+                                             r"1 \(dark\), got (-1|0\.5|2|256)$"):
+            simulate_ensemble(cfg, np.array(initial))
+
+    @pytest.mark.parametrize("initial", [np.array([0, 7]), np.array([1.0, 0.5]), -1, 2])
+    def test_ensemble_rejects_states_other_than_0_and_1(self, initial):
+        with pytest.raises(ValueError, match="^initial states must be 0"):
+            Ensemble(initial, np.zeros((2, 5), dtype=int), None, 0.5, 0.1)
+        Ensemble(np.array([1.0, 0.0]), np.zeros((2, 5), dtype=int), None, 0.5, 0.1)
 
 
 class TestEnsembleStates:
