@@ -53,9 +53,9 @@ head[:2] = [3, 2]
 tail = head[::-1].copy()
 print()
 for counts in (head, tail):
-    decision, pair = generalized_time_resolved_classify(counts, table)
+    decision, log_b, log_d = generalized_time_resolved_classify(counts, table)
     print(f"counts {counts.tolist()}:")
     print(f"  threshold n_c={best.best}: "
           f"{threshold_classify(counts, best.best).label}")
     print(f"  generalized: {decision.label} "
-          f"(log p_B - log p_D = {pair.log_p_B - pair.log_p_D:+.2f})")
+          f"(log p_B - log p_D = {log_b - log_d:+.2f})")

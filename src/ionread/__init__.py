@@ -52,7 +52,6 @@ from .trajectory import (
 )
 from .classifiers import (
     Decision,
-    LikelihoodPair,
     PiPulseResult,
     PulseChannel,
     decide_from_logs,

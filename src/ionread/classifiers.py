@@ -9,8 +9,10 @@ inverting pulse between two detection windows.
 All classifiers are pure functions.  The batch entry points operate on
 (n_trials, n_bins) count arrays in the log domain and can evaluate every
 prefix of the window in one pass, which is what the sweep harness uses.
-They reject negative and fractional counts; the scalar classifiers wrap
-them on one row.  Inside, both kernels run bin-major, on (n_bins,
+They reject negative and fractional counts.  The scalar classifiers wrap
+them on one row; the likelihood ones return (Decision, log_p_B, log_p_D),
+bit for bit the batch row and its :func:`decide_from_logs` decision.
+Inside, both kernels run bin-major, on (n_bins,
 n_trials) arrays, so each bin reads and writes contiguous rows; prefix
 results come back as transposed views.  The single-change formula gathers
 each bin's Poisson log-pmf from a vector over 0..max count instead of
@@ -49,54 +51,6 @@ class Decision(enum.IntEnum):
         return {0: "B", 1: "D", 2: "I"}[int(self)]
 
 
-@dataclass(frozen=True, eq=False)
-class LikelihoodPair:
-    """Likelihoods that a count sequence arose from each initial state.
-
-    ``matrix`` is the accumulated 2x2 array
-    ``[[B^(iB), B^(iD)], [D^(iB), D^(iD)]]`` (rows: state after the window,
-    columns: initial state), scaled by ``exp(log_scale)`` to keep entries in
-    floating range.  Column sums give the initial-state likelihoods; a
-    model mismatch warns where it happens and leaves no mark here.
-    """
-
-    matrix: np.ndarray
-    log_scale: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("likelihood matrix must be 2x2")
-        if np.any(m < -1e-15):
-            raise ValueError("likelihood matrix entries must be >= 0")
-        object.__setattr__(self, "matrix", np.maximum(m, 0.0))
-
-    @property
-    def log_p_B(self) -> float:
-        s = self.matrix[:, 0].sum()
-        return float(np.log(s) + self.log_scale) if s > 0 else -np.inf
-
-    @property
-    def log_p_D(self) -> float:
-        s = self.matrix[:, 1].sum()
-        return float(np.log(s) + self.log_scale) if s > 0 else -np.inf
-
-    @property
-    def p_B(self) -> float:
-        return float(self.matrix[:, 0].sum() * np.exp(self.log_scale))
-
-    @property
-    def p_D(self) -> float:
-        return float(self.matrix[:, 1].sum() * np.exp(self.log_scale))
-
-    @property
-    def decision(self) -> Decision:
-        # Scale cancels in the comparison; ties resolve to Dark.
-        if self.matrix[:, 0].sum() > self.matrix[:, 1].sum():
-            return Decision.BRIGHT
-        return Decision.DARK
-
-
 def _as_count_matrix(counts) -> np.ndarray:
     """(n_trials, n_bins) int64 counts with at least one bin.
 
@@ -110,10 +64,11 @@ def _as_count_matrix(counts) -> np.ndarray:
 
 
 def _as_counts(counts) -> np.ndarray:
+    """One record, as the (1, n_bins) count matrix of the batch entry points."""
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a non-empty 1-d sequence")
-    return _as_count_matrix(arr)[0]
+    return _as_count_matrix(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +184,12 @@ def simple_time_resolved_classify(counts, params: RateParams,
                                   *, decaying: IonState = IonState.DARK):
     """Classify one count sequence with the single-change formula.
 
-    Returns (Decision, LikelihoodPair).  The pair's matrix keeps the two
-    terms of the changeable hypothesis separate; with ``decaying=DARK`` the
-    no-change term lands in D^(iD) and the changed term in B^(iD), while the
-    bright hypothesis has no decay channel, so D^(iB) = 0 (mirrored for
-    ``decaying=BRIGHT``).  A window longer than tau drives the no-change
-    prefactor negative; it is clamped to zero with a RuntimeWarning, since
-    the single-change expansion has left its domain of validity.
+    Returns (Decision, log_p_B, log_p_D): the record's row of
+    :func:`simple_loglik` and the :func:`decide_from_logs` decision on it
+    (a tie is Dark), so one record and one batch row agree bit for bit.
+    A window longer than tau clamps the prefactor with a RuntimeWarning.
     """
-    decaying = IonState(decaying)
-    logs = np.array([term[-1, 0] for term in
-                     _single_change_terms(_as_counts(counts), params, tau, decaying)])
-    scale = max(logs)       # stabilize around the largest term
-    pure, stayed, changed = np.exp(logs - scale)
-    if decaying is IonState.DARK:
-        matrix = [[pure, changed], [0.0, stayed]]
-    else:
-        matrix = [[stayed, 0.0], [changed, pure]]
-    pair = LikelihoodPair(matrix=matrix, log_scale=float(scale))
-    return pair.decision, pair
+    return _decided(simple_loglik(_as_counts(counts), params, tau, decaying=decaying))
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +257,23 @@ def general_loglik(counts: np.ndarray, table: ObservationTable,
 def generalized_time_resolved_classify(counts, table: ObservationTable):
     """Classify one count sequence with the hidden-Markov matrix product.
 
-    Returns (Decision, LikelihoodPair); the pair carries the accumulated
-    matrix, so both the final-state split and the initial-state likelihoods
-    are available to callers.  Counts above n_max warn, as in general_loglik.
+    Returns (Decision, log_p_B, log_p_D), the record's row of
+    :func:`general_loglik` and its :func:`decide_from_logs` decision.
+    Counts above n_max warn, as in general_loglik.
     """
-    acc, log_scale = _forward_product(_as_counts(counts)[None, :], table)
-    pair = LikelihoodPair(matrix=np.reshape(acc, (2, 2)), log_scale=float(log_scale[0]))
-    return pair.decision, pair
+    return _decided(general_loglik(_as_counts(counts), table))
 
 
 def decide_from_logs(log_pb: np.ndarray, log_pd: np.ndarray) -> np.ndarray:
     """Vectorized Bright/Dark decisions from log-likelihoods (tie -> Dark)."""
     return np.where(np.asarray(log_pb) > np.asarray(log_pd),
                     Decision.BRIGHT, Decision.DARK).astype(np.int8)
+
+
+def _decided(logs) -> tuple:
+    """(Decision, log_p_B, log_p_D) of a one-row kernel result."""
+    log_pb, log_pd = logs
+    return Decision(int(decide_from_logs(log_pb, log_pd)[0])), float(log_pb[0]), float(log_pd[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from . import estimation as est
 from .harness import (
     ConfigError,
     _require,
+    _section,
     compare_methods,
     config_int,
     config_number,
@@ -53,12 +54,6 @@ from .trajectory import (
 )
 
 
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name)
-    _require(isinstance(section, dict), f"config needs a {name!r} object")
-    return section
-
-
 def _echo_comments(cfg: dict, seed: int) -> tuple:
     return (f"config: {json.dumps(cfg, separators=(',', ':'), sort_keys=True)}",
             f"seed: {seed}")
@@ -81,7 +76,7 @@ def _input_path(section: dict, out_dir: Path) -> Path:
 
 
 def _cmd_simulate(cfg: dict, args) -> int:
-    section = _section(cfg, "simulate")
+    section = _section(cfg, "simulate", ("t_b_ms", "n_trials", "seed", "initial", "change_times"))
     params = rate_params_from_config(cfg)
     try:
         t_b = float(config_number(section["t_b_ms"], "t_b_ms"))
@@ -92,6 +87,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
     initial = section.get("initial", "both")
     _require(initial in ("bright", "dark", "both"),
              "initial must be 'bright', 'dark' or 'both'")
+    _require(type(section.get("change_times", False)) is bool, "change_times must be true or false")
     config = SimConfig(n_trials=n_trials, t_b=t_b, seed=seed, params=params)
     states = ((IonState.BRIGHT, IonState.DARK) if initial == "both"
               else (IonState.from_label(initial[0].upper()),))
@@ -117,7 +113,7 @@ def _cmd_simulate(cfg: dict, args) -> int:
 
 
 def _cmd_classify(cfg: dict, args) -> int:
-    section = _section(cfg, "classify")
+    section = _section(cfg, "classify", ("input", "classifier"))
     params = rate_params_from_config(cfg)
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
@@ -153,7 +149,7 @@ def _cmd_classify(cfg: dict, args) -> int:
 
 
 def _cmd_fit(cfg: dict, args) -> int:
-    section = _section(cfg, "fit")
+    section = _section(cfg, "fit", ("input",))
     params = rate_params_from_config(cfg)
     _, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     series = est.mean_count_series(initials, counts, params.t_s)
@@ -171,9 +167,8 @@ def _cmd_fit(cfg: dict, args) -> int:
 
 def _cmd_sweep(cfg: dict, args) -> int:
     spec = sweep_spec_from_config(cfg, seed=args.seed)
-    pulse = cfg["sweep"].get("pi_pulse")
-    if pulse is not None:
-        _require(isinstance(pulse, dict), "'pi_pulse' must be an object")
+    if cfg["sweep"].get("pi_pulse") is not None:
+        pulse = _section(cfg["sweep"], "pi_pulse", ("epsilon_pi", "detector"))
         try:
             epsilon_pi = float(config_number(pulse["epsilon_pi"], "epsilon_pi"))
             detector = pulse["detector"]
@@ -195,7 +190,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
 
 
 def _cmd_compare(cfg: dict, args) -> int:
-    section = _section(cfg, "compare")
+    section = _section(cfg, "compare", ("repetitions",))
     spec = sweep_spec_from_config(cfg, seed=args.seed)
     repetitions = config_int(section.get("repetitions", 1), "repetitions")
     rows, summary = compare_methods(spec, repetitions=repetitions,

@@ -62,7 +62,8 @@ _CTX_PI = 5
 _CTX_COMPARE = 6
 _PI_WINDOW_ONE, _PI_WINDOW_TWO, _PI_PULSE = 1, 2, 3
 
-_METHODS = ("threshold", "double_threshold", "simple", "general")
+_METHOD_KEYS = {"threshold": ("method", "n_c"), "double_threshold": ("method", "n_D", "n_B"),
+                "simple": ("method", "decaying", "tau_ms"), "general": ("method",)}
 # The paper's headline pair: optimized count threshold against the
 # generalized likelihood.
 _HEADLINE_CLASSIFIERS = (
@@ -96,7 +97,8 @@ def _require(condition, message):
 
 def config_number(value, name: str):
     """``value`` if an int or a float: JSON ``"7"`` and ``true`` are no numbers."""
-    _require(type(value) in (int, float), f"{name} must be a number, got {json.dumps(value)}")
+    _require(type(value) in (int, float),
+             f"{name} must be a number, got {json.dumps(value, default=repr)}")
     return value
 
 
@@ -378,33 +380,35 @@ def resolve_classifier(spec) -> Classifier:
     """Validate a classifier spec dict and resolve it into its classifier.
 
     Omitted keys take their defaults (``n_c`` "optimize", ``decaying``
-    "dark").  A :class:`Classifier` passes through unchanged.
+    "dark"); a key the method does not take is refused.  A
+    :class:`Classifier` passes through unchanged.
     """
     if isinstance(spec, Classifier):
         return spec
     _require(isinstance(spec, dict), "classifier spec must be a mapping")
     method = spec.get("method")
+    _require(isinstance(method, str) and method in _METHOD_KEYS,
+             f"unknown method {method!r}; expected one of {tuple(_METHOD_KEYS)}")
+    _known_keys(spec, _METHOD_KEYS[method], f"the {method} spec")
     if method == "threshold":
         n_c = spec.get("n_c", "optimize")
-        _require(n_c == "optimize" or (type(n_c) is int and n_c >= 0),   # not a bool
-                 "n_c must be a non-negative integer or 'optimize'")
+        n_c = n_c if n_c == "optimize" else config_int(n_c, "n_c")
+        _require(n_c == "optimize" or n_c >= 0, "n_c must be a non-negative integer or 'optimize'")
         return ThresholdClassifier(n_c)
     if method == "double_threshold":
-        n_d, n_b = spec.get("n_D"), spec.get("n_B")
-        _require(type(n_d) is int and n_d >= 0, "n_D must be a non-negative integer")
-        _require(n_b == "optimize" or (type(n_b) is int and n_b >= n_d),
-                 "n_B must be an integer >= n_D or 'optimize'")
+        n_d, n_b = config_int(spec.get("n_D"), "n_D"), spec.get("n_B")
+        n_b = n_b if n_b == "optimize" else config_int(n_b, "n_B")
+        _require(n_d >= 0, "n_D must be a non-negative integer")
+        _require(n_b == "optimize" or n_b >= n_d, "n_B must be an integer >= n_D or 'optimize'")
         return DoubleThresholdClassifier(n_b, n_d)
     if method == "simple":
         tau = spec.get("tau_ms")
-        _require(tau is None or (type(tau) in (int, float) and tau > 0),
-                 "tau_ms must be positive when given")
+        _require(tau is None or config_number(tau, "tau_ms") > 0, "tau_ms must be positive when given")
         decaying = spec.get("decaying", "dark")
         _require(decaying in ("dark", "bright"),
                  "decaying must be 'dark' or 'bright'")
         return SimpleClassifier(IonState.BRIGHT if decaying == "bright" else IonState.DARK,
                                 tau)
-    _require(method == "general", f"unknown method {method!r}; expected one of {_METHODS}")
     return GeneralClassifier()
 
 
@@ -800,17 +804,33 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _known_keys(mapping: dict, keys: tuple, name: str) -> dict:
+    """``mapping``, refused if it holds a key outside ``keys``."""
+    for key in mapping:
+        _require(key in keys, f"unknown key {key!r} in {name}; expected one of {keys}")
+    return mapping
+
+
+def _section(cfg: dict, name: str, keys: tuple) -> dict:
+    """The config's ``name`` object, whose keys must all lie in ``keys``."""
+    section = cfg.get(name)
+    _require(isinstance(section, dict), f"config needs a {name!r} object")
+    return _known_keys(section, keys, repr(name))
+
+
 def rate_params_from_config(cfg: dict) -> RateParams:
+    section = _section(cfg, "params",
+                       ("R_B_per_ms", "R_D_per_ms", "tau_B_ms", "tau_D_ms", "t_s_ms"))
     try:
-        return RateParams.from_json_dict({k: config_number(v, k) for k, v in cfg["params"].items()})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:   # AttributeError: no object
+        return RateParams.from_json_dict({k: config_number(v, k) for k, v in section.items()})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
 
 def sweep_spec_from_config(cfg: dict, *, seed=None) -> SweepSpec:
     params = rate_params_from_config(cfg)
-    sweep_cfg = cfg.get("sweep")
-    _require(isinstance(sweep_cfg, dict), "config needs a 'sweep' object")
+    sweep_cfg = _section(cfg, "sweep", ("t_b_ms", "n_trials", "seed", "classifiers",
+                                        "efficiency_factors", "pi_pulse"))
     try:
         return SweepSpec(
             t_b_values=tuple(config_number(t_b, "t_b_ms") for t_b in sweep_cfg["t_b_ms"]),

@@ -13,12 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ionread.classifiers import (
     Decision,
-    LikelihoodPair,
+    _forward_product,
     _running,
     _single_change_terms,
     decide_from_logs,
@@ -130,6 +128,32 @@ def long_window_counts():
     return np.vstack([simulate_ensemble(cfg, s).counts
                       for s in (IonState.BRIGHT, IonState.DARK)])
 
+
+@pytest.fixture(scope="module")
+def wide_records():
+    """200 random 30-bin records whose counts reach above the table's n_max."""
+    return np.random.default_rng(26).integers(0, 40, size=(200, 30))
+
+
+@pytest.fixture(scope="module")
+def records(wide_records):
+    """2 x 3,000 simulated 30-bin records (t_b = 3 ms), then the wide ones."""
+    cfg = SimConfig(n_trials=3000, t_b=3.0, seed=5, params=P)
+    return np.vstack([*(simulate_ensemble(cfg, s).counts for s in IonState), wide_records])
+
+
+def assert_scalar_is_batch_row(scalar, batch, records):
+    """Each record's (decision, log_p_B, log_p_D) from the one-record
+    classifier is its batch row, bit for bit, decided by decide_from_logs."""
+    log_b, log_d = batch(records)
+    decisions = decide_from_logs(log_b, log_d)
+    for i, record in enumerate(records):
+        decision, log_p_b, log_p_d = scalar(record)
+        assert (log_p_b, log_p_d) == (log_b[i], log_d[i])
+        assert decision is Decision(decisions[i])
+        assert decision == decide_from_logs(log_p_b, log_p_d)
+
+
 class TestThreshold:
     def test_all_zeros_is_dark(self):
         assert threshold_classify([0, 0, 0], n_c=1) is Decision.DARK
@@ -194,28 +218,29 @@ class TestSimpleTimeResolved:
     @pytest.mark.parametrize("counts", sorted(FROZEN))
     def test_frozen_values(self, counts):
         p_b, p_d = self.FROZEN[counts]
-        _, pair = simple_time_resolved_classify(list(counts), P)
-        assert pair.p_B == pytest.approx(p_b, rel=1e-12)
-        assert pair.p_D == pytest.approx(p_d, rel=1e-12)
+        _, log_b, log_d = simple_time_resolved_classify(list(counts), P)
+        assert math.exp(log_b) == pytest.approx(p_b, rel=1e-12)
+        assert math.exp(log_d) == pytest.approx(p_d, rel=1e-12)
 
     def test_matches_naive_evaluation(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             counts = rng.integers(0, 6, size=rng.integers(1, 12)).tolist()
             expect_b, expect_d = naive_single_change(counts, P, P.tau_D)
-            _, pair = simple_time_resolved_classify(counts, P)
-            assert pair.p_B == pytest.approx(expect_b, rel=1e-10)
-            assert pair.p_D == pytest.approx(expect_d, rel=1e-10)
+            _, log_b, log_d = simple_time_resolved_classify(counts, P)
+            assert math.exp(log_b) == pytest.approx(expect_b, rel=1e-10)
+            assert math.exp(log_d) == pytest.approx(expect_d, rel=1e-10)
 
-    def test_batch_matches_scalar_and_prefixes(self):
+    def test_batch_matches_scalar_and_prefixes(self, records, wide_records):
+        assert_scalar_is_batch_row(lambda c: simple_time_resolved_classify(c, P),
+                                   lambda c: simple_loglik(c, P), records)
+        with pytest.warns(RuntimeWarning, match="prefactor clamped"):   # 3 ms > tau
+            assert_scalar_is_batch_row(lambda c: simple_time_resolved_classify(c, P, 0.5),
+                                       lambda c: simple_loglik(c, P, 0.5), wide_records)
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(20, 9))
-        log_b, log_d = simple_loglik(counts, P)
         log_b_pref, log_d_pref = simple_loglik(counts, P, prefixes=True)
         for i in range(20):
-            _, pair = simple_time_resolved_classify(counts[i], P)
-            assert log_b[i] == pytest.approx(pair.log_p_B, abs=1e-10)
-            assert log_d[i] == pytest.approx(pair.log_p_D, abs=1e-10)
             for k in (1, 5, 9):
                 lb_k, ld_k = simple_loglik(counts[i:i + 1, :k], P)
                 assert log_b_pref[i, k - 1] == pytest.approx(lb_k[0], abs=1e-12)
@@ -224,15 +249,16 @@ class TestSimpleTimeResolved:
     def test_single_bin_collapse(self):
         """For M=1 the formula reduces to a two-term mixture."""
         for n in range(5):
-            _, pair = simple_time_resolved_classify([n], P)
+            _, log_b, log_d = simple_time_resolved_classify([n], P)
             expect = ((1 - P.t_s / P.tau_D) * count_pmf(IonState.DARK, n, P)
                       + (P.t_s / P.tau_D) * count_pmf(IonState.BRIGHT, n, P))
-            assert pair.p_D == pytest.approx(expect, rel=1e-12)
-            assert pair.p_B == pytest.approx(count_pmf(IonState.BRIGHT, n, P), rel=1e-12)
+            assert math.exp(log_d) == pytest.approx(expect, rel=1e-12)
+            assert math.exp(log_b) == pytest.approx(count_pmf(IonState.BRIGHT, n, P),
+                                                    rel=1e-12)
 
     def test_bright_mean_counts_decide_bright(self):
         counts = [round(P.bright_mean)] * 10
-        decision, _ = simple_time_resolved_classify(counts, P)
+        decision, _, _ = simple_time_resolved_classify(counts, P)
         assert decision is Decision.BRIGHT
 
     def test_dark_then_bright_ranks_above_reverse(self):
@@ -240,18 +266,21 @@ class TestSimpleTimeResolved:
         cannot be produced by the single-change model."""
         tail = [0, 0, 0, 0, 0, 2, 3, 4, 3, 2]
         head = list(reversed(tail))
-        _, pair_tail = simple_time_resolved_classify(tail, P)
-        _, pair_head = simple_time_resolved_classify(head, P)
-        assert pair_tail.p_D > pair_head.p_D
+        _, _, log_d_tail = simple_time_resolved_classify(tail, P)
+        _, _, log_d_head = simple_time_resolved_classify(head, P)
+        assert log_d_tail > log_d_head
 
     def test_long_window_clamps_prefactor_and_warns(self):
         # The warning is the one signal of a clamped prefactor: the kernels
-        # return the likelihood pair alone.
+        # return the likelihood pair alone.  The clamped no-change term is
+        # zero, so log_p_D is the change term's log and the batch row's.
         counts = [0] * 10
         with pytest.warns(RuntimeWarning, match="clamped"):
-            _, pair = simple_time_resolved_classify(counts, P, tau=0.5)
-        assert pair.matrix[1, 1] == 0.0
-        assert not hasattr(pair, "flags")
+            result = simple_time_resolved_classify(counts, P, tau=0.5)
+            _, log_stay, log_change = _single_change_terms([counts], P, 0.5, IonState.DARK)
+            log_b, log_d = simple_loglik([counts], P, tau=0.5)
+        assert log_stay[-1, 0] == -math.inf
+        assert result[1:] == (log_b[0], log_d[0]) and log_d[0] == log_change[-1, 0]
         for prefixes in (False, True):
             with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
                                                     "clamped to 0$"):
@@ -264,9 +293,9 @@ class TestSimpleTimeResolved:
 
     def test_default_tau_is_dark_lifetime(self):
         counts = [0, 1, 2]
-        _, default_pair = simple_time_resolved_classify(counts, P)
-        _, explicit_pair = simple_time_resolved_classify(counts, P, tau=P.tau_D)
-        assert default_pair.p_D == explicit_pair.p_D
+        default = simple_time_resolved_classify(counts, P)
+        assert default == simple_time_resolved_classify(counts, P, tau=P.tau_D)
+        assert default != simple_time_resolved_classify(counts, P, tau=P.tau_B)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -321,74 +350,65 @@ class TestSimpleBrightDecay:
     @pytest.mark.parametrize("counts", sorted(FROZEN))
     def test_frozen_values(self, counts):
         p_b, p_d = self.FROZEN[counts]
-        _, pair = simple_time_resolved_classify(list(counts), P,
-                                                decaying=IonState.BRIGHT)
-        assert pair.p_B == pytest.approx(p_b, rel=1e-12)
-        assert pair.p_D == pytest.approx(p_d, rel=1e-12)
+        _, log_b, log_d = simple_time_resolved_classify(list(counts), P,
+                                                        decaying=IonState.BRIGHT)
+        assert math.exp(log_b) == pytest.approx(p_b, rel=1e-12)
+        assert math.exp(log_d) == pytest.approx(p_d, rel=1e-12)
 
     def test_matches_naive_evaluation(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             counts = rng.integers(0, 6, size=rng.integers(1, 12)).tolist()
             expect_b, expect_d = naive_single_change_bright(counts, P, P.tau_B)
-            _, pair = simple_time_resolved_classify(counts, P,
-                                                    decaying=IonState.BRIGHT)
-            assert pair.p_B == pytest.approx(expect_b, rel=1e-10)
-            assert pair.p_D == pytest.approx(expect_d, rel=1e-10)
+            _, log_b, log_d = simple_time_resolved_classify(counts, P,
+                                                            decaying=IonState.BRIGHT)
+            assert math.exp(log_b) == pytest.approx(expect_b, rel=1e-10)
+            assert math.exp(log_d) == pytest.approx(expect_d, rel=1e-10)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(15)
-        counts = rng.integers(0, 6, size=(20, 9))
-        log_b, log_d = simple_loglik(counts, P, decaying=IonState.BRIGHT)
-        for i in range(20):
-            _, pair = simple_time_resolved_classify(counts[i], P,
-                                                    decaying=IonState.BRIGHT)
-            assert log_b[i] == pytest.approx(pair.log_p_B, abs=1e-10)
-            assert log_d[i] == pytest.approx(pair.log_p_D, abs=1e-10)
+    def test_batch_matches_scalar(self, records, wide_records):
+        for tau, counts in ((None, records), (0.5, wide_records)):
+            with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau
+                  else contextlib.nullcontext()):
+                assert_scalar_is_batch_row(
+                    lambda c: simple_time_resolved_classify(c, P, tau, decaying=IonState.BRIGHT),
+                    lambda c: simple_loglik(c, P, tau, decaying=IonState.BRIGHT), counts)
 
     def test_single_bin_collapse(self):
         for n in range(5):
-            _, pair = simple_time_resolved_classify([n], P,
-                                                    decaying=IonState.BRIGHT)
+            _, log_b, log_d = simple_time_resolved_classify([n], P,
+                                                            decaying=IonState.BRIGHT)
             expect = ((1 - P.t_s / P.tau_B) * count_pmf(IonState.BRIGHT, n, P)
                       + (P.t_s / P.tau_B) * count_pmf(IonState.DARK, n, P))
-            assert pair.p_B == pytest.approx(expect, rel=1e-12)
-            assert pair.p_D == pytest.approx(count_pmf(IonState.DARK, n, P),
-                                             rel=1e-12)
+            assert math.exp(log_b) == pytest.approx(expect, rel=1e-12)
+            assert math.exp(log_d) == pytest.approx(count_pmf(IonState.DARK, n, P),
+                                                    rel=1e-12)
 
     def test_bright_then_dark_ranks_above_reverse(self):
         """A leading burst fits a bright-to-dark change; a trailing one
         cannot be produced by this direction of the single-change model."""
         head = [2, 3, 4, 3, 2, 0, 0, 0, 0, 0]
         tail = list(reversed(head))
-        _, pair_head = simple_time_resolved_classify(head, P,
-                                                     decaying=IonState.BRIGHT)
-        _, pair_tail = simple_time_resolved_classify(tail, P,
-                                                     decaying=IonState.BRIGHT)
-        assert pair_head.p_B > pair_tail.p_B
+        _, log_b_head, _ = simple_time_resolved_classify(head, P,
+                                                         decaying=IonState.BRIGHT)
+        _, log_b_tail, _ = simple_time_resolved_classify(tail, P,
+                                                         decaying=IonState.BRIGHT)
+        assert log_b_head > log_b_tail
 
     def test_decayed_sequence_still_detected_bright(self):
         """An early drop to dark keeps a higher bright than dark likelihood,
         unlike under the dark-decay direction where bin one decides."""
         counts = [2, 2, 0, 0, 0, 0, 0, 0, 0, 0]
-        decision, _ = simple_time_resolved_classify(counts, P,
-                                                    decaying=IonState.BRIGHT)
+        decision, _, _ = simple_time_resolved_classify(counts, P,
+                                                       decaying=IonState.BRIGHT)
         assert decision is Decision.BRIGHT
 
     def test_default_tau_is_bright_lifetime(self):
         counts = [2, 1, 0]
-        _, default_pair = simple_time_resolved_classify(
-            counts, P, decaying=IonState.BRIGHT)
-        _, explicit_pair = simple_time_resolved_classify(
-            counts, P, tau=P.tau_B, decaying=IonState.BRIGHT)
-        assert default_pair.p_B == explicit_pair.p_B
-
-    def test_matrix_layout_mirrors_direction(self):
-        """The change term moves to the bright column, final state dark."""
-        _, pair = simple_time_resolved_classify([1, 0], P,
-                                                decaying=IonState.BRIGHT)
-        assert pair.matrix[0, 1] == 0.0
-        assert pair.matrix[1, 0] > 0.0
+        default = simple_time_resolved_classify(counts, P, decaying=IonState.BRIGHT)
+        assert default == simple_time_resolved_classify(counts, P, tau=P.tau_B,
+                                                        decaying=IonState.BRIGHT)
+        assert default != simple_time_resolved_classify(counts, P, tau=P.tau_D,
+                                                        decaying=IonState.BRIGHT)
 
 
 class TestGeneralizedTimeResolved:
@@ -403,9 +423,9 @@ class TestGeneralizedTimeResolved:
     @pytest.mark.parametrize("counts", sorted(FROZEN))
     def test_frozen_values(self, counts, table):
         p_b, p_d = self.FROZEN[counts]
-        _, pair = generalized_time_resolved_classify(list(counts), table)
-        assert pair.p_B == pytest.approx(p_b, rel=1e-12)
-        assert pair.p_D == pytest.approx(p_d, rel=1e-12)
+        _, log_b, log_d = generalized_time_resolved_classify(list(counts), table)
+        assert math.exp(log_b) == pytest.approx(p_b, rel=1e-12)
+        assert math.exp(log_d) == pytest.approx(p_d, rel=1e-12)
 
     def test_matches_path_enumeration(self, table):
         """Matrix product == exact sum over all hidden state sequences."""
@@ -414,29 +434,28 @@ class TestGeneralizedTimeResolved:
             m = int(rng.integers(1, 9))
             counts = rng.integers(0, 7, size=m).tolist()
             expect_b, expect_d = path_sum(counts, P)
-            _, pair = generalized_time_resolved_classify(counts, table)
-            assert pair.p_B == pytest.approx(expect_b, rel=1e-10)
-            assert pair.p_D == pytest.approx(expect_d, rel=1e-10)
+            _, log_b, log_d = generalized_time_resolved_classify(counts, table)
+            assert math.exp(log_b) == pytest.approx(expect_b, rel=1e-10)
+            assert math.exp(log_d) == pytest.approx(expect_d, rel=1e-10)
 
     def test_single_matrix_collapse(self, table):
         for n in range(4):
-            _, pair = generalized_time_resolved_classify([n], table)
+            _, log_b, log_d = generalized_time_resolved_classify([n], table)
             expect_b = (stay_prob(IonState.BRIGHT, P.t_s, P) * count_pmf(IonState.BRIGHT, n, P)
                         + mixed_pmf("BD", n, P))
             expect_d = (stay_prob(IonState.DARK, P.t_s, P) * count_pmf(IonState.DARK, n, P)
                         + mixed_pmf("DB", n, P))
-            assert pair.p_B == pytest.approx(expect_b, rel=1e-10)
-            assert pair.p_D == pytest.approx(expect_d, rel=1e-10)
+            assert math.exp(log_b) == pytest.approx(expect_b, rel=1e-10)
+            assert math.exp(log_d) == pytest.approx(expect_d, rel=1e-10)
 
-    def test_batch_matches_scalar_and_prefixes(self, table):
+    def test_batch_matches_scalar_and_prefixes(self, table, records):
+        assert (records > table.n_max).any()
+        with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
+            assert_scalar_is_batch_row(lambda c: generalized_time_resolved_classify(c, table),
+                                       lambda c: general_loglik(c, table), records)
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 8, size=(20, 7))
-        log_b, log_d = general_loglik(counts, table)
         log_b_pref, log_d_pref = general_loglik(counts, table, prefixes=True)
-        for i in range(20):
-            _, pair = generalized_time_resolved_classify(counts[i], table)
-            assert log_b[i] == pytest.approx(pair.log_p_B, abs=1e-10)
-            assert log_d[i] == pytest.approx(pair.log_p_D, abs=1e-10)
         for k in (1, 3, 7):
             lb_k, ld_k = general_loglik(counts[:, :k], table)
             assert np.allclose(log_b_pref[:, k - 1], lb_k, atol=1e-12)
@@ -494,7 +513,7 @@ class TestGeneralizedTimeResolved:
     def test_count_above_table_range_is_clamped(self, table):
         with pytest.warns(RuntimeWarning, match=f"^1 counts exceed the table's n_max = "
                           f"{table.n_max} \\(largest 10000\\); they are scored as {table.n_max}$"):
-            decision, _ = generalized_time_resolved_classify([10_000], table)
+            decision, _, _ = generalized_time_resolved_classify([10_000], table)
         assert decision is Decision.BRIGHT
         assert table.clamped_lookups > 0
 
@@ -567,9 +586,9 @@ class TestForwardFilterReference:
         for n in np.minimum(counts, table.n_max):
             acc = table.entries[n] @ acc
         with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-            _, pair = generalized_time_resolved_classify(counts, table)
-        np.testing.assert_allclose(pair.matrix * np.exp(pair.log_scale), acc,
-                                   rtol=1e-12, atol=0)
+            entries, log_scale = _forward_product(counts[None, :], table)
+        got = np.reshape(entries, (2, 2)) * np.exp(log_scale[0])     # (a00, a01, a10, a11)
+        np.testing.assert_allclose(got, acc, rtol=1e-12, atol=0)
 
 
 def _same_bits(a, b) -> bool:
@@ -623,39 +642,6 @@ class TestPrefixColumnsExact:
         x[rng.random(x.shape) < 0.1] = -np.inf
         for ufunc in (np.add, np.logaddexp):
             assert _same_bits(_running(ufunc, x.copy()), ufunc.accumulate(x, axis=0))
-
-
-class TestLikelihoodPair:
-    def test_tie_resolves_dark(self):
-        pair = LikelihoodPair(matrix=np.array([[0.3, 0.3], [0.2, 0.2]]))
-        assert pair.decision is Decision.DARK
-
-    def test_invalid_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            LikelihoodPair(matrix=np.array([[0.1, -0.2], [0.0, 0.1]]))
-        with pytest.raises(ValueError):
-            LikelihoodPair(matrix=np.ones((3, 2)))
-
-    @given(st.floats(min_value=-200, max_value=200),
-           st.integers(min_value=0, max_value=3))
-    @settings(max_examples=50, deadline=None)
-    def test_decision_is_scale_invariant(self, log_c, case):
-        """Multiplying both likelihoods by any positive constant (log_scale
-        shift) never changes the decision."""
-        base = np.array([[[0.5, 0.1], [0.1, 0.2]],
-                         [[0.1, 0.5], [0.0, 0.2]],
-                         [[0.0, 0.0], [1.0, 1.0]],
-                         [[0.9, 0.0], [0.0, 0.9]]])[case]
-        ref = LikelihoodPair(matrix=base, log_scale=0.0)
-        scaled = LikelihoodPair(matrix=base, log_scale=log_c)
-        assert ref.decision is scaled.decision
-
-    def test_p_fields_consistent_with_matrix(self):
-        pair = LikelihoodPair(matrix=np.array([[0.4, 0.05], [0.1, 0.25]]),
-                              log_scale=np.log(2.0))
-        assert pair.p_B == pytest.approx(1.0)
-        assert pair.p_D == pytest.approx(0.6)
-        assert pair.log_p_B == pytest.approx(0.0)
 
 
 class TestPiPulseClassify:

@@ -528,3 +528,28 @@ class TestExitCodes:
                                           "classifier": {"method": "nope"}})
         assert main(["classify", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, key, doc", [
+        ("simulate", "inital", {"simulate": {**_SIM, "inital": "dark"}}),
+        ("simulate", "change_times", {"simulate": {**_SIM, "change_times": "no"}}),
+        ("simulate", "change_times", {"simulate": {**_SIM, "change_times": 1}}),
+        ("simulate", "R_B", {"simulate": _SIM, "params": {
+            "tau_B_ms": 4.9, "tau_D_ms": 56.0, "R_B_per_ms": 16.0, "R_D_per_ms": 0.3,
+            "t_s_ms": 0.1, "R_B": 17.0}}),
+        ("classify", "clasifier", {"classify": {"input": "none.csv", "clasifier": {
+            "method": "threshold", "n_c": 2}}}),
+        ("fit", "inputs", {"fit": {"input": "none.csv", "inputs": "none.csv"}}),
+        ("sweep", "efficency_factors", {"sweep": {**_SWEEP, "efficency_factors": [1.0, 2.0]}}),
+        ("sweep", "nc", {"sweep": {**_SWEEP, "classifiers": [
+            {"method": "threshold", "nc": 3}]}}),
+        ("sweep", "epsilon", {"sweep": {**_SWEEP, "pi_pulse": {
+            "epsilon": 0.02, "detector": {"method": "general"}}}}),
+        ("compare", "repetition", {"sweep": _SWEEP, "compare": {"repetition": 5}}),
+    ])
+    def test_misspelt_key_refused(self, tmp_path, capsys, command, key, doc):
+        # Read without a check, each key would run as its default.
+        cfg = _config(tmp_path, **doc)
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in " in err or f"error: {key} must be true or false" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]

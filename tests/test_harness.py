@@ -710,7 +710,7 @@ class TestSharedPreparation:
     @pytest.mark.parametrize("spec", FOUR, ids=lambda s: s["method"])
     @pytest.mark.parametrize("bad", [[[-5, 1]], [[0.5, 0.7]]], ids=["negative", "fractional"])
     def test_every_method_rejects_bad_counts(self, spec, bad):
-        fixed = {**spec, "n_c": 0, "n_B": 1}
+        fixed = {key: {"n_c": 0, "n_B": 1}.get(key, value) for key, value in spec.items()}
         with pytest.raises(ValueError, match="photon count"):
             decisions_for(bad, fixed, DEFAULT_PARAMS)
         t_s = DEFAULT_PARAMS.t_s
@@ -846,10 +846,35 @@ class TestValidateClassifier:
         {"method": "simple", "tau_ms": -1.0},
         {"method": "simple", "decaying": "sideways"},
         "not a dict",
+        {"method": "threshold", "n_c": 2.5},
+        {"method": "threshold", "n_c": True},
+        {"method": "double_threshold", "n_D": 0.5, "n_B": 2},
+        {"method": "double_threshold", "n_D": 0, "n_B": False},
+        {"method": ["general"]},
+        {"method": "threshold", "n_c": np.int64(2)},    # no JSON value
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
             resolve_classifier(bad)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"method": "threshold", "nc": 3}, "nc"),
+        ({"method": "simple", "tau": 0.5}, "tau"),
+        ({"method": "double_threshold", "n_D": 0, "n_B": 4, "n_c": 2}, "n_c"),
+        ({"method": "general", "decaying": "dark"}, "decaying"),
+    ])
+    def test_unknown_key_rejected(self, spec, key):
+        # A misspelt key must not fall back to the default (n_c "optimize", tau_D).
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}' in the "
+                                              f"{spec['method']} spec; expected one of "):
+            resolve_classifier(spec)
+
+    def test_integer_valued_float_cutoffs_accepted(self):
+        # The same integer rule as n_trials, seed and repetitions.
+        threshold = resolve_classifier({"method": "threshold", "n_c": 2.0})
+        double = resolve_classifier({"method": "double_threshold", "n_D": 0.0, "n_B": 4.0})
+        assert (threshold.detail, double.detail) == ("n_c=2", "n_D=0;n_B=4")
+        assert all(type(n) is int for n in (threshold.n_c, double.n_D, double.n_c))
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -890,6 +915,11 @@ class TestConfigDocuments:
         (lambda d: d.pop("sweep"), "sweep"),
         (lambda d: d["params"].pop("tau_B_ms"), "params"),
         (lambda d: d["sweep"].pop("n_trials"), "sweep"),
+        (lambda d: d["params"].update(R_B=16.0), "unknown key 'R_B' in 'params'"),
+        (lambda d: d["sweep"].update(efficency_factors=[1.0, 2.0]),
+         "unknown key 'efficency_factors' in 'sweep'"),
+        (lambda d: d["sweep"].update(classifiers=[{"method": "threshold", "nc": 3}]),
+         "unknown key 'nc' in the threshold spec"),
     ])
     def test_invalid_documents(self, tmp_path, mutate, match):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -897,6 +927,11 @@ class TestConfigDocuments:
         path = _write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match=match):
             sweep_spec_from_config(load_config(path))
+
+    def test_other_top_level_keys_accepted(self, tmp_path):
+        # Sections refuse unknown keys; the document's top level does not.
+        doc = {**BASE_CONFIG, "comment": "free text", "simulate": {}}
+        assert sweep_spec_from_config(load_config(_write_config(tmp_path, doc))).seed == 7
 
     def test_invalid_json_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
