@@ -52,7 +52,8 @@ class Decision(enum.IntEnum):
 
 
 def _as_count_matrix(counts) -> np.ndarray:
-    """(n_trials, n_bins) int64 counts with at least one bin.
+    """(n_trials, n_bins) counts with at least one bin, integer input at its
+    own width and anything else as int64.
 
     Negative and fractional counts raise ValueError; counts above a table's
     n_max pass, for the table to clamp and tally.
@@ -60,7 +61,7 @@ def _as_count_matrix(counts) -> np.ndarray:
     counts2d = np.atleast_2d(_check_counts(counts))
     if counts2d.ndim != 2 or counts2d.shape[1] == 0:
         raise ValueError("counts must be a 2-d array with at least one bin")
-    return counts2d.astype(np.int64, copy=False)
+    return counts2d if counts2d.dtype.kind in "iu" else counts2d.astype(np.int64)
 
 
 def _as_counts(counts) -> np.ndarray:

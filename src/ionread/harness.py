@@ -259,9 +259,10 @@ def _distinct_records(counts):
 
 class _PreparedCounts:
     """One state's counts, prepared for every classifier of one call.  Each
-    view is built on first use: ``counts`` validated to int64, their
-    ``records`` (:func:`_distinct_records`), the copy clamped to a table and
-    the cumulative histograms of its prefix totals."""
+    view is built on first use: ``counts`` validated at their own integer
+    width, their ``records`` (:func:`_distinct_records`), the copy clamped
+    to a table and the cumulative histograms of its prefix totals, summed
+    in int64."""
 
     def __init__(self, counts):
         self._raw, self._clamped = counts, {}
@@ -287,7 +288,7 @@ class _PreparedCounts:
         """Cumulative histograms of the prefix totals, (n_bins, width): row k
         over the totals 0..width-1 of bins 0..k; the width, the largest total
         + 2, leaves each row's last entry at n."""
-        totals = cl._running(np.add, np.array(self.counts.T, order="C"))   # a bin-major copy
+        totals = cl._running(np.add, np.array(self.counts.T, np.int64, order="C"))  # bin-major
         m, width = totals.shape[0], int(totals[-1].max(initial=0)) + 2
         totals += np.arange(m)[:, None] * width
         hist = np.bincount(totals.ravel(), minlength=m * width).reshape(m, width)

@@ -176,8 +176,9 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
 
 def _poisson_logpmf(n, mean):
     """log(e^{-mean} mean^n / n!), elementwise; safe at mean = 0
-    (xlogy(0, 0) = 0)."""
+    (xlogy(0, 0) = 0).  ``n`` is taken as float64, so n + 1 cannot wrap."""
     from scipy.special import gammaln, xlogy
+    n = np.asarray(n, dtype=np.float64)
     return -mean + xlogy(n, mean) - gammaln(n + 1)
 
 

@@ -13,7 +13,9 @@ Reproducibility contract: every trial's randomness is a pure function of
 chunks; each chunk owns counter-based (Philox) streams, one for dwell times
 and one for counts, and a chunk always draws full-width batches even when
 partially used.  Ensembles are therefore bit-identical regardless of thread
-count, chunk execution order, or total trial count.
+count, chunk execution order, or total trial count.  Counts are kept at the
+narrowest signed integer width that holds the largest of them (int8 up to
+127, then int16, int32, int64), a function of the values alone.
 
 CSV interchange: ensembles serialize to ``trial,initial,n_1,...,n_M`` rows
 (initial is ``B`` or ``D``); the same schema is the ingestion format for
@@ -68,6 +70,11 @@ def n_bins(t_b: float, t_s: float) -> int:
     if m < 1 or abs(m * t_s - t_b) > 1e-6 * t_s:
         raise ValueError(f"t_b={t_b} is not an integer multiple of t_s={t_s}")
     return m
+
+
+def _narrowest(counts: np.ndarray) -> np.ndarray:
+    """Non-negative counts at the narrowest signed integer width holding their largest."""
+    return counts.astype(np.min_scalar_type(-1 - int(counts.max(initial=0))), copy=False)
 
 
 def _check_seed(seed) -> None:   # each seed in range keys streams of its own
@@ -175,12 +182,14 @@ def _sample_changes_chunk(initial_arr: np.ndarray, t_b: float, params: RateParam
 class Ensemble:
     """A simulated (or ingested) set of trajectories with shared (t_b, t_s).
 
-    Stores counts as an (N, M) array and change times as an NaN-padded
-    (N, J_max) array; trial i is row i of both.  ``initial`` is a read-only
-    int8 copy of the initial states, one per trial, taken from one state or
-    from a per-trial array (e.g. the second window of a pulse pair); a state
-    other than 0 or 1 raises ValueError.  Ingested ensembles have no
-    ``params`` and no change times: ground-truth methods raise on them.
+    Stores counts as an (N, M) array at the width the caller passes
+    (simulated and read counts come at their narrowest) and change times as
+    an NaN-padded (N, J_max) array; trial i is row i of both.  ``initial``
+    is a read-only int8 copy of the initial states, one per trial, taken
+    from one state or from a per-trial array (e.g. the second window of a
+    pulse pair); a state other than 0 or 1 raises ValueError.  Ingested
+    ensembles have no ``params`` and no change times: ground-truth methods
+    raise on them.
     """
 
     def __init__(self, initial, counts, change_times, t_b, t_s, params=None):
@@ -224,12 +233,12 @@ class Ensemble:
 
 def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threads: int):
     """Simulate all chunks; returns (counts, change_times).  Each chunk pads its
-    rows of ``states`` with ``fill`` and writes its rows of one count array."""
+    rows of ``states`` with ``fill`` and keeps its rows' counts at their
+    :func:`_narrowest` width; the joined counts take the widest chunk's."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     blocks = list(_row_blocks(config.n_trials))
-    counts = np.empty((config.n_trials, config.n_bins), dtype=np.int64)
-    chunk_times = [None] * len(blocks)
+    chunk_counts, chunk_times = [None] * len(blocks), [None] * len(blocks)
 
     def run(ci: int):
         rows = blocks[ci]
@@ -243,7 +252,7 @@ def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threa
         dwell = bright_dwell_per_bin(init_chunk, times, config.t_b, config.t_s)
         dwell *= config.params.R_B            # the Poisson means, in place
         dwell += config.params.R_D * config.t_s
-        counts[rows] = rng_counts.poisson(dwell)[:take]
+        chunk_counts[ci] = _narrowest(rng_counts.poisson(dwell)[:take])
         chunk_times[ci] = times[:take]
 
     if threads > 1 and len(blocks) > 1:
@@ -258,7 +267,7 @@ def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threa
     times = np.full((config.n_trials, max(t.shape[1] for t in chunk_times)), np.nan)
     for rows, t in zip(blocks, chunk_times):
         times[rows, :t.shape[1]] = t
-    return counts, times
+    return np.concatenate(chunk_counts), times
 
 
 def simulate_ensemble(config: SimConfig, initial, *,
@@ -330,7 +339,7 @@ def write_ensemble_csv(path, ensembles, *, comments=()) -> None:
     m = ensembles[0].n_bins
     if any(e.n_bins != m for e in ensembles):
         raise ValueError("all ensembles in one file must share the bin count")
-    blocks = ((trials, labels, *ens.counts[rows].astype(np.int64, copy=False).T.tolist())
+    blocks = ((trials, labels, *ens.counts[rows].T.tolist())
               for ens, rows, trials, labels in _ensemble_blocks(ensembles))
     _write_csv(path, ["trial", "initial"] + [f"n_{k}" for k in range(1, m + 1)],
                blocks, comments=comments)
@@ -349,7 +358,8 @@ def write_change_times_csv(path, ensembles) -> None:
 
 
 def read_counts_csv(path):
-    """Read a counts CSV into (trial_ids, initial, counts).  The file is read
+    """Read a counts CSV into (trial_ids, initial, counts): int64 trial ids,
+    int8 states and counts at their narrowest width.  The file is read
     once as bytes and tokenised with numpy in blocks of at most CHUNK data
     lines; the module docstring says what it accepts and rejects."""
     with open(path, "rb") as fh:
@@ -440,7 +450,7 @@ def read_counts_csv(path):
             raise DataFormatError(path, rows[k] + 1,
                                   f"expected {width} fields, got {per_line[k] + 1}")
         trials[r0:r0 + k], initials[r0:r0 + k], counts[r0:r0 + k] = v[:, 0], label == 100, v[:, 2:]
-    return trials, initials, counts
+    return trials, initials, _narrowest(counts)
 
 
 def ensembles_from_counts(initials: np.ndarray, counts: np.ndarray,

@@ -793,3 +793,47 @@ class TestDecisionEnum:
     def test_decide_from_logs_tie_is_dark(self):
         out = decide_from_logs(np.array([-1.0, -1.0]), np.array([-1.0, -2.0]))
         assert out.tolist() == [int(Decision.DARK), int(Decision.BRIGHT)]
+
+
+class TestCountWidths:
+    """Both kernels score counts at their own integer width: int8 and int64
+    inputs of the same values give the same bits."""
+
+    @pytest.fixture(scope="class")
+    def narrow(self, records):
+        assert records.max() <= 127
+        return records.astype(np.int8)
+
+    def test_general(self, narrow, table):
+        for prefixes in (False, True):
+            with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
+                got = general_loglik(narrow, table, prefixes=prefixes)
+            with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
+                want = general_loglik(narrow.astype(np.int64), table, prefixes=prefixes)
+            assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("decaying", list(IonState))
+    def test_simple(self, narrow, decaying):
+        # The 1 x 3 record holding 127 scores its counts without the gather.
+        for counts in (narrow, np.array([[127, 0, 1]], np.int8)):
+            for prefixes in (False, True):
+                got = simple_loglik(counts, P, decaying=decaying, prefixes=prefixes)
+                want = simple_loglik(counts.astype(np.int64), P, decaying=decaying,
+                                     prefixes=prefixes)
+                assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
+                assert np.isfinite(got).all()
+
+
+class TestLargestCount:
+    """The log-pmf takes counts as floats, so the int64 maximum, which the
+    CSV reader accepts, cannot wrap in n + 1."""
+
+    def test_log_pmf_at_int64_max(self):
+        got = _poisson_logpmf(np.array([2**63 - 1]), P.bright_mean)
+        assert _same_bits(got, _poisson_logpmf(np.array([2.0**63]), P.bright_mean))
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("decaying", list(IonState))
+    def test_simple_loglik_finite(self, decaying):
+        logs = simple_loglik(np.array([[2**63 - 1, 0, 1]]), P, decaying=decaying)
+        assert np.isfinite(logs).all()

@@ -228,6 +228,16 @@ class TestSimulateClassify:
             classifiers.Decision(int(code)).label
             for code in classifiers.decide_from_logs(log_b, log_d)]
 
+    @pytest.mark.parametrize("decaying", ["dark", "bright"])
+    def test_classify_scores_the_largest_accepted_count(self, tmp_path, decaying):
+        csv_path = tmp_path / "max.csv"
+        csv_path.write_text(f"trial,initial,n_1,n_2,n_3\n0,B,{2**63 - 1},0,1\n")
+        cfg = _config(tmp_path, classify={"input": str(csv_path), "classifier": {
+            "method": "simple", "decaying": decaying}})
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        (row,) = _read_report_csv(tmp_path / "decisions.csv")
+        assert np.isfinite([float(row["p_B"]), float(row["p_D"])]).all()
+
     def test_classify_rejects_unoptimized_threshold_before_reading(
             self, tmp_path, capsys):
         # The input is malformed: reading it first would exit 3.

@@ -765,6 +765,40 @@ class TestCallerCountsUntouched:
         assert len(rows) == 2
 
 
+class TestCountWidths:
+    """One-byte counts give the rows, histograms and decisions of int64 ones
+    where the totals run past 127: prefix totals are summed in int64."""
+
+    R = 9.9     # 16 bright counts per sub-bin: bright totals near 240 over 1.5 ms
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        ensembles = _sim_pair(DEFAULT_PARAMS.scaled(self.R), 1.5, 2048, seed=41)
+        assert [e.counts.dtype for e in ensembles] == [np.int8, np.int8]
+        assert ensembles[0].counts.sum(axis=1).max() > 127
+        return ensembles, [Ensemble(e.initial, e.counts.astype(np.int64), e.change_times,
+                                    e.t_b, e.t_s, e.params) for e in ensembles]
+
+    def test_prefix_rows(self, pair):
+        spec = _spec(t_b_values=(0.5, 1.0, 1.5), classifiers=TestSharedPreparation.FOUR)
+        narrow, wide = (evaluate_prefixes(spec, *ens, r=self.R) for ens in pair)
+        assert repr(narrow) == repr(wide)
+
+    def test_prefix_total_histograms(self, pair):
+        for narrow, wide in zip(*pair):
+            assert np.array_equal(harness._PreparedCounts(narrow.counts).cdfs,
+                                  harness._PreparedCounts(wide.counts).cdfs)
+
+    @pytest.mark.parametrize("spec", [{"method": "threshold", "n_c": 130},
+                                      {"method": "double_threshold", "n_D": 120, "n_B": 140}],
+                             ids=["threshold", "double_threshold"])
+    def test_count_rule_decisions(self, pair, spec):
+        for narrow, wide in zip(*pair):
+            got = decisions_for(narrow.counts, spec, None)
+            assert np.array_equal(got, decisions_for(wide.counts, spec, None))
+            assert (got == Decision.BRIGHT).any()
+
+
 # ---------------------------------------------------------------------------
 # Pulse-pair sweep
 

@@ -10,6 +10,7 @@ import hashlib
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def reference_read_counts_csv(path):
             np.array([IonState.from_label(row[1]) for row in body], np.int8),
             np.array([[int(c) for c in row[2:]] for row in body],
                      np.int64).reshape(len(body), len(header) - 2))
+
+
+def narrowest_dtype(counts):
+    """The narrowest signed integer dtype whose range holds the largest count."""
+    top = int(np.max(counts))
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
 
 
 def random_counts_text(rng, n_rows, n_counts):
@@ -422,9 +430,9 @@ class TestReproducibility:
         assert threading.active_count() == running
 
     def test_chunks_fill_shared_array_under_thread_switching(self):
-        # Chunks write disjoint rows of one preallocated count array; with
-        # more workers than cores and a tiny switch interval, a lost or
-        # misplaced row would show as a difference from the serial run.
+        # Chunks fill disjoint slots of one list of count blocks; with more
+        # workers than cores and a tiny switch interval, a lost or
+        # misplaced block would show as a difference from the serial run.
         cfg = SimConfig(n_trials=8 * CHUNK - 5, t_b=0.5, seed=80, params=P)
         states = (np.arange(cfg.n_trials) % 2).astype(np.int8)
         serial = (simulate_ensemble(cfg, IonState.DARK).counts,
@@ -525,6 +533,61 @@ class TestEnsembleDigests:
         cfg = SimConfig(n_trials=600, t_b=30.0, seed=14, params=P)
         got = tuple(_counts_digest(simulate_ensemble(cfg, s).counts) for s in IonState)
         assert got == LONG_WINDOW_DIGESTS
+
+
+class TestCountWidth:
+    """Counts come at the narrowest signed integer width that holds their
+    largest value, chosen by the kept counts alone."""
+
+    #: A bright mean of 86 counts per sub-bin: at seed 5 the chunk maxima
+    #: are 123, 131 and 129, and row CHUNK + 112 holds the first count above 127.
+    HOT = RateParams(R_B=860.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
+    #: Every count above 127: 200 counts per sub-bin while bright.
+    HOTTER = RateParams(R_B=2000.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
+    #: The "<i8" digests of HOTTER's 50-trial, 1 ms ensembles at seed 11
+    #: (initially bright, initially dark), frozen from int64 counts.
+    HOTTER_DIGESTS = (
+        "5845c92a6c41cbfd2ba718bdcc4b7d0bccab9e02d0d1b61f9c907dfe0a18da57",
+        "42a977a96cf62c9b98d7ec6146d3fccec89f4b155262c2914446ec2315e6d981")
+
+    @pytest.mark.parametrize("params", [P, RateParams(tau_B=4.9, tau_D=56.0, R_B=16.0,
+                                                      R_D=0.3, t_s=0.1 / 3.0)],
+                             ids=["default", "pulse_pair"])
+    def test_paper_rates_give_one_byte_counts(self, params):
+        cfg = SimConfig(n_trials=CHUNK + 7, t_b=30 * params.t_s, seed=3, params=params)
+        for state in IonState:
+            counts = simulate_ensemble(cfg, state).counts
+            assert counts.dtype == np.int8
+            assert counts.nbytes == cfg.n_trials * cfg.n_bins
+
+    def test_counts_above_127_widen_without_changing_values(self):
+        cfg = SimConfig(n_trials=50, t_b=1.0, seed=11, params=self.HOTTER)
+        ensembles = [simulate_ensemble(cfg, state).counts for state in IonState]
+        assert [c.dtype for c in ensembles] == [np.int16, np.int16]
+        assert tuple(map(_counts_digest, ensembles)) == self.HOTTER_DIGESTS
+
+    def test_widest_kept_chunk_sets_the_width(self):
+        def counts(n, threads=1):
+            cfg = SimConfig(n_trials=n, t_b=0.5, seed=5, params=self.HOT)
+            return simulate_ensemble(cfg, IonState.BRIGHT, threads=threads).counts
+
+        # Chunk 1 draws its 131 in row 112 either way; kept only in the longer run.
+        short, longer = counts(CHUNK + 100), counts(CHUNK + 100 + CHUNK // 2)
+        assert (short.dtype, longer.dtype) == (np.int8, np.int16)
+        assert np.array_equal(longer[:CHUNK + 100], short)
+        for n in (CHUNK + 100, 3 * CHUNK):
+            serial, threaded = counts(n), counts(n, threads=2)
+            assert serial.dtype == threaded.dtype == narrowest_dtype(serial)
+            assert np.array_equal(serial, threaded)
+
+    def test_csv_reader_narrows_like_the_simulator(self, tmp_path):
+        cfg = SimConfig(n_trials=50, t_b=1.0, seed=11, params=self.HOTTER)
+        for params in (P, self.HOTTER):
+            ens = simulate_ensemble(replace(cfg, params=params), IonState.DARK)
+            write_ensemble_csv(tmp_path / "counts.csv", [ens])
+            counts = read_counts_csv(tmp_path / "counts.csv")[2]
+            assert counts.dtype == ens.counts.dtype == narrowest_dtype(counts)
+            assert np.array_equal(counts, ens.counts)
 
 
 class TestMixedInitialStates:
@@ -685,7 +748,8 @@ class TestCsvInterchange:
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
         got = read_counts_csv(path)
-        assert [a.dtype for a in got] == [np.int64, np.int8, np.int64]
+        want = np.int64 if counts == [[2**63 - 1]] else np.int8
+        assert [a.dtype for a in got] == [np.int64, np.int8, want]
         assert [a.tolist() for a in got] == [trials, initials, counts]
 
     @pytest.mark.parametrize("text, line", [
@@ -742,7 +806,7 @@ class TestCsvInterchange:
         path.write_bytes(random_counts_text(np.random.default_rng(seed), n_rows,
                                             n_counts).encode())
         got, want = read_counts_csv(path), reference_read_counts_csv(path)
-        assert [a.dtype for a in got] == [np.int64, np.int8, np.int64]
+        assert [a.dtype for a in got] == [np.int64, np.int8, narrowest_dtype(want[2])]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
