@@ -121,7 +121,7 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     """
     decaying = IonState(decaying)
     log_pure, log_stay, log_change = _single_change_terms(counts, params, tau, decaying)
-    log_mixed = np.logaddexp(log_stay, log_change)
+    log_mixed = np.logaddexp(log_stay, log_change, out=log_stay)
     if decaying is IonState.DARK:
         log_pb, log_pd = log_pure, log_mixed
     else:
@@ -177,7 +177,9 @@ def _single_change_terms(counts, params: RateParams, tau: float | None,
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    return cum_after, log_prefac[:, None] + cum_stay, log_rate + cum_after + inner
+    cum_stay += log_prefac[:, None]
+    inner += log_rate + cum_after
+    return cum_after, cum_stay, inner
 
 
 def simple_time_resolved_classify(counts, params: RateParams,

@@ -11,11 +11,13 @@ change times is trial i, and all of them are drawn at once, chunk by chunk.
 Reproducibility contract: every trial's randomness is a pure function of
 (seed, stream context, trial index).  Trials are processed in fixed-width
 chunks; each chunk owns counter-based (Philox) streams, one for dwell times
-and one for counts, and a chunk always draws full-width batches even when
-partially used.  Ensembles are therefore bit-identical regardless of thread
-count, chunk execution order, or total trial count.  Counts are kept at the
-narrowest signed integer width that holds the largest of them (int8 up to
-127, then int16, int32, int64), a function of the values alone.
+and one for counts.  A chunk draws its change times at full width even when
+partially used, and its counts row-major, for its kept rows only, a block
+of at most BLOCK_CELLS cells at a time.  Ensembles are therefore
+bit-identical regardless of thread count, chunk execution order, or total
+trial count.  Counts are kept at the narrowest signed integer width that
+holds the largest of them (int8 up to 127, then int16, int32, int64), a
+function of the values alone.
 
 CSV interchange: ensembles serialize to ``trial,initial,n_1,...,n_M`` rows
 (initial is ``B`` or ``D``); the same schema is the ingestion format for
@@ -48,9 +50,15 @@ _STREAM_COUNTS = 2
 _STREAM_EXTRA = 3
 
 
-def _row_blocks(n: int):
-    """Slices of at most CHUNK consecutive rows covering ``range(n)``."""
-    return (slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
+#: Most cells in one block of a chunk's dwell and count scratch.  Counts are
+#: drawn row-major, so the blocks of a chunk continue one stream and no
+#: result depends on it.
+BLOCK_CELLS = 2**17
+
+
+def _row_blocks(n: int, rows: int = CHUNK):
+    """Slices of at most ``rows`` consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 class DataFormatError(ValueError):
@@ -233,8 +241,9 @@ class Ensemble:
 
 def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threads: int):
     """Simulate all chunks; returns (counts, change_times).  Each chunk pads its
-    rows of ``states`` with ``fill`` and keeps its rows' counts at their
-    :func:`_narrowest` width; the joined counts take the widest chunk's."""
+    rows of ``states`` with ``fill`` to draw change times, then draws counts
+    for its kept rows only, in blocks of at most BLOCK_CELLS cells, each at
+    its :func:`_narrowest` width; the joined counts take the widest block's."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     blocks = list(_row_blocks(config.n_trials))
@@ -248,12 +257,14 @@ def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threa
         rng_changes = _chunk_rng(config.seed, _STREAM_CHANGES, context, ci)
         rng_counts = _chunk_rng(config.seed, _STREAM_COUNTS, context, ci)
         times = _sample_changes_chunk(init_chunk, config.t_b, config.params,
-                                      rng_changes)
-        dwell = bright_dwell_per_bin(init_chunk, times, config.t_b, config.t_s)
-        dwell *= config.params.R_B            # the Poisson means, in place
-        dwell += config.params.R_D * config.t_s
-        chunk_counts[ci] = _narrowest(rng_counts.poisson(dwell)[:take])
-        chunk_times[ci] = times[:take]
+                                      rng_changes)[:take]
+        parts = []
+        for part in _row_blocks(take, max(1, BLOCK_CELLS // config.n_bins)):
+            dwell = bright_dwell_per_bin(init_chunk[part], times[part], config.t_b, config.t_s)
+            dwell *= config.params.R_B            # the Poisson means, in place
+            dwell += config.params.R_D * config.t_s
+            parts.append(_narrowest(rng_counts.poisson(dwell)))
+        chunk_counts[ci], chunk_times[ci] = parts, times
 
     if threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -267,7 +278,7 @@ def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threa
     times = np.full((config.n_trials, max(t.shape[1] for t in chunk_times)), np.nan)
     for rows, t in zip(blocks, chunk_times):
         times[rows, :t.shape[1]] = t
-    return np.concatenate(chunk_counts), times
+    return np.concatenate([part for parts in chunk_counts for part in parts]), times
 
 
 def simulate_ensemble(config: SimConfig, initial, *,
@@ -361,7 +372,8 @@ def read_counts_csv(path):
     """Read a counts CSV into (trial_ids, initial, counts): int64 trial ids,
     int8 states and counts at their narrowest width.  The file is read
     once as bytes and tokenised with numpy in blocks of at most CHUNK data
-    lines; the module docstring says what it accepts and rejects."""
+    lines, each block's counts narrowed before the blocks are joined; the
+    module docstring says what it accepts and rejects."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.endswith(b"\n"):
@@ -389,7 +401,7 @@ def read_counts_csv(path):
         raise DataFormatError(path, lines[0] + 2, "no data rows")
     lines, width = lines[1:], len(header)
     trials, initials = np.empty(lines.size, np.int64), np.empty(lines.size, np.int8)
-    counts = np.empty((lines.size, width - 2), np.int64)
+    counts = []  # each block's counts at their narrowest width
     for r0 in range(0, lines.size, CHUNK):
         rows = lines[r0:r0 + CHUNK]
         lo = starts[rows[0]]
@@ -449,8 +461,9 @@ def read_counts_csv(path):
         if k < rows.size:
             raise DataFormatError(path, rows[k] + 1,
                                   f"expected {width} fields, got {per_line[k] + 1}")
-        trials[r0:r0 + k], initials[r0:r0 + k], counts[r0:r0 + k] = v[:, 0], label == 100, v[:, 2:]
-    return trials, initials, _narrowest(counts)
+        trials[r0:r0 + k], initials[r0:r0 + k] = v[:, 0], label == 100
+        counts.append(_narrowest(v[:, 2:]))
+    return trials, initials, np.concatenate(counts)
 
 
 def ensembles_from_counts(initials: np.ndarray, counts: np.ndarray,

@@ -10,6 +10,7 @@ import hashlib
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -588,6 +589,89 @@ class TestCountWidth:
             counts = read_counts_csv(tmp_path / "counts.csv")[2]
             assert counts.dtype == ens.counts.dtype == narrowest_dtype(counts)
             assert np.array_equal(counts, ens.counts)
+
+
+def whole_chunk_counts(config, initial, context=()):
+    """The counts drawn the way chunks drew them before row blocks: Poisson
+    means for the full CHUNK width, padding rows included, in one draw per
+    chunk; the reference for the block-wise simulator."""
+    states = np.asarray(initial, np.int8)
+    fill = int(states) if states.ndim == 0 else 0
+    if states.ndim == 0:
+        context = (*context, fill)
+    states = np.broadcast_to(states, config.n_trials)
+    counts = []
+    for ci, start in enumerate(range(0, config.n_trials, CHUNK)):
+        take = min(CHUNK, config.n_trials - start)
+        init = np.full(CHUNK, fill, np.int8)
+        init[:take] = states[start:start + take]
+        rng = trajectory._chunk_rng(config.seed, trajectory._STREAM_CHANGES, context, ci)
+        times = trajectory._sample_changes_chunk(init, config.t_b, config.params, rng)
+        means = (bright_dwell_per_bin(init, times, config.t_b, config.t_s) * config.params.R_B
+                 + config.params.R_D * config.t_s)
+        rng = trajectory._chunk_rng(config.seed, trajectory._STREAM_COUNTS, context, ci)
+        counts.append(rng.poisson(means)[:take])
+    return np.concatenate(counts)
+
+
+class TestCountBlocks:
+    """A chunk draws its counts for kept rows only, row-major in blocks of
+    at most BLOCK_CELLS cells, and gets the bits of one whole-chunk draw."""
+
+    MIXED = (np.arange(CHUNK + 100) % 3 == 0).astype(np.int8)
+
+    @pytest.mark.parametrize("t_b, n, initial", [
+        (30.0, CHUNK + 100, IonState.BRIGHT),
+        (30.0, CHUNK + 100, IonState.DARK),
+        (30.0, CHUNK + 100, MIXED),
+        (300.0, 300, MIXED[:300]),
+    ], ids=["300_bins_bright", "300_bins_dark", "300_bins_per_trial", "3000_bins_per_trial"])
+    def test_blocks_give_the_whole_chunk_draw(self, t_b, n, initial, monkeypatch):
+        cfg = SimConfig(n_trials=n, t_b=t_b, seed=21, params=P)
+        want = whole_chunk_counts(cfg, initial)
+        for block_cells in (trajectory.BLOCK_CELLS, 1000):
+            monkeypatch.setattr(trajectory, "BLOCK_CELLS", block_cells)
+            for threads in (1, 2):
+                got = simulate_ensemble(cfg, initial, threads=threads).counts
+                assert got.dtype == narrowest_dtype(want)
+                assert np.array_equal(got, want)
+
+    def test_a_late_block_widens_the_chunk(self, monkeypatch):
+        # At seed 1 the only count above 127 is in row 983, in the last of
+        # three 436-row blocks; the blocks before it are int8.
+        cfg = SimConfig(n_trials=1000, t_b=30.0, seed=1, params=TestCountWidth.HOT)
+        want = whole_chunk_counts(cfg, IonState.BRIGHT)
+        step = trajectory.BLOCK_CELLS // cfg.n_bins
+        assert np.argwhere(want > 127)[:, 0].tolist() == [983] and 983 >= 2 * step
+        for block_cells in (trajectory.BLOCK_CELLS, 1000):
+            monkeypatch.setattr(trajectory, "BLOCK_CELLS", block_cells)
+            got = simulate_ensemble(cfg, IonState.BRIGHT).counts
+            assert got.dtype == np.int16
+            assert np.array_equal(got, want)
+
+    def test_simulation_memory_is_bounded_by_a_block(self):
+        # 1,000 trials x 3,000 bins keep 3 MB of int8 counts; one whole-chunk
+        # draw of the same window held 192 MB of float64 means and int64 counts.
+        cfg = SimConfig(n_trials=1000, t_b=300.0, seed=2, params=P)
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(cfg, IonState.BRIGHT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.counts.shape == (1000, 3000)
+        assert peak < 16 * 2**20
+
+    def test_csv_reader_narrows_block_by_block(self, tmp_path):
+        # The only count above 127 is in the last row, in the reader's third block.
+        counts = np.random.default_rng(4).poisson(2.0, (2 * CHUNK + 10, 5))
+        counts[-1, 3] = 200
+        ens = Ensemble(IonState.BRIGHT, counts, None, 0.5, 0.1)
+        write_ensemble_csv(tmp_path / "counts.csv", [ens])
+        got = read_counts_csv(tmp_path / "counts.csv")[2]
+        want = reference_read_counts_csv(tmp_path / "counts.csv")[2]
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want) and np.array_equal(got, counts)
 
 
 class TestMixedInitialStates:
