@@ -36,6 +36,7 @@ from .harness import (
     load_config,
     pi_pulse_sweep,
     rate_params_from_config,
+    report_from_decisions,
     report_rows_to_csv,
     resolve_classifier,
     sweep,
@@ -97,9 +98,6 @@ def _cmd_simulate(cfg: dict, args) -> int:
     if args.format == "csv":
         write_ensemble_csv(args.out_dir / "counts.csv", ensembles, comments=comments)
         emitted = ["counts.csv"]
-        if section.get("change_times", False):
-            write_change_times_csv(args.out_dir / "change_times.csv", ensembles)
-            emitted.append("change_times.csv")
     else:
         rows = [{"trial": i, "initial": label, "counts": counts} for ens in ensembles
                 for i, label, counts in zip(range(len(ens)), _labels(ens.initial),
@@ -107,6 +105,9 @@ def _cmd_simulate(cfg: dict, args) -> int:
         _write_json(args.out_dir / "counts.json", "simulate", cfg, seed,
                     {"t_b_ms": t_b, "rows": rows})
         emitted = ["counts.json"]
+    if section.get("change_times", False):      # the sidecar CSV, in either format
+        write_change_times_csv(args.out_dir / "change_times.csv", ensembles)
+        emitted.append("change_times.csv")
     for name in emitted:
         print(f"wrote {args.out_dir / name}")
     return 0
@@ -119,14 +120,15 @@ def _cmd_classify(cfg: dict, args) -> int:
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     t_b = counts.shape[1] * params.t_s
     seed = args.seed or 0
-    logs = clf.likelihoods(counts, params)
-    decisions = clf.decide(counts, params, logs)
+    decisions, logs = clf.score(counts, params)
     comments = _echo_comments(cfg, seed)
     per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
-    report = clf.report(*per_state, t_b=t_b) if all(d.size for d in per_state) else None
+    report = (report_from_decisions(*per_state, classifier=clf.label, detail=clf.detail,
+                                    t_b=t_b, n_c=clf.n_c)
+              if all(d.size for d in per_state) else None)
     if args.format == "csv":
         decisions_to_csv(args.out_dir / "decisions.csv", trial_ids, initials,
-                         decisions, *(logs or (None, None)), comments=comments)
+                         decisions, logs, comments=comments)
         emitted = ["decisions.csv"]
         if report is not None:
             report_rows_to_csv([report], args.out_dir / "report.csv",
@@ -151,10 +153,13 @@ def _cmd_classify(cfg: dict, args) -> int:
 def _cmd_fit(cfg: dict, args) -> int:
     section = _section(cfg, "fit", ("input",))
     params = rate_params_from_config(cfg)
-    _, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
+    path = _input_path(section, args.out_dir)
+    _, initials, counts = read_counts_csv(path)
     series = est.mean_count_series(initials, counts, params.t_s)
-    _require(IonState.BRIGHT in series and IonState.DARK in series,
-             "fit input must contain both initially bright and dark trials")
+    if len(series) < 2:
+        raise DataFormatError(path, None, "fit needs both initially bright and dark trials")
+    if counts.shape[1] < 3:
+        raise DataFormatError(path, None, f"fit needs at least 3 bins, got {counts.shape[1]}")
     fit = est.fit_decay_curves(series[IonState.BRIGHT], series[IonState.DARK])
     report = est.fit_report(fit)
     report["config"] = cfg
@@ -168,6 +173,8 @@ def _cmd_fit(cfg: dict, args) -> int:
 def _cmd_sweep(cfg: dict, args) -> int:
     spec = sweep_spec_from_config(cfg, seed=args.seed)
     if cfg["sweep"].get("pi_pulse") is not None:
+        _require(not {"classifiers", "efficiency_factors"} & cfg["sweep"].keys(), "a pi_pulse "
+                 "sweep takes no 'classifiers' or 'efficiency_factors': its detector runs at r = 1")
         pulse = _section(cfg["sweep"], "pi_pulse", ("epsilon_pi", "detector"))
         try:
             epsilon_pi = float(config_number(pulse["epsilon_pi"], "epsilon_pi"))

@@ -20,9 +20,10 @@ one histogram of prefix totals per state.  Likelihood rules score each
 distinct count record once: equal rows get equal log-likelihoods, so the
 kernel runs on one row per record (grouped by its bytes), and a column's
 comparison on those rows is weighted by how many trials hold each record;
-single decisions are gathered back instead.  Grouping is skipped where it
-cannot pay: below 1024 rows, with a count above 255, or when over half of
-the first 1024 rows are distinct, as in bright windows of many bins.
+``score`` decides on those rows and gathers codes and logs back to every
+trial with one index.  Grouping is skipped where it cannot pay, below 1024
+rows or when over half of the first 1024 rows are distinct, as in bright
+windows of many bins; every row is then its own record.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .trajectory import (
     SimConfig,
     _check_seed,
     _labels,
+    _narrowest,
     _row_blocks,
     _write_csv,
     deterministic_uniforms,
@@ -114,15 +116,15 @@ class Classifier:
     """A classifier specification, validated and resolved once.
 
     Built by :func:`resolve_classifier`, the one place that maps a method
-    name to its rule.  ``decide`` gives decision codes per row over the
-    whole window; ``column_tallies`` gives one (classifier, tally_bright,
-    tally_dark) triple per prefix column, the classifier carrying any
-    threshold optimized on that column and each tally the (n, retained,
-    wrong) trial counts of one preparation.  These methods take count arrays
-    or :class:`_PreparedCounts`, so one call prepares each state once and
-    all its classifiers share it.  Reports carry ``label`` as the classifier
-    name, ``detail`` for its parameters and ``n_c`` as the count cutoff
-    (None for likelihood rules).
+    name to its rule.  ``score`` gives (decision codes, (log_p_B, log_p_D)
+    or None for count rules) per row; ``column_tallies`` gives one
+    (classifier, tally_bright, tally_dark) triple per prefix column, the
+    classifier carrying any threshold optimized on that column and each
+    tally the (n, retained, wrong) trial counts of one preparation.  These
+    methods take count arrays or :class:`_PreparedCounts`, so one call
+    prepares each state once and all its classifiers share it.  Reports
+    carry ``label`` as the classifier name, ``detail`` for its parameters
+    and ``n_c`` as the count cutoff (None for likelihood rules).
     """
 
     label: ClassVar[str]
@@ -131,15 +133,6 @@ class Classifier:
     def fixed(self) -> "Classifier":
         """This classifier, refused if a threshold is left to optimize."""
         return self
-
-    def likelihoods(self, counts, params):
-        """(log_p_B, log_p_D) per row; None for rules on the total count."""
-        return None
-
-    def report(self, decisions_bright, decisions_dark, *, t_b):
-        return report_from_decisions(
-            decisions_bright, decisions_dark, classifier=self.label,
-            detail=self.detail, t_b=t_b, n_c=self.n_c)
 
     def column_reports(self, counts_bright, counts_dark, t_bs, cols, params, r=1.0):
         """One report per prefix column, at the matching t_b."""
@@ -164,9 +157,9 @@ class _CountRule(Classifier):
                  "or a sweep, not a direct evaluation")
         return self
 
-    def decide(self, counts, params=None, logs=None):
-        rule = self.fixed()
-        return cl.double_threshold_decide(_prepare(counts).counts.sum(axis=1), rule.n_D, rule.n_c)
+    def score(self, counts, params=None):
+        totals = _prepare(counts).counts.sum(axis=1)
+        return cl.double_threshold_decide(totals, self.fixed().n_D, self.n_c), None
 
     def optimum(self, cdf_b, cdf_d):
         """(classifier at the error-minimizing cutoff, grid, mean error at
@@ -243,26 +236,25 @@ _GROUP_SAMPLE = 1024
 
 
 def _distinct_records(counts):
-    """(one row per distinct count record, index gathering them back to every
-    row), or (..., ...) where the module docstring's rule skips grouping."""
-    n, m = counts.shape
-
-    def keys(rows):  # each row as one exact byte-string key
-        return np.ascontiguousarray(rows, dtype=np.uint8).view(np.dtype((np.void, m)))[:, 0]
-
-    if (n < _GROUP_SAMPLE or counts.max() > 255
-            or np.unique(keys(counts[:_GROUP_SAMPLE])).size > _GROUP_SAMPLE // 2):
-        return ..., ...
-    _, first, inverse = np.unique(keys(counts), return_index=True, return_inverse=True)
-    return first, inverse
+    """(index of one row per distinct record, index gathering them back to
+    every row), both ``np.arange(n)`` where the module docstring's rule skips
+    grouping.  Keys are row bytes at the :func:`_narrowest` width (uint64: its own)."""
+    n = counts.shape[0]
+    if n >= _GROUP_SAMPLE:
+        rows = np.ascontiguousarray(counts if counts.dtype == np.uint64 else _narrowest(counts))
+        keys = rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0]
+        if np.unique(keys[:_GROUP_SAMPLE]).size <= _GROUP_SAMPLE // 2:
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            return first, inverse
+    return np.arange(n), np.arange(n)
 
 
 class _PreparedCounts:
     """One state's counts, prepared for every classifier of one call.  Each
     view is built on first use: ``counts`` validated at their own integer
-    width, their ``records`` (:func:`_distinct_records`), the copy clamped
-    to a table and the cumulative histograms of its prefix totals, summed
-    in int64."""
+    width, their ``records`` (:func:`_distinct_records`, two index arrays),
+    the copy clamped to a table and the cumulative histograms of its prefix
+    totals, summed in int64."""
 
     def __init__(self, counts):
         self._raw, self._clamped = counts, {}
@@ -316,13 +308,9 @@ class _LikelihoodRule(Classifier):
         _require(params is not None, f"{self.label} requires rate parameters")
         return self._loglik(_prepare(counts), params, prefixes)
 
-    def likelihoods(self, counts, params):
+    def score(self, counts, params):
         logs, inverse = self._scored(counts, params, False)
-        return tuple(log[inverse] for log in logs)
-
-    def decide(self, counts, params, logs=None):
-        logs, inverse = (logs, ...) if logs is not None else self._scored(counts, params, False)
-        return cl.decide_from_logs(*logs)[inverse]
+        return cl.decide_from_logs(*logs)[inverse], tuple(log[inverse] for log in logs)
 
     def column_tallies(self, counts_bright, counts_dark, cols, params):
         # The last column alone needs no prefix outputs.  One comparison per
@@ -335,11 +323,9 @@ class _LikelihoodRule(Classifier):
             (log_b, log_d), inverse = self._scored(state, params, prefixes)
             brighter = (log_b > log_d).T        # bin-major: one row per column
             brighter = brighter[cols] if prefixes else brighter[None]
-            weights = (np.bincount(inverse) if inverse is not ...
-                       else np.ones(brighter.shape[1], dtype=np.int64))
-            n = state.counts.shape[0]
+            n = inverse.size
             tallies.append([(n, n, int(k) if wrong_is_bright else n - int(k))
-                            for k in brighter @ weights])
+                            for k in brighter @ np.bincount(inverse)])
         return [(self, bright, dark) for bright, dark in zip(*tallies)]
 
 
@@ -414,12 +400,12 @@ def resolve_classifier(spec) -> Classifier:
 
 
 def decisions_for(counts: np.ndarray, spec, params: RateParams | None):
-    """Decision codes for every row of a count array under one classifier.
+    """The decision codes of :meth:`Classifier.score` under one classifier.
 
     ``spec`` is a spec dict or a resolved :class:`Classifier`.  Likelihood
     methods need the rate parameters; threshold methods do not.
     """
-    return resolve_classifier(spec).fixed().decide(counts, params)
+    return resolve_classifier(spec).fixed().score(counts, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +627,9 @@ def efficiency_sweep(spec: SweepSpec, *, threads: int = 1):
     rows = sweep(base, threads=threads)
     points = []
     for r in base.efficiency_factors:
-        thresh = [row for row in rows
-                  if row.r == r and row.classifier == "threshold"]
-        general = [row for row in rows
-                   if row.r == r and row.classifier == "generalized_time_resolved"]
-        best_t = min(thresh, key=lambda row: row.epsilon)
-        best_g = min(general, key=lambda row: row.epsilon)
+        best_t, best_g = (min((row for row in rows if row.r == r and row.classifier == label),
+                              key=lambda row: row.epsilon)
+                          for label in ("threshold", "generalized_time_resolved"))
         points.append(EfficiencyPoint(
             r=r,
             epsilon_threshold=best_t.epsilon,
@@ -874,16 +857,16 @@ def report_rows_to_csv(rows, path, *, comments=()) -> None:
     _write_csv(path, REPORT_COLUMNS, blocks, comments=comments)
 
 
-def decisions_to_csv(path, trial_ids, initials, decisions, log_pb=None,
-                     log_pd=None, *, comments=()) -> None:
-    """Per-trial decision export; likelihood columns stay empty for
-    threshold methods."""
+def decisions_to_csv(path, trial_ids, initials, decisions, logs=None, *, comments=()) -> None:
+    """Per-trial decision export.  ``logs`` is the (log_p_B, log_p_D) pair of
+    :meth:`Classifier.score`, written as the ``p_B`` and ``p_D`` columns;
+    without it (count rules) those columns stay empty."""
     ids, states, codes = (np.asarray(c) for c in (trial_ids, initials, decisions))
-    logs = [None if log is None else np.asarray(log) for log in (log_pb, log_pd)]
-    if any(c is not None and c.shape != (codes.size,) for c in (ids, states, codes, *logs)):
+    logs = (None, None) if logs is None else [np.asarray(log) for log in logs]
+    if len(logs) != 2 or any(c is not None and c.shape != (codes.size,)
+                             for c in (ids, states, codes, *logs)):
         raise ValueError("decisions_to_csv needs one value per trial in every column")
-    # A missing likelihood column is empty cells; the writer stops at the
-    # shortest column.
+    # Without logs, p_B and p_D are empty cells: the writer stops at the shortest column.
     blocks = ((ids[rows].tolist(), _labels(states[rows]), _labels(codes[rows], Decision),
                *(itertools.repeat("") if log is None
                  else ["%.6g" % x for x in log[rows].tolist()] for log in logs))

@@ -62,12 +62,12 @@ def _row_blocks(n: int, rows: int = CHUNK):
 
 
 class DataFormatError(ValueError):
-    """Malformed ensemble/decision CSV. Carries the offending line number."""
+    """Malformed or unusable counts CSV: the file and line, None if the whole file."""
 
     def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}:{'' if line is None else f'{line}:'} {message}")
         self.path = str(path)
-        self.line = int(line)
+        self.line = None if line is None else int(line)
 
 
 def n_bins(t_b: float, t_s: float) -> int:

@@ -131,6 +131,18 @@ class TestSimulateClassify:
         assert lines[0] == "trial,initial,change_times_ms"
         assert len(lines) == 17
 
+    def test_change_times_sidecar_in_json_format(self, tmp_path, capsys):
+        cfg = _config(tmp_path, simulate={"t_b_ms": 3.0, "n_trials": 40, "seed": 2,
+                                          "initial": "both", "change_times": True})
+        sidecars = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out / 'change_times.csv'}"
+            sidecars.append((out / "change_times.csv").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert len(sidecars[0].splitlines()) == 81
+
     def test_json_format(self, tmp_path):
         cfg = _config(
             tmp_path,
@@ -270,14 +282,25 @@ class TestFit:
         assert doc["lifetimes"]["tau_D_ms"] == pytest.approx(56.0, rel=0.2)
         assert doc["config"]["params"] == params
 
-    def test_fit_requires_both_states(self, tmp_path):
+    def test_fit_requires_both_states(self, tmp_path, capsys):
         cfg = _config(tmp_path,
                       simulate={"t_b_ms": 1.0, "n_trials": 50, "seed": 1,
                                 "initial": "bright"},
                       fit={"input": "counts.csv"})
         out = tmp_path / "out"
         main(["simulate", "--config", cfg, "--out-dir", str(out)])
-        assert main(["fit", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert main(["fit", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (f"data error: {out / 'counts.csv'}: "
+                                           "fit needs both initially bright and dark trials\n")
+
+    def test_fit_needs_three_bins(self, tmp_path, capsys):
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text("trial,initial,n_1,n_2\n0,B,3,2\n1,D,0,1\n")
+        cfg = _config(tmp_path, fit={"input": str(csv_path)})
+        assert main(["fit", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"data error: {csv_path}: "
+                                           "fit needs at least 3 bins, got 2\n")
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestSweepCompare:
@@ -320,6 +343,61 @@ class TestSweepCompare:
         assert row["classifier"] == "pi_pulse+threshold"
         assert 0.0 < float(row["N_R"]) < 1.0
         assert row["epsilon_analytic"] != ""
+
+    @pytest.mark.parametrize("keys", [
+        {"efficiency_factors": [0.25]},
+        {"classifiers": [{"method": "general"}]},
+        {"classifiers": [{"method": "general"}], "efficiency_factors": [1.0]}])
+    def test_pi_pulse_sweep_refuses_keys_it_does_not_read(self, tmp_path, capsys, monkeypatch,
+                                                          keys):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the config was refused")
+
+        monkeypatch.setattr(harness, "simulate_ensemble", no_simulation)
+        cfg = _config(tmp_path, sweep={
+            "t_b_ms": [0.2], "n_trials": 400, "seed": 7, **keys,
+            "pi_pulse": {"detector": {"method": "threshold", "n_c": 1}, "epsilon_pi": 0.02}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a pi_pulse sweep takes no 'classifiers' or "
+                              "'efficiency_factors'")
+        assert not (out / "sweep.csv").exists()
+
+    @staticmethod
+    def _same_rows(json_rows, csv_rows):
+        """Each CSV cell is its JSON row's field, a float to 6 significant
+        digits; an empty cell is a field the JSON row leaves out."""
+        assert len(json_rows) == len(csv_rows) > 0
+        for doc, row in zip(json_rows, csv_rows):
+            for key, cell in row.items():
+                value = doc.get(key)
+                assert cell == ("" if value is None else "%.6g" % value
+                                if isinstance(value, float) else str(value)), key
+
+    def test_sweep_json_rows_match_csv(self, tmp_path):
+        cfg = _config(tmp_path, sweep={
+            "t_b_ms": [0.3, 0.5], "n_trials": 600, "seed": 7,
+            "classifiers": [{"method": "threshold", "n_c": "optimize"}, {"method": "general"}],
+            "efficiency_factors": [1.0, 0.5]})
+        out = tmp_path / "out"
+        for fmt in ("csv", "json"):
+            assert main(["sweep", "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert (doc["command"], doc["seed"]) == ("sweep", 7)
+        self._same_rows(doc["rows"], _read_report_csv(out / "sweep.csv"))
+
+    def test_compare_json_matches_csv_artifacts(self, tmp_path):
+        cfg = _config(tmp_path, sweep={"t_b_ms": [0.3, 0.5], "n_trials": 600, "seed": 7},
+                      compare={"repetitions": 2})
+        out = tmp_path / "out"
+        for fmt in ("csv", "json"):
+            assert main(["compare", "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+        doc = json.loads((out / "compare.json").read_text())
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert (doc["command"], doc["repetitions"]) == ("compare", 2)
+        assert doc["summary"] == summary["summary"]
+        self._same_rows(doc["rows"], _read_report_csv(out / "compare.csv"))
 
     def test_compare_artifacts(self, tmp_path):
         cfg = _config(tmp_path,

@@ -587,12 +587,51 @@ class TestDistinctRecordScoring:
 
     @pytest.mark.parametrize("case, grouped", [
         ("dark_ensemble", True), ("pulse_windows", True),
-        ("all_distinct", False), ("above_255", False)])
+        ("all_distinct", False), ("above_255", True)])
     def test_grouping_rule(self, case, grouped):
-        first, inverse = harness._distinct_records(self._counts(case))
-        assert isinstance(first, np.ndarray) == grouped
+        counts = self._counts(case)
+        first, inverse = harness._distinct_records(counts)
+        assert np.array_equal(counts[first][inverse], counts)
+        assert np.unique(counts[first], axis=0).shape[0] == first.size
         if grouped:
             assert first.size < inverse.size // 2
+        else:        # every row its own record
+            assert np.array_equal(first, np.arange(len(counts))) and np.array_equal(inverse, first)
+
+    @pytest.mark.parametrize("case", ["dark_ensemble", "above_255"])
+    def test_records_do_not_depend_on_the_count_width(self, case):
+        # Keys are taken at the narrowest width of the values, so an int64
+        # copy groups exactly like the int8 or int16 counts it holds.
+        counts = self._counts(case)
+        narrow = counts.astype(np.min_scalar_type(-1 - int(counts.max())))
+        assert narrow.dtype in (np.int8, np.int16)
+        records = [harness._distinct_records(c) for c in
+                   (narrow, counts.astype(np.int64), counts.astype(np.uint16))]
+        assert all(np.array_equal(got, want) for rec in records[1:]
+                   for got, want in zip(rec, records[0], strict=True))
+
+    @pytest.mark.parametrize("spec", [{"method": "threshold", "n_c": 2},
+                                      {"method": "double_threshold", "n_D": 0, "n_B": 3}])
+    def test_count_rules_score_without_logs(self, spec):
+        counts = self._counts("dark_ensemble")
+        rule = resolve_classifier(spec)
+        codes, logs = rule.score(counts, None)
+        assert logs is None
+        totals = counts.sum(axis=1)
+        assert np.array_equal(codes, double_threshold_decide(totals, rule.n_D, rule.n_c))
+        with pytest.raises(ConfigError, match="needs optimize_threshold"):
+            resolve_classifier({**spec, "n_c" if "n_c" in spec else "n_B": "optimize"}).score(
+                counts, None)
+
+    def test_unsigned_counts_past_the_int64_maximum(self):
+        # No signed width holds them: they keep their own uint64 keys.
+        counts = np.repeat(np.array([[0, 2**64 - 1, 1], [2, 0, 1]], dtype=np.uint64), 1024, axis=0)
+        first, inverse = harness._distinct_records(counts)
+        assert first.size == 2 and np.array_equal(counts[first][inverse], counts)
+        codes, logs = resolve_classifier({"method": "simple"}).score(counts, DEFAULT_PARAMS)
+        direct = simple_loglik(counts, DEFAULT_PARAMS)
+        assert all(np.array_equal(g, d) for g, d in zip(logs, direct, strict=True))
+        assert np.array_equal(codes, decide_from_logs(*direct))
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     @pytest.mark.parametrize("case", ["dark_ensemble", "pulse_windows",
@@ -608,13 +647,13 @@ class TestDistinctRecordScoring:
         clf = resolve_classifier(spec)
         counts = self._counts(case)
         final = self._direct(spec, counts, False)
-        got = clf.likelihoods(counts, DEFAULT_PARAMS)
-        assert all(np.array_equal(g, d) for g, d in zip(got, final, strict=True))
-        assert np.array_equal(clf.decide(counts, DEFAULT_PARAMS), decide_from_logs(*final))
+        codes, logs = clf.score(counts, DEFAULT_PARAMS)
+        assert all(np.array_equal(g, d) for g, d in zip(logs, final, strict=True))
+        assert np.array_equal(codes, decide_from_logs(*final))
         assert np.array_equal(decisions_for(counts, spec, DEFAULT_PARAMS),
                               decide_from_logs(*final))
         # Column tallies: the final column alone (no prefix outputs) and every
-        # other column.  Each column's per-row decisions come from ``decide``
+        # other column.  Each column's per-row decisions come from ``score``
         # on the truncated window, which must match the prefix kernel row by
         # row; the tallies must count them.  The dark side is every other
         # row, so the two states' tallies differ.
@@ -624,7 +663,7 @@ class TestDistinctRecordScoring:
             tallies = clf.column_tallies(counts, counts[1::2], cols, DEFAULT_PARAMS)
             for col, (rule_out, bright, dark) in zip(cols, tallies, strict=True):
                 expect = decide_from_logs(log_b[:, col], log_d[:, col])
-                assert np.array_equal(clf.decide(counts[:, :col + 1], DEFAULT_PARAMS), expect)
+                assert np.array_equal(clf.score(counts[:, :col + 1], DEFAULT_PARAMS)[0], expect)
                 assert rule_out is clf
                 n_b, n_d = len(counts), len(counts[1::2])
                 assert bright == (n_b, n_b, int(np.count_nonzero(expect == Decision.DARK)))
@@ -1025,8 +1064,7 @@ class TestTabularOutput:
         path = tmp_path / "decisions.csv"
         decisions_to_csv(path, np.array([4, 9]), np.array([1, 0], dtype=np.int8),
                          np.array([Decision.DARK, Decision.BRIGHT], dtype=np.int8),
-                         np.array([-48.95486123, -np.inf]),
-                         np.array([-1e-7, -123456789.0]))
+                         (np.array([-48.95486123, -np.inf]), np.array([-1e-7, -123456789.0])))
         assert path.read_text().splitlines() == [
             "trial,initial,decision,p_B,p_D",
             "4,D,D,-48.9549,-1e-07",
@@ -1036,4 +1074,7 @@ class TestTabularOutput:
     def test_decisions_csv_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError, match="one value per trial"):
             decisions_to_csv(tmp_path / "decisions.csv", [0, 1], np.array([0, 1]),
-                             np.array([0, 1]), np.array([-1.0]), np.array([-2.0, -3.0]))
+                             np.array([0, 1]), (np.array([-1.0]), np.array([-2.0, -3.0])))
+        with pytest.raises(ValueError, match="one value per trial"):     # logs is a pair
+            decisions_to_csv(tmp_path / "decisions.csv", [0, 1], np.array([0, 1]),
+                             np.array([0, 1]), (np.array([-1.0, -2.0]),))
