@@ -327,13 +327,10 @@ def estimate_transfer_matrices(ensemble_bright, ensemble_dark,
         decisions = np.asarray(decisions)
         if decisions.shape != (len(ens),):
             raise ValueError("transfer matrix estimation needs one decision per trial")
-        if np.any(decisions == Decision.INCONCLUSIVE):
+        if not np.isin(decisions, (Decision.BRIGHT, Decision.DARK)).all():
             raise ValueError("detector must return Bright or Dark for every trial")
-        finals = ens.final_states()
-        n = len(ens)
-        for y in (0, 1):
-            m_b[y, col] = np.count_nonzero((decisions == Decision.BRIGHT) & (finals == y)) / n
-            m_d[y, col] = np.count_nonzero((decisions == Decision.DARK) & (finals == y)) / n
+        cells = np.bincount(2 * decisions.astype(np.intp) + ens.final_states(), minlength=4)
+        m_b[:, col], m_d[:, col] = cells[:2] / len(ens), cells[2:] / len(ens)
     return m_b, m_d
 
 

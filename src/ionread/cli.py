@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Five subcommands share one JSON configuration document and a small set of
-flags; each emits plot-ready CSV (or a single JSON document) into the output
-directory, stamped with the configuration echo and the effective seed so any
-artifact can be regenerated from its own header.
+flags.  Each computes its artifacts and returns them with its effective seed;
+``main`` writes them, plot-ready CSV (or a single JSON document), into the
+output directory, stamped with the configuration echo and that seed so any
+artifact can be regenerated from its own header, and prints ``wrote <path>``
+after each.
 
     simulate   draw photon-count ensembles, emit counts.csv
     classify   ingest a counts CSV, emit per-trial decisions + error report
-    fit        ingest a counts CSV, fit decay curves, emit fit.json
+    fit        ingest a counts CSV, fit decay curves, emit fit.json (either format)
     sweep      evaluate classifiers over t_b (and efficiency factors or a
                detection-pulse-detection composition), emit sweep.csv
     compare    repeated three-way method comparison, emit compare.csv + summary
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 from . import classifiers as cl
@@ -55,11 +58,6 @@ from .trajectory import (
 )
 
 
-def _echo_comments(cfg: dict, seed: int) -> tuple:
-    return (f"config: {json.dumps(cfg, separators=(',', ':'), sort_keys=True)}",
-            f"seed: {seed}")
-
-
 def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
     doc = {"format": "ionread_report", "version": 1, "command": command,
            "seed": seed, "config": cfg, **payload}
@@ -73,10 +71,12 @@ def _input_path(section: dict, out_dir: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each returns (seed, artifacts) and writes nothing: artifacts
+# maps file names, in output order, to a JSON payload for the report envelope
+# or to a writer called as ``writer(path, comments=...)``.
 
 
-def _cmd_simulate(cfg: dict, args) -> int:
+def _cmd_simulate(cfg: dict, args):
     section = _section(cfg, "simulate", ("t_b_ms", "n_trials", "seed", "initial", "change_times"))
     params = rate_params_from_config(cfg)
     try:
@@ -94,63 +94,48 @@ def _cmd_simulate(cfg: dict, args) -> int:
               else (IonState.from_label(initial[0].upper()),))
     ensembles = [simulate_ensemble(config, s, threads=args.threads)
                  for s in states]
-    comments = _echo_comments(cfg, seed)
     if args.format == "csv":
-        write_ensemble_csv(args.out_dir / "counts.csv", ensembles, comments=comments)
-        emitted = ["counts.csv"]
+        artifacts = {"counts.csv": partial(write_ensemble_csv, ensembles=ensembles)}
     else:
         rows = [{"trial": i, "initial": label, "counts": counts} for ens in ensembles
                 for i, label, counts in zip(range(len(ens)), _labels(ens.initial),
                                             ens.counts.tolist())]
-        _write_json(args.out_dir / "counts.json", "simulate", cfg, seed,
-                    {"t_b_ms": t_b, "rows": rows})
-        emitted = ["counts.json"]
+        artifacts = {"counts.json": {"t_b_ms": t_b, "rows": rows}}
     if section.get("change_times", False):      # the sidecar CSV, in either format
-        write_change_times_csv(args.out_dir / "change_times.csv", ensembles)
-        emitted.append("change_times.csv")
-    for name in emitted:
-        print(f"wrote {args.out_dir / name}")
-    return 0
+        artifacts["change_times.csv"] = lambda path, comments: write_change_times_csv(
+            path, ensembles)
+    return seed, artifacts
 
 
-def _cmd_classify(cfg: dict, args) -> int:
+def _cmd_classify(cfg: dict, args):
     section = _section(cfg, "classify", ("input", "classifier"))
     params = rate_params_from_config(cfg)
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
     trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
     t_b = counts.shape[1] * params.t_s
-    seed = args.seed or 0
     decisions, logs = clf.score(counts, params)
-    comments = _echo_comments(cfg, seed)
     per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
     report = (report_from_decisions(*per_state, classifier=clf.label, detail=clf.detail,
                                     t_b=t_b, n_c=clf.n_c)
               if all(d.size for d in per_state) else None)
     if args.format == "csv":
-        decisions_to_csv(args.out_dir / "decisions.csv", trial_ids, initials,
-                         decisions, logs, comments=comments)
-        emitted = ["decisions.csv"]
+        artifacts = {"decisions.csv": partial(decisions_to_csv, trial_ids=trial_ids,
+                                              initials=initials, decisions=decisions, logs=logs)}
         if report is not None:
-            report_rows_to_csv([report], args.out_dir / "report.csv",
-                               comments=comments)
-            emitted.append("report.csv")
-    else:
-        columns = {"trial": trial_ids.tolist(), "initial": _labels(initials),
-                   "decision": _labels(decisions, cl.Decision)}
-        if logs is not None:
-            columns.update(log_p_B=logs[0].tolist(), log_p_D=logs[1].tolist())
-        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        payload = {"classifier": clf.label, "detail": clf.detail, "rows": rows}
-        if report is not None:
-            payload["report"] = report.to_json_dict()
-        _write_json(args.out_dir / "decisions.json", "classify", cfg, seed, payload)
-        emitted = ["decisions.json"]
-    for name in emitted:
-        print(f"wrote {args.out_dir / name}")
-    return 0
+            artifacts["report.csv"] = partial(report_rows_to_csv, [report])
+        return args.seed or 0, artifacts
+    columns = {"trial": trial_ids.tolist(), "initial": _labels(initials),
+               "decision": _labels(decisions, cl.Decision)}
+    if logs is not None:
+        columns.update(log_p_B=logs[0].tolist(), log_p_D=logs[1].tolist())
+    payload = {"classifier": clf.label, "detail": clf.detail,
+               "rows": [dict(zip(columns, values)) for values in zip(*columns.values())]}
+    if report is not None:
+        payload["report"] = report.to_json_dict()
+    return args.seed or 0, {"decisions.json": payload}
 
 
-def _cmd_fit(cfg: dict, args) -> int:
+def _cmd_fit(cfg: dict, args):
     section = _section(cfg, "fit", ("input",))
     params = rate_params_from_config(cfg)
     path = _input_path(section, args.out_dir)
@@ -161,16 +146,13 @@ def _cmd_fit(cfg: dict, args) -> int:
     if counts.shape[1] < 3:
         raise DataFormatError(path, None, f"fit needs at least 3 bins, got {counts.shape[1]}")
     fit = est.fit_decay_curves(series[IonState.BRIGHT], series[IonState.DARK])
-    report = est.fit_report(fit)
-    report["config"] = cfg
-    report["seed"] = args.seed or 0
-    out = args.out_dir / "fit.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
+    report = {**est.fit_report(fit), "config": cfg, "seed": args.seed or 0}
+    # fit.json is its own document, in either format, with no envelope.
+    return report["seed"], {"fit.json": lambda path, comments: path.write_text(
+        json.dumps(report, indent=2) + "\n")}
 
 
-def _cmd_sweep(cfg: dict, args) -> int:
+def _cmd_sweep(cfg: dict, args):
     spec = sweep_spec_from_config(cfg, seed=args.seed)
     if cfg["sweep"].get("pi_pulse") is not None:
         _require(not {"classifiers", "efficiency_factors"} & cfg["sweep"].keys(), "a pi_pulse "
@@ -184,41 +166,26 @@ def _cmd_sweep(cfg: dict, args) -> int:
         rows = pi_pulse_sweep(spec, detector, epsilon_pi, threads=args.threads)
     else:
         rows = sweep(spec, threads=args.threads)
-    comments = _echo_comments(cfg, spec.seed)
     if args.format == "csv":
-        out = args.out_dir / "sweep.csv"
-        report_rows_to_csv(rows, out, comments=comments)
-    else:
-        out = args.out_dir / "sweep.json"
-        _write_json(out, "sweep", cfg, spec.seed,
-                    {"rows": [row.to_json_dict() for row in rows]})
-    print(f"wrote {out}")
-    return 0
+        return spec.seed, {"sweep.csv": partial(report_rows_to_csv, rows)}
+    return spec.seed, {"sweep.json": {"rows": [row.to_json_dict() for row in rows]}}
 
 
-def _cmd_compare(cfg: dict, args) -> int:
+def _cmd_compare(cfg: dict, args):
     section = _section(cfg, "compare", ("repetitions",))
     spec = sweep_spec_from_config(cfg, seed=args.seed)
     repetitions = config_int(section.get("repetitions", 1), "repetitions")
     rows, summary = compare_methods(spec, repetitions=repetitions,
                                     threads=args.threads)
-    comments = _echo_comments(cfg, spec.seed)
-    if args.format == "csv":
-        report_rows_to_csv(rows, args.out_dir / "compare.csv", comments=comments)
-        _write_json(args.out_dir / "compare_summary.json", "compare", cfg,
-                    spec.seed, {"repetitions": repetitions, "summary": summary})
-        emitted = ["compare.csv", "compare_summary.json"]
-    else:
-        _write_json(args.out_dir / "compare.json", "compare", cfg, spec.seed,
-                    {"repetitions": repetitions, "summary": summary,
-                     "rows": [row.to_json_dict() for row in rows]})
-        emitted = ["compare.json"]
-    for name in emitted:
-        print(f"wrote {args.out_dir / name}")
     for label, stats in summary.items():
         print(f"{label}: min over t_b = {stats['mean']:.4%} "
               f"(std {stats['std']:.4%}, n={repetitions})")
-    return 0
+    payload = {"repetitions": repetitions, "summary": summary}
+    if args.format == "csv":
+        return spec.seed, {"compare.csv": partial(report_rows_to_csv, rows),
+                           "compare_summary.json": payload}
+    return spec.seed, {"compare.json": {**payload,
+                                        "rows": [row.to_json_dict() for row in rows]}}
 
 
 _COMMANDS = {
@@ -266,7 +233,17 @@ def main(argv=None) -> int:
                 _check_seed(args.seed)
             cfg = load_config(args.config)
             args.out_dir.mkdir(parents=True, exist_ok=True)
-            return _COMMANDS[args.command](cfg, args)
+            seed, artifacts = _COMMANDS[args.command](cfg, args)
+            comments = (f"config: {json.dumps(cfg, separators=(',', ':'), sort_keys=True)}",
+                        f"seed: {seed}")
+            for name, artifact in artifacts.items():
+                path = args.out_dir / name
+                if callable(artifact):
+                    artifact(path, comments=comments)
+                else:
+                    _write_json(path, args.command, cfg, seed, artifact)
+                print(f"wrote {path}")
+            return 0
         except (DataFormatError, est.FitConvergenceError) as exc:
             error, status = f"data error: {exc}", 3
         except (ValueError, OSError) as exc:        # ConfigError among them

@@ -187,7 +187,7 @@ def _as_series(series, name: str):
     return t, y
 
 
-def _warm_start(t_b, y_b, t_d, y_d):
+def _warm_start(t_b, y_b, y_d):
     """Moment-based initial guess: steady level from the series tails,
     amplitudes from the first-point residuals, tau from a log-linear
     regression on the bright transient."""
@@ -300,7 +300,7 @@ def fit_decay_curves(mean_bright, mean_dark) -> DecayFit:
         rd = y_d - (a - c * e_d)
         return math.sqrt(np.dot(rb, rb) + np.dot(rd, rd))
 
-    a0, b0, c0, tau0 = _warm_start(t_b, y_b, t_d, y_d)
+    a0, b0, c0, tau0 = _warm_start(t_b, y_b, y_d)
     span = t_b[-1] - t_b[0] + t_d[-1] - t_d[0]
     tau_grid = np.geomspace(span / 50.0, span * 2.0, 5)
     starts = [np.log([a0, b0, c0, tau0])]

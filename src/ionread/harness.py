@@ -45,6 +45,7 @@ from .trajectory import (
     Ensemble,
     SimConfig,
     _check_seed,
+    _check_trials,
     _labels,
     _narrowest,
     _row_blocks,
@@ -577,13 +578,15 @@ class SweepSpec:
         _require(len(self.t_b_values) > 0, "t_b_values must be non-empty")
         for t_b in self.t_b_values:
             n_bins(t_b, self.params.t_s)
-        _require(self.n_trials >= 1, "n_trials must be >= 1")
+        _check_trials(self.n_trials, ConfigError)
         _check_seed(self.seed)
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
             resolve_classifier(spec)
-        _require(all(r > 0 for r in self.efficiency_factors),
-                 "efficiency factors must be > 0")
+        _require(all(0 < r < math.inf for r in self.efficiency_factors),
+                 "efficiency factors must be finite and > 0")
+        _require(len({_rtag(r) for r in self.efficiency_factors}) == len(self.efficiency_factors),
+                 "efficiency factors must differ by at least 1e-9: each draws its own ensembles")
         object.__setattr__(self, "t_b_values", tuple(sorted(self.t_b_values)))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         object.__setattr__(self, "efficiency_factors", tuple(self.efficiency_factors))

@@ -168,7 +168,7 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     up to one sub-bin are meaningful here; longer-time occupancies (which
     include flips back) live in :func:`ionread.estimation.population_dynamics`.
     """
-    if t < 0 or t > params.t_s:
+    if not 0 <= t <= params.t_s:    # NaN too
         raise ValueError(f"t must be in [0, t_s={params.t_s}], got {t}")
     tau = params.tau_B if state is IonState.BRIGHT else params.tau_D
     return float(np.exp(-t / tau))

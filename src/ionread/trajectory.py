@@ -90,6 +90,11 @@ def _check_seed(seed) -> None:   # each seed in range keys streams of its own
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _check_trials(n_trials, error=ValueError) -> None:   # range() takes no 2.5
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+        raise error(f"n_trials must be an integer >= 1, got {n_trials!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble simulation settings; the sub-bin duration ``t_s`` is the
@@ -101,8 +106,7 @@ class SimConfig:
     params: RateParams
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        _check_trials(self.n_trials)
         n_bins(self.t_b, self.t_s)
         _check_seed(self.seed)
 

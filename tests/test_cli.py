@@ -32,6 +32,38 @@ def _config(tmp_path, **extra):
     return _write(tmp_path / "config.json", doc)
 
 
+#: Stands for Infinity or NaN in :func:`_non_finite_cases`' documents.
+_NON_FINITE = "<non-finite>"
+
+
+def _non_finite_cases(sim, sweep):
+    """(commands, config sections) for each numeric config field, the field
+    set to ``_NON_FINITE``; ``sim`` and ``sweep`` are valid sections."""
+    every = ("simulate", "classify", "fit", "sweep", "compare")
+    x = _NON_FINITE
+    params = {"tau_B_ms": 4.9, "tau_D_ms": 56.0, "R_B_per_ms": 16.0, "R_D_per_ms": 0.3,
+              "t_s_ms": 0.1}
+    threshold, simple = {"method": "threshold", "n_c": x}, {"method": "simple", "tau_ms": x}
+    cases = {"version": (every, {"version": x})}
+    cases.update({key: (every, {"params": {**params, key: x}}) for key in params})
+    cases.update({f"simulate.{key}": (("simulate",), {"simulate": {**sim, key: x}})
+                  for key in sim})
+    for name, classifier in (("n_c", threshold), ("tau_ms", simple),
+                             ("n_D", {"method": "double_threshold", "n_D": x, "n_B": 4}),
+                             ("n_B", {"method": "double_threshold", "n_D": 0, "n_B": x})):
+        cases[name] = (("classify",), {"classify": {"classifier": classifier}})
+    for key, value in (("t_b_ms", [0.5, x]), ("n_trials", x), ("seed", x),
+                       ("efficiency_factors", [1.0, x])):
+        cases[f"sweep.{key}"] = (("sweep", "compare"), {"sweep": {**sweep, key: value}})
+    for name, value in (("sweep.n_c", {"classifiers": [threshold]}),
+                        ("sweep.tau_ms", {"classifiers": [simple]}),
+                        ("epsilon_pi", {"pi_pulse": {"epsilon_pi": x,
+                                                     "detector": {"method": "general"}}})):
+        cases[name] = (("sweep",), {"sweep": {**sweep, **value}})
+    cases["repetitions"] = (("compare",), {"compare": {"repetitions": x}})
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
 def _read_report_csv(path):
     with open(path) as fh:
         rows = list(csv.DictReader(line for line in fh
@@ -364,6 +396,23 @@ class TestSweepCompare:
                               "'efficiency_factors'")
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("factors, message", [
+        ([float("inf")], "efficiency factors must be finite and > 0"),
+        ([0.3000000001, 0.3000000003], "efficiency factors must differ by at least 1e-9"),
+    ], ids=["infinite", "shared_stream_tag"])
+    def test_sweep_refuses_unusable_efficiency_factors(self, tmp_path, capsys, monkeypatch,
+                                                       factors, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the config was refused")
+
+        monkeypatch.setattr(harness, "simulate_ensemble", no_simulation)
+        cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 4000, "seed": 1,
+                                       "efficiency_factors": factors})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (out / "sweep.csv").exists()
+
     @staticmethod
     def _same_rows(json_rows, csv_rows):
         """Each CSV cell is its JSON row's field, a float to 6 significant
@@ -439,6 +488,39 @@ ARTIFACT_DIGESTS = {
 class TestArtifactBytes:
     def test_frozen_artifact_digests(self, tmp_path):
         assert _artifact_digests(tmp_path) == ARTIFACT_DIGESTS
+
+
+class TestStdout:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_of_every_command(self, tmp_path, capsys, fmt):
+        """One ``wrote`` line per artifact, in output order; compare prints
+        its summary before them, and nothing reaches stderr."""
+        cfg = _config(tmp_path,
+                      simulate={"t_b_ms": 0.5, "n_trials": 200, "seed": 3, "change_times": True},
+                      classify={"input": "counts.csv", "classifier": {"method": "general"}},
+                      fit={"input": "counts.csv"},
+                      sweep={"t_b_ms": [0.3, 0.5], "n_trials": 600, "seed": 7},
+                      compare={"repetitions": 2})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0  # counts.csv
+        capsys.readouterr()
+        summary = ["threshold: min over t_b = 2.3333% (std 0.0000%, n=2)",
+                   "simple_time_resolved: min over t_b = 2.3750% (std 0.0589%, n=2)",
+                   "generalized_time_resolved: min over t_b = 2.3333% (std 0.0000%, n=2)"]
+        csv = fmt == "csv"
+        expected = {
+            "simulate": [f"counts.{fmt}", "change_times.csv"],
+            "classify": ["decisions.csv", "report.csv"] if csv else ["decisions.json"],
+            "fit": ["fit.json"],
+            "sweep": [f"sweep.{fmt}"],
+            "compare": ["compare.csv", "compare_summary.json"] if csv else ["compare.json"],
+        }
+        for command, names in expected.items():
+            assert main([command, "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+            wrote = [f"wrote {out / name}" for name in names]
+            captured = capsys.readouterr()
+            assert captured.out.splitlines() == (summary if command == "compare" else []) + wrote
+            assert captured.err == ""
 
 
 class TestExitCodes:
@@ -570,6 +652,25 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"{field} must be " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("commands, doc", _non_finite_cases(_SIM, _SWEEP))
+    def test_non_finite_numbers_are_refused_or_run(self, tmp_path, capsys, commands, doc):
+        # Python's json reads Infinity and NaN: each field refuses them with
+        # exit 2 or runs, and no command lets an exception escape.
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", _config(
+            tmp_path, simulate={"t_b_ms": 1.0, "n_trials": 200, "seed": 1}),
+            "--out-dir", str(data)]) == 0
+        counts = {"input": str(data / "counts.csv")}
+        sections = {"simulate": self._SIM, "fit": counts, "sweep": self._SWEEP,
+                    "compare": {"repetitions": 1}}
+        for value in ("Infinity", "-Infinity", "NaN"):
+            filled = json.loads(json.dumps(doc).replace(json.dumps(_NON_FINITE), value))
+            classify = {**counts, **filled.pop("classify", {})}
+            cfg = _config(tmp_path, **{**sections, **filled, "classify": classify})
+            for command in commands:
+                code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+                assert code in (0, 2), (command, value, capsys.readouterr().err)
 
     @pytest.mark.parametrize("key", ["n_trials", "seed"])
     def test_fractional_simulate_and_sweep_values(self, tmp_path, capsys, key):

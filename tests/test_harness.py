@@ -370,6 +370,14 @@ class TestSweep:
             _spec(efficiency_factors=(0.0,))
         with pytest.raises(ConfigError):
             _spec(n_trials=0)
+        for n_trials in (2.5, True):     # range() would fail inside the chunk loop
+            with pytest.raises(ValueError, match="n_trials must be an integer"):
+                _spec(n_trials=n_trials)
+        # No stream tag (round(r * 1e9) overflows), or one tag for two factors,
+        # which would draw the same ensembles.
+        for factors in ((float("inf"),), (0.3000000001, 0.3000000003), (2.0, 2.0)):
+            with pytest.raises(ConfigError, match="efficiency factors must"):
+                _spec(efficiency_factors=factors)
 
     @pytest.mark.parametrize("seed, ok", [(-1, False), (0, True), (2**64 - 1, True),
                                           (2**64, False)])

@@ -104,6 +104,8 @@ class TestStayProb:
             stay_prob(IonState.BRIGHT, -0.01, DEFAULT_PARAMS)
         with pytest.raises(ValueError):
             stay_prob(IonState.BRIGHT, 0.2, DEFAULT_PARAMS)
+        with pytest.raises(ValueError):
+            stay_prob(IonState.BRIGHT, float("nan"), DEFAULT_PARAMS)
 
     @given(st.floats(min_value=1e-6, max_value=0.1))
     def test_monotone_decreasing(self, t):

@@ -157,6 +157,9 @@ class TestSimConfig:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             SimConfig(n_trials=0, t_b=1.0, seed=1, params=P)
+        for n_trials in (2.5, True):     # refused before any draw, not by range()
+            with pytest.raises(ValueError, match="n_trials must be an integer"):
+                SimConfig(n_trials=n_trials, t_b=1.0, seed=1, params=P)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_range_rejected(self, seed):
