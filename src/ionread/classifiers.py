@@ -12,11 +12,12 @@ prefix of the window in one pass, which is what the sweep harness uses.
 They reject negative and fractional counts.  The scalar classifiers wrap
 them on one row; the likelihood ones return (Decision, log_p_B, log_p_D),
 bit for bit the batch row and its :func:`decide_from_logs` decision.
-Inside, both kernels run bin-major, on (n_bins,
-n_trials) arrays, so each bin reads and writes contiguous rows; prefix
-results come back as transposed views.  The single-change formula gathers
+Inside, both kernels are filters: one step per bin on bin-major counts
+updates a few length-n_trials rows, and each prefix's pair is handed on
+as the step passes it (to a caller's function, or stacked on request), so
+a sweep holds O(n_trials) scratch.  The single-change formula gathers
 each bin's Poisson log-pmf from a vector over 0..max count instead of
-evaluating it per cell, and forms its running sums with one elementwise
+evaluating it per cell, and carries its running sums with one elementwise
 add or logaddexp per bin, the operations of ``ufunc.accumulate`` in its
 order.  The hidden-Markov product is a scaled forward filter
 (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four
@@ -28,6 +29,7 @@ scale, keeps windows of any length in floating range.
 
 from __future__ import annotations
 
+import collections
 import enum
 import warnings
 from dataclasses import dataclass
@@ -102,7 +104,7 @@ def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarra
 
 
 def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = None,
-                  *, decaying: IonState = IonState.DARK, prefixes: bool = False):
+                  *, decaying: IonState = IonState.DARK, prefixes=False):
     """Log-likelihoods of the single-change formula, vectorized.
 
     One designated state may change exactly once inside the window; the other
@@ -112,74 +114,59 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     while p_B = prod_k P_B(n_k); ``decaying=BRIGHT`` mirrors the roles (a
     bright prefix that may drop to dark once), which is the variant suited to
     qubits whose dominant change is bright-to-dark.  ``tau`` defaults to the
-    decaying state's lifetime.  With ``prefixes`` the formula is evaluated
-    for every leading sub-window length in one pass.
+    decaying state's lifetime.  ``prefixes`` is read as in :func:`general_loglik`.
 
-    Returns (log_p_B, log_p_D), as :func:`general_loglik` does, of shape
-    (n_trials,) or, with prefixes, (n_trials, n_bins).  A window longer than
-    tau clamps the linear-in-t_b prefactor to zero, with a RuntimeWarning.
+    Returns (log_p_B, log_p_D); a window longer than tau clamps the
+    linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
     decaying = IonState(decaying)
-    log_pure, log_stay, log_change = _single_change_terms(counts, params, tau, decaying)
-    log_mixed = np.logaddexp(log_stay, log_change, out=log_stay)
-    if decaying is IonState.DARK:
-        log_pb, log_pd = log_pure, log_mixed
-    else:
-        log_pb, log_pd = log_mixed, log_pure
-    if prefixes:
-        return log_pb.T, log_pd.T
-    return log_pb[-1], log_pd[-1]
-
-
-def _running(ufunc, rows: np.ndarray) -> np.ndarray:
-    """``ufunc.accumulate(rows, axis=0)`` in place and bit for bit, one
-    contiguous elementwise call per row."""
-    for k in range(1, len(rows)):
-        ufunc(rows[k - 1], rows[k], out=rows[k])
-    return rows
-
-
-def _single_change_terms(counts, params: RateParams, tau: float | None,
-                         decaying: IonState):
-    """Every-prefix log terms of the single-change formula, bin-major.
-
-    Returns (log_pure, log_stay, log_change), each (n_bins, n_trials): the
-    stable hypothesis, then the no-change and the changed term of the
-    changeable one, whose sum is its likelihood.  A negative linear-in-t_b
-    prefactor is clamped to zero, which warns once per call (RuntimeWarning).
-    """
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
     if tau <= 0:
         raise ValueError("tau must be > 0")
     counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
+    return _prefix_logs(_single_change_steps(counts_t, params, tau, decaying, bool(prefixes)),
+                        counts_t.shape, prefixes)
+
+
+def _single_change_steps(counts_t, params: RateParams, tau: float, decaying: IonState,
+                         every: bool):
+    """Per-bin (log_p_B, log_p_D) of the single-change formula on bin-major
+    counts, for every bin or, unless ``every``, the last one alone; each
+    pair holds until the next step.  The running log-pmf sums of the
+    changeable (``stay``) and the stable state (``after``) and the running
+    logaddexp ``inner`` of the change terms are one row of n_trials each.
+    A negative linear-in-t_b prefactor is clamped to zero, which warns once
+    per call (RuntimeWarning).
+    """
     m, n = counts_t.shape
+    means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
     # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
     hi = int(counts_t.max(initial=0))
-    cells, index = (np.arange(hi + 1), counts_t) if hi < counts_t.size else (counts_t, ...)
-    cum_b = _running(np.add, _poisson_logpmf(cells, params.bright_mean)[index])
-    cum_d = _running(np.add, _poisson_logpmf(cells, params.dark_mean)[index])
-    if decaying is IonState.DARK:
-        cum_stay, cum_after = cum_d, cum_b
-    else:
-        cum_stay, cum_after = cum_b, cum_d
-    # Change during bin i contributes exp(cum_stay[i-1] + cum_after[k]
-    # - cum_after[i-1]) to the k-bin prefix; factor exp(cum_after[k]) out of
-    # the inner sum.
-    inner = np.zeros((m, n))
-    np.subtract(cum_stay[:-1], cum_after[:-1], out=inner[1:])
-    _running(np.logaddexp, inner)
-    k = np.arange(1, m + 1)
-    prefac = 1.0 - k * params.t_s / tau
+    vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
+               if hi < counts_t.size else None)
+    prefac = 1.0 - np.arange(1, m + 1) * params.t_s / tau
     if prefac[-1] < 0:
         warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    cum_stay += log_prefac[:, None]
-    inner += log_rate + cum_after
-    return cum_after, cum_stay, inner
+    # A change during bin i contributes exp(stay[i-1] + after[k] - after[i-1])
+    # to the k-bin prefix; exp(after[k]) is factored out of the inner sum.
+    inner = np.zeros(n)
+    for k, row in enumerate(counts_t):
+        stay_k, after_k = ([v[row] for v in vectors] if vectors
+                           else [_poisson_logpmf(row, mean) for mean in means])
+        if k == 0:
+            stay, after = stay_k, after_k
+        else:
+            np.logaddexp(inner, stay - after, out=inner)
+            stay += stay_k
+            after += after_k
+        if every or k == m - 1:
+            mixed = np.logaddexp(stay + log_prefac[k], inner + (log_rate + after))
+            yield (after, mixed) if decaying is IonState.DARK else (mixed, after)
 
 
 def simple_time_resolved_classify(counts, params: RateParams,
@@ -199,9 +186,9 @@ def simple_time_resolved_classify(counts, params: RateParams,
 # Generalized time-resolved method (full two-state hidden Markov model)
 
 
-def _forward_product(counts2d: np.ndarray, table: ObservationTable,
-                     prefix_logs=None):
-    """Left product of the per-bin observation matrices in sequence order.
+def _forward_product(counts2d: np.ndarray, table: ObservationTable):
+    """Left product of the per-bin observation matrices in sequence order,
+    yielded bin by bin.
 
     The product is kept as four length-n_trials arrays (a00, a01, a10, a11),
     entry [i, j] of each trial's 2x2 matrix: rows are the state after the
@@ -211,10 +198,9 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable,
     forms the matrix product step x acc with eight elementwise multiplies
     and four adds, then divides the four arrays by their sum and adds its
     log to ``log_scale``, so arbitrarily long windows stay in range.
-    Returns ((a00, a01, a10, a11), log_scale); the column sums a00 + a10
-    and a01 + a11 are the initial-state likelihoods over
-    ``exp(log_scale)``.  ``prefix_logs``, a pair of (n_bins, n_trials)
-    arrays, receives every prefix's initial-state log-likelihoods when given.
+    Yields ((a00, a01, a10, a11), log_scale) after each bin, valid until the
+    next step; the column sums a00 + a10 and a01 + a11 are the initial-state
+    likelihoods of that prefix over ``exp(log_scale)``.
     """
     n, m = counts2d.shape
     rows = np.ascontiguousarray(table.clamp_counts(counts2d).T,
@@ -223,38 +209,49 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable,
     step = np.empty((4, n))
     a00, a01, a10, a11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
     log_scale = np.zeros(n)
-    with np.errstate(divide="ignore"):
-        for k in range(m):
-            s00, s01, s10, s11 = np.take(columns, rows[k], axis=1, out=step)
-            a00, a01, a10, a11 = (s00 * a00 + s01 * a10, s00 * a01 + s01 * a11,
-                                  s10 * a00 + s11 * a10, s10 * a01 + s11 * a11)
-            norm = a00 + a01 + a10 + a11
-            norm = np.where(norm > 0, norm, 1.0)
-            for a in (a00, a01, a10, a11):
-                a /= norm
-            log_scale += np.log(norm)
-            if prefix_logs is not None:
-                prefix_logs[0][k] = np.log(a00 + a10) + log_scale
-                prefix_logs[1][k] = np.log(a01 + a11) + log_scale
-    return (a00, a01, a10, a11), log_scale
+    for k in range(m):
+        s00, s01, s10, s11 = np.take(columns, rows[k], axis=1, out=step)
+        a00, a01, a10, a11 = (s00 * a00 + s01 * a10, s00 * a01 + s01 * a11,
+                              s10 * a00 + s11 * a10, s10 * a01 + s11 * a11)
+        norm = a00 + a01 + a10 + a11
+        norm = np.where(norm > 0, norm, 1.0)
+        for a in (a00, a01, a10, a11):
+            a /= norm
+        log_scale += np.log(norm)
+        yield (a00, a01, a10, a11), log_scale
 
 
-def general_loglik(counts: np.ndarray, table: ObservationTable,
-                   *, prefixes: bool = False):
+def _prefix_logs(steps, shape, prefixes):
+    """Consume per-bin (log_p_B, log_p_D) steps.  ``prefixes`` False returns
+    the last pair; True every pair, as (n_trials, n_bins) views of bin-major
+    ``shape`` arrays; a callable is called as ``prefixes(k, log_p_B,
+    log_p_D)`` once per bin k, on arrays the next step overwrites, and the
+    last pair is returned."""
+    stacked = (np.empty(shape), np.empty(shape)) if prefixes and not callable(prefixes) else ()
+    for k, logs in enumerate(steps):
+        for rows, log in zip(stacked, logs):
+            rows[k] = log
+        if callable(prefixes):
+            prefixes(k, *logs)
+    return (stacked[0].T, stacked[1].T) if stacked else logs
+
+
+def general_loglik(counts: np.ndarray, table: ObservationTable, *, prefixes=False):
     """Log initial-state likelihoods under the full hidden-Markov model.
 
-    Returns (log_p_B, log_p_D) of shape (n_trials,) or (n_trials, n_bins)
-    with ``prefixes``, the latter as transposed views of bin-major arrays.
-    Counts above the table's n_max are scored as n_max, with a warning.
+    Returns (log_p_B, log_p_D) of shape (n_trials,); ``prefixes`` True gives
+    every leading sub-window's, of shape (n_trials, n_bins), and a callable
+    ``prefixes(k, log_p_B, log_p_D)`` receives bin k's as the filter passes
+    it (see :func:`_prefix_logs`).  Counts above the table's n_max are
+    scored as n_max, with a warning.
     """
     counts2d = _as_count_matrix(counts)
-    if prefixes:
-        out = (np.empty(counts2d.shape[::-1]), np.empty(counts2d.shape[::-1]))
-        _forward_product(counts2d, table, out)
-        return out[0].T, out[1].T
-    (a00, a01, a10, a11), log_scale = _forward_product(counts2d, table)
+    steps = _forward_product(counts2d, table)
+    steps = steps if prefixes else collections.deque(steps, maxlen=1)
     with np.errstate(divide="ignore"):
-        return np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale
+        return _prefix_logs(((np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale)
+                             for (a00, a01, a10, a11), log_scale in steps),
+                            counts2d.shape[::-1], prefixes)
 
 
 def generalized_time_resolved_classify(counts, table: ObservationTable):

@@ -14,12 +14,14 @@ across t_b values.
 Each call (a sweep, ``evaluate``, ``optimize_threshold``, ``decisions_for``,
 a ``classify``) prepares each state's counts once for all its classifiers:
 they are validated, clamped (warning once), grouped and histogrammed at most
-once.  A sweep tallies each column's errors without building decision
-arrays.  Count rules read the optimum and the tallies of every column from
-one histogram of prefix totals per state.  Likelihood rules score each
-distinct count record once: equal rows get equal log-likelihoods, so the
-kernel runs on one row per record (grouped by its bytes), and a column's
-comparison on those rows is weighted by how many trials hold each record;
+once.  A sweep tallies each column's errors without building decision or
+per-prefix arrays.  Count rules read the optimum and the tallies of every
+column from one histogram of prefix totals per state, built bin by bin.
+Likelihood rules score each distinct count record once: equal rows get
+equal log-likelihoods, so the kernel runs on one row per record (grouped
+by its bytes) and hands each prefix column to the tally as it passes it,
+where one comparison on those rows is weighted by how many trials hold
+each record;
 ``score`` decides on those rows and gathers codes and logs back to every
 trial with one index.  Grouping is skipped where it cannot pay, below 1024
 rows or when over half of the first 1024 rows are distinct, as in bright
@@ -280,12 +282,15 @@ class _PreparedCounts:
     def cdfs(self):
         """Cumulative histograms of the prefix totals, (n_bins, width): row k
         over the totals 0..width-1 of bins 0..k; the width, the largest total
-        + 2, leaves each row's last entry at n."""
-        totals = cl._running(np.add, np.array(self.counts.T, np.int64, order="C"))  # bin-major
-        m, width = totals.shape[0], int(totals[-1].max(initial=0)) + 2
-        totals += np.arange(m)[:, None] * width
-        hist = np.bincount(totals.ravel(), minlength=m * width).reshape(m, width)
-        return np.cumsum(hist, axis=1)
+        + 2, leaves each row's last entry at n.  Built bin by bin from one
+        running int64 total per trial."""
+        width = int(self.counts.sum(axis=1, dtype=np.int64).max(initial=0)) + 2
+        hist = np.empty((self.counts.shape[1], width), np.int64)
+        totals = np.zeros(self.counts.shape[0], np.int64)
+        for k, column in enumerate(self.counts.T):
+            totals += column.astype(np.int64)
+            hist[k] = np.bincount(totals, minlength=width)
+        return np.cumsum(hist, axis=1, out=hist)
 
 
 def _prepare(counts) -> _PreparedCounts:
@@ -314,19 +319,26 @@ class _LikelihoodRule(Classifier):
         return cl.decide_from_logs(*logs)[inverse], tuple(log[inverse] for log in logs)
 
     def column_tallies(self, counts_bright, counts_dark, cols, params):
-        # The last column alone needs no prefix outputs.  One comparison per
-        # state decides every column on the distinct rows, each weighted by
-        # the number of trials holding its record.
+        # The kernel hands each prefix column over as it passes it; one
+        # comparison on the distinct rows, weighted by the trials holding
+        # each record, tallies it.  The last column alone needs no prefixes.
         states = _prepare(counts_bright), _prepare(counts_dark)
-        prefixes = list(cols) != [states[0].counts.shape[1] - 1]
+        last = states[0].counts.shape[1] - 1
+        final_only = set(cols) == {last}
         tallies = []
         for state, wrong_is_bright in zip(states, (False, True)):
-            (log_b, log_d), inverse = self._scored(state, params, prefixes)
-            brighter = (log_b > log_d).T        # bin-major: one row per column
-            brighter = brighter[cols] if prefixes else brighter[None]
+            weights, brighter = np.bincount(state.records[1]), {}
+
+            def tally(k, log_b, log_d):
+                if k in cols:
+                    brighter[k] = int((log_b > log_d) @ weights)
+
+            logs, inverse = self._scored(state, params, False if final_only else tally)
+            if final_only:
+                tally(last, *logs)
             n = inverse.size
-            tallies.append([(n, n, int(k) if wrong_is_bright else n - int(k))
-                            for k in brighter @ np.bincount(inverse)])
+            tallies.append([(n, n, brighter[k] if wrong_is_bright else n - brighter[k])
+                            for k in cols])
         return [(self, bright, dark) for bright, dark in zip(*tallies)]
 
 
@@ -579,7 +591,7 @@ class SweepSpec:
         for t_b in self.t_b_values:
             n_bins(t_b, self.params.t_s)
         _check_trials(self.n_trials, ConfigError)
-        _check_seed(self.seed)
+        _check_seed(self.seed, ConfigError)
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
             resolve_classifier(spec)

@@ -85,9 +85,9 @@ def _narrowest(counts: np.ndarray) -> np.ndarray:
     return counts.astype(np.min_scalar_type(-1 - int(counts.max(initial=0))), copy=False)
 
 
-def _check_seed(seed) -> None:   # each seed in range keys streams of its own
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+def _check_seed(seed, error=ValueError) -> None:   # each seed in range keys streams of its own
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise error(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _check_trials(n_trials, error=ValueError) -> None:   # range() takes no 2.5

@@ -6,6 +6,7 @@ naive direct evaluation; both oracles are also frozen into constants so a
 regression cannot hide inside a shared helper.
 """
 
+import collections
 import contextlib
 import itertools
 import math
@@ -17,8 +18,6 @@ import pytest
 from ionread.classifiers import (
     Decision,
     _forward_product,
-    _running,
-    _single_change_terms,
     decide_from_logs,
     double_threshold_classify,
     double_threshold_decide,
@@ -273,14 +272,15 @@ class TestSimpleTimeResolved:
     def test_long_window_clamps_prefactor_and_warns(self):
         # The warning is the one signal of a clamped prefactor: the kernels
         # return the likelihood pair alone.  The clamped no-change term is
-        # zero, so log_p_D is the change term's log and the batch row's.
+        # zero, so log_p_D is the change term's log, as in the direct
+        # evaluation, and the batch row's.
         counts = [0] * 10
         with pytest.warns(RuntimeWarning, match="clamped"):
             result = simple_time_resolved_classify(counts, P, tau=0.5)
-            _, log_stay, log_change = _single_change_terms([counts], P, 0.5, IonState.DARK)
             log_b, log_d = simple_loglik([counts], P, tau=0.5)
-        assert log_stay[-1, 0] == -math.inf
-        assert result[1:] == (log_b[0], log_d[0]) and log_d[0] == log_change[-1, 0]
+        change_only = naive_single_change(counts, P, 0.5)[1]     # max(0, 1 - t_b/tau) = 0
+        assert log_d[0] == pytest.approx(math.log(change_only), rel=1e-12)
+        assert result[1:] == (log_b[0], log_d[0])
         for prefixes in (False, True):
             with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
                                                     "clamped to 0$"):
@@ -586,7 +586,8 @@ class TestForwardFilterReference:
         for n in np.minimum(counts, table.n_max):
             acc = table.entries[n] @ acc
         with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-            entries, log_scale = _forward_product(counts[None, :], table)
+            [(entries, log_scale)] = collections.deque(_forward_product(counts[None, :], table),
+                                                       maxlen=1)
         got = np.reshape(entries, (2, 2)) * np.exp(log_scale[0])     # (a00, a01, a10, a11)
         np.testing.assert_allclose(got, acc, rtol=1e-12, atol=0)
 
@@ -623,25 +624,86 @@ class TestPrefixColumnsExact:
     @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
     @pytest.mark.parametrize("decaying", list(IonState))
-    def test_simple(self, counts, params, tau, decaying):
+    def test_simple(self, counts, params, tau, decaying, monkeypatch):
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
         with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau == 0.5
               else contextlib.nullcontext()):
             if tau is not None or params is self.NO_DARK:     # -inf terms are covered
-                terms = _single_change_terms(counts, params, tau, decaying)
-                assert any(np.isneginf(term).any() for term in terms)
+                assert any(np.isneginf(term).any()
+                           for term in _logaddexp_operands(monkeypatch, simple_loglik, counts,
+                                                           params, tau, decaying=decaying))
             prefix = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
             finals = [simple_loglik(counts[:, :k + 1], params, tau, decaying=decaying)
                       for k in range(counts.shape[1])]
         for k, final in enumerate(finals):
             assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
 
-    def test_running_equals_accumulate(self):
-        rng = np.random.default_rng(25)
-        x = rng.normal(scale=30.0, size=(40, 300))
-        x[rng.random(x.shape) < 0.1] = -np.inf
-        for ufunc in (np.add, np.logaddexp):
-            assert _same_bits(_running(ufunc, x.copy()), ufunc.accumulate(x, axis=0))
+
+    # No signal above the background: with tau = inf both simple hypotheses
+    # are one Poisson product, so every log_p_B ties its log_p_D bit for bit.
+    TIES = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
+
+    @staticmethod
+    def _handed_over(kernel, counts, *args, **kwargs):
+        """The pairs a callable ``prefixes`` receives, the ``prefixes=True``
+        and the final-only result, and each call's warning texts."""
+        handed, results, texts = [], [], []
+        for prefixes in (lambda k, *logs: handed.append((k, *map(np.copy, logs))), True, False):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(kernel(counts, *args, prefixes=prefixes, **kwargs))
+            texts.append([str(w.message) for w in caught])
+        return handed, results, texts
+
+    def _check_handed_over(self, kernel, counts, *args, warns, **kwargs):
+        handed, (last, stacked, final), texts = self._handed_over(kernel, counts, *args, **kwargs)
+        assert [k for k, *_ in handed] == list(range(counts.shape[1]))
+        for k, *logs in handed:
+            assert all(_same_bits(log, column[:, k]) for log, column in zip(logs, stacked, strict=True))
+        assert all(_same_bits(a, b) for a, b in zip(last, final, strict=True))
+        assert texts[0] == texts[1]
+        # The model-mismatch warning comes once per call, in every form.
+        warned = [[text for text in call if warns in text] for call in texts] if warns else []
+        assert all(len(found) == 1 for found in warned)
+        return handed, warned
+
+    @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
+    def test_callable_general(self, counts, params):
+        table = build_observation_table(params)
+        assert (counts > table.n_max).any()
+        if params is self.NO_DARK:      # zero entries: the filter meets log(0)
+            assert (table.entries == 0).any()
+        self._check_handed_over(general_loglik, counts, table,
+                                warns="counts exceed the table's n_max")
+
+    @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
+    @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
+    @pytest.mark.parametrize("decaying", list(IonState))
+    def test_callable_simple(self, counts, params, tau, decaying):
+        # tau = 0.5 ms against a 3 ms window clamps the prefactor.
+        warns = "t_b >= tau: single-change prefactor clamped to 0" if tau == 0.5 else None
+        handed, warned = self._check_handed_over(simple_loglik, counts, params, tau,
+                                                 decaying=decaying, warns=warns)
+        assert warned == ([[warns]] * 3 if warns else [])
+        if params is self.NO_DARK:      # -inf dark log-pmfs enter the running sums
+            assert np.isneginf(_poisson_logpmf(counts, params.dark_mean)).any()
+        if params is self.TIES and tau == math.inf:
+            assert all(_same_bits(log_b, log_d) for _, log_b, log_d in handed)
+
+
+def _logaddexp_operands(monkeypatch, kernel, *args, **kwargs):
+    """Copies of every operand of the logaddexp calls of one prefix run of
+    ``kernel``: the single-change terms, as each bin's step meets them."""
+    operands, logaddexp = [], np.logaddexp
+
+    def recording(a, b, **out):
+        operands.extend((np.copy(a), np.copy(b)))
+        return logaddexp(a, b, **out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "logaddexp", recording)
+        kernel(*args, prefixes=True, **kwargs)
+    return operands
 
 
 class TestPiPulseClassify:

@@ -10,8 +10,10 @@ must agree within a few binomial standard errors.
 """
 
 import contextlib
+import functools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -373,6 +375,9 @@ class TestSweep:
         for n_trials in (2.5, True):     # range() would fail inside the chunk loop
             with pytest.raises(ValueError, match="n_trials must be an integer"):
                 _spec(n_trials=n_trials)
+        for seed in (True, -1):         # True would draw seed 1's ensembles
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                _spec(seed=seed)
         # No stream tag (round(r * 1e9) overflows), or one tag for two factors,
         # which would draw the same ensembles.
         for factors in ((float("inf"),), (0.3000000001, 0.3000000003), (2.0, 2.0)):
@@ -703,12 +708,10 @@ class TestSharedPreparation:
     @staticmethod
     def _counted(monkeypatch, ensembles):
         """Counters of the validations of each ensemble's whole count array,
-        of record groupings and of prefix-total running sums (the integer
-        ones: the single-change kernel runs float sums through the same
-        helper)."""
+        of record groupings and of prefix-total histogram builds."""
         calls = {"validate": [0] * len(ensembles), "group": 0, "totals": 0}
-        validate, group, running = (classifiers._as_count_matrix, harness._distinct_records,
-                                    classifiers._running)
+        validate, group, cdfs = (classifiers._as_count_matrix, harness._distinct_records,
+                                 harness._PreparedCounts.cdfs.func)
 
         def counting_validate(counts):
             for i, ens in enumerate(ensembles):
@@ -719,13 +722,15 @@ class TestSharedPreparation:
             calls["group"] += 1
             return group(counts)
 
-        def counting_running(ufunc, rows):
-            calls["totals"] += rows.dtype.kind in "iu"
-            return running(ufunc, rows)
+        def counting_cdfs(state):
+            calls["totals"] += 1
+            return cdfs(state)
 
+        counting = functools.cached_property(counting_cdfs)
+        counting.__set_name__(harness._PreparedCounts, "cdfs")
         monkeypatch.setattr(classifiers, "_as_count_matrix", counting_validate)
         monkeypatch.setattr(harness, "_distinct_records", counting_group)
-        monkeypatch.setattr(classifiers, "_running", counting_running)
+        monkeypatch.setattr(harness._PreparedCounts, "cdfs", counting)
         return calls
 
     @pytest.mark.parametrize("clamps", [False, True])
@@ -781,6 +786,34 @@ class TestSharedPreparation:
         with pytest.raises(ValueError, match="photon count"):
             resolve_classifier({"method": "threshold", "n_c": 0}).column_tallies(
                 [[3, 0], [2, 1]], [[0, -1], [0, 0]], [0, 1])
+
+
+class TestSweepMemory:
+    """A prefix sweep hands each column to its tally as the kernel passes
+    it, so the window's length adds no (n_bins, n_trials) float arrays."""
+
+    THREE = ({"method": "threshold", "n_c": "optimize"}, {"method": "simple"},
+             {"method": "general"})
+
+    def _peak(self, bins):
+        """Traced peak of one sweep over every prefix of a window of ``bins``."""
+        t_s = DEFAULT_PARAMS.t_s
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, bins * t_s, 4096, seed=43)
+        spec = _spec(t_b_values=tuple(k * t_s for k in range(1, bins + 1)), n_trials=4096,
+                     classifiers=self.THREE)
+        evaluate_prefixes(spec, ens_b, ens_d)       # the table is built outside the trace
+        tracemalloc.start()
+        try:
+            rows = evaluate_prefixes(spec, ens_b, ens_d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3 * bins
+        return peak
+
+    def test_peak_does_not_grow_by_prefix_arrays(self):
+        # Bin-major prefix arrays grew the peak by 8.5 MB from 30 to 60 bins.
+        assert self._peak(60) - self._peak(30) < 4096 * 30 * np.dtype(np.float64).itemsize
 
 
 class TestCallerCountsUntouched:

@@ -161,7 +161,7 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="n_trials must be an integer"):
                 SimConfig(n_trials=n_trials, t_b=1.0, seed=1, params=P)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])   # True would draw seed 1's counts
     def test_seed_outside_range_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             SimConfig(n_trials=1, t_b=1.0, seed=seed, params=P)
