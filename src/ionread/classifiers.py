@@ -335,7 +335,7 @@ def _check_transfer_matrix(m, name: str):
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2")
-    if np.any(m < 0) or np.any(m > 1):
+    if not np.all((m >= 0) & (m <= 1)):     # NaN too
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return m
 

@@ -140,7 +140,7 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     scalar or an array.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):          # NaN too
         raise ValueError("t must be >= 0")
     a, b, tau = _relaxation_constants(tau_B, tau_D)
     amp = a if initial is IonState.BRIGHT else -b
@@ -182,6 +182,8 @@ def _as_series(series, name: str):
     t, y = arr[:, 0], arr[:, 1]
     if t.size < 3:
         raise ValueError(f"{name} must span at least 3 points")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} times and means must be finite")
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError(f"{name} times must be positive and increasing")
     return t, y

@@ -21,22 +21,44 @@ The pure-state pmf and the single-change classifier
 ``_poisson_logpmf``; Poisson tails use ``scipy.special.pdtrc``.  The
 mixture entries ``mixed_pmf`` integrate that pmf against an exponential
 density in closed form (a confluent hypergeometric function), so no
-numerical integration runs.  ``_poisson_logpmf``, ``mixed_pmf`` and
-``_truncation_mass`` import scipy.special when called, so only a process
-that builds a table or scores with the simple likelihood loads it
-(``compare``, and ``classify`` or ``sweep`` with a likelihood method);
-``import ionread``, ``simulate``, ``fit`` and count-threshold ``classify``
-and ``sweep`` run on numpy alone.
+numerical integration runs.
+
+Built tables persist across processes in a per-user cache,
+``$XDG_CACHE_HOME/ionread`` (``~/.cache/ionread`` when the variable is unset
+or not absolute): one ``.npz`` file per parameter set and ``tol``, loaded
+with ``allow_pickle=False``.  A file serves only under its key, a SHA-256
+over this module's source, the Python, numpy and scipy versions, the bits
+that ``np.exp``, ``np.add.reduce``, ``math.exp`` and ``math.log`` return on
+fixed inputs (so a cache shared between machines never serves another
+CPU's or libm's bits), and the exact bits of the five parameters and
+``tol``.  A missing, damaged or mismatched file is rebuilt and replaced
+atomically; a write that fails is skipped.  A cached table is the built one
+bit for bit.  Deleting the directory clears the cache.
+
+``_poisson_logpmf``, ``mixed_pmf`` and ``_truncation_mass`` import
+scipy.special when called, so only a process that builds a table or scores
+with the simple likelihood loads it: the first build of a parameter set on
+a machine, and ``compare``, ``classify`` or ``sweep`` with the simple
+likelihood.  ``import ionread``, ``simulate``, ``fit`` and count-threshold
+``classify`` and ``sweep`` run on numpy alone, and so do general
+``classify`` and pulse-pair ``sweep`` once the cache holds their tables.
 
 Rates are photons per millisecond; times are milliseconds throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
+import importlib.util
 import math
+import os
+import sys
+import tempfile
 import threading
 import warnings
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -338,6 +360,102 @@ def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:
     return np.array([col0, col1])
 
 
+#: Names the cache file layout; change it when the layout changes.
+_CACHE_FORMAT = b"ionread observation table v1"
+
+
+@functools.cache
+def _environment_digest() -> bytes | None:
+    """What besides the parameters decides a table's bits on this machine.
+
+    This module's source, the Python, numpy and scipy versions (scipy's
+    from its ``version.py``, read without importing scipy), and the bits
+    that ``np.exp``, ``np.add.reduce``, ``math.exp`` and ``math.log`` return
+    on fixed inputs, so a cache shared between machines never serves
+    another CPU's or libm's bits.  None when a source cannot be read.
+    """
+    import hashlib      # here, not at import: it costs ``import ionread`` 3-5 ms
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    try:
+        with open(__file__, "rb") as f:
+            source = f.read()
+        with open(os.path.join(spec.submodule_search_locations[0], "version.py"), "rb") as f:
+            scipy_version = f.read()
+    except OSError:
+        return None
+    probe = np.linspace(-30.0, 30.0, 601)
+    exps = np.exp(probe)
+    parts = (_CACHE_FORMAT, source, sys.version.encode(), np.__version__.encode(),
+             scipy_version, exps.tobytes(), np.add.reduce(exps).tobytes(),
+             np.add.reduce(exps[::3]).tobytes(),
+             np.array([math.exp(x) for x in probe.tolist()]).tobytes(),
+             np.array([math.log(x) for x in exps.tolist()]).tobytes())
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.digest()
+
+
+def _cache_entry(params: RateParams, tol: float) -> tuple[str, str] | None:
+    """(file path, key) of the cached table for ``params`` and ``tol``, or
+    None when no key can be formed.  The file is named by the parameters
+    alone, so a new key (another release, say) replaces the old entry."""
+    import hashlib
+    environment = _environment_digest()
+    if environment is None:
+        return None
+    values = (params.R_B, params.R_D, params.tau_B, params.tau_D, params.t_s, tol)
+    try:
+        # With the type: np.float32(16) and 16.0 are one value but build apart.
+        fields = " ".join(f"{type(v).__name__}:{float(v).hex()}" for v in values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    name = hashlib.sha256(fields.encode()).hexdigest()[:32] + ".npz"
+    key = hashlib.sha256(environment + fields.encode()).hexdigest()
+    return os.path.join(base, "ionread", name), key
+
+
+def _load_table(path: str, key: str, params: RateParams) -> ObservationTable | None:
+    """The table stored at ``path`` under ``key``; None when the file is
+    missing, unreadable, malformed or stored under another key."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            stored = data["key"]
+            if stored.shape != () or str(stored) != key:
+                return None
+            entries, truncation = data["entries"], data["truncation_mass"]
+            n_max = int(data["n_max"])
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if (n_max < 1 or entries.dtype != np.float64 or truncation.dtype != np.float64
+            or entries.shape != (n_max + 1, 2, 2) or truncation.shape != (2,)):
+        return None
+    return ObservationTable(params, n_max, entries, truncation)
+
+
+def _store_table(path: str, key: str, table: ObservationTable) -> None:
+    """Write ``table`` to ``path`` atomically: a temporary file in the same
+    directory, then ``os.replace``.  Any ``OSError`` leaves the cache as it
+    was; the caller has its table either way."""
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, key=key, n_max=table.n_max, entries=table.entries,
+                     truncation_mass=table.truncation_mass)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def build_observation_table(params: RateParams, tol: float = 1e-9) -> ObservationTable:
     """Tabulate O(n) for n = 0..n_max, the first n_max >= 1 whose truncated
     probability mass per column is below ``tol``.
@@ -345,12 +463,27 @@ def build_observation_table(params: RateParams, tol: float = 1e-9) -> Observatio
     The table grows one row at a time and stops there: ``tol`` alone sizes
     it (n_max = 14 at the default rates and ``tol``).  Counts above n_max
     met later are clamped with a warning, not rejected.
+
+    Built tables persist across processes in a per-user cache (see the
+    module docstring); a cached table is the built one, bit for bit.
     """
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")
     if params.coarse_subbin:
         warnings.warn(f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
                       "single-change-per-sub-bin observation model degrades", stacklevel=2)
+    entry = _cache_entry(params, tol)
+    if entry is not None:
+        table = _load_table(*entry, params)
+        if table is not None:
+            return table
+    table = _tabulate(params, tol)
+    if entry is not None:
+        _store_table(*entry, table)
+    return table
+
+
+def _tabulate(params: RateParams, tol: float) -> ObservationTable:
     w_bb = stay_prob(IonState.BRIGHT, params.t_s, params)
     w_dd = stay_prob(IonState.DARK, params.t_s, params)
     rows = []

@@ -846,6 +846,16 @@ class TestPiPulseError:
         with pytest.raises(ValueError):
             pi_pulse_error(np.array([[1.2, 0.0], [0.0, 0.0]]), np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_entry_rejected(self, bad):
+        # A NaN entry failed both range tests, and the pair reported NaN
+        # after a "no ions retained" warning.
+        m = np.array([[0.5, bad], [0.1, 0.2]])
+        with pytest.raises(ValueError, match=r"^M_B entries must lie in \[0, 1\]$"):
+            pi_pulse_error(m, np.zeros((2, 2)), 0.0)
+        with pytest.raises(ValueError, match=r"^M_D entries must lie in \[0, 1\]$"):
+            pi_pulse_error(np.zeros((2, 2)), m, 0.0)
+
 
 class TestDecisionEnum:
     def test_codes_align_with_ion_states(self):

@@ -84,6 +84,11 @@ class TestPopulationDynamics:
         with pytest.raises(ValueError):
             population_dynamics(-0.1, IonState.BRIGHT, P.tau_B, P.tau_D)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])
+    def test_nan_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            population_dynamics(t, IonState.BRIGHT, P.tau_B, P.tau_D)
+
     def test_bad_lifetimes_rejected(self):
         with pytest.raises(ValueError):
             population_dynamics(1.0, IonState.BRIGHT, 0.0, P.tau_D)
@@ -207,6 +212,16 @@ class TestFitDecayCurves:
         good = np.column_stack([[0.5, 1.0, 1.5], [1.0, 1.0, 1.0]])
         with pytest.raises(ValueError, match="increasing"):
             fit_decay_curves(bad_t, good)
+        # A NaN or infinite mean left every start's residual NaN, and the
+        # polish step then crashed on a missing best point.
+        for bad in (np.nan, np.inf, -np.inf):
+            for column in (0, 1):
+                series = good.copy()
+                series[1, column] = bad
+                with pytest.raises(ValueError, match="^mean_dark times and means must be finite$"):
+                    fit_decay_curves(good, series)
+                with pytest.raises(ValueError, match="^mean_bright times and means must be finite$"):
+                    fit_decay_curves(series, good)
 
     def test_report_round_trip(self):
         times = np.arange(1, 31) / 3.0

@@ -31,6 +31,18 @@ from ionread.photon_model import (
 )
 
 
+def fresh_python(code, cache=None):
+    """Stdout of ``code`` run by a fresh interpreter on this checkout's
+    source; ``cache`` replaces the inherited table cache directory."""
+    src = str(Path(photon_model.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if cache is not None:
+        env["XDG_CACHE_HOME"] = str(cache)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
 def riemann_mixed_pmf(direction, n, params, panels=10**6):
     """Independent midpoint-rule oracle for the mixture integral."""
     lo = params.R_D * params.t_s
@@ -291,16 +303,12 @@ class TestObservationTable:
                 "ionread.build_observation_table(ionread.DEFAULT_PARAMS)\n"
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',\n"
                 "                         'scipy.stats') if m in sys.modules))\n")
-        src = str(Path(photon_model.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert fresh_python(code).strip() == "[]"
 
     def test_simulate_and_fit_run_on_numpy_alone(self, tmp_path):
         # A fresh interpreter: import, simulate, CSV round trip and a fit
-        # load no scipy module; the first table build loads scipy.special.
+        # load no scipy module; the first table build of a parameter set
+        # (an empty cache here) loads scipy.special.
         code = ("import sys, ionread\n"
                 "def loaded():\n"
                 "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -315,12 +323,8 @@ class TestObservationTable:
                 "print(loaded())\n"
                 "ionread.build_observation_table(params)\n"
                 "print('scipy.special' in loaded())\n")
-        src = str(Path(photon_model.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["[]", "True"]
+        out = fresh_python(code, cache=tmp_path / "empty-cache")
+        assert out.split() == ["[]", "True"]
 
     def test_degenerate_rejected(self):
         params = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
@@ -342,6 +346,149 @@ class TestObservationTable:
             warnings.simplefilter("error")
             assert table.clamp_counts(np.array([0, n])).tolist() == [0, n]
         assert table.clamped_lookups == 2
+
+
+class TestTableCache:
+    """Built tables persist in ``$XDG_CACHE_HOME/ionread``: here each test's
+    own ``tmp_path`` (``conftest.py``)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (params, tol) of every table actually built, not loaded."""
+        calls, tabulate = [], photon_model._tabulate
+
+        def counting(params, tol):
+            calls.append((params, tol))
+            return tabulate(params, tol)
+
+        monkeypatch.setattr(photon_model, "_tabulate", counting)
+        return calls
+
+    @staticmethod
+    def assert_same(table, reference):
+        assert table.n_max == reference.n_max
+        assert table.entries.tobytes() == reference.entries.tobytes()
+        assert table.truncation_mass.tobytes() == reference.truncation_mass.tobytes()
+
+    def test_second_process_loads_the_same_bits_without_scipy_special(self, tmp_path):
+        code = ("import sys, ionread\n"
+                "for params in (ionread.DEFAULT_PARAMS,\n"
+                "               ionread.RateParams(16.0, 0.3, 4.9, 56.0, 1.0 / 30.0)):\n"
+                "    table = ionread.build_observation_table(params)\n"
+                "    print(table.n_max, table.entries.tobytes().hex(),\n"
+                "          table.truncation_mass.tobytes().hex())\n"
+                "print('scipy.special' in sys.modules)\n")
+        cold, warm = fresh_python(code).split(), fresh_python(code).split()
+        assert cold[-1] == "True" and warm[-1] == "False"
+        assert warm[:-1] == cold[:-1]
+        assert len(list((tmp_path / "ionread").iterdir())) == 2
+        reference = photon_model._tabulate(DEFAULT_PARAMS, 1e-9)
+        assert cold[:3] == [str(reference.n_max), reference.entries.tobytes().hex(),
+                            reference.truncation_mass.tobytes().hex()]
+
+    def test_hit_is_read_only_and_warns_as_a_build(self, builds):
+        params = replace(DEFAULT_PARAMS, t_s=1.0)
+        tables = []
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="single-change-per-sub-bin"):
+                tables.append(build_observation_table(params))
+        assert len(builds) == 1
+        self.assert_same(tables[1], tables[0])
+        for array in (tables[1].entries, tables[1].truncation_mass):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(DegenerateModelError):
+            build_observation_table(replace(params, R_B=0.0))
+
+    @staticmethod
+    def _flip_entries_byte(raw, table):
+        # One bit of the eighth entry: only the zip checksum can tell.
+        at = raw.index(table.entries.tobytes()) + 8 * 7 + 3
+        return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not a zip", "flipped byte",
+                                        "other key", "wrong shape"])
+    def test_damaged_file_is_rebuilt_and_replaced(self, tmp_path, builds, damage):
+        reference = build_observation_table(DEFAULT_PARAMS)
+        [path] = (tmp_path / "ionread").iterdir()
+        raw = path.read_bytes()
+        if damage in ("other key", "wrong shape"):
+            with np.load(path) as data:
+                stored = dict(data)
+            if damage == "other key":
+                stored["key"] = np.array("0" * 64)
+            else:
+                stored["entries"] = stored["entries"][:-1]
+            with open(path, "wb") as f:
+                np.savez(f, **stored)
+        else:
+            path.write_bytes({"truncated": raw[:len(raw) // 2], "empty": b"",
+                              "not a zip": b"ionread",
+                              "flipped byte": self._flip_entries_byte(raw, reference)}[damage])
+        self.assert_same(build_observation_table(DEFAULT_PARAMS), reference)
+        assert len(builds) == 2
+        assert list((tmp_path / "ionread").iterdir()) == [path]
+        self.assert_same(build_observation_table(DEFAULT_PARAMS), reference)
+        assert len(builds) == 2
+
+    def test_unwritable_directory_still_yields_the_table(self, tmp_path, builds, monkeypatch):
+        reference = photon_model._tabulate(DEFAULT_PARAMS, 1e-9)
+        # Under a regular file, the cache directory cannot be made.
+        (tmp_path / "file").write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        for _ in range(2):
+            self.assert_same(build_observation_table(DEFAULT_PARAMS), reference)
+        assert len(builds) == 3
+        # A failed rename leaves no temporary file behind.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+        def refuse(src, dst):
+            raise PermissionError(13, "refused", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self.assert_same(build_observation_table(DEFAULT_PARAMS), reference)
+        assert list((tmp_path / "cache" / "ionread").iterdir()) == []
+
+    def test_failed_build_is_not_cached(self, tmp_path, monkeypatch):
+        def fail(direction, n, params):
+            raise ValueError("mixture entry is not representable")
+
+        monkeypatch.setattr(photon_model, "mixed_pmf", fail)
+        with pytest.raises(ValueError, match="not representable"):
+            build_observation_table(DEFAULT_PARAMS)
+        assert not (tmp_path / "ionread").exists() or not any((tmp_path / "ionread").iterdir())
+
+    @pytest.mark.parametrize("field", ["R_B", "R_D", "tau_B", "tau_D", "t_s", "tol"])
+    @pytest.mark.parametrize("bit", [0, 30, 51])
+    def test_any_flipped_bit_misses(self, builds, field, bit):
+        def flipped(value):
+            bits = np.array(value, dtype=np.float64).view(np.int64) ^ (1 << bit)
+            return float(bits.view(np.float64))
+
+        build_observation_table(DEFAULT_PARAMS)
+        build_observation_table(DEFAULT_PARAMS)
+        assert len(builds) == 1
+        params, tol = DEFAULT_PARAMS, 1e-9
+        if field == "tol":
+            tol = flipped(tol)
+        else:
+            params = replace(params, **{field: flipped(getattr(params, field))})
+        build_observation_table(params, tol)
+        assert builds[1:] == [(params, tol)]
+
+    def test_parameter_type_is_part_of_the_key(self, builds):
+        # Python floats meet a float32 rate as float32: another table.
+        narrow = replace(DEFAULT_PARAMS, R_B=np.float32(16.0))
+        build_observation_table(DEFAULT_PARAMS)
+        table = build_observation_table(narrow)
+        assert len(builds) == 2
+        self.assert_same(table, photon_model._tabulate(narrow, 1e-9))
+
+    def test_other_environment_misses(self, builds, monkeypatch):
+        build_observation_table(DEFAULT_PARAMS)
+        monkeypatch.setattr(photon_model, "_environment_digest", lambda: b"another machine")
+        build_observation_table(DEFAULT_PARAMS)
+        assert len(builds) == 2
 
 
 @settings(max_examples=25, deadline=None)
