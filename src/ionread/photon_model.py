@@ -25,13 +25,19 @@ numerical integration runs.
 
 Built tables persist across processes in a per-user cache,
 ``$XDG_CACHE_HOME/ionread`` (``~/.cache/ionread`` when the variable is unset
-or not absolute): one ``.npz`` file per parameter set and ``tol``, loaded
-with ``allow_pickle=False``.  A file serves only under its key, a SHA-256
-over this module's source, the Python, numpy and scipy versions, the bits
-that ``np.exp``, ``np.add.reduce``, ``math.exp`` and ``math.log`` return on
-fixed inputs (so a cache shared between machines never serves another
-CPU's or libm's bits), and the exact bits of the five parameters and
-``tol``.  A missing, damaged or mismatched file is rebuilt and replaced
+or not absolute): one ``.npz`` file of about 2 KB per parameter set and
+``tol``, loaded with ``allow_pickle=False`` and never pruned.  Only
+parameter sets whose five values and ``tol`` are Python floats are cached,
+as ``RateParams.from_json_dict`` and the CLI make them; any other type
+builds without the cache.  A file serves only under its key, a SHA-256
+over this module's source, the Python, numpy and scipy versions, the size
+and modification time of scipy.special's compiled modules, the bits that
+array and scalar ``np.exp``, ``np.add.reduce``, ``math.exp`` and
+``math.log`` return on fixed inputs, and the exact bits of the five
+parameters and ``tol``.  The probes guard against a cache shared between
+machines serving another CPU's or C library's bits, but do not rule it
+out: the C library functions that scipy.special's compiled code calls are
+not probed.  A missing, damaged or mismatched file is rebuilt and replaced
 atomically; a write that fails is skipped.  A cached table is the built one
 bit for bit.  Deleting the directory clears the cache.
 
@@ -51,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import importlib.machinery
 import importlib.util
 import math
 import os
@@ -368,28 +375,35 @@ _CACHE_FORMAT = b"ionread observation table v1"
 def _environment_digest() -> bytes | None:
     """What besides the parameters decides a table's bits on this machine.
 
-    This module's source, the Python, numpy and scipy versions (scipy's
-    from its ``version.py``, read without importing scipy), and the bits
-    that ``np.exp``, ``np.add.reduce``, ``math.exp`` and ``math.log`` return
-    on fixed inputs, so a cache shared between machines never serves
-    another CPU's or libm's bits.  None when a source cannot be read.
+    This module's source; the Python, numpy and scipy versions (scipy's
+    from its ``version.py``, read without importing scipy); the size and
+    modification time of each compiled module of scipy.special, found
+    without importing it; and the bits that array and scalar ``np.exp``,
+    ``np.add.reduce``, ``math.exp`` and ``math.log`` return on fixed
+    inputs.  None when a source cannot be read.
     """
     import hashlib      # here, not at import: it costs ``import ionread`` 3-5 ms
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         return None
+    scipy_dir = spec.submodule_search_locations[0]
     try:
         with open(__file__, "rb") as f:
             source = f.read()
-        with open(os.path.join(spec.submodule_search_locations[0], "version.py"), "rb") as f:
+        with open(os.path.join(scipy_dir, "version.py"), "rb") as f:
             scipy_version = f.read()
+        suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+        with os.scandir(os.path.join(scipy_dir, "special")) as entries:
+            compiled = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                              for e in entries if e.name.endswith(suffixes))
     except OSError:
         return None
     probe = np.linspace(-30.0, 30.0, 601)
     exps = np.exp(probe)
     parts = (_CACHE_FORMAT, source, sys.version.encode(), np.__version__.encode(),
-             scipy_version, exps.tobytes(), np.add.reduce(exps).tobytes(),
-             np.add.reduce(exps[::3]).tobytes(),
+             scipy_version, repr(compiled).encode(), exps.tobytes(),
+             np.add.reduce(exps).tobytes(), np.add.reduce(exps[::3]).tobytes(),
+             np.array([np.exp(x) for x in probe[::10].tolist()]).tobytes(),
              np.array([math.exp(x) for x in probe.tolist()]).tobytes(),
              np.array([math.log(x) for x in exps.tolist()]).tobytes())
     digest = hashlib.sha256()
@@ -400,18 +414,18 @@ def _environment_digest() -> bytes | None:
 
 def _cache_entry(params: RateParams, tol: float) -> tuple[str, str] | None:
     """(file path, key) of the cached table for ``params`` and ``tol``, or
-    None when no key can be formed.  The file is named by the parameters
+    None when no key can be formed.  Only Python floats are keyed: their
+    ``hex`` is exact, where a wider or narrower type would build another
+    table under the same float64 bits.  The file is named by the parameters
     alone, so a new key (another release, say) replaces the old entry."""
     import hashlib
+    values = (params.R_B, params.R_D, params.tau_B, params.tau_D, params.t_s, tol)
+    if not all(type(v) is float for v in values):
+        return None
     environment = _environment_digest()
     if environment is None:
         return None
-    values = (params.R_B, params.R_D, params.tau_B, params.tau_D, params.t_s, tol)
-    try:
-        # With the type: np.float32(16) and 16.0 are one value but build apart.
-        fields = " ".join(f"{type(v).__name__}:{float(v).hex()}" for v in values)
-    except (TypeError, ValueError, OverflowError):
-        return None
+    fields = " ".join(v.hex() for v in values)
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")

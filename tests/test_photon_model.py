@@ -4,6 +4,8 @@ The mixture pmf is checked against an independent brute-force Riemann sum
 (midpoint rule, 1e6 panels) and against values frozen from that oracle.
 """
 
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -476,13 +478,35 @@ class TestTableCache:
         build_observation_table(params, tol)
         assert builds[1:] == [(params, tol)]
 
-    def test_parameter_type_is_part_of_the_key(self, builds):
-        # Python floats meet a float32 rate as float32: another table.
-        narrow = replace(DEFAULT_PARAMS, R_B=np.float32(16.0))
-        build_observation_table(DEFAULT_PARAMS)
-        table = build_observation_table(narrow)
+    @pytest.mark.parametrize("field, value", [
+        ("R_B", np.float32(16.0)), ("R_B", 16), ("t_s", np.float64(0.1)), ("tol", np.float64(1e-9))])
+    def test_only_python_floats_are_cached(self, tmp_path, builds, field, value):
+        params, tol = DEFAULT_PARAMS, 1e-9
+        if field == "tol":
+            tol = value
+        else:
+            params = replace(params, **{field: value})
+        for _ in range(2):
+            table = build_observation_table(params, tol)
         assert len(builds) == 2
-        self.assert_same(table, photon_model._tabulate(narrow, 1e-9))
+        assert not (tmp_path / "ionread").exists()
+        self.assert_same(table, photon_model._tabulate(params, tol))
+
+    def test_environment_digest_covers_scipy_special_binaries(self, tmp_path, monkeypatch, request):
+        scipy_dir = tmp_path / "scipy"
+        (scipy_dir / "special").mkdir(parents=True)
+        (scipy_dir / "version.py").write_text("version = '0'\n")
+        binary = scipy_dir / "special" / ("_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(scipy_dir)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        request.addfinalizer(photon_model._environment_digest.cache_clear)
+        digests = []
+        for content in (b"one", b"other"):
+            binary.write_bytes(content)
+            photon_model._environment_digest.cache_clear()
+            digests.append(photon_model._environment_digest())
+        assert None not in digests and digests[0] != digests[1]
 
     def test_other_environment_misses(self, builds, monkeypatch):
         build_observation_table(DEFAULT_PARAMS)
