@@ -15,16 +15,16 @@ bit for bit the batch row and its :func:`decide_from_logs` decision.
 Inside, both kernels are filters: one step per bin on bin-major counts
 updates a few length-n_trials rows, and each prefix's pair is handed on
 as the step passes it (to a caller's function, or stacked on request), so
-a sweep holds O(n_trials) scratch.  The single-change formula gathers
-each bin's Poisson log-pmf from a vector over 0..max count instead of
-evaluating it per cell, and carries its running sums with one elementwise
-add or logaddexp per bin, the operations of ``ufunc.accumulate`` in its
-order.  The hidden-Markov product is a scaled forward filter
-(Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four
-length-n_trials arrays hold the entries of every trial's accumulated 2x2
-product, each bin updates them elementwise from four gathered columns of
-the observation table, and a per-bin renormalisation, tallied in a log
-scale, keeps windows of any length in floating range.
+a sweep holds O(n_trials) scratch.  The single-change formula gathers each
+bin's Poisson log-pmf (numpy and ``math.log`` only) from a vector over
+0..max count instead of evaluating it per cell, and carries its running
+sums with one elementwise add or logaddexp per bin, the operations of
+``ufunc.accumulate`` in its order.  The hidden-Markov product is a scaled
+forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
+layout: four length-n_trials arrays hold the entries of every trial's
+accumulated 2x2 product, each bin updates them elementwise from four
+gathered columns of the observation table, and a per-bin renormalisation,
+tallied in a log scale, keeps windows of any length in floating range.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     decaying = IonState(decaying)
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if not tau > 0:     # NaN too; tau = inf is a stable state
+        raise ValueError(f"tau must be > 0, got {tau}")
     counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
     return _prefix_logs(_single_change_steps(counts_t, params, tau, decaying, bool(prefixes)),
                         counts_t.shape, prefixes)

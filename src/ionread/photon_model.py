@@ -18,10 +18,10 @@ likelihood of the count sequence for either initial state.
 
 The pure-state pmf and the single-change classifier
 (:func:`ionread.classifiers.simple_loglik`) share one Poisson log-pmf,
-``_poisson_logpmf``; Poisson tails use ``scipy.special.pdtrc``.  The
-mixture entries ``mixed_pmf`` integrate that pmf against an exponential
-density in closed form (a confluent hypergeometric function), so no
-numerical integration runs.
+``_poisson_logpmf``, which ports scipy.special's ``gammaln`` bit for bit;
+Poisson tails use ``scipy.special.pdtrc``.  The mixture entries
+``mixed_pmf`` integrate that pmf against an exponential density in closed
+form (a confluent hypergeometric function), so no numerical integration runs.
 
 Built tables persist across processes in a per-user cache,
 ``$XDG_CACHE_HOME/ionread`` (``~/.cache/ionread`` when the variable is unset
@@ -41,13 +41,11 @@ not probed.  A missing, damaged or mismatched file is rebuilt and replaced
 atomically; a write that fails is skipped.  A cached table is the built one
 bit for bit.  Deleting the directory clears the cache.
 
-``_poisson_logpmf``, ``mixed_pmf`` and ``_truncation_mass`` import
-scipy.special when called, so only a process that builds a table or scores
-with the simple likelihood loads it: the first build of a parameter set on
-a machine, and ``compare``, ``classify`` or ``sweep`` with the simple
-likelihood.  ``import ionread``, ``simulate``, ``fit`` and count-threshold
-``classify`` and ``sweep`` run on numpy alone, and so do general
-``classify`` and pulse-pair ``sweep`` once the cache holds their tables.
+Only ``mixed_pmf`` and ``_truncation_mass`` import scipy.special, when
+called, so only the first build of a parameter set on a machine loads it.
+``import ionread``, ``simulate``, ``fit``, count-threshold and simple-likelihood
+``classify`` and ``sweep`` run on numpy alone, and so do general ``classify``
+and pulse-pair ``sweep`` once the cache holds their tables.
 
 Rates are photons per millisecond; times are milliseconds throughout.
 """
@@ -203,20 +201,50 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     return float(np.exp(-t / tau))
 
 
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """``gammaln(k + 1)`` bit for bit for distinct integers ``k`` >= 0 (float64):
+    scipy's Cephes ``lgam`` (Moshier, 1989) at x = k + 1, with the C library's
+    ``math.log`` as in scipy (numpy's SIMD ``np.log`` differs in the last bit on
+    some inputs).  Below x = 13 it is log k!, exact; above, Stirling plus a series
+    in 1/x^2 (short from 1000, none beyond 1e8); +inf beyond MAXLGM."""
+    x = k + 1.0
+    with np.errstate(all="ignore"):     # x = inf, and x * x overflow
+        p = 1.0 / (x * x)
+        short, a = (functools.reduce(lambda acc, c: acc * p + c, cs) for cs in (
+            (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333),
+            (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)))
+        log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+        q = (x - 0.5) * log_x - x + 0.91893853320467274178     # + log(sqrt(2 pi))
+        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, short, a) / x)
+    q[x < 13] = [math.log(float(math.factorial(int(v)))) for v in k[x < 13].tolist()]
+    return np.where(x > 2.556348e305, np.inf, np.where(np.isfinite(x), q, x))
+
+
+_small_log_factorials = functools.cache(lambda: _log_factorials(np.arange(1024.0)))
+
+
 def _poisson_logpmf(n, mean):
-    """log(e^{-mean} mean^n / n!), elementwise; safe at mean = 0
-    (xlogy(0, 0) = 0).  ``n`` is taken as float64, so n + 1 cannot wrap."""
-    from scipy.special import gammaln, xlogy
+    """log(e^{-mean} mean^n / n!) of non-negative integer counts, elementwise,
+    bit for bit scipy.special's ``-mean + xlogy(n, mean) - gammaln(n + 1)``.
+    ``n`` is taken as float64, so n + 1 cannot wrap."""
     n = np.asarray(n, dtype=np.float64)
-    return -mean + xlogy(n, mean) - gammaln(n + 1)
+    if n.max(initial=0) < 1024:         # log n! from a table made at first use
+        lgam = _small_log_factorials()[n.astype(np.intp)]
+    else:                               # one log per distinct count
+        k, inverse = np.unique(n, return_inverse=True)
+        lgam = _log_factorials(k)[inverse].reshape(n.shape)
+    with np.errstate(invalid="ignore"):     # mean = 0: xlogy(0, 0) = 0
+        xlogy = np.where(n == 0, 0.0, n * (math.log(mean) if mean > 0 else -math.inf))
+    return -mean + xlogy - lgam
 
 
 def _check_counts(n) -> np.ndarray:
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon count must be >= 0")
-    if n.dtype.kind not in "biu" and np.any(n != np.floor(n)):
-        raise ValueError("photon count must be an integer")
+    if n.dtype.kind not in "biu" and not np.all(np.isfinite(n) & (n == np.floor(n))):
+        raise ValueError("photon count must be a finite integer")
     return n
 
 
@@ -481,6 +509,8 @@ def build_observation_table(params: RateParams, tol: float = 1e-9) -> Observatio
     Built tables persist across processes in a per-user cache (see the
     module docstring); a cached table is the built one, bit for bit.
     """
+    if not (isinstance(tol, (float, np.floating)) and 0 < tol < 1):  # NaN and bools too
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")
     if params.coarse_subbin:

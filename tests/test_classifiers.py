@@ -301,6 +301,13 @@ class TestSimpleTimeResolved:
         with pytest.raises(ValueError):
             simple_loglik(np.array([[1]]), P, tau=0.0)
 
+    def test_nan_tau_rejected(self):
+        # NaN once passed ``tau <= 0`` and gave log_p_D = NaN, decided Dark.
+        for bad in (math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="tau must be > 0"):
+                simple_loglik(np.array([[1]]), P, tau=bad)
+        assert np.isfinite(simple_loglik(np.array([[1, 0]]), P, tau=math.inf)).all()
+
     @pytest.mark.parametrize("bad", [[[-1, 2]], [[1.7, 2]], np.array([[2.0, 0.5]])])
     @pytest.mark.parametrize("decaying", [IonState.DARK, IonState.BRIGHT])
     def test_negative_and_fractional_counts_rejected(self, bad, decaying):

@@ -9,6 +9,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,11 +22,13 @@ from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
 from ionread import harness, photon_model
+from ionread.classifiers import general_loglik, simple_loglik
 from ionread.photon_model import (
     DEFAULT_PARAMS,
     DegenerateModelError,
     IonState,
     RateParams,
+    _poisson_logpmf,
     build_observation_table,
     count_pmf,
     mixed_pmf,
@@ -159,6 +162,39 @@ class TestCountPmf:
             with pytest.raises(ValueError):
                 mixed_pmf("BD", bad, DEFAULT_PARAMS)
         assert mixed_pmf("DB", 2.0, DEFAULT_PARAMS) == mixed_pmf("DB", 2, DEFAULT_PARAMS)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_count_rejected(self, bad):
+        # No NaN pmf and no count scored after an int cast: every entry
+        # point refuses before numpy's cast warning could fire.
+        table = build_observation_table(DEFAULT_PARAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: count_pmf(IonState.BRIGHT, bad, DEFAULT_PARAMS),
+                         lambda: count_pmf(IonState.DARK, np.array([0.0, bad]), DEFAULT_PARAMS),
+                         lambda: mixed_pmf("BD", bad, DEFAULT_PARAMS),
+                         lambda: general_loglik([[bad, 2]], table),
+                         lambda: simple_loglik([[bad, 2]], DEFAULT_PARAMS)):
+                with pytest.raises(ValueError, match="photon count must be"):
+                    call()
+
+
+class TestPoissonLogPmf:
+    """``_poisson_logpmf`` runs no scipy, yet gives scipy.special's bits."""
+
+    def test_bits_match_scipy_special(self):
+        # Counts up to 1023 are gathered from a table, larger ones computed
+        # per distinct value: each call below takes one of the two paths.
+        counts = np.concatenate([np.arange(10**6 + 1), [2**63 - 1, 1e15, 1e306]])
+        means = [0.0, DEFAULT_PARAMS.dark_mean, DEFAULT_PARAMS.bright_mean,
+                 *np.random.default_rng(26).uniform(0.0, 40.0, 2).tolist()]
+        for mean in means:
+            with np.errstate(over="ignore"):    # 1e306 overflows x log(mean) - gammaln
+                want = -mean + xlogy(counts, mean) - gammaln(counts + 1.0)
+                got = _poisson_logpmf(counts, mean)
+            assert got.dtype == np.float64 and got.shape == counts.shape
+            assert got.tobytes() == want.tobytes(), mean
+            assert _poisson_logpmf(counts[:1024], mean).tobytes() == want[:1024].tobytes()
 
 
 class TestMixedPmf:
@@ -327,6 +363,30 @@ class TestObservationTable:
                 "print('scipy.special' in loaded())\n")
         out = fresh_python(code, cache=tmp_path / "empty-cache")
         assert out.split() == ["[]", "True"]
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, 1.0, 2.0, np.inf, True, False, "1e-9"])
+    def test_bad_tol_rejected_before_any_work(self, tol, monkeypatch):
+        # NaN or tol <= 0 once ran 10,000 rows (about 45 s) before failing.
+        monkeypatch.setattr(photon_model, "_tabulate", None)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^tol must be a number in \(0, 1\), got "):
+            build_observation_table(DEFAULT_PARAMS, tol=tol)
+        assert time.perf_counter() - start < 0.5
+
+    def test_simple_sweep_from_a_warm_cache_loads_no_scipy(self, tmp_path):
+        # The first process builds the table and so imports scipy.special;
+        # the second finds it in the shared cache and scores both
+        # likelihoods, the simple one through the scipy-free log-pmf.
+        code = ("import sys, ionread\n"
+                "ionread.build_observation_table(ionread.DEFAULT_PARAMS)\n"
+                "spec = ionread.SweepSpec(t_b_values=(0.5, 1.0), n_trials=200, seed=3,\n"
+                "                         params=ionread.DEFAULT_PARAMS,\n"
+                "                         classifiers=({'method': 'simple'}, {'method': 'general'}))\n"
+                "rows = ionread.sweep(spec)\n"
+                "print(len(rows), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        cold, warm = fresh_python(code), fresh_python(code)
+        assert "'scipy.special'" in cold
+        assert warm.strip() == "4 []"
 
     def test_degenerate_rejected(self):
         params = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
