@@ -19,7 +19,16 @@ a sweep holds O(n_trials) scratch.  The single-change formula gathers each
 bin's Poisson log-pmf (numpy and ``math.log`` only) from a vector over
 0..max count instead of evaluating it per cell, and carries its running
 sums with one elementwise add or logaddexp per bin, the operations of
-``ufunc.accumulate`` in its order.  The hidden-Markov product is a scaled
+``ufunc.accumulate`` in its order, on rows allocated once per call.  Each
+bin yields the stable state's log-likelihood and the two terms p and q
+whose logaddexp is the changeable state's; :func:`simple_loglik` combines
+them, while a sweep's tally decides from them directly
+(:func:`_single_change_brighter`): logaddexp(p, q) lies in [max(p, q),
+max(p, q) + ln 2], so below |max(p, q)| = 2**40 a stable log-likelihood
+more than 0.7 above max(p, q) or 2**-9 below it compares the same way with
+any logaddexp accurate to a few ulps, and only the rows in between (and
+NaN, infinities and larger terms) get the exact logaddexp.  Callable
+``prefixes`` still receive exact pairs.  The hidden-Markov product is a scaled
 forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
 layout: four length-n_trials arrays hold the entries of every trial's
 accumulated 2x2 product, each bin updates them elementwise from four
@@ -38,6 +47,7 @@ import numpy as np
 
 from .photon_model import (IonState, ObservationTable, RateParams, _check_counts,
                            _poisson_logpmf)
+from .trajectory import _check_int
 
 
 class Decision(enum.IntEnum):
@@ -80,6 +90,7 @@ def _as_counts(counts) -> np.ndarray:
 
 def threshold_classify(counts, n_c: int) -> Decision:
     """Bright iff strictly more than n_c photons arrived in total."""
+    _check_int(n_c, "n_c", 0)
     return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_c, n_c)))
 
 
@@ -89,7 +100,11 @@ def double_threshold_classify(counts, n_D: int, n_B: int) -> Decision:
 
 
 def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarray:
-    """Count-rule decisions from total counts; n_D = n_B is a single threshold."""
+    """Count-rule decisions from total counts; n_D = n_B is a single threshold.
+    Each threshold is an integer >= 0: NaN, infinities, bools and 1.5 raise
+    ValueError."""
+    _check_int(n_D, "n_D", 0)
+    _check_int(n_B, "n_B", 0)
     if n_D > n_B:
         raise ValueError(f"n_D={n_D} must not exceed n_B={n_B}")
     totals = np.asarray(totals)
@@ -119,54 +134,104 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     Returns (log_p_B, log_p_D); a window longer than tau clamps the
     linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
+    counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
+    m = counts_t.shape[0]
+    steps = _single_change_steps(counts_t, params, tau, decaying,
+                                 range(m) if prefixes else (m - 1,))
+    return _prefix_logs(_single_change_logs(steps, decaying), counts_t.shape, prefixes)
+
+
+def _single_change_steps(counts_t, params: RateParams, tau: float | None, decaying,
+                         bins):
+    """Per-bin (stable, p, q) of the single-change formula on bin-major
+    counts, at each bin in ``bins``: the stable state's log-likelihood and
+    the two terms whose logaddexp is the changeable state's.  Each triple
+    holds until the next step.  The running log-pmf
+    sums of the changeable (``stay``) and the stable state (``after``), the
+    running logaddexp ``inner`` of the change terms, the per-bin gathers and
+    p and q are rows of n_trials each, allocated once and updated in place.
+    ``tau`` None takes the decaying state's lifetime.  A negative
+    linear-in-t_b prefactor is clamped to zero, which warns once per call
+    (RuntimeWarning).
+    """
     decaying = IonState(decaying)
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
     if not tau > 0:     # NaN too; tau = inf is a stable state
         raise ValueError(f"tau must be > 0, got {tau}")
-    counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
-    return _prefix_logs(_single_change_steps(counts_t, params, tau, decaying, bool(prefixes)),
-                        counts_t.shape, prefixes)
-
-
-def _single_change_steps(counts_t, params: RateParams, tau: float, decaying: IonState,
-                         every: bool):
-    """Per-bin (log_p_B, log_p_D) of the single-change formula on bin-major
-    counts, for every bin or, unless ``every``, the last one alone; each
-    pair holds until the next step.  The running log-pmf sums of the
-    changeable (``stay``) and the stable state (``after``) and the running
-    logaddexp ``inner`` of the change terms are one row of n_trials each.
-    A negative linear-in-t_b prefactor is clamped to zero, which warns once
-    per call (RuntimeWarning).
-    """
     m, n = counts_t.shape
     means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
     # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
     hi = int(counts_t.max(initial=0))
     vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
-               if hi < counts_t.size else None)
+               if hi < counts_t.size else (None, None))
     prefac = 1.0 - np.arange(1, m + 1) * params.t_s / tau
-    if prefac[-1] < 0:
+    if prefac[-1] < 0:      # level 5: the caller of simple_loglik
         warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                      RuntimeWarning, stacklevel=4)
+                      RuntimeWarning, stacklevel=5)
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
+    stay, after, stay_k, after_k, p, q = (np.empty(n) for _ in range(6))
+    inner = np.zeros(n)
     # A change during bin i contributes exp(stay[i-1] + after[k] - after[i-1])
     # to the k-bin prefix; exp(after[k]) is factored out of the inner sum.
-    inner = np.zeros(n)
     for k, row in enumerate(counts_t):
-        stay_k, after_k = ([v[row] for v in vectors] if vectors
-                           else [_poisson_logpmf(row, mean) for mean in means])
-        if k == 0:
-            stay, after = stay_k, after_k
-        else:
-            np.logaddexp(inner, stay - after, out=inner)
+        for out, mean, vector in zip((stay_k, after_k) if k else (stay, after), means, vectors):
+            if vector is None:
+                out[...] = _poisson_logpmf(row, mean)
+            else:       # "clip" writes straight to out; every count is in range
+                np.take(vector, row, out=out, mode="clip")
+        if k:
+            np.logaddexp(inner, np.subtract(stay, after, out=p), out=inner)
             stay += stay_k
             after += after_k
-        if every or k == m - 1:
-            mixed = np.logaddexp(stay + log_prefac[k], inner + (log_rate + after))
-            yield (after, mixed) if decaying is IonState.DARK else (mixed, after)
+        if k in bins:
+            np.add(stay, log_prefac[k], out=p)
+            np.add(inner, np.add(after, log_rate, out=q), out=q)
+            yield after, p, q
+
+
+def _single_change_logs(steps, decaying):
+    """(log_p_B, log_p_D) of each single-change step: the changeable state's
+    log-likelihood is logaddexp(p, q), written over p."""
+    dark = IonState(decaying) is IonState.DARK
+    for stable, p, q in steps:
+        mixed = np.logaddexp(p, q, out=p)
+        yield (stable, mixed) if dark else (mixed, stable)
+
+
+# numpy's logaddexp(p, q) is max(p, q) + log1p(exp(-|p - q|)), which lies in
+# [max(p, q), max(p, q) + ln 2].  Below |max(p, q)| = 2**40 an ulp is at most
+# 2**-12, so a stable log-likelihood more than 0.7 (ln 2 + 28 ulps) above
+# max(p, q), or more than 2**-9 (8 ulps) below it, is on the same side of any
+# logaddexp accurate to a few ulps.
+_ABOVE_MIXED, _BELOW_MIXED, _MIXED_SCALE = 0.7, 2.0 ** -9, 2.0 ** 40
+
+
+def _single_change_brighter(steps, decaying):
+    """The Bright mask (log_p_B > log_p_D) of each single-change step, equal
+    to :func:`decide_from_logs` of :func:`simple_loglik`'s pair, without the
+    mixed logaddexp where its bound decides.  Only rows that the bound leaves
+    open, and every row of a step whose max(p, q) is not finite or reaches
+    2**40 in size, get logaddexp(p, q).  NaN leaves a row open.  Each mask
+    holds until the next step."""
+    dark = IonState(decaying) is IonState.DARK
+    gap = None
+    for stable, p, q in steps:
+        if gap is None:
+            gap, above, below = np.empty(p.size), np.empty(p.size, bool), np.empty(p.size, bool)
+        np.maximum(p, q, out=gap)
+        bounded = -_MIXED_SCALE < gap.min(initial=0.0) and gap.max(initial=0.0) < _MIXED_SCALE
+        with np.errstate(invalid="ignore"):     # -inf - -inf: the row stays open
+            np.subtract(stable, gap, out=gap)   # stable - max(p, q)
+        np.greater(gap, _ABOVE_MIXED, out=above)
+        np.less(gap, -_BELOW_MIXED, out=below)
+        brighter = above if dark else below
+        rows = np.flatnonzero(~(above | below)) if bounded else slice(None)
+        mixed = np.logaddexp(p[rows], q[rows])
+        brighter[rows] = stable[rows] > mixed if dark else mixed > stable[rows]
+        yield brighter
 
 
 def simple_time_resolved_classify(counts, params: RateParams,

@@ -111,8 +111,11 @@ class LaserPhysics:
     delta: float
 
     def __post_init__(self):
-        for name in ("eta", "gamma", "Omega", "delta"):
-            if getattr(self, name) < 0:
+        for name in ("eta", "gamma", "Omega", "Delta", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if name != "Delta" and value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -120,9 +123,14 @@ class LaserPhysics:
 # Closed-form population dynamics
 
 
+def _check_positive(value, name: str) -> None:
+    if isinstance(value, bool) or not 0 < value < math.inf:     # NaN too
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _relaxation_constants(tau_B: float, tau_D: float):
-    if tau_B <= 0 or tau_D <= 0:
-        raise ValueError("lifetimes must be > 0")
+    _check_positive(tau_B, "tau_B")
+    _check_positive(tau_D, "tau_D")
     a = tau_D / (tau_B + tau_D)
     b = tau_B / (tau_B + tau_D)
     tau = tau_B * tau_D / (tau_B + tau_D)
@@ -366,6 +374,7 @@ def mean_count_series(initials: np.ndarray, counts: np.ndarray, t_s: float):
     Returns {IonState: (K, 2) series} with times at sub-bin end (k * t_s),
     the form fit_decay_curves consumes; ingested CSV rows plug in directly.
     """
+    _check_positive(t_s, "t_s")
     initials = np.asarray(initials)
     counts = np.asarray(counts)
     times = (np.arange(counts.shape[1]) + 1) * t_s

@@ -19,13 +19,19 @@ per-prefix arrays.  Count rules read the optimum and the tallies of every
 column from one histogram of prefix totals per state, built bin by bin.
 Likelihood rules score each distinct count record once: equal rows get
 equal log-likelihoods, so the kernel runs on one row per record (grouped
-by its bytes) and hands each prefix column to the tally as it passes it,
-where one comparison on those rows is weighted by how many trials hold
-each record;
-``score`` decides on those rows and gathers codes and logs back to every
-trial with one index.  Grouping is skipped where it cannot pay, below 1024
-rows or when over half of the first 1024 rows are distinct, as in bright
-windows of many bins; every row is then its own record.
+by its bytes, read as one unsigned integer for rows of up to 8 bytes) and
+hands each prefix column to the tally as it passes it, where one Bright
+mask on those rows is weighted by how many trials hold each record.  The
+general method's mask compares the kernel's exact pair.  The simple
+method's is decided from the filter's operands, the stable
+log-likelihood and the two terms of the changeable one's logaddexp,
+which only the rows its bound leaves open evaluate (see
+:mod:`classifiers`); the counts are equal to those of the exact pairs.
+``score`` decides on the exact pairs of those rows and gathers codes and
+logs back to every trial with one index.  Grouping is skipped where it
+cannot pay, below 1024 rows or when over half of the first 1024 rows are
+distinct, as in bright windows of many bins; every row is then its own
+record, counted without weights and, for the simple method, not copied.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from .photon_model import IonState, RateParams, build_observation_table
 from .trajectory import (
     Ensemble,
     SimConfig,
+    _check_int,
     _check_seed,
-    _check_trials,
     _labels,
     _narrowest,
     _row_blocks,
@@ -240,16 +246,26 @@ _GROUP_SAMPLE = 1024
 
 def _distinct_records(counts):
     """(index of one row per distinct record, index gathering them back to
-    every row), both ``np.arange(n)`` where the module docstring's rule skips
-    grouping.  Keys are row bytes at the :func:`_narrowest` width (uint64: its own)."""
+    every row), both the same ``np.arange(n)`` where the module docstring's
+    rule skips grouping.  Keys are row bytes at the :func:`_narrowest` width
+    (uint64: its own); rows of up to 8 bytes are zero-padded to 1, 2, 4 or
+    8 and read as one unsigned integer, longer rows as a void record."""
     n = counts.shape[0]
     if n >= _GROUP_SAMPLE:
         rows = np.ascontiguousarray(counts if counts.dtype == np.uint64 else _narrowest(counts))
-        keys = rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0]
+        width = rows[0].nbytes
+        if width <= 8:
+            size = 1 << (width - 1).bit_length()
+            padded = np.zeros((n, size), np.uint8)
+            padded[:, :width] = rows.view(np.uint8)
+            keys = padded.view(f"u{size}")[:, 0]
+        else:
+            keys = rows.view(np.dtype((np.void, width)))[:, 0]
         if np.unique(keys[:_GROUP_SAMPLE]).size <= _GROUP_SAMPLE // 2:
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             return first, inverse
-    return np.arange(n), np.arange(n)
+    every = np.arange(n)
+    return every, every
 
 
 class _PreparedCounts:
@@ -309,33 +325,29 @@ class _LikelihoodRule(Classifier):
 
     n_c = None
 
-    def _scored(self, counts, params, prefixes):
-        """Kernel logs of the distinct rows, and the index gathering them back."""
-        _require(params is not None, f"{self.label} requires rate parameters")
-        return self._loglik(_prepare(counts), params, prefixes)
-
     def score(self, counts, params):
-        logs, inverse = self._scored(counts, params, False)
+        _require(params is not None, f"{self.label} requires rate parameters")
+        state = _prepare(counts)
+        logs, inverse = self._loglik(state, params, False), state.records[1]
         return cl.decide_from_logs(*logs)[inverse], tuple(log[inverse] for log in logs)
 
     def column_tallies(self, counts_bright, counts_dark, cols, params):
-        # The kernel hands each prefix column over as it passes it; one
-        # comparison on the distinct rows, weighted by the trials holding
-        # each record, tallies it.  The last column alone needs no prefixes.
-        states = _prepare(counts_bright), _prepare(counts_dark)
-        last = states[0].counts.shape[1] - 1
-        final_only = set(cols) == {last}
+        # The kernel hands each prefix column over as it passes it, as a
+        # Bright mask on the distinct rows; weighted by the trials holding
+        # each record, or counted where every row is one, it tallies the
+        # column.
+        _require(params is not None, f"{self.label} requires rate parameters")
         tallies = []
-        for state, wrong_is_bright in zip(states, (False, True)):
-            weights, brighter = np.bincount(state.records[1]), {}
+        for state, wrong_is_bright in ((_prepare(counts_bright), False),
+                                       (_prepare(counts_dark), True)):
+            first, inverse = state.records
+            weights = None if first.size == inverse.size else np.bincount(inverse)
+            brighter = {}
 
-            def tally(k, log_b, log_d):
-                if k in cols:
-                    brighter[k] = int((log_b > log_d) @ weights)
+            def tally(k, mask):
+                brighter[k] = int(np.count_nonzero(mask) if weights is None else mask @ weights)
 
-            logs, inverse = self._scored(state, params, False if final_only else tally)
-            if final_only:
-                tally(last, *logs)
+            self._decide_columns(state, params, cols, tally)
             n = inverse.size
             tallies.append([(n, n, brighter[k] if wrong_is_bright else n - brighter[k])
                             for k in cols])
@@ -358,9 +370,20 @@ class SimpleClassifier(_LikelihoodRule):
         return f"decaying={self.decaying.name.lower()};{tau}"
 
     def _loglik(self, state, params, prefixes):
+        return cl.simple_loglik(state.counts[state.records[0]], params, self.tau_ms,
+                                decaying=self.decaying, prefixes=prefixes)
+
+    def _decide_columns(self, state, params, cols, tally):
+        """``tally(k, Bright mask)`` per column k, decided from the filter's
+        operands (:func:`classifiers._single_change_brighter`).  The counts
+        are validated already, and ungrouped rows are not copied."""
         first, inverse = state.records
-        return cl.simple_loglik(state.counts[first], params, self.tau_ms,
-                                decaying=self.decaying, prefixes=prefixes), inverse
+        rows = state.counts if first is inverse else state.counts[first]
+        bins = sorted(set(cols))
+        steps = cl._single_change_steps(np.ascontiguousarray(rows.T), params, self.tau_ms,
+                                        self.decaying, bins)
+        for k, mask in zip(bins, cl._single_change_brighter(steps, self.decaying)):
+            tally(k, mask)
 
 
 @dataclass(frozen=True)
@@ -372,8 +395,22 @@ class GeneralClassifier(_LikelihoodRule):
 
     def _loglik(self, state, params, prefixes):
         table = observation_table_for(params)
-        first, inverse = state.records
-        return cl.general_loglik(state.clamped(table)[first], table, prefixes=prefixes), inverse
+        return cl.general_loglik(state.clamped(table)[state.records[0]], table, prefixes=prefixes)
+
+    def _decide_columns(self, state, params, cols, tally):
+        """``tally(k, Bright mask)`` per column k, compared on the kernel's
+        logs as it hands each column over; the last column alone needs no
+        prefixes."""
+        last = state.counts.shape[1] - 1
+
+        def decide(k, log_b, log_d):
+            if k in cols:
+                tally(k, log_b > log_d)
+
+        final_only = set(cols) == {last}
+        logs = self._loglik(state, params, False if final_only else decide)
+        if final_only:
+            decide(last, *logs)
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -590,7 +627,7 @@ class SweepSpec:
         _require(len(self.t_b_values) > 0, "t_b_values must be non-empty")
         for t_b in self.t_b_values:
             n_bins(t_b, self.params.t_s)
-        _check_trials(self.n_trials, ConfigError)
+        _check_int(self.n_trials, "n_trials", 1, ConfigError)
         _check_seed(self.seed, ConfigError)
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
@@ -730,7 +767,7 @@ def compare_methods(spec: SweepSpec, *, repetitions: int = 1, threads: int = 1):
     all rows of every repetition (rows carry r = repetition index + 1), and
     per-method {mean, std, values} of the per-repetition minima.
     """
-    _require(repetitions >= 1, "repetitions must be >= 1")
+    _check_int(repetitions, "repetitions", 1, ConfigError)
     # The single-change reference method is pointed at the dominant change
     # channel of this qubit family (bright to dark), matching how the
     # original method is applied when benchmarked against the generalized

@@ -90,9 +90,11 @@ def _check_seed(seed, error=ValueError) -> None:   # each seed in range keys str
         raise error(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def _check_trials(n_trials, error=ValueError) -> None:   # range() takes no 2.5
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise error(f"n_trials must be an integer >= 1, got {n_trials!r}")
+def _check_int(value, name: str, low: int, error=ValueError) -> None:   # range() takes no 2.5
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class SimConfig:
     params: RateParams
 
     def __post_init__(self):
-        _check_trials(self.n_trials)
+        _check_int(self.n_trials, "n_trials", 1)
         n_bins(self.t_b, self.t_s)
         _check_seed(self.seed)
 
@@ -248,8 +250,7 @@ def _simulate_chunks(config: SimConfig, states, fill: int, context: tuple, threa
     rows of ``states`` with ``fill`` to draw change times, then draws counts
     for its kept rows only, in blocks of at most BLOCK_CELLS cells, each at
     its :func:`_narrowest` width; the joined counts take the widest block's."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_int(threads, "threads", 1)
     blocks = list(_row_blocks(config.n_trials))
     chunk_counts, chunk_times = [None] * len(blocks), [None] * len(blocks)
 
@@ -313,6 +314,8 @@ def deterministic_uniforms(seed: int, context: tuple, n: int) -> np.ndarray:
     """Chunk-deterministic uniform(0,1) draws keyed by (seed, context). Used
     for auxiliary per-trial coin flips (e.g. pulse errors) so that composed
     experiments stay reproducible under the same contract as ensembles."""
+    _check_seed(seed)
+    _check_int(n, "n", 0)
     out = np.empty(n)
     for ci, rows in enumerate(_row_blocks(n)):
         block = _chunk_rng(seed, _STREAM_EXTRA, context, ci).random(CHUNK)

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ionread import classifiers, harness
 from ionread.classifiers import (
     Decision,
     _forward_product,
@@ -696,6 +697,76 @@ class TestPrefixColumnsExact:
             assert np.isneginf(_poisson_logpmf(counts, params.dark_mean)).any()
         if params is self.TIES and tau == math.inf:
             assert all(_same_bits(log_b, log_d) for _, log_b, log_d in handed)
+
+    @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
+    @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
+    @pytest.mark.parametrize("decaying", list(IonState))
+    def test_simple_column_tallies_equal_prefix_comparisons(self, counts, params, tau, decaying):
+        # A sweep decides the simple method's columns from the filter's
+        # operands, opening logaddexp only where its bound leaves the
+        # comparison open; the tallies must equal those of the exact prefix
+        # pairs, on a grouped and an ungrouped state alike.
+        grouped = np.repeat(counts, 2, axis=0)
+        for rows, distinct in ((grouped, False), (counts, True)):
+            first, inverse = harness._distinct_records(rows)
+            assert (first is inverse) is distinct
+        clf = harness.resolve_classifier({"method": "simple", "decaying": decaying.name.lower(),
+                                          "tau_ms": tau})
+        warns = "t_b >= tau: single-change prefactor clamped to 0" if tau == 0.5 else None
+        cols = list(range(counts.shape[1]))
+        texts = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tallies = clf.column_tallies(grouped, counts, cols, params)
+        texts.append([str(w.message) for w in caught])
+        brighter = []
+        for rows in (grouped, counts):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                log_b, log_d = simple_loglik(rows, params, tau, decaying=decaying, prefixes=True)
+            texts.append([str(w.message) for w in caught])
+            brighter.append(np.count_nonzero(log_b > log_d, axis=0).tolist())
+        n_b, n_d = len(grouped), len(counts)
+        assert tallies == [(clf, (n_b, n_b, n_b - b), (n_d, n_d, d))
+                           for b, d in zip(*brighter, strict=True)]
+        # The prefactor warning comes once per kernel run: once per state.
+        assert [[text for text in call if text == warns] for call in texts] == (
+            [[warns] * 2, [warns], [warns]] if warns else [[], [], []])
+
+
+@pytest.mark.parametrize("ulps", [0, 4, -4])
+@pytest.mark.parametrize("decaying", list(IonState))
+def test_bright_masks_from_operands_hold_for_a_few_ulps(monkeypatch, decaying, ulps):
+    """The masks a sweep decides from (stable, p, q) equal the comparisons
+    with logaddexp(p, q) even if that is off by a few ulps, next to both
+    margins, at large magnitudes, and with NaN and infinities."""
+    logaddexp = np.logaddexp
+
+    def off_by_ulps(a, b, **out):
+        exact = logaddexp(a, b, **out)
+        return np.where(np.isfinite(exact), exact + ulps * np.abs(np.spacing(exact)), exact)
+
+    offsets = np.array([-1.0, -2.0 ** -9, -1e-3, 0.0, 1e-3, 0.69, math.log(2), 0.6932, 0.7, 1.0])
+    steps = []
+    for m in (0.0, -3.7, -1e3, -2.0 ** 39, -1e17, 1e17):
+        for second in (0.0, -0.5, -30.0, -math.inf):
+            ulp = abs(np.spacing(m)) or 1e-300
+            near = ulp * np.arange(-5.0, 6.0)       # next to both ends of the bound
+            stable = m + np.concatenate([offsets, near, math.log(2) + near])
+            steps.append((stable, np.full(stable.size, m), np.full(stable.size, m + second)))
+    specials = [math.nan, math.inf, -math.inf, 0.0, -2.0]
+    grid = np.array(list(itertools.product(specials, repeat=3))).T
+    runs = [steps, [tuple(np.ascontiguousarray(row) for row in grid)]]   # one row count per run
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "logaddexp", off_by_ulps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in the reference
+            masks = [mask.copy() for run in runs for mask in classifiers._single_change_brighter(
+                (tuple(map(np.copy, step)) for step in run), decaying)]
+            for mask, (stable, p, q) in zip(masks, steps + runs[1], strict=True):
+                mixed = off_by_ulps(p, q)
+                log_b, log_d = (stable, mixed) if decaying is IonState.DARK else (mixed, stable)
+                assert np.array_equal(mask, decide_from_logs(log_b, log_d) == Decision.BRIGHT)
 
 
 def _logaddexp_operands(monkeypatch, kernel, *args, **kwargs):

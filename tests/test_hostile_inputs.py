@@ -1,0 +1,100 @@
+"""Hostile numbers at the library's numeric arguments.
+
+Each numeric argument of the threshold rules, ``deterministic_uniforms``,
+the population dynamics, the fluorescence formula, ``mean_count_series``
+and ``compare_methods`` gets NaN, both infinities, a bool, a negative
+value, 1.5 and numpy scalars.  A call must raise ValueError naming the
+argument (ConfigError is one) or return a finite result; it must never
+raise TypeError or hand back NaN.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from ionread import (
+    DEFAULT_PARAMS,
+    ConfigError,
+    IonState,
+    LaserPhysics,
+    SweepSpec,
+    compare_methods,
+    deterministic_uniforms,
+    double_threshold_classify,
+    fluorescence_rate,
+    mean_count_series,
+    population_dynamics,
+    threshold_classify,
+)
+from ionread.classifiers import double_threshold_decide
+
+HOSTILE = [math.nan, math.inf, -math.inf, True, -1, 1.5, np.int64(3), np.float32(math.nan)]
+HOSTILE_IDS = ["nan", "inf", "-inf", "bool", "negative", "1.5", "np.int64", "np.float32_nan"]
+
+PHYSICS = {"eta": 3.1e-3, "gamma": 2.0, "Omega": 1.5, "Delta": 0.3, "delta": 0.8}
+COUNTS = np.array([[0, 1, 3], [2, 0, 0], [5, 4, 6]])
+SPEC = SweepSpec(t_b_values=(0.1, 0.2), n_trials=64, seed=3, params=DEFAULT_PARAMS)
+
+# (name of the argument, the call with ``value`` in its place)
+CALLS = [
+    ("n_c", lambda v: threshold_classify([0, 1], n_c=v)),
+    ("n_D", lambda v: double_threshold_classify([0, 1], n_D=v, n_B=4)),
+    ("n_B", lambda v: double_threshold_classify([0, 1], n_D=0, n_B=v)),
+    ("n_D", lambda v: double_threshold_decide(np.arange(6), v, 4)),
+    ("n_B", lambda v: double_threshold_decide(np.arange(6), 0, v)),
+    ("seed", lambda v: deterministic_uniforms(v, (), 2)),
+    ("n", lambda v: deterministic_uniforms(1, (), v)),
+    ("t", lambda v: population_dynamics(v, IonState.BRIGHT, 4.9, 53.0)),
+    ("tau_B", lambda v: population_dynamics(1.0, IonState.BRIGHT, v, 53.0)),
+    ("tau_D", lambda v: population_dynamics(1.0, IonState.BRIGHT, 4.9, v)),
+    *((name, lambda v, name=name: fluorescence_rate(LaserPhysics(**{**PHYSICS, name: v})))
+      for name in PHYSICS),
+    ("t_s", lambda v: mean_count_series([0, 1, 0], COUNTS, v)),
+    ("repetitions", lambda v: compare_methods(SPEC, repetitions=v)),
+    ("threads", lambda v: compare_methods(SPEC, threads=v)),
+]
+
+
+def _numbers(result):
+    """Every number in a result, as floats."""
+    if isinstance(result, (str, bool)) or result is None:
+        return []
+    if isinstance(result, (int, float, np.number)):     # a Decision too
+        return [float(result)]
+    if isinstance(result, np.ndarray):
+        return result.astype(float).ravel().tolist()
+    if dataclasses.is_dataclass(result):
+        return _numbers([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, dict):
+        return _numbers(list(result.values()))
+    return [x for item in result for x in _numbers(item)]
+
+
+@pytest.mark.parametrize("value", HOSTILE, ids=HOSTILE_IDS)
+@pytest.mark.parametrize("name, call", CALLS, ids=[f"{i}-{name}" for i, (name, _) in
+                                                   enumerate(CALLS)])
+def test_refused_by_name_or_finite(name, call, value):
+    try:
+        result = call(value)
+    except ValueError as exc:
+        assert name in str(exc)
+        return
+    numbers = _numbers(result)
+    assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, 1.5])
+def test_threshold_rules_never_abstain_on_a_bad_cut(value):
+    # A single cut never gives Inconclusive; a cut that is no integer is refused.
+    with pytest.raises(ValueError, match="^n_c must be an integer, got "):
+        threshold_classify([0, 1], n_c=value)
+
+
+def test_a_bool_repetition_count_is_refused():
+    for bad in (True, 1.5):
+        with pytest.raises(ConfigError, match=f"^repetitions must be an integer, got {bad}"):
+            compare_methods(SPEC, repetitions=bad)
+    rows, _ = compare_methods(SPEC, repetitions=np.int64(2))
+    assert {row.r for row in rows} == {1.0, 2.0}
