@@ -42,8 +42,6 @@ from .trajectory import (
     DataFormatError,
     Ensemble,
     SimConfig,
-    deterministic_uniforms,
-    ensembles_from_counts,
     n_bins,
     read_counts_csv,
     simulate_ensemble,

@@ -13,9 +13,9 @@ They reject negative and fractional counts.  The scalar classifiers wrap
 them on one row; the likelihood ones return (Decision, log_p_B, log_p_D),
 bit for bit the batch row and its :func:`decide_from_logs` decision.
 Inside, both kernels are filters: one step per bin on bin-major counts
-updates a few length-n_trials rows, and each prefix's pair is handed on
-as the step passes it (to a caller's function, or stacked on request), so
-a sweep holds O(n_trials) scratch.  The single-change formula gathers each
+updates a few length-n_trials rows, and one generator per kernel yields
+each prefix's pair, or its operands, at the bins a caller asks for, so a
+sweep holds O(n_trials) scratch.  The single-change formula gathers each
 bin's Poisson log-pmf (numpy and ``math.log`` only) from a vector over
 0..max count instead of evaluating it per cell, and carries its running
 sums with one elementwise add or logaddexp per bin, the operations of
@@ -27,18 +27,17 @@ them, while a sweep's tally decides from them directly
 max(p, q) + ln 2], so below |max(p, q)| = 2**40 a stable log-likelihood
 more than 0.7 above max(p, q) or 2**-9 below it compares the same way with
 any logaddexp accurate to a few ulps, and only the rows in between (and
-NaN, infinities and larger terms) get the exact logaddexp.  Callable
-``prefixes`` still receive exact pairs.  The hidden-Markov product is a scaled
-forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
-layout: four length-n_trials arrays hold the entries of every trial's
-accumulated 2x2 product, each bin updates them elementwise from four
-gathered columns of the observation table, and a per-bin renormalisation,
-tallied in a log scale, keeps windows of any length in floating range.
+NaN, infinities and larger terms) get the exact logaddexp.  The
+hidden-Markov product is a scaled forward filter (Rabiner, Proc. IEEE
+77:257, 1989) in structure-of-arrays layout: four length-n_trials arrays
+hold the entries of every trial's accumulated 2x2 product, each bin
+updates them elementwise from four gathered columns of the observation
+table, and a per-bin renormalisation, tallied in a log scale, keeps
+windows of any length in floating range.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import warnings
 from dataclasses import dataclass
@@ -129,7 +128,7 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     while p_B = prod_k P_B(n_k); ``decaying=BRIGHT`` mirrors the roles (a
     bright prefix that may drop to dark once), which is the variant suited to
     qubits whose dominant change is bright-to-dark.  ``tau`` defaults to the
-    decaying state's lifetime.  ``prefixes`` is read as in :func:`general_loglik`.
+    decaying state's lifetime.  ``prefixes`` is as in :func:`general_loglik`.
 
     Returns (log_p_B, log_p_D); a window longer than tau clamps the
     linear-in-t_b prefactor to zero, with a RuntimeWarning.
@@ -286,18 +285,26 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable):
         yield (a00, a01, a10, a11), log_scale
 
 
+def _forward_logs(counts2d: np.ndarray, table: ObservationTable, bins):
+    """(log_p_B, log_p_D) of :func:`_forward_product` at each bin in ``bins``:
+    the logs of its column sums plus its log scale."""
+    for k, ((a00, a01, a10, a11), log_scale) in enumerate(_forward_product(counts2d, table)):
+        if k in bins:
+            with np.errstate(divide="ignore"):      # a zero column sum
+                logs = np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale
+            yield logs
+
+
 def _prefix_logs(steps, shape, prefixes):
     """Consume per-bin (log_p_B, log_p_D) steps.  ``prefixes`` False returns
     the last pair; True every pair, as (n_trials, n_bins) views of bin-major
-    ``shape`` arrays; a callable is called as ``prefixes(k, log_p_B,
-    log_p_D)`` once per bin k, on arrays the next step overwrites, and the
-    last pair is returned."""
-    stacked = (np.empty(shape), np.empty(shape)) if prefixes and not callable(prefixes) else ()
+    ``shape`` arrays.  Anything else raises ValueError before a step runs."""
+    if not isinstance(prefixes, (bool, np.bool_)):
+        raise ValueError(f"prefixes must be True or False, got {prefixes!r}")
+    stacked = (np.empty(shape), np.empty(shape)) if prefixes else ()
     for k, logs in enumerate(steps):
         for rows, log in zip(stacked, logs):
             rows[k] = log
-        if callable(prefixes):
-            prefixes(k, *logs)
     return (stacked[0].T, stacked[1].T) if stacked else logs
 
 
@@ -305,18 +312,13 @@ def general_loglik(counts: np.ndarray, table: ObservationTable, *, prefixes=Fals
     """Log initial-state likelihoods under the full hidden-Markov model.
 
     Returns (log_p_B, log_p_D) of shape (n_trials,); ``prefixes`` True gives
-    every leading sub-window's, of shape (n_trials, n_bins), and a callable
-    ``prefixes(k, log_p_B, log_p_D)`` receives bin k's as the filter passes
-    it (see :func:`_prefix_logs`).  Counts above the table's n_max are
-    scored as n_max, with a warning.
+    every leading sub-window's, of shape (n_trials, n_bins).  Counts above
+    the table's n_max are scored as n_max, with a warning.
     """
     counts2d = _as_count_matrix(counts)
-    steps = _forward_product(counts2d, table)
-    steps = steps if prefixes else collections.deque(steps, maxlen=1)
-    with np.errstate(divide="ignore"):
-        return _prefix_logs(((np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale)
-                             for (a00, a01, a10, a11), log_scale in steps),
-                            counts2d.shape[::-1], prefixes)
+    m = counts2d.shape[1]
+    return _prefix_logs(_forward_logs(counts2d, table, range(m) if prefixes else (m - 1,)),
+                        counts2d.shape[::-1], prefixes)
 
 
 def generalized_time_resolved_classify(counts, table: ObservationTable):

@@ -151,7 +151,7 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     if not np.all(t >= 0):          # NaN too
         raise ValueError("t must be >= 0")
     a, b, tau = _relaxation_constants(tau_B, tau_D)
-    amp = a if initial is IonState.BRIGHT else -b
+    amp = a if IonState(initial) is IonState.BRIGHT else -b
     w_b = b + amp * np.exp(-t / tau)
     w_d = 1.0 - w_b
     if w_b.ndim == 0:
@@ -172,7 +172,7 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
     if not (t0 >= dt > 0):
         raise ValueError("need t0 >= dt > 0")
     a, b, tau = _relaxation_constants(params.tau_B, params.tau_D)
-    amp = a if initial is IonState.BRIGHT else -b
+    amp = a if IonState(initial) is IonState.BRIGHT else -b
     steady = dt * (params.R_B * b + params.R_D)
     transient = params.R_B * amp * tau * (math.exp(dt / tau) - 1.0) * math.exp(-t0 / tau)
     return steady + transient

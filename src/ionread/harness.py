@@ -19,11 +19,11 @@ per-prefix arrays.  Count rules read the optimum and the tallies of every
 column from one histogram of prefix totals per state, built bin by bin.
 Likelihood rules score each distinct count record once: equal rows get
 equal log-likelihoods, so the kernel runs on one row per record (grouped
-by its bytes, read as one unsigned integer for rows of up to 8 bytes) and
-hands each prefix column to the tally as it passes it, where one Bright
-mask on those rows is weighted by how many trials hold each record.  The
-general method's mask compares the kernel's exact pair.  The simple
-method's is decided from the filter's operands, the stable
+by its bytes, read as one unsigned integer for rows of up to 8 bytes).  A
+sweep reads the kernel's per-bin generator at its columns only, and tallies
+one Bright mask on those rows per column, weighted by how many trials hold
+each record.  The general method's mask compares the kernel's exact pair.
+The simple method's is decided from the filter's operands, the stable
 log-likelihood and the two terms of the changeable one's logaddexp,
 which only the rows its bound leaves open evaluate (see
 :mod:`classifiers`); the counts are equal to those of the exact pairs.
@@ -31,7 +31,8 @@ which only the rows its bound leaves open evaluate (see
 logs back to every trial with one index.  Grouping is skipped where it
 cannot pay, below 1024 rows or when over half of the first 1024 rows are
 distinct, as in bright windows of many bins; every row is then its own
-record, counted without weights and, for the simple method, not copied.
+record, counted without weights, and the kernel gets the state's own
+validated (or clamped) array, not a copy.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from .trajectory import (
     SimConfig,
     _check_int,
     _check_seed,
+    _deterministic_uniforms,
     _labels,
     _narrowest,
     _row_blocks,
     _write_csv,
-    deterministic_uniforms,
     n_bins,
     simulate_ensemble,
 )
@@ -286,6 +287,12 @@ class _PreparedCounts:
     def records(self):
         return _distinct_records(self.counts)
 
+    def distinct(self, counts):
+        """``counts`` (``self.counts`` or a clamped copy) at one row per
+        record; the array itself where every row is one."""
+        first, inverse = self.records
+        return counts if first is inverse else counts[first]
+
     def clamped(self, table):
         """Counts clamped to the table's n_max, once per table, which tallies
         and warns about each clamped count once.  Equal rows stay equal when
@@ -321,33 +328,31 @@ def _at(cdf, index):
 
 @dataclass(frozen=True)
 class _LikelihoodRule(Classifier):
-    """Bright iff the bright initial-state likelihood is larger."""
+    """Bright iff the bright initial-state likelihood is larger.  Each rule
+    has ``_loglik``, the kernel's final pair on the distinct rows, and
+    ``_masks``, the Bright mask on those rows at each bin asked for."""
 
     n_c = None
 
     def score(self, counts, params):
         _require(params is not None, f"{self.label} requires rate parameters")
         state = _prepare(counts)
-        logs, inverse = self._loglik(state, params, False), state.records[1]
+        logs, inverse = self._loglik(state, params), state.records[1]
         return cl.decide_from_logs(*logs)[inverse], tuple(log[inverse] for log in logs)
 
     def column_tallies(self, counts_bright, counts_dark, cols, params):
-        # The kernel hands each prefix column over as it passes it, as a
-        # Bright mask on the distinct rows; weighted by the trials holding
-        # each record, or counted where every row is one, it tallies the
-        # column.
+        # One Bright mask on the distinct rows per column, sorted and without
+        # repeats; weighted by the trials holding each record, or counted
+        # where every row is one, it tallies the column.
         _require(params is not None, f"{self.label} requires rate parameters")
+        bins = sorted(set(cols))
         tallies = []
         for state, wrong_is_bright in ((_prepare(counts_bright), False),
                                        (_prepare(counts_dark), True)):
             first, inverse = state.records
             weights = None if first.size == inverse.size else np.bincount(inverse)
-            brighter = {}
-
-            def tally(k, mask):
-                brighter[k] = int(np.count_nonzero(mask) if weights is None else mask @ weights)
-
-            self._decide_columns(state, params, cols, tally)
+            brighter = {k: int(np.count_nonzero(mask) if weights is None else mask @ weights)
+                        for k, mask in zip(bins, self._masks(state, params, bins))}
             n = inverse.size
             tallies.append([(n, n, brighter[k] if wrong_is_bright else n - brighter[k])
                             for k in cols])
@@ -369,21 +374,16 @@ class SimpleClassifier(_LikelihoodRule):
         tau = f"tau={self.tau_ms:g}" if self.tau_ms else f"tau=tau_{self.decaying.label}"
         return f"decaying={self.decaying.name.lower()};{tau}"
 
-    def _loglik(self, state, params, prefixes):
-        return cl.simple_loglik(state.counts[state.records[0]], params, self.tau_ms,
-                                decaying=self.decaying, prefixes=prefixes)
+    def _loglik(self, state, params):
+        return cl.simple_loglik(state.distinct(state.counts), params, self.tau_ms,
+                                decaying=self.decaying)
 
-    def _decide_columns(self, state, params, cols, tally):
-        """``tally(k, Bright mask)`` per column k, decided from the filter's
-        operands (:func:`classifiers._single_change_brighter`).  The counts
-        are validated already, and ungrouped rows are not copied."""
-        first, inverse = state.records
-        rows = state.counts if first is inverse else state.counts[first]
-        bins = sorted(set(cols))
-        steps = cl._single_change_steps(np.ascontiguousarray(rows.T), params, self.tau_ms,
-                                        self.decaying, bins)
-        for k, mask in zip(bins, cl._single_change_brighter(steps, self.decaying)):
-            tally(k, mask)
+    def _masks(self, state, params, bins):
+        """Decided from the filter's operands
+        (:func:`classifiers._single_change_brighter`)."""
+        steps = cl._single_change_steps(np.ascontiguousarray(state.distinct(state.counts).T),
+                                        params, self.tau_ms, self.decaying, bins)
+        return cl._single_change_brighter(steps, self.decaying)
 
 
 @dataclass(frozen=True)
@@ -393,24 +393,15 @@ class GeneralClassifier(_LikelihoodRule):
 
     label = "generalized_time_resolved"
 
-    def _loglik(self, state, params, prefixes):
+    def _loglik(self, state, params):
         table = observation_table_for(params)
-        return cl.general_loglik(state.clamped(table)[state.records[0]], table, prefixes=prefixes)
+        return cl.general_loglik(state.distinct(state.clamped(table)), table)
 
-    def _decide_columns(self, state, params, cols, tally):
-        """``tally(k, Bright mask)`` per column k, compared on the kernel's
-        logs as it hands each column over; the last column alone needs no
-        prefixes."""
-        last = state.counts.shape[1] - 1
-
-        def decide(k, log_b, log_d):
-            if k in cols:
-                tally(k, log_b > log_d)
-
-        final_only = set(cols) == {last}
-        logs = self._loglik(state, params, False if final_only else decide)
-        if final_only:
-            decide(last, *logs)
+    def _masks(self, state, params, bins):
+        """Compared on the filter's exact pair."""
+        table = observation_table_for(params)
+        for log_b, log_d in cl._forward_logs(state.distinct(state.clamped(table)), table, bins):
+            yield log_b > log_d
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -709,9 +700,8 @@ def _pi_pulse_point(spec: SweepSpec, detector: Classifier, epsilon_pi: float,
                                  threads=threads)
         d1 = decisions_for(ens1.counts, detector, params)
         finals = ens1.final_states()
-        u = deterministic_uniforms(spec.seed,
-                                   (_CTX_PI, _PI_PULSE, index, int(state)),
-                                   spec.n_trials)
+        u = _deterministic_uniforms(spec.seed, (_CTX_PI, _PI_PULSE, index, int(state)),
+                                    spec.n_trials)
         flipped = np.where(u < 1.0 - epsilon_pi, 1 - finals, finals).astype(np.int8)
         ens2 = simulate_ensemble(cfg, flipped, threads=threads,
                                  context=(_CTX_PI, _PI_WINDOW_TWO, index, int(state)))

@@ -197,7 +197,7 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     """
     if not 0 <= t <= params.t_s:    # NaN too
         raise ValueError(f"t must be in [0, t_s={params.t_s}], got {t}")
-    tau = params.tau_B if state is IonState.BRIGHT else params.tau_D
+    tau = params.tau_B if IonState(state) is IonState.BRIGHT else params.tau_D
     return float(np.exp(-t / tau))
 
 
@@ -255,7 +255,7 @@ def count_pmf(state: IonState, n, params: RateParams):
     or an array of integer counts.
     """
     n = _check_counts(n)
-    mean = params.bright_mean if state is IonState.BRIGHT else params.dark_mean
+    mean = params.bright_mean if IonState(state) is IonState.BRIGHT else params.dark_mean
     out = np.exp(_poisson_logpmf(n, mean))
     return float(out) if out.ndim == 0 else out
 

@@ -310,7 +310,7 @@ def simulate_ensemble(config: SimConfig, initial, *,
     return Ensemble(states, counts, times, config.t_b, config.t_s, params=config.params)
 
 
-def deterministic_uniforms(seed: int, context: tuple, n: int) -> np.ndarray:
+def _deterministic_uniforms(seed: int, context: tuple, n: int) -> np.ndarray:
     """Chunk-deterministic uniform(0,1) draws keyed by (seed, context). Used
     for auxiliary per-trial coin flips (e.g. pulse errors) so that composed
     experiments stay reproducible under the same contract as ensembles."""
@@ -471,11 +471,3 @@ def read_counts_csv(path):
         trials[r0:r0 + k], initials[r0:r0 + k] = v[:, 0], label == 100
         counts.append(_narrowest(v[:, 2:]))
     return trials, initials, np.concatenate(counts)
-
-
-def ensembles_from_counts(initials: np.ndarray, counts: np.ndarray,
-                          t_b: float, t_s: float):
-    """Split ingested rows into per-initial-state ensembles (no ground truth).
-    Returns a dict keyed by IonState with only the states present."""
-    return {state: Ensemble(state, counts[initials == state], None, t_b, t_s)
-            for state in IonState if np.any(initials == state)}

@@ -651,52 +651,69 @@ class TestPrefixColumnsExact:
     # are one Poisson product, so every log_p_B ties its log_p_D bit for bit.
     TIES = RateParams(R_B=0.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
 
+    # Sorted, without repeats and with gaps, as a sweep hands its columns on.
+    BINS = (0, 1, 4, 17, 29)
+
     @staticmethod
-    def _handed_over(kernel, counts, *args, **kwargs):
-        """The pairs a callable ``prefixes`` receives, the ``prefixes=True``
-        and the final-only result, and each call's warning texts."""
-        handed, results, texts = [], [], []
-        for prefixes in (lambda k, *logs: handed.append((k, *map(np.copy, logs))), True, False):
+    def _equal_at_bins(steps, stacked, bins):
+        """Copies of each (log_p_B, log_p_D) step, checked against the
+        ``prefixes=True`` columns at ``bins``, bit for bit."""
+        steps = [tuple(map(np.copy, logs)) for logs in steps]
+        assert len(steps) == len(bins)
+        for k, logs in zip(bins, steps):
+            assert all(_same_bits(log, column[:, k]) for log, column in zip(logs, stacked, strict=True))
+        return steps
+
+    @staticmethod
+    def _warns_per_call(kernel, counts, *args, text, times, **kwargs):
+        """The ``prefixes`` False and the True call each warn ``text``
+        ``times`` times."""
+        for prefixes in (False, True):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                results.append(kernel(counts, *args, prefixes=prefixes, **kwargs))
-            texts.append([str(w.message) for w in caught])
-        return handed, results, texts
-
-    def _check_handed_over(self, kernel, counts, *args, warns, **kwargs):
-        handed, (last, stacked, final), texts = self._handed_over(kernel, counts, *args, **kwargs)
-        assert [k for k, *_ in handed] == list(range(counts.shape[1]))
-        for k, *logs in handed:
-            assert all(_same_bits(log, column[:, k]) for log, column in zip(logs, stacked, strict=True))
-        assert all(_same_bits(a, b) for a, b in zip(last, final, strict=True))
-        assert texts[0] == texts[1]
-        # The model-mismatch warning comes once per call, in every form.
-        warned = [[text for text in call if warns in text] for call in texts] if warns else []
-        assert all(len(found) == 1 for found in warned)
-        return handed, warned
+                kernel(counts, *args, prefixes=prefixes, **kwargs)
+            assert sum(text in str(w.message) for w in caught) == times
 
     @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
-    def test_callable_general(self, counts, params):
+    def test_forward_logs_at_bins(self, counts, params):
         table = build_observation_table(params)
         assert (counts > table.n_max).any()
         if params is self.NO_DARK:      # zero entries: the filter meets log(0)
             assert (table.entries == 0).any()
-        self._check_handed_over(general_loglik, counts, table,
-                                warns="counts exceed the table's n_max")
+        with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
+            stacked = general_loglik(counts, table, prefixes=True)
+            self._equal_at_bins(classifiers._forward_logs(counts, table, self.BINS), stacked,
+                                self.BINS)
+        self._warns_per_call(general_loglik, counts, table,
+                             text="counts exceed the table's n_max", times=1)
 
     @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
     @pytest.mark.parametrize("decaying", list(IonState))
-    def test_callable_simple(self, counts, params, tau, decaying):
+    def test_single_change_steps_at_bins(self, counts, params, tau, decaying):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stacked = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
+            steps = classifiers._single_change_steps(np.ascontiguousarray(counts.T), params, tau,
+                                                     decaying, self.BINS)
+            steps = self._equal_at_bins(classifiers._single_change_logs(steps, decaying),
+                                        stacked, self.BINS)
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
-        warns = "t_b >= tau: single-change prefactor clamped to 0" if tau == 0.5 else None
-        handed, warned = self._check_handed_over(simple_loglik, counts, params, tau,
-                                                 decaying=decaying, warns=warns)
-        assert warned == ([[warns]] * 3 if warns else [])
+        self._warns_per_call(simple_loglik, counts, params, tau, decaying=decaying,
+                             text="t_b >= tau: single-change prefactor clamped to 0",
+                             times=int(tau == 0.5))
         if params is self.NO_DARK:      # -inf dark log-pmfs enter the running sums
             assert np.isneginf(_poisson_logpmf(counts, params.dark_mean)).any()
         if params is self.TIES and tau == math.inf:
-            assert all(_same_bits(log_b, log_d) for _, log_b, log_d in handed)
+            assert all(_same_bits(log_b, log_d) for log_b, log_d in steps)
+
+    @pytest.mark.parametrize("prefixes", [lambda k, log_b, log_d: None, None, 1],
+                             ids=["callable", "none", "int"])
+    def test_prefixes_is_true_or_false(self, counts, table, prefixes):
+        # Hot counts and a short tau would warn, an error here, if a step ran.
+        for kernel, args in ((general_loglik, (table,)), (simple_loglik, (P, 0.5))):
+            with pytest.raises(ValueError, match="^prefixes must be True or False, got "):
+                kernel(counts, *args, prefixes=prefixes)
 
     @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])

@@ -59,7 +59,6 @@ from ionread.photon_model import (
 from ionread.trajectory import (
     Ensemble,
     SimConfig,
-    ensembles_from_counts,
     n_bins,
     simulate_ensemble,
 )
@@ -193,10 +192,8 @@ class TestEvaluate:
         assert report.defined
 
     def test_zero_conclusive_reported_undefined(self):
-        counts = np.full((10, 5), 2)
-        initials = np.array([0] * 5 + [1] * 5, dtype=np.int8)
-        pair = ensembles_from_counts(initials, counts, 0.5, 0.1)
-        report = evaluate(pair[IonState.BRIGHT], pair[IonState.DARK],
+        pair = [Ensemble(state, np.full((5, 5), 2), None, 0.5, 0.1) for state in IonState]
+        report = evaluate(*pair,
                           {"method": "double_threshold", "n_D": 0, "n_B": 100},
                           DEFAULT_PARAMS)
         assert not report.defined
@@ -216,10 +213,9 @@ class TestEvaluate:
         totals_d = np.array([0, 2, 2, 5, 0, 1])
         counts_b = np.column_stack([totals_b, np.zeros(5, dtype=int)])
         counts_d = np.column_stack([totals_d, np.zeros(6, dtype=int)])
-        pair = ensembles_from_counts(
-            np.array([0] * 5 + [1] * 6, dtype=np.int8),
-            np.vstack([counts_b, counts_d]), 0.2, 0.1)
-        report = evaluate(pair[IonState.BRIGHT], pair[IonState.DARK],
+        pair = [Ensemble(state, counts, None, 0.2, 0.1)
+                for state, counts in zip(IonState, (counts_b, counts_d))]
+        report = evaluate(*pair,
                           {"method": "double_threshold", "n_D": 1, "n_B": 3},
                           DEFAULT_PARAMS)
         # Bright totals [0,1] decided dark, [2,3] abstain, [10] decided
@@ -681,6 +677,34 @@ class TestDistinctRecordScoring:
                 n_b, n_d = len(counts), len(counts[1::2])
                 assert bright == (n_b, n_b, int(np.count_nonzero(expect == Decision.DARK)))
                 assert dark == (n_d, n_d, int(np.count_nonzero(expect[1::2] == Decision.BRIGHT)))
+
+    @pytest.mark.parametrize("spec", [
+        {"method": "threshold", "n_c": "optimize"},
+        {"method": "double_threshold", "n_D": 0, "n_B": "optimize"},
+        {"method": "simple", "decaying": "bright"},
+        {"method": "general"}], ids=lambda spec: spec["method"])
+    def test_tallies_of_unsorted_repeated_columns(self, spec):
+        # Columns out of order and repeated give one tally per column, each
+        # that of the column alone and of ``score`` on its truncated window,
+        # with a grouped and an ungrouped state on either side.
+        grouped, distinct = self._counts("dark_ensemble"), self._counts("all_distinct")
+        assert harness._distinct_records(grouped)[0].size < len(grouped) // 2
+        first, inverse = harness._distinct_records(distinct)
+        assert first is inverse
+        clf = resolve_classifier(spec)
+        m = grouped.shape[1]
+        cols = [m - 1, 0, 2, m - 1]
+        for counts_b, counts_d in ((grouped, distinct), (distinct, grouped)):
+            tallies = clf.column_tallies(counts_b, counts_d, cols, DEFAULT_PARAMS)
+            assert tallies == [clf.column_tallies(counts_b, counts_d, [col], DEFAULT_PARAMS)[0]
+                               for col in cols]
+            for col, (rule, *got) in zip(cols, tallies, strict=True):
+                want = []
+                for counts, wrong in ((counts_b, Decision.DARK), (counts_d, Decision.BRIGHT)):
+                    codes = rule.score(counts[:, :col + 1], DEFAULT_PARAMS)[0]
+                    want.append((codes.size, int(np.count_nonzero(codes != Decision.INCONCLUSIVE)),
+                                 int(np.count_nonzero(codes == wrong))))
+                assert got == want
 
     def test_clamp_tally_counts_every_repeated_count(self):
         table = harness.observation_table_for(DEFAULT_PARAMS)

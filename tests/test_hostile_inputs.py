@@ -1,6 +1,6 @@
 """Hostile numbers at the library's numeric arguments.
 
-Each numeric argument of the threshold rules, ``deterministic_uniforms``,
+Each numeric argument of the threshold rules, ``_deterministic_uniforms``,
 the population dynamics, the fluorescence formula, ``mean_count_series``
 and ``compare_methods`` gets NaN, both infinities, a bool, a negative
 value, 1.5 and numpy scalars.  A call must raise ValueError naming the
@@ -21,14 +21,17 @@ from ionread import (
     LaserPhysics,
     SweepSpec,
     compare_methods,
-    deterministic_uniforms,
+    count_pmf,
     double_threshold_classify,
     fluorescence_rate,
     mean_count_series,
+    mean_count_window,
     population_dynamics,
+    stay_prob,
     threshold_classify,
 )
 from ionread.classifiers import double_threshold_decide
+from ionread.trajectory import _deterministic_uniforms
 
 HOSTILE = [math.nan, math.inf, -math.inf, True, -1, 1.5, np.int64(3), np.float32(math.nan)]
 HOSTILE_IDS = ["nan", "inf", "-inf", "bool", "negative", "1.5", "np.int64", "np.float32_nan"]
@@ -44,8 +47,8 @@ CALLS = [
     ("n_B", lambda v: double_threshold_classify([0, 1], n_D=0, n_B=v)),
     ("n_D", lambda v: double_threshold_decide(np.arange(6), v, 4)),
     ("n_B", lambda v: double_threshold_decide(np.arange(6), 0, v)),
-    ("seed", lambda v: deterministic_uniforms(v, (), 2)),
-    ("n", lambda v: deterministic_uniforms(1, (), v)),
+    ("seed", lambda v: _deterministic_uniforms(v, (), 2)),
+    ("n", lambda v: _deterministic_uniforms(1, (), v)),
     ("t", lambda v: population_dynamics(v, IonState.BRIGHT, 4.9, 53.0)),
     ("tau_B", lambda v: population_dynamics(1.0, IonState.BRIGHT, v, 53.0)),
     ("tau_D", lambda v: population_dynamics(1.0, IonState.BRIGHT, 4.9, v)),
@@ -98,3 +101,25 @@ def test_a_bool_repetition_count_is_refused():
             compare_methods(SPEC, repetitions=bad)
     rows, _ = compare_methods(SPEC, repetitions=np.int64(2))
     assert {row.r for row in rows} == {1.0, 2.0}
+
+
+# Each function of an ion state, with the state in its place.
+STATE_CALLS = [
+    lambda s: stay_prob(s, 0.05, DEFAULT_PARAMS),
+    lambda s: count_pmf(s, np.arange(4), DEFAULT_PARAMS),
+    lambda s: population_dynamics([0.5, 2.0], s, 4.9, 53.0),
+    lambda s: mean_count_window(1.0, 0.5, DEFAULT_PARAMS, s),
+]
+
+
+@pytest.mark.parametrize("call", STATE_CALLS, ids=["stay_prob", "count_pmf",
+                                                   "population_dynamics", "mean_count_window"])
+def test_a_state_code_reads_as_its_state(call):
+    # The bright code as a plain or numpy int is bright, not dark; no other code is a state.
+    want = np.asarray(call(IonState.BRIGHT))
+    assert not np.array_equal(want, np.asarray(call(IonState.DARK)))
+    for code in (0, np.int8(0)):
+        got = np.asarray(call(code))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="2 is not a valid IonState"):
+        call(2)

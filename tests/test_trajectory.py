@@ -24,9 +24,8 @@ from ionread.trajectory import (
     DataFormatError,
     Ensemble,
     SimConfig,
+    _deterministic_uniforms,
     bright_dwell_per_bin,
-    deterministic_uniforms,
-    ensembles_from_counts,
     n_bins,
     read_counts_csv,
     simulate_ensemble,
@@ -472,10 +471,10 @@ class TestReproducibility:
         assert dark.counts[0].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
 
     def test_deterministic_uniforms_prefix_invariance(self):
-        u1 = deterministic_uniforms(123, (1,), CHUNK + 500)
-        u2 = deterministic_uniforms(123, (1,), CHUNK + 100)
+        u1 = _deterministic_uniforms(123, (1,), CHUNK + 500)
+        u2 = _deterministic_uniforms(123, (1,), CHUNK + 100)
         assert np.array_equal(u1[:CHUNK + 100], u2)
-        u3 = deterministic_uniforms(123, (2,), CHUNK + 100)
+        u3 = _deterministic_uniforms(123, (2,), CHUNK + 100)
         assert not np.array_equal(u2, u3)
 
 
@@ -759,9 +758,8 @@ class TestCsvInterchange:
         assert np.array_equal(counts[50:], dark.counts)
         assert np.array_equal(initials[:50], np.zeros(50, dtype=np.int8))
         assert np.array_equal(initials[50:], np.ones(50, dtype=np.int8))
-        groups = ensembles_from_counts(initials, counts, 0.5, 0.1)
-        assert set(groups) == {IonState.BRIGHT, IonState.DARK}
-        assert np.array_equal(groups[IonState.BRIGHT].counts, bright.counts)
+        groups = [Ensemble(state, counts[initials == state], None, 0.5, 0.1) for state in IonState]
+        assert all(np.array_equal(g.counts, e.counts) for g, e in zip(groups, (bright, dark)))
 
     def test_change_time_sidecar(self, tmp_path):
         cfg = SimConfig(n_trials=20, t_b=3.0, seed=10, params=P)
