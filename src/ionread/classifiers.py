@@ -7,33 +7,34 @@ matrix product), and one composes any single-detection method with an
 inverting pulse between two detection windows.
 
 All classifiers are pure functions.  The batch entry points operate on
-(n_trials, n_bins) count arrays in the log domain and can evaluate every
-prefix of the window in one pass, which is what the sweep harness uses.
-They reject negative and fractional counts.  The scalar classifiers wrap
-them on one row; the likelihood ones return (Decision, log_p_B, log_p_D),
-bit for bit the batch row and its :func:`decide_from_logs` decision.
-Inside, both kernels are filters: one step per bin on bin-major counts
-updates a few length-n_trials rows, and one generator per kernel yields
-each prefix's pair, or its operands, at the bins a caller asks for, so a
-sweep holds O(n_trials) scratch.  The single-change formula gathers each
-bin's Poisson log-pmf (numpy and ``math.log`` only) from a vector over
-0..max count instead of evaluating it per cell, and carries its running
-sums with one elementwise add or logaddexp per bin, the operations of
-``ufunc.accumulate`` in its order, on rows allocated once per call.  Each
-bin yields the stable state's log-likelihood and the two terms p and q
-whose logaddexp is the changeable state's; :func:`simple_loglik` combines
-them, while a sweep's tally decides from them directly
-(:func:`_single_change_brighter`): logaddexp(p, q) lies in [max(p, q),
-max(p, q) + ln 2], so below |max(p, q)| = 2**40 a stable log-likelihood
-more than 0.7 above max(p, q) or 2**-9 below it compares the same way with
-any logaddexp accurate to a few ulps, and only the rows in between (and
-NaN, infinities and larger terms) get the exact logaddexp.  The
-hidden-Markov product is a scaled forward filter (Rabiner, Proc. IEEE
-77:257, 1989) in structure-of-arrays layout: four length-n_trials arrays
-hold the entries of every trial's accumulated 2x2 product, each bin
+(n_trials, n_bins) count arrays in the log domain and return each trial's
+pair for the whole window.  They reject negative and fractional counts.  The
+scalar classifiers wrap them on one row; the likelihood ones return
+(Decision, log_p_B, log_p_D), bit for bit the batch row and its
+:func:`decide_from_logs` decision.  Inside, both kernels are filters: one
+step per bin on bin-major counts updates a few length-n_trials rows, and one
+generator per kernel (``_forward_logs``, ``_single_change_steps``) yields
+each prefix's pair, or its operands, at the bins a caller asks for.  The
+batch entry points read it at the last bin; the sweep harness reads it at
+the columns it tallies, so a sweep holds O(n_trials) scratch.  The
+single-change formula gathers each bin's Poisson log-pmf (numpy and
+``math.log`` only) from a vector over 0..max count instead of evaluating it
+per cell, and carries its running sums with one elementwise add or logaddexp
+per bin, the operations of ``ufunc.accumulate`` in its order, on rows
+allocated once per call.  Each bin yields the stable state's log-likelihood
+and the two terms p and q whose logaddexp is the changeable state's;
+:func:`simple_loglik` combines them, while a sweep's tally decides from them
+directly (:func:`_single_change_brighter`): logaddexp(p, q) lies in
+[max(p, q), max(p, q) + ln 2], so below |max(p, q)| = 2**40 a stable
+log-likelihood more than 0.7 above max(p, q) or 2**-9 below it compares the
+same way with any logaddexp accurate to a few ulps, and only the rows in
+between (and NaN, infinities and larger terms) get the exact logaddexp.  The
+hidden-Markov product is a scaled forward filter (Rabiner,
+Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four length-n_trials
+arrays hold the entries of every trial's accumulated 2x2 product, each bin
 updates them elementwise from four gathered columns of the observation
-table, and a per-bin renormalisation, tallied in a log scale, keeps
-windows of any length in floating range.
+table, and a per-bin renormalisation, tallied in a log scale, keeps windows
+of any length in floating range.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarra
 
 
 def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = None,
-                  *, decaying: IonState = IonState.DARK, prefixes=False):
+                  *, decaying: IonState = IonState.DARK):
     """Log-likelihoods of the single-change formula, vectorized.
 
     One designated state may change exactly once inside the window; the other
@@ -128,16 +129,15 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
     while p_B = prod_k P_B(n_k); ``decaying=BRIGHT`` mirrors the roles (a
     bright prefix that may drop to dark once), which is the variant suited to
     qubits whose dominant change is bright-to-dark.  ``tau`` defaults to the
-    decaying state's lifetime.  ``prefixes`` is as in :func:`general_loglik`.
+    decaying state's lifetime.
 
-    Returns (log_p_B, log_p_D); a window longer than tau clamps the
-    linear-in-t_b prefactor to zero, with a RuntimeWarning.
+    Returns (log_p_B, log_p_D) of shape (n_trials,); a window longer than
+    tau clamps the linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
     counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
-    m = counts_t.shape[0]
-    steps = _single_change_steps(counts_t, params, tau, decaying,
-                                 range(m) if prefixes else (m - 1,))
-    return _prefix_logs(_single_change_logs(steps, decaying), counts_t.shape, prefixes)
+    steps = _single_change_steps(counts_t, params, tau, decaying, (len(counts_t) - 1,))
+    [logs] = _single_change_logs(steps, decaying)
+    return logs
 
 
 def _single_change_steps(counts_t, params: RateParams, tau: float | None, decaying,
@@ -165,9 +165,9 @@ def _single_change_steps(counts_t, params: RateParams, tau: float | None, decayi
     vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
                if hi < counts_t.size else (None, None))
     prefac = 1.0 - np.arange(1, m + 1) * params.t_s / tau
-    if prefac[-1] < 0:      # level 5: the caller of simple_loglik
+    if prefac[-1] < 0:      # level 4: the caller of simple_loglik
         warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                      RuntimeWarning, stacklevel=5)
+                      RuntimeWarning, stacklevel=4)
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
@@ -295,30 +295,15 @@ def _forward_logs(counts2d: np.ndarray, table: ObservationTable, bins):
             yield logs
 
 
-def _prefix_logs(steps, shape, prefixes):
-    """Consume per-bin (log_p_B, log_p_D) steps.  ``prefixes`` False returns
-    the last pair; True every pair, as (n_trials, n_bins) views of bin-major
-    ``shape`` arrays.  Anything else raises ValueError before a step runs."""
-    if not isinstance(prefixes, (bool, np.bool_)):
-        raise ValueError(f"prefixes must be True or False, got {prefixes!r}")
-    stacked = (np.empty(shape), np.empty(shape)) if prefixes else ()
-    for k, logs in enumerate(steps):
-        for rows, log in zip(stacked, logs):
-            rows[k] = log
-    return (stacked[0].T, stacked[1].T) if stacked else logs
-
-
-def general_loglik(counts: np.ndarray, table: ObservationTable, *, prefixes=False):
+def general_loglik(counts: np.ndarray, table: ObservationTable):
     """Log initial-state likelihoods under the full hidden-Markov model.
 
-    Returns (log_p_B, log_p_D) of shape (n_trials,); ``prefixes`` True gives
-    every leading sub-window's, of shape (n_trials, n_bins).  Counts above
-    the table's n_max are scored as n_max, with a warning.
+    Returns (log_p_B, log_p_D) of shape (n_trials,).  Counts above the
+    table's n_max are scored as n_max, with a warning.
     """
     counts2d = _as_count_matrix(counts)
-    m = counts2d.shape[1]
-    return _prefix_logs(_forward_logs(counts2d, table, range(m) if prefixes else (m - 1,)),
-                        counts2d.shape[::-1], prefixes)
+    [logs] = _forward_logs(counts2d, table, (counts2d.shape[1] - 1,))
+    return logs
 
 
 def generalized_time_resolved_classify(counts, table: ObservationTable):
@@ -353,12 +338,13 @@ def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     The pulse inverts the state between windows, so a kept (different
     outcomes) pair is reported as the first detection's outcome, which names
     the pre-pulse state.  Equal outcomes are physically inconsistent with a
-    perfect inversion and are discarded as Inconclusive.
+    perfect inversion and are discarded as Inconclusive.  A code other than
+    Bright or Dark (Inconclusive, another number, NaN) raises ValueError.
     """
-    first = np.asarray(first)
-    second = np.asarray(second)
-    if np.any(first == Decision.INCONCLUSIVE) or np.any(second == Decision.INCONCLUSIVE):
-        raise ValueError("single detections feeding a pulse pair never abstain")
+    first, second = np.asarray(first), np.asarray(second)
+    if not all(np.isin(codes, (Decision.BRIGHT, Decision.DARK)).all() for codes in (first, second)):
+        raise ValueError("single detections feeding a pulse pair never abstain: "
+                         "every code must be Bright (0) or Dark (1)")
     return np.where(first == second, Decision.INCONCLUSIVE, first).astype(np.int8)
 
 

@@ -91,7 +91,7 @@ def _cmd_simulate(cfg: dict, args):
     _require(type(section.get("change_times", False)) is bool, "change_times must be true or false")
     config = SimConfig(n_trials=n_trials, t_b=t_b, seed=seed, params=params)
     states = ((IonState.BRIGHT, IonState.DARK) if initial == "both"
-              else (IonState.from_label(initial[0].upper()),))
+              else (IonState[initial.upper()],))
     ensembles = [simulate_ensemble(config, s, threads=args.threads)
                  for s in states]
     if args.format == "csv":

@@ -25,21 +25,21 @@ form (a confluent hypergeometric function), so no numerical integration runs.
 
 Built tables persist across processes in a per-user cache,
 ``$XDG_CACHE_HOME/ionread`` (``~/.cache/ionread`` when the variable is unset
-or not absolute): one ``.npz`` file of about 2 KB per parameter set and
-``tol``, loaded with ``allow_pickle=False`` and never pruned.  Only
-parameter sets whose five values and ``tol`` are Python floats are cached,
-as ``RateParams.from_json_dict`` and the CLI make them; any other type
-builds without the cache.  A file serves only under its key, a SHA-256
-over this module's source, the Python, numpy and scipy versions, the size
-and modification time of scipy.special's compiled modules, the bits that
-array and scalar ``np.exp``, ``np.add.reduce``, ``math.exp`` and
-``math.log`` return on fixed inputs, and the exact bits of the five
-parameters and ``tol``.  The probes guard against a cache shared between
-machines serving another CPU's or C library's bits, but do not rule it
-out: the C library functions that scipy.special's compiled code calls are
-not probed.  A missing, damaged or mismatched file is rebuilt and replaced
-atomically; a write that fails is skipped.  A cached table is the built one
-bit for bit.  Deleting the directory clears the cache.
+or not absolute): one ``.npz`` file of about 2 KB per parameter set, loaded
+with ``allow_pickle=False`` and never pruned.  Only parameter sets whose
+five values are Python floats are cached, as ``RateParams.from_json_dict``
+and the CLI make them; any other type builds without the cache.  A file
+serves only under its key, a SHA-256 over this module's source, the Python,
+numpy and scipy versions, the size and modification time of scipy.special's
+compiled modules, the bits that array and scalar ``np.exp``,
+``np.add.reduce``, ``math.exp`` and ``math.log`` return on fixed inputs,
+and the exact bits of the five parameters and of the table's truncation
+bound, 1e-9 (``_TABLE_TOL``).  The probes guard against a cache shared
+between machines serving another CPU's or C library's bits, but do not rule
+it out: the C library functions that scipy.special's compiled code calls
+are not probed.  A missing, damaged or mismatched file is rebuilt and
+replaced atomically; a write that fails is skipped.  A cached table is the
+built one bit for bit.  Deleting the directory clears the cache.
 
 Only ``mixed_pmf`` and ``_truncation_mass`` import scipy.special, when
 called, so only the first build of a parameter set on a machine loads it.
@@ -80,13 +80,6 @@ class IonState(enum.IntEnum):
     @property
     def label(self) -> str:
         return "B" if self is IonState.BRIGHT else "D"
-
-    @classmethod
-    def from_label(cls, label: str) -> "IonState":
-        try:
-            return {"B": cls.BRIGHT, "D": cls.DARK}[label.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown state label {label!r}, expected 'B' or 'D'") from None
 
 
 class DegenerateModelError(ValueError):
@@ -155,9 +148,9 @@ class RateParams:
 
     def scaled(self, r: float) -> "RateParams":
         """Rates scaled by a collection-efficiency factor r; lifetimes are a
-        property of the ion and stay fixed."""
-        if r <= 0:
-            raise ValueError(f"efficiency factor must be > 0, got {r}")
+        property of the ion and stay fixed.  ``r`` must be a finite number > 0."""
+        if isinstance(r, bool) or not (math.isfinite(r) and r > 0):
+            raise ValueError(f"efficiency factor r must be finite and > 0, got {r!r}")
         return replace(self, R_B=r * self.R_B, R_D=r * self.R_D)
 
     def to_json_dict(self) -> dict:
@@ -395,15 +388,16 @@ def _truncation_mass(params: RateParams, entries: np.ndarray) -> np.ndarray:
     return np.array([col0, col1])
 
 
-#: Names the cache file layout; change it when the layout changes.
-_CACHE_FORMAT = b"ionread observation table v1"
+#: Largest probability mass per column that a built table leaves out.
+_TABLE_TOL = 1e-9
 
 
 @functools.cache
 def _environment_digest() -> bytes | None:
     """What besides the parameters decides a table's bits on this machine.
 
-    This module's source; the Python, numpy and scipy versions (scipy's
+    This module's source, so a change to the cache file layout gives new
+    keys; the Python, numpy and scipy versions (scipy's
     from its ``version.py``, read without importing scipy); the size and
     modification time of each compiled module of scipy.special, found
     without importing it; and the bits that array and scalar ``np.exp``,
@@ -428,7 +422,7 @@ def _environment_digest() -> bytes | None:
         return None
     probe = np.linspace(-30.0, 30.0, 601)
     exps = np.exp(probe)
-    parts = (_CACHE_FORMAT, source, sys.version.encode(), np.__version__.encode(),
+    parts = (source, sys.version.encode(), np.__version__.encode(),
              scipy_version, repr(compiled).encode(), exps.tobytes(),
              np.add.reduce(exps).tobytes(), np.add.reduce(exps[::3]).tobytes(),
              np.array([np.exp(x) for x in probe[::10].tolist()]).tobytes(),
@@ -440,14 +434,14 @@ def _environment_digest() -> bytes | None:
     return digest.digest()
 
 
-def _cache_entry(params: RateParams, tol: float) -> tuple[str, str] | None:
-    """(file path, key) of the cached table for ``params`` and ``tol``, or
-    None when no key can be formed.  Only Python floats are keyed: their
+def _cache_entry(params: RateParams) -> tuple[str, str] | None:
+    """(file path, key) of the cached table for ``params`` at ``_TABLE_TOL``,
+    or None when no key can be formed.  Only Python floats are keyed: their
     ``hex`` is exact, where a wider or narrower type would build another
     table under the same float64 bits.  The file is named by the parameters
     alone, so a new key (another release, say) replaces the old entry."""
     import hashlib
-    values = (params.R_B, params.R_D, params.tau_B, params.tau_D, params.t_s, tol)
+    values = (params.R_B, params.R_D, params.tau_B, params.tau_D, params.t_s, _TABLE_TOL)
     if not all(type(v) is float for v in values):
         return None
     environment = _environment_digest()
@@ -498,30 +492,28 @@ def _store_table(path: str, key: str, table: ObservationTable) -> None:
                 os.unlink(tmp)
 
 
-def build_observation_table(params: RateParams, tol: float = 1e-9) -> ObservationTable:
+def build_observation_table(params: RateParams) -> ObservationTable:
     """Tabulate O(n) for n = 0..n_max, the first n_max >= 1 whose truncated
-    probability mass per column is below ``tol``.
+    probability mass per column is below 1e-9.
 
-    The table grows one row at a time and stops there: ``tol`` alone sizes
-    it (n_max = 14 at the default rates and ``tol``).  Counts above n_max
-    met later are clamped with a warning, not rejected.
+    The table grows one row at a time and stops there, so that bound alone
+    sizes it (n_max = 14 at the default rates).  Counts above n_max met
+    later are clamped with a warning, not rejected.
 
     Built tables persist across processes in a per-user cache (see the
     module docstring); a cached table is the built one, bit for bit.
     """
-    if not (isinstance(tol, (float, np.floating)) and 0 < tol < 1):  # NaN and bools too
-        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")
     if params.coarse_subbin:
         warnings.warn(f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
                       "single-change-per-sub-bin observation model degrades", stacklevel=2)
-    entry = _cache_entry(params, tol)
+    entry = _cache_entry(params)
     if entry is not None:
         table = _load_table(*entry, params)
         if table is not None:
             return table
-    table = _tabulate(params, tol)
+    table = _tabulate(params, _TABLE_TOL)
     if entry is not None:
         _store_table(*entry, table)
     return table

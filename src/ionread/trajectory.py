@@ -354,9 +354,9 @@ def _ensemble_blocks(ensembles):
 def write_ensemble_csv(path, ensembles, *, comments=()) -> None:
     """Write one or more ensembles (same bin count) to a counts CSV."""
     ensembles = list(ensembles)
+    if len({e.n_bins for e in ensembles}) != 1:
+        raise ValueError("a counts file holds one or more ensembles, all of one bin count")
     m = ensembles[0].n_bins
-    if any(e.n_bins != m for e in ensembles):
-        raise ValueError("all ensembles in one file must share the bin count")
     blocks = ((trials, labels, *ens.counts[rows].T.tolist())
               for ens, rows, trials, labels in _ensemble_blocks(ensembles))
     _write_csv(path, ["trial", "initial"] + [f"n_{k}" for k in range(1, m + 1)],

@@ -8,6 +8,7 @@ regression cannot hide inside a shared helper.
 
 import collections
 import contextlib
+import inspect
 import itertools
 import math
 import warnings
@@ -154,6 +155,28 @@ def assert_scalar_is_batch_row(scalar, batch, records):
         assert decision == decide_from_logs(log_p_b, log_p_d)
 
 
+def _stacked(steps):
+    """Copies of every (log_p_B, log_p_D) step, as (n_trials, n_bins) arrays."""
+    columns = [tuple(map(np.copy, logs)) for logs in steps]
+    return tuple(np.stack(logs, axis=1) for logs in zip(*columns))
+
+
+def general_columns(counts, table):
+    """Every prefix's (log_p_B, log_p_D) of the hidden-Markov kernel: its
+    per-bin generator, ``_forward_logs``, read at each bin."""
+    counts = np.asarray(counts)
+    return _stacked(classifiers._forward_logs(counts, table, range(counts.shape[1])))
+
+
+def simple_columns(counts, params, tau=None, *, decaying=IonState.DARK):
+    """Every prefix's (log_p_B, log_p_D) of the single-change formula:
+    ``_single_change_logs`` of ``_single_change_steps`` read at each bin."""
+    counts_t = np.ascontiguousarray(np.asarray(counts).T)
+    steps = classifiers._single_change_steps(counts_t, params, tau, decaying,
+                                             range(len(counts_t)))
+    return _stacked(classifiers._single_change_logs(steps, decaying))
+
+
 class TestThreshold:
     def test_all_zeros_is_dark(self):
         assert threshold_classify([0, 0, 0], n_c=1) is Decision.DARK
@@ -239,7 +262,7 @@ class TestSimpleTimeResolved:
                                        lambda c: simple_loglik(c, P, 0.5), wide_records)
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(20, 9))
-        log_b_pref, log_d_pref = simple_loglik(counts, P, prefixes=True)
+        log_b_pref, log_d_pref = simple_columns(counts, P)
         for i in range(20):
             for k in (1, 5, 9):
                 lb_k, ld_k = simple_loglik(counts[i:i + 1, :k], P)
@@ -282,15 +305,22 @@ class TestSimpleTimeResolved:
         change_only = naive_single_change(counts, P, 0.5)[1]     # max(0, 1 - t_b/tau) = 0
         assert log_d[0] == pytest.approx(math.log(change_only), rel=1e-12)
         assert result[1:] == (log_b[0], log_d[0])
-        for prefixes in (False, True):
-            with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
-                                                    "clamped to 0$"):
-                logs = simple_loglik(np.array([counts]), P, tau=0.5, prefixes=prefixes)
-            assert len(logs) == 2
-            assert all(log.shape == ((1, 10) if prefixes else (1,)) for log in logs)
+        with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
+                                                "clamped to 0$"):
+            logs = simple_loglik(np.array([counts]), P, tau=0.5)
+        assert len(logs) == 2 and all(log.shape == (1,) for log in logs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(simple_loglik(np.array([counts[:5]]), P, tau=0.5)) == 2
+
+    def test_prefactor_warning_names_the_caller(self):
+        # The warning points at the line that called simple_loglik, not at
+        # the kernel's own frames.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            simple_loglik([[0] * 10], P, tau=0.5)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
     def test_default_tau_is_dark_lifetime(self):
         counts = [0, 1, 2]
@@ -317,8 +347,6 @@ class TestSimpleTimeResolved:
             with pytest.raises(ValueError, match="photon count"):
                 simple_loglik(bad, P, decaying=decaying)
             with pytest.raises(ValueError, match="photon count"):
-                simple_loglik(bad, P, decaying=decaying, prefixes=True)
-            with pytest.raises(ValueError, match="photon count"):
                 simple_time_resolved_classify(bad[0], P, decaying=decaying)
 
     def test_integer_valued_floats_accepted(self):
@@ -329,15 +357,15 @@ class TestSimpleTimeResolved:
 
     def test_gathered_log_pmf_is_per_cell_log_pmf(self):
         counts = np.random.default_rng(8).integers(0, 14, size=(400, 7))
-        log_b, _ = simple_loglik(counts, P, prefixes=True)
-        _, log_d = simple_loglik(counts, P, decaying=IonState.BRIGHT, prefixes=True)
+        log_b, _ = simple_columns(counts, P)
+        _, log_d = simple_columns(counts, P, decaying=IonState.BRIGHT)
         assert np.array_equal(log_b, np.cumsum(_poisson_logpmf(counts, P.bright_mean), axis=1))
         assert np.array_equal(log_d, np.cumsum(_poisson_logpmf(counts, P.dark_mean), axis=1))
 
     def test_huge_count_evaluated_per_cell(self):
         # A log-pmf vector over 0..10^12 would not fit in memory; the values
         # are those of the per-cell evaluation.
-        log_b, log_d = simple_loglik([[10**12, 0]], P, prefixes=True)
+        log_b, log_d = simple_columns([[10**12, 0]], P)
         assert log_b.tolist() == [[-26142441101126.242, -26142441101127.87]]
         assert log_d.tolist() == [[-26142441101132.57, -26142441101134.2]]
 
@@ -463,7 +491,7 @@ class TestGeneralizedTimeResolved:
                                        lambda c: general_loglik(c, table), records)
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 8, size=(20, 7))
-        log_b_pref, log_d_pref = general_loglik(counts, table, prefixes=True)
+        log_b_pref, log_d_pref = general_columns(counts, table)
         for k in (1, 3, 7):
             lb_k, ld_k = general_loglik(counts[:, :k], table)
             assert np.allclose(log_b_pref[:, k - 1], lb_k, atol=1e-12)
@@ -536,7 +564,7 @@ class TestGeneralizedTimeResolved:
             general_loglik(counts, table)
         assert table.clamped_lookups - before == 3
         with pytest.warns(RuntimeWarning, match=text.format(3)):
-            general_loglik(counts, table, prefixes=True)
+            general_columns(counts, table)
         assert table.clamped_lookups - before == 6
         with pytest.warns(RuntimeWarning, match=text.format(2)):
             generalized_time_resolved_classify(counts[1], table)
@@ -547,8 +575,6 @@ class TestGeneralizedTimeResolved:
         before = table.clamped_lookups
         with pytest.raises(ValueError, match="photon count"):
             general_loglik(bad, table)
-        with pytest.raises(ValueError, match="photon count"):
-            general_loglik(bad, table, prefixes=True)
         with pytest.raises(ValueError, match="photon count"):
             generalized_time_resolved_classify(bad[0], table)
         assert table.clamped_lookups == before
@@ -565,7 +591,7 @@ class TestForwardFilterReference:
 
     def _check(self, counts, table):
         ref_b, ref_d = matmul_reference(counts, table)
-        pref_b, pref_d = general_loglik(counts, table, prefixes=True)
+        pref_b, pref_d = general_columns(counts, table)
         final_b, final_d = general_loglik(counts, table)
         np.testing.assert_allclose(pref_b, ref_b, rtol=1e-12, atol=0)
         np.testing.assert_allclose(pref_d, ref_d, rtol=1e-12, atol=0)
@@ -606,9 +632,9 @@ def _same_bits(a, b) -> bool:
 
 
 class TestPrefixColumnsExact:
-    """Prefix column k of either kernel is the final-only result on the first
-    k + 1 bins, bit for bit: the bin-major layout and the per-bin running
-    sums change no operation and no order of operations."""
+    """Bin k of either kernel's per-bin generator is the final-only result on
+    the first k + 1 bins, bit for bit: the bin-major layout and the per-bin
+    running sums change no operation and no order of operations."""
 
     # R_D = 0 gives -inf dark log-pmfs, so the running logaddexp sees -inf.
     NO_DARK = RateParams(R_B=16.0, R_D=0.0, tau_B=4.9, tau_D=56.0, t_s=0.1)
@@ -623,7 +649,7 @@ class TestPrefixColumnsExact:
     def test_general(self, counts, table):
         assert (counts > table.n_max).any()
         with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-            prefix = general_loglik(counts, table, prefixes=True)
+            prefix = general_columns(counts, table)
             finals = [general_loglik(counts[:, :k + 1], table) for k in range(counts.shape[1])]
         for k, final in enumerate(finals):
             assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
@@ -638,9 +664,9 @@ class TestPrefixColumnsExact:
               else contextlib.nullcontext()):
             if tau is not None or params is self.NO_DARK:     # -inf terms are covered
                 assert any(np.isneginf(term).any()
-                           for term in _logaddexp_operands(monkeypatch, simple_loglik, counts,
+                           for term in _logaddexp_operands(monkeypatch, simple_columns, counts,
                                                            params, tau, decaying=decaying))
-            prefix = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
+            prefix = simple_columns(counts, params, tau, decaying=decaying)
             finals = [simple_loglik(counts[:, :k + 1], params, tau, decaying=decaying)
                       for k in range(counts.shape[1])]
         for k, final in enumerate(finals):
@@ -657,7 +683,7 @@ class TestPrefixColumnsExact:
     @staticmethod
     def _equal_at_bins(steps, stacked, bins):
         """Copies of each (log_p_B, log_p_D) step, checked against the
-        ``prefixes=True`` columns at ``bins``, bit for bit."""
+        columns read at every bin, at ``bins``, bit for bit."""
         steps = [tuple(map(np.copy, logs)) for logs in steps]
         assert len(steps) == len(bins)
         for k, logs in zip(bins, steps):
@@ -665,13 +691,13 @@ class TestPrefixColumnsExact:
         return steps
 
     @staticmethod
-    def _warns_per_call(kernel, counts, *args, text, times, **kwargs):
-        """The ``prefixes`` False and the True call each warn ``text``
-        ``times`` times."""
-        for prefixes in (False, True):
+    def _warns_per_call(kernels, counts, *args, text, times, **kwargs):
+        """The final-only kernel and the run over every bin each warn
+        ``text`` ``times`` times."""
+        for kernel in kernels:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                kernel(counts, *args, prefixes=prefixes, **kwargs)
+                kernel(counts, *args, **kwargs)
             assert sum(text in str(w.message) for w in caught) == times
 
     @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
@@ -681,10 +707,10 @@ class TestPrefixColumnsExact:
         if params is self.NO_DARK:      # zero entries: the filter meets log(0)
             assert (table.entries == 0).any()
         with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-            stacked = general_loglik(counts, table, prefixes=True)
+            stacked = general_columns(counts, table)
             self._equal_at_bins(classifiers._forward_logs(counts, table, self.BINS), stacked,
                                 self.BINS)
-        self._warns_per_call(general_loglik, counts, table,
+        self._warns_per_call((general_loglik, general_columns), counts, table,
                              text="counts exceed the table's n_max", times=1)
 
     @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
@@ -693,27 +719,20 @@ class TestPrefixColumnsExact:
     def test_single_change_steps_at_bins(self, counts, params, tau, decaying):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            stacked = simple_loglik(counts, params, tau, decaying=decaying, prefixes=True)
+            stacked = simple_columns(counts, params, tau, decaying=decaying)
             steps = classifiers._single_change_steps(np.ascontiguousarray(counts.T), params, tau,
                                                      decaying, self.BINS)
             steps = self._equal_at_bins(classifiers._single_change_logs(steps, decaying),
                                         stacked, self.BINS)
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
-        self._warns_per_call(simple_loglik, counts, params, tau, decaying=decaying,
+        self._warns_per_call((simple_loglik, simple_columns), counts, params, tau,
+                             decaying=decaying,
                              text="t_b >= tau: single-change prefactor clamped to 0",
                              times=int(tau == 0.5))
         if params is self.NO_DARK:      # -inf dark log-pmfs enter the running sums
             assert np.isneginf(_poisson_logpmf(counts, params.dark_mean)).any()
         if params is self.TIES and tau == math.inf:
             assert all(_same_bits(log_b, log_d) for log_b, log_d in steps)
-
-    @pytest.mark.parametrize("prefixes", [lambda k, log_b, log_d: None, None, 1],
-                             ids=["callable", "none", "int"])
-    def test_prefixes_is_true_or_false(self, counts, table, prefixes):
-        # Hot counts and a short tau would warn, an error here, if a step ran.
-        for kernel, args in ((general_loglik, (table,)), (simple_loglik, (P, 0.5))):
-            with pytest.raises(ValueError, match="^prefixes must be True or False, got "):
-                kernel(counts, *args, prefixes=prefixes)
 
     @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
@@ -740,7 +759,7 @@ class TestPrefixColumnsExact:
         for rows in (grouped, counts):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                log_b, log_d = simple_loglik(rows, params, tau, decaying=decaying, prefixes=True)
+                log_b, log_d = simple_columns(rows, params, tau, decaying=decaying)
             texts.append([str(w.message) for w in caught])
             brighter.append(np.count_nonzero(log_b > log_d, axis=0).tolist())
         n_b, n_d = len(grouped), len(counts)
@@ -787,7 +806,7 @@ def test_bright_masks_from_operands_hold_for_a_few_ulps(monkeypatch, decaying, u
 
 
 def _logaddexp_operands(monkeypatch, kernel, *args, **kwargs):
-    """Copies of every operand of the logaddexp calls of one prefix run of
+    """Copies of every operand of the logaddexp calls of one run of
     ``kernel``: the single-change terms, as each bin's step meets them."""
     operands, logaddexp = [], np.logaddexp
 
@@ -797,7 +816,7 @@ def _logaddexp_operands(monkeypatch, kernel, *args, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "logaddexp", recording)
-        kernel(*args, prefixes=True, **kwargs)
+        kernel(*args, **kwargs)
     return operands
 
 
@@ -811,8 +830,16 @@ class TestPiPulseClassify:
         assert pi_pulse_classify(Decision.DARK, Decision.DARK) is Decision.INCONCLUSIVE
 
     def test_abstaining_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="never abstain"):
             pi_pulse_classify(Decision.INCONCLUSIVE, Decision.BRIGHT)
+
+    @pytest.mark.parametrize("bad", [Decision.INCONCLUSIVE, 5, -1, math.nan, 0.5])
+    def test_any_code_but_bright_or_dark_rejected(self, bad):
+        # 5 once passed through as a kept outcome, and NaN was cast to int8.
+        for first, second in (([0, bad, 1], [1, 0, 0]), ([0, 1, 0], [1, bad, 0])):
+            with pytest.raises(ValueError, match="^single detections feeding a pulse pair "
+                                                 "never abstain: every code must be Bright"):
+                pi_pulse_combine(np.array(first), np.array(second))
 
     def test_vectorized_combination(self):
         first = np.array([0, 0, 1, 1], dtype=np.int8)
@@ -972,21 +999,20 @@ class TestCountWidths:
         return records.astype(np.int8)
 
     def test_general(self, narrow, table):
-        for prefixes in (False, True):
+        for kernel in (general_loglik, general_columns):
             with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-                got = general_loglik(narrow, table, prefixes=prefixes)
+                got = kernel(narrow, table)
             with pytest.warns(RuntimeWarning, match="counts exceed the table's n_max"):
-                want = general_loglik(narrow.astype(np.int64), table, prefixes=prefixes)
+                want = kernel(narrow.astype(np.int64), table)
             assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("decaying", list(IonState))
     def test_simple(self, narrow, decaying):
         # The 1 x 3 record holding 127 scores its counts without the gather.
         for counts in (narrow, np.array([[127, 0, 1]], np.int8)):
-            for prefixes in (False, True):
-                got = simple_loglik(counts, P, decaying=decaying, prefixes=prefixes)
-                want = simple_loglik(counts.astype(np.int64), P, decaying=decaying,
-                                     prefixes=prefixes)
+            for kernel in (simple_loglik, simple_columns):
+                got = kernel(counts, P, decaying=decaying)
+                want = kernel(counts.astype(np.int64), P, decaying=decaying)
                 assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
                 assert np.isfinite(got).all()
 

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from ionread import classifiers, estimation, harness
+from ionread import classifiers, estimation, harness, photon_model
 from ionread.cli import main
 from ionread.harness import evaluate
 from ionread.photon_model import DEFAULT_PARAMS, IonState, build_observation_table
@@ -352,10 +352,10 @@ class TestSweepCompare:
     def test_sweep_prints_counts_above_the_table_as_warning_lines(self, tmp_path, capsys,
                                                                   monkeypatch):
         # A table sized by a loose tol (n_max = 3): the bright ensemble's counts exceed it.
-        n_max = build_observation_table(DEFAULT_PARAMS, tol=0.1).n_max
+        n_max = photon_model._tabulate(DEFAULT_PARAMS, 0.1).n_max
         assert n_max == 3
         monkeypatch.setattr(harness, "observation_table_for",
-                            lambda params: build_observation_table(params, tol=0.1))
+                            lambda params: photon_model._tabulate(params, 0.1))
         cfg = _config(tmp_path, sweep={"t_b_ms": [0.5], "n_trials": 500, "seed": 7,
                                        "classifiers": [{"method": "general"}]})
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ionread import classifiers, harness
+from ionread import classifiers, harness, photon_model
 from ionread.classifiers import (
     Decision,
     decide_from_logs,
@@ -54,7 +54,6 @@ from ionread.photon_model import (
     DEFAULT_PARAMS,
     IonState,
     RateParams,
-    build_observation_table,
 )
 from ionread.trajectory import (
     Ensemble,
@@ -71,7 +70,7 @@ from ionread.trajectory import (
 def exact_joint_count_dist(params, t_b, initial):
     """P(total count = N, final state = y | initial state) as an (N+1, 2)
     array, by count-space convolution of the observation matrices."""
-    entries = build_observation_table(params, tol=1e-12).entries
+    entries = photon_model._tabulate(params, 1e-12).entries
     m = n_bins(t_b, params.t_s)
     n_max = entries.shape[0] - 1
     cap = n_max * m
@@ -552,9 +551,9 @@ class TestPrefixTallies:
         wide = [row for row in rows if row.detail == "n_D=0;n_B=1000"]
         assert wide[0].defined and not wide[1].defined
         assert math.isnan(wide[1].epsilon) and wide[1].retained_bright == 0
-        log_b, log_d = simple_loglik(ens_b.counts, self.EDGE_PARAMS, math.inf,
-                                     prefixes=True)
-        assert np.array_equal(log_b, log_d)
+        for k in range(1, ens_b.n_bins + 1):
+            log_b, log_d = simple_loglik(ens_b.counts[:, :k], self.EDGE_PARAMS, math.inf)
+            assert np.array_equal(log_b, log_d)
         tie_rows = [row for row in rows if row.detail == "decaying=dark;tau=inf"]
         assert [row.wrong_bright for row in tie_rows] == [2048, 2048]   # ties go to Dark
         assert [row.wrong_dark for row in tie_rows] == [0, 0]
@@ -586,13 +585,11 @@ class TestDistinctRecordScoring:
         return np.repeat(rows, 256, axis=0)
 
     @staticmethod
-    def _direct(spec, counts, prefixes):
+    def _direct(spec, counts):
         if spec["method"] == "general":
-            return general_loglik(counts, harness.observation_table_for(DEFAULT_PARAMS),
-                                  prefixes=prefixes)
+            return general_loglik(counts, harness.observation_table_for(DEFAULT_PARAMS))
         decaying = IonState.BRIGHT if spec.get("decaying") == "bright" else IonState.DARK
-        return simple_loglik(counts, DEFAULT_PARAMS, spec.get("tau_ms"),
-                             decaying=decaying, prefixes=prefixes)
+        return simple_loglik(counts, DEFAULT_PARAMS, spec.get("tau_ms"), decaying=decaying)
 
     @pytest.mark.parametrize("case, grouped", [
         ("dark_ensemble", True), ("pulse_windows", True),
@@ -655,7 +652,7 @@ class TestDistinctRecordScoring:
         spec = self.RULES[rule]
         clf = resolve_classifier(spec)
         counts = self._counts(case)
-        final = self._direct(spec, counts, False)
+        final = self._direct(spec, counts)
         codes, logs = clf.score(counts, DEFAULT_PARAMS)
         assert all(np.array_equal(g, d) for g, d in zip(logs, final, strict=True))
         assert np.array_equal(codes, decide_from_logs(*final))
@@ -663,15 +660,14 @@ class TestDistinctRecordScoring:
                               decide_from_logs(*final))
         # Column tallies: the final column alone (no prefix outputs) and every
         # other column.  Each column's per-row decisions come from ``score``
-        # on the truncated window, which must match the prefix kernel row by
-        # row; the tallies must count them.  The dark side is every other
-        # row, so the two states' tallies differ.
+        # on the truncated window, which must match the kernel on that window
+        # row by row; the tallies must count them.  The dark side is every
+        # other row, so the two states' tallies differ.
         m = counts.shape[1]
-        log_b, log_d = self._direct(spec, counts, True)
         for cols in ([m - 1], list(range(m))[::2]):
             tallies = clf.column_tallies(counts, counts[1::2], cols, DEFAULT_PARAMS)
             for col, (rule_out, bright, dark) in zip(cols, tallies, strict=True):
-                expect = decide_from_logs(log_b[:, col], log_d[:, col])
+                expect = decide_from_logs(*self._direct(spec, counts[:, :col + 1]))
                 assert np.array_equal(clf.score(counts[:, :col + 1], DEFAULT_PARAMS)[0], expect)
                 assert rule_out is clf
                 n_b, n_d = len(counts), len(counts[1::2])

@@ -1,11 +1,11 @@
 """Hostile numbers at the library's numeric arguments.
 
 Each numeric argument of the threshold rules, ``_deterministic_uniforms``,
-the population dynamics, the fluorescence formula, ``mean_count_series``
-and ``compare_methods`` gets NaN, both infinities, a bool, a negative
-value, 1.5 and numpy scalars.  A call must raise ValueError naming the
-argument (ConfigError is one) or return a finite result; it must never
-raise TypeError or hand back NaN.
+the population dynamics, the fluorescence formula, ``mean_count_series``,
+``RateParams.scaled`` and ``compare_methods`` gets NaN, both infinities, a
+bool, a negative value, 1.5 and numpy scalars.  A call must raise
+ValueError naming the argument (ConfigError is one) or return a finite
+result; it must never raise TypeError or hand back NaN.
 """
 
 import dataclasses
@@ -55,6 +55,7 @@ CALLS = [
     *((name, lambda v, name=name: fluorescence_rate(LaserPhysics(**{**PHYSICS, name: v})))
       for name in PHYSICS),
     ("t_s", lambda v: mean_count_series([0, 1, 0], COUNTS, v)),
+    ("r", lambda v: DEFAULT_PARAMS.scaled(v)),
     ("repetitions", lambda v: compare_methods(SPEC, repetitions=v)),
     ("threads", lambda v: compare_methods(SPEC, threads=v)),
 ]

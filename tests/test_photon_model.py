@@ -6,10 +6,10 @@ The mixture pmf is checked against an independent brute-force Riemann sum
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import subprocess
 import sys
-import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -96,6 +96,12 @@ class TestRateParams:
         assert s.tau_B == DEFAULT_PARAMS.tau_B and s.tau_D == DEFAULT_PARAMS.tau_D
         with pytest.raises(ValueError):
             DEFAULT_PARAMS.scaled(0.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, True, False, 0.0, -1.0])
+    def test_scaled_refuses_a_factor_by_its_own_name(self, r):
+        # NaN and inf once failed as "R_B must be finite", and True ran as 1.
+        with pytest.raises(ValueError, match="^efficiency factor r must be finite and > 0, got "):
+            DEFAULT_PARAMS.scaled(r)
 
     def test_json_round_trip(self):
         doc = DEFAULT_PARAMS.to_json_dict()
@@ -260,7 +266,7 @@ class TestObservationTable:
         assert table.truncation_mass.max() < 1e-9
 
     def test_column_normalization(self):
-        table = build_observation_table(DEFAULT_PARAMS, tol=1e-12)
+        table = photon_model._tabulate(DEFAULT_PARAMS, 1e-12)
         sums = table.entries.sum(axis=(0, 1))
         assert np.all(np.abs(sums - 1.0) < 1e-9)
         assert np.all(table.entries >= 0.0)
@@ -278,7 +284,7 @@ class TestObservationTable:
             assert o[0, 1] == pytest.approx(mixed_pmf("DB", n, DEFAULT_PARAMS))
 
     def test_tabulated_mean_identity(self):
-        table = build_observation_table(DEFAULT_PARAMS, tol=1e-12)
+        table = photon_model._tabulate(DEFAULT_PARAMS, 1e-12)
         ns = np.arange(table.n_max + 1)
         w_bb = stay_prob(IonState.BRIGHT, 0.1, DEFAULT_PARAMS)
         tab_mean = float(ns @ table.entries[:, 0, 0]) / w_bb
@@ -303,7 +309,7 @@ class TestObservationTable:
 
     @pytest.mark.parametrize("params", [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, t_s=1.0 / 30.0)])
     def test_tighter_tol_only_appends_rows(self, params):
-        tables = [build_observation_table(params, tol=tol) for tol in (1e-6, 1e-9, 1e-12)]
+        tables = [photon_model._tabulate(params, tol) for tol in (1e-6, 1e-9, 1e-12)]
         assert tables[0].n_max < tables[1].n_max < tables[2].n_max
         for small, large in zip(tables, tables[1:]):
             assert small.entries.tobytes() == large.entries[:small.n_max + 1].tobytes()
@@ -329,7 +335,7 @@ class TestObservationTable:
         monkeypatch.setattr(photon_model, "mixed_pmf", counting)
         for tol in (1e-9, 1e-12):
             calls.clear()
-            table = build_observation_table(DEFAULT_PARAMS, tol=tol)
+            table = photon_model._tabulate(DEFAULT_PARAMS, tol)
             assert len(calls) == 2 * (table.n_max + 1)
             assert len(set(calls)) == len(calls)
 
@@ -363,15 +369,6 @@ class TestObservationTable:
                 "print('scipy.special' in loaded())\n")
         out = fresh_python(code, cache=tmp_path / "empty-cache")
         assert out.split() == ["[]", "True"]
-
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, 1.0, 2.0, np.inf, True, False, "1e-9"])
-    def test_bad_tol_rejected_before_any_work(self, tol, monkeypatch):
-        # NaN or tol <= 0 once ran 10,000 rows (about 45 s) before failing.
-        monkeypatch.setattr(photon_model, "_tabulate", None)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^tol must be a number in \(0, 1\), got "):
-            build_observation_table(DEFAULT_PARAMS, tol=tol)
-        assert time.perf_counter() - start < 0.5
 
     def test_simple_sweep_from_a_warm_cache_loads_no_scipy(self, tmp_path):
         # The first process builds the table and so imports scipy.special;
@@ -522,7 +519,7 @@ class TestTableCache:
 
     @pytest.mark.parametrize("field", ["R_B", "R_D", "tau_B", "tau_D", "t_s", "tol"])
     @pytest.mark.parametrize("bit", [0, 30, 51])
-    def test_any_flipped_bit_misses(self, builds, field, bit):
+    def test_any_flipped_bit_misses(self, builds, field, bit, monkeypatch):
         def flipped(value):
             bits = np.array(value, dtype=np.float64).view(np.int64) ^ (1 << bit)
             return float(bits.view(np.float64))
@@ -531,26 +528,23 @@ class TestTableCache:
         build_observation_table(DEFAULT_PARAMS)
         assert len(builds) == 1
         params, tol = DEFAULT_PARAMS, 1e-9
-        if field == "tol":
+        if field == "tol":      # the truncation bound is a key field too
             tol = flipped(tol)
+            monkeypatch.setattr(photon_model, "_TABLE_TOL", tol)
         else:
             params = replace(params, **{field: flipped(getattr(params, field))})
-        build_observation_table(params, tol)
+        build_observation_table(params)
         assert builds[1:] == [(params, tol)]
 
     @pytest.mark.parametrize("field, value", [
-        ("R_B", np.float32(16.0)), ("R_B", 16), ("t_s", np.float64(0.1)), ("tol", np.float64(1e-9))])
+        ("R_B", np.float32(16.0)), ("R_B", 16), ("t_s", np.float64(0.1))])
     def test_only_python_floats_are_cached(self, tmp_path, builds, field, value):
-        params, tol = DEFAULT_PARAMS, 1e-9
-        if field == "tol":
-            tol = value
-        else:
-            params = replace(params, **{field: value})
+        params = replace(DEFAULT_PARAMS, **{field: value})
         for _ in range(2):
-            table = build_observation_table(params, tol)
+            table = build_observation_table(params)
         assert len(builds) == 2
         assert not (tmp_path / "ionread").exists()
-        self.assert_same(table, photon_model._tabulate(params, tol))
+        self.assert_same(table, photon_model._tabulate(params, 1e-9))
 
     def test_environment_digest_covers_scipy_special_binaries(self, tmp_path, monkeypatch, request):
         scipy_dir = tmp_path / "scipy"
@@ -585,11 +579,7 @@ class TestTableCache:
 def test_column_normalization_property(r_b, r_d, tau_b, tau_d):
     """Summed over all counts, each observation-table column is stochastic."""
     params = RateParams(R_B=r_b, R_D=r_d, tau_B=tau_b, tau_D=tau_d, t_s=0.1)
-    if params.coarse_subbin:
-        with pytest.warns(UserWarning):
-            table = build_observation_table(params, tol=1e-10)
-    else:
-        table = build_observation_table(params, tol=1e-10)
+    table = photon_model._tabulate(params, 1e-10)
     np.testing.assert_allclose(table.entries.sum(axis=(0, 1)), 1.0, atol=2e-10)
 
 

@@ -74,7 +74,7 @@ def reference_read_counts_csv(path):
     assert header == ["trial", "initial"] + [f"n_{k}" for k in range(1, len(header) - 1)]
     assert all(len(row) == len(header) for row in body)
     return (np.array([int(row[0]) for row in body], np.int64),
-            np.array([IonState.from_label(row[1]) for row in body], np.int8),
+            np.array([{"B": 0, "D": 1}[row[1].upper()] for row in body], np.int8),
             np.array([[int(c) for c in row[2:]] for row in body],
                      np.int64).reshape(len(body), len(header) - 2))
 
@@ -760,6 +760,17 @@ class TestCsvInterchange:
         assert np.array_equal(initials[50:], np.ones(50, dtype=np.int8))
         groups = [Ensemble(state, counts[initials == state], None, 0.5, 0.1) for state in IonState]
         assert all(np.array_equal(g.counts, e.counts) for g, e in zip(groups, (bright, dark)))
+
+    def test_no_ensemble_or_mixed_bin_counts_refused_before_the_file_opens(self, tmp_path):
+        # An empty list once raised IndexError from ensembles[0].
+        short = simulate_ensemble(SimConfig(n_trials=5, t_b=0.5, seed=9, params=P), IonState.BRIGHT)
+        long = simulate_ensemble(SimConfig(n_trials=5, t_b=1.0, seed=9, params=P), IonState.DARK)
+        path = tmp_path / "counts.csv"
+        for ensembles in ([], iter(()), [short, long]):
+            with pytest.raises(ValueError, match="^a counts file holds one or more ensembles, "
+                                                 "all of one bin count$"):
+                write_ensemble_csv(path, ensembles)
+            assert not path.exists()
 
     def test_change_time_sidecar(self, tmp_path):
         cfg = SimConfig(n_trials=20, t_b=3.0, seed=10, params=P)
