@@ -22,19 +22,25 @@ single-change formula gathers each bin's Poisson log-pmf (numpy and
 per cell, and carries its running sums with one elementwise add or logaddexp
 per bin, the operations of ``ufunc.accumulate`` in its order, on rows
 allocated once per call.  Each bin yields the stable state's log-likelihood
-and the two terms p and q whose logaddexp is the changeable state's;
-:func:`simple_loglik` combines them, while a sweep's tally decides from them
-directly (:func:`_single_change_brighter`): logaddexp(p, q) lies in
-[max(p, q), max(p, q) + ln 2], so below |max(p, q)| = 2**40 a stable
-log-likelihood more than 0.7 above max(p, q) or 2**-9 below it compares the
-same way with any logaddexp accurate to a few ulps, and only the rows in
-between (and NaN, infinities and larger terms) get the exact logaddexp.  The
-hidden-Markov product is a scaled forward filter (Rabiner,
-Proc. IEEE 77:257, 1989) in structure-of-arrays layout: four length-n_trials
-arrays hold the entries of every trial's accumulated 2x2 product, each bin
-updates them elementwise from four gathered columns of the observation
-table, and a per-bin renormalisation, tallied in a log scale, keeps windows
-of any length in floating range.
+and the two terms p and q whose logaddexp is the changeable state's, which
+:func:`simple_loglik` combines.  The hidden-Markov product is a scaled
+forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
+layout: four length-n_trials arrays hold the entries of every trial's
+accumulated 2x2 product, each bin updates them elementwise from four
+gathered columns of the observation table, and a per-bin renormalisation,
+tallied in a log scale, keeps windows of any length in floating range.
+
+A sweep needs only each column's Bright mask.  It decides a row from a
+cheap pass where log_p_B and log_p_D lie more than a relative band of
+2**-20 apart, else (NaN and infinities too) from the exact pair.
+:func:`_single_change_brighter` runs logaddexp as max(x, y) + log1p(exp(-|x
+- y|)) on numpy's vector exp and log1p.  A step of either form is within
+2**-50 (8 + |result|) of the truth, and ``inner`` rises from 0 to below
+|stable| + log(k + 1) (log-pmfs are <= 0), so below 2**20 bins the two
+changeable log-likelihoods differ by under 2**-24 (1 + |stable| + |mixed|).
+:func:`_forward_brighter` has the exact column sums: one 1 + 2**-20 times
+the other puts their logs 2**-21 apart, which adding |log_scale| < 2**20
+keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .photon_model import (IonState, ObservationTable, RateParams, _check_counts,
-                           _poisson_logpmf)
+                           _poisson_logpmf, _warn)
 from .trajectory import _check_int
 
 
@@ -141,23 +147,23 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
 
 
 def _single_change_steps(counts_t, params: RateParams, tau: float | None, decaying,
-                         bins):
+                         bins, logaddexp=None, *, warn=True):
     """Per-bin (stable, p, q) of the single-change formula on bin-major
     counts, at each bin in ``bins``: the stable state's log-likelihood and
     the two terms whose logaddexp is the changeable state's.  Each triple
-    holds until the next step.  The running log-pmf
-    sums of the changeable (``stay``) and the stable state (``after``), the
-    running logaddexp ``inner`` of the change terms, the per-bin gathers and
-    p and q are rows of n_trials each, allocated once and updated in place.
-    ``tau`` None takes the decaying state's lifetime.  A negative
-    linear-in-t_b prefactor is clamped to zero, which warns once per call
-    (RuntimeWarning).
+    holds until the next step.  The running log-pmf sums of the changeable
+    (``stay``) and the stable state (``after``), the running ``logaddexp``
+    (None: ``np.logaddexp``) ``inner`` of the change terms, the per-bin
+    gathers and p and q are n_trials rows, allocated once and updated in
+    place.  ``tau`` None takes the decaying state's lifetime.  A negative
+    linear-in-t_b prefactor is clamped to zero, which warns (RuntimeWarning)
+    once per call unless ``warn`` is False.
     """
-    decaying = IonState(decaying)
+    decaying, logaddexp = IonState(decaying), logaddexp or np.logaddexp
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
-    if not tau > 0:     # NaN too; tau = inf is a stable state
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if isinstance(tau, bool) or not tau > 0:     # NaN too; tau = inf is a stable state
+        raise ValueError(f"tau must be > 0, got {tau!r}")
     m, n = counts_t.shape
     means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
     # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
@@ -165,9 +171,8 @@ def _single_change_steps(counts_t, params: RateParams, tau: float | None, decayi
     vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
                if hi < counts_t.size else (None, None))
     prefac = 1.0 - np.arange(1, m + 1) * params.t_s / tau
-    if prefac[-1] < 0:      # level 4: the caller of simple_loglik
-        warnings.warn("t_b >= tau: single-change prefactor clamped to 0",
-                      RuntimeWarning, stacklevel=4)
+    if prefac[-1] < 0 and warn:
+        _warn("t_b >= tau: single-change prefactor clamped to 0")
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
@@ -182,7 +187,7 @@ def _single_change_steps(counts_t, params: RateParams, tau: float | None, decayi
             else:       # "clip" writes straight to out; every count is in range
                 np.take(vector, row, out=out, mode="clip")
         if k:
-            np.logaddexp(inner, np.subtract(stay, after, out=p), out=inner)
+            logaddexp(inner, np.subtract(stay, after, out=p), out=inner)
             stay += stay_k
             after += after_k
         if k in bins:
@@ -200,36 +205,37 @@ def _single_change_logs(steps, decaying):
         yield (stable, mixed) if dark else (mixed, stable)
 
 
-# numpy's logaddexp(p, q) is max(p, q) + log1p(exp(-|p - q|)), which lies in
-# [max(p, q), max(p, q) + ln 2].  Below |max(p, q)| = 2**40 an ulp is at most
-# 2**-12, so a stable log-likelihood more than 0.7 (ln 2 + 28 ulps) above
-# max(p, q), or more than 2**-9 (8 ulps) below it, is on the same side of any
-# logaddexp accurate to a few ulps.
-_ABOVE_MIXED, _BELOW_MIXED, _MIXED_SCALE = 0.7, 2.0 ** -9, 2.0 ** 40
+_BAND = 2.0 ** -20      # the relative band of a sweep's masks (see the module docstring)
 
 
-def _single_change_brighter(steps, decaying):
-    """The Bright mask (log_p_B > log_p_D) of each single-change step, equal
-    to :func:`decide_from_logs` of :func:`simple_loglik`'s pair, without the
-    mixed logaddexp where its bound decides.  Only rows that the bound leaves
-    open, and every row of a step whose max(p, q) is not finite or reaches
-    2**40 in size, get logaddexp(p, q).  NaN leaves a row open.  Each mask
-    holds until the next step."""
-    dark = IonState(decaying) is IonState.DARK
-    gap = None
-    for stable, p, q in steps:
-        if gap is None:
-            gap, above, below = np.empty(p.size), np.empty(p.size, bool), np.empty(p.size, bool)
-        np.maximum(p, q, out=gap)
-        bounded = -_MIXED_SCALE < gap.min(initial=0.0) and gap.max(initial=0.0) < _MIXED_SCALE
-        with np.errstate(invalid="ignore"):     # -inf - -inf: the row stays open
-            np.subtract(stable, gap, out=gap)   # stable - max(p, q)
-        np.greater(gap, _ABOVE_MIXED, out=above)
-        np.less(gap, -_BELOW_MIXED, out=below)
-        brighter = above if dark else below
-        rows = np.flatnonzero(~(above | below)) if bounded else slice(None)
-        mixed = np.logaddexp(p[rows], q[rows])
-        brighter[rows] = stable[rows] > mixed if dark else mixed > stable[rows]
+def _single_change_brighter(counts_t, params: RateParams, tau, decaying, bins):
+    """The Bright mask of the single-change pair at each bin in ``bins``,
+    valid until the next: from the vector-logaddexp pass outside the band,
+    and inside it from the exact kernel, rerun on the first k + 1 bins."""
+    dark, n = IonState(decaying) is IonState.DARK, counts_t.shape[1]
+    gap, (brighter, decided) = np.empty(n), np.empty((2, n), bool)
+
+    def logaddexp(x, y, out):
+        with np.errstate(invalid="ignore"):     # inf - inf: NaN, and the row stays open
+            np.abs(np.subtract(x, y, out=gap), out=gap)
+        np.log1p(np.exp(np.negative(gap, out=gap), out=gap), out=gap)
+        return np.add(np.maximum(x, y, out=out), gap, out=out)
+
+    steps = _single_change_steps(counts_t, params, tau, decaying, bins, logaddexp)
+    for k, (stable, p, q) in zip(bins, steps):
+        mixed = logaddexp(p, q, out=p)
+        with np.errstate(invalid="ignore"):
+            np.subtract(stable, mixed, out=gap) if dark else np.subtract(mixed, stable, out=gap)
+        np.greater(gap, 0.0, out=brighter)
+        # |gap| > 2 _BAND (1 + 2 |stable|) implies |gap| > _BAND (1 + |stable| + |mixed|).
+        band = 2.0 * _BAND if k < 2 ** 20 else np.inf
+        bound = np.multiply(np.abs(stable, out=q), 2.0 * band, out=q)     # q is read: scratch
+        np.greater(np.abs(gap, out=gap), np.add(bound, band, out=bound), out=decided)
+        rows = np.flatnonzero(np.logical_not(decided, out=decided))
+        if rows.size:
+            [(log_b, log_d)] = _single_change_logs(_single_change_steps(
+                counts_t[:k + 1, rows], params, tau, decaying, (k,), warn=False), decaying)
+            brighter[rows] = log_b > log_d
         yield brighter
 
 
@@ -258,31 +264,35 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable):
     entry [i, j] of each trial's 2x2 matrix: rows are the state after the
     window, columns the initial state.  Each bin gathers the four entry
     columns of ``table.entries`` at its row of the clamped counts, copied
-    bin-major at the narrowest dtype that holds n_max (s00 .. s11), and
-    forms the matrix product step x acc with eight elementwise multiplies
-    and four adds, then divides the four arrays by their sum and adds its
-    log to ``log_scale``, so arbitrarily long windows stay in range.
-    Yields ((a00, a01, a10, a11), log_scale) after each bin, valid until the
-    next step; the column sums a00 + a10 and a01 + a11 are the initial-state
-    likelihoods of that prefix over ``exp(log_scale)``.
+    bin-major at the narrowest dtype that holds n_max, and forms the matrix
+    product step x acc, [i, j] = s_i0 a_0j + s_i1 a_1j, on scratch rows made
+    once per call, then divides the four arrays by their sum (1 where not
+    > 0) and adds its log to ``log_scale``, so arbitrarily long windows stay
+    in range.  Yields ((a00, a01, a10, a11), log_scale) after each bin,
+    valid until the next step; the column sums a00 + a10 and a01 + a11 are
+    the initial-state likelihoods of that prefix over ``exp(log_scale)``.
     """
     n, m = counts2d.shape
     rows = np.ascontiguousarray(table.clamp_counts(counts2d).T,
                                 dtype=np.min_scalar_type(table.n_max))
-    columns = table.entries.reshape(-1, 4).T.copy()    # rows: s00, s01, s10, s11
-    step = np.empty((4, n))
-    a00, a01, a10, a11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
-    log_scale = np.zeros(n)
+    columns = table.entries.reshape(-1, 4).T[[0, 2, 1, 3]]    # rows: s00, s10, s01, s11
+    step, buffers = np.empty((4, n)), np.zeros((2, 2, 2, n))
+    norm, positive, log_scale = np.empty(n), np.empty(n, bool), np.zeros(n)
+    buffers[0, 0, 0] = buffers[0, 1, 1] = 1.0
+    s_0, (s_01, s_11) = step[:2, None], step[2:]       # s_0[i] = s_i0
+    views = [(b, *b, tuple(b.reshape(4, n))) for b in buffers]     # each made once
     for k in range(m):
-        s00, s01, s10, s11 = np.take(columns, rows[k], axis=1, out=step)
-        a00, a01, a10, a11 = (s00 * a00 + s01 * a10, s00 * a01 + s01 * a11,
-                              s10 * a00 + s11 * a10, s10 * a01 + s11 * a11)
-        norm = a00 + a01 + a10 + a11
-        norm = np.where(norm > 0, norm, 1.0)
-        for a in (a00, a01, a10, a11):
-            a /= norm
-        log_scale += np.log(norm)
-        yield (a00, a01, a10, a11), log_scale
+        (_, a_0, a_1, _), (new, new_0, new_1, entries) = views[k % 2], views[1 - k % 2]
+        np.take(columns, rows[k], axis=1, out=step, mode="clip")    # counts are in range
+        np.multiply(s_0, a_0, out=new)                  # new[i, j] = s_i0 a_0j
+        new_0 += np.multiply(s_01, a_1, out=a_0)        # a_0 is read: scratch now
+        new_1 += np.multiply(s_11, a_1, out=a_0)
+        a00, a01, a10, a11 = entries
+        np.add(np.add(np.add(a00, a01, out=norm), a10, out=norm), a11, out=norm)
+        np.copyto(norm, 1.0, where=~np.greater(norm, 0.0, out=positive))    # NaN too
+        new /= norm
+        log_scale += np.log(norm, out=norm)
+        yield entries, log_scale
 
 
 def _forward_logs(counts2d: np.ndarray, table: ObservationTable, bins):
@@ -293,6 +303,24 @@ def _forward_logs(counts2d: np.ndarray, table: ObservationTable, bins):
             with np.errstate(divide="ignore"):      # a zero column sum
                 logs = np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale
             yield logs
+
+
+def _forward_brighter(counts2d: np.ndarray, table: ObservationTable, bins):
+    """The Bright mask of :func:`_forward_logs`' pair at each bin in ``bins``,
+    valid until the next: x > y on column sums the band apart, else the logs."""
+    (x, y), (brighter, darker) = np.empty((2, len(counts2d))), np.empty((2, len(counts2d)), bool)
+    shrink = 1.0 / (1.0 + _BAND)
+    for k, ((a00, a01, a10, a11), log_scale) in enumerate(_forward_product(counts2d, table)):
+        if k in bins:
+            bounded = np.abs(log_scale, out=x).max(initial=0.0) < 2 ** 20
+            np.multiply(np.add(a00, a10, out=x), shrink, out=x)
+            np.greater(x, np.add(a01, a11, out=y), out=brighter)       # x > y (1 + band)
+            np.greater(np.multiply(y, shrink * shrink, out=y), x, out=darker)  # y > x (1 + band)
+            rows = np.flatnonzero(~(brighter | darker)) if bounded else slice(None)
+            with np.errstate(divide="ignore"):      # a zero column sum
+                brighter[rows] = (np.log(a00[rows] + a10[rows]) + log_scale[rows]
+                                  > np.log(a01[rows] + a11[rows]) + log_scale[rows])
+            yield brighter
 
 
 def general_loglik(counts: np.ndarray, table: ObservationTable):
@@ -437,8 +465,8 @@ def pi_pulse_error(m_b, m_d, epsilon_pi: float) -> PiPulseResult:
     """
     m_b = _check_transfer_matrix(m_b, "M_B")
     m_d = _check_transfer_matrix(m_d, "M_D")
-    if not 0.0 <= epsilon_pi <= 1.0:
-        raise ValueError("epsilon_pi must lie in [0, 1]")
+    if isinstance(epsilon_pi, bool) or not 0.0 <= epsilon_pi <= 1.0:
+        raise ValueError(f"epsilon_pi must lie in [0, 1], got {epsilon_pi!r}")
     m_pi = np.array([[epsilon_pi, 1.0 - epsilon_pi],
                      [1.0 - epsilon_pi, epsilon_pi]])
     v_b = np.array([1.0, 0.0])

@@ -147,8 +147,8 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     tau = tau_B*tau_D/(tau_B + tau_D).  W_B + W_D = 1 exactly; t may be a
     scalar or an array.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):          # NaN too
+    boolean, t = np.asarray(t).dtype == bool, np.asarray(t, dtype=float)
+    if boolean or not np.all(t >= 0):           # NaN too
         raise ValueError("t must be >= 0")
     a, b, tau = _relaxation_constants(tau_B, tau_D)
     amp = a if IonState(initial) is IonState.BRIGHT else -b
@@ -167,10 +167,11 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
     decay-curve form a + amp*exp(-t0/tau): the steady-state level is
     a = dt*(R_B*B + R_D) and the amplitude R_B*A*tau*(exp(dt/tau) - 1) for a
     bright start (with -B replacing A for a dark start), which is exactly
-    the (a, b, c) parameterization that fit_decay_curves recovers.
+    the (a, b, c) parameterization that fit_decay_curves recovers.  t0 = inf
+    gives the steady-state level a (0.159 at ``DEFAULT_PARAMS`` for dt = t_s).
     """
-    if not (t0 >= dt > 0):
-        raise ValueError("need t0 >= dt > 0")
+    if bool in (type(t0), type(dt)) or not (t0 >= dt > 0):     # NaN too
+        raise ValueError(f"need numbers t0 >= dt > 0, got t0={t0!r}, dt={dt!r}")
     a, b, tau = _relaxation_constants(params.tau_B, params.tau_D)
     amp = a if IonState(initial) is IonState.BRIGHT else -b
     steady = dt * (params.R_B * b + params.R_D)

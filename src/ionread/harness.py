@@ -19,20 +19,18 @@ per-prefix arrays.  Count rules read the optimum and the tallies of every
 column from one histogram of prefix totals per state, built bin by bin.
 Likelihood rules score each distinct count record once: equal rows get
 equal log-likelihoods, so the kernel runs on one row per record (grouped
-by its bytes, read as one unsigned integer for rows of up to 8 bytes).  A
-sweep reads the kernel's per-bin generator at its columns only, and tallies
-one Bright mask on those rows per column, weighted by how many trials hold
-each record.  The general method's mask compares the kernel's exact pair.
-The simple method's is decided from the filter's operands, the stable
-log-likelihood and the two terms of the changeable one's logaddexp,
-which only the rows its bound leaves open evaluate (see
-:mod:`classifiers`); the counts are equal to those of the exact pairs.
-``score`` decides on the exact pairs of those rows and gathers codes and
-logs back to every trial with one index.  Grouping is skipped where it
-cannot pay, below 1024 rows or when over half of the first 1024 rows are
-distinct, as in bright windows of many bins; every row is then its own
-record, counted without weights, and the kernel gets the state's own
-validated (or clamped) array, not a copy.
+by its bytes, zero-padded to unsigned integer words and sorted with
+``np.lexsort``).  A sweep runs the kernel's filter once, to its last
+column, and tallies one Bright mask on those rows per column, weighted by
+how many trials hold each record.  Each mask is decided from a cheap pass
+outside a proven relative band and from the exact pair inside it (see
+:mod:`classifiers`), so the counts are those of the exact pairs.  ``score``
+decides on the exact pairs of those rows and gathers codes and logs back to
+every trial with one index.  Grouping is skipped where it cannot pay,
+below 1024 rows or when over half of the first 1024 rows are distinct, as
+in bright windows of many bins; every row is then its own record, counted
+without weights, and the kernel gets the state's own validated (or
+clamped) array, not a copy.
 """
 
 from __future__ import annotations
@@ -249,24 +247,29 @@ def _distinct_records(counts):
     """(index of one row per distinct record, index gathering them back to
     every row), both the same ``np.arange(n)`` where the module docstring's
     rule skips grouping.  Keys are row bytes at the :func:`_narrowest` width
-    (uint64: its own); rows of up to 8 bytes are zero-padded to 1, 2, 4 or
-    8 and read as one unsigned integer, longer rows as a void record."""
+    (uint64: its own), zero-padded to one unsigned integer of 1, 2, 4 or 8
+    bytes, or to uint64 words."""
     n = counts.shape[0]
     if n >= _GROUP_SAMPLE:
         rows = np.ascontiguousarray(counts if counts.dtype == np.uint64 else _narrowest(counts))
         width = rows[0].nbytes
-        if width <= 8:
-            size = 1 << (width - 1).bit_length()
-            padded = np.zeros((n, size), np.uint8)
-            padded[:, :width] = rows.view(np.uint8)
-            keys = padded.view(f"u{size}")[:, 0]
-        else:
-            keys = rows.view(np.dtype((np.void, width)))[:, 0]
-        if np.unique(keys[:_GROUP_SAMPLE]).size <= _GROUP_SAMPLE // 2:
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            return first, inverse
+        size = min(8, 1 << (width - 1).bit_length())
+        keys = np.zeros((n, -(-width // size)), f"u{size}")
+        keys.view(np.uint8)[:, :width] = rows.view(np.uint8)
+        if _groups(keys[:_GROUP_SAMPLE])[0].size <= _GROUP_SAMPLE // 2:
+            return _groups(keys)
     every = np.arange(n)
     return every, every
+
+
+def _groups(keys):
+    """(first row of each group of equal rows, group of every row), by ``np.lexsort``."""
+    order = np.lexsort(keys.T)
+    ranked, starts = keys[order], np.ones(len(keys), bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 class _PreparedCounts:
@@ -379,11 +382,9 @@ class SimpleClassifier(_LikelihoodRule):
                                 decaying=self.decaying)
 
     def _masks(self, state, params, bins):
-        """Decided from the filter's operands
-        (:func:`classifiers._single_change_brighter`)."""
-        steps = cl._single_change_steps(np.ascontiguousarray(state.distinct(state.counts).T),
-                                        params, self.tau_ms, self.decaying, bins)
-        return cl._single_change_brighter(steps, self.decaying)
+        """A cheap pass and a band (:func:`classifiers._single_change_brighter`)."""
+        return cl._single_change_brighter(np.ascontiguousarray(state.distinct(state.counts).T),
+                                          params, self.tau_ms, self.decaying, bins)
 
 
 @dataclass(frozen=True)
@@ -398,10 +399,9 @@ class GeneralClassifier(_LikelihoodRule):
         return cl.general_loglik(state.distinct(state.clamped(table)), table)
 
     def _masks(self, state, params, bins):
-        """Compared on the filter's exact pair."""
+        """Column sums and a band (:func:`classifiers._forward_brighter`)."""
         table = observation_table_for(params)
-        for log_b, log_d in cl._forward_logs(state.distinct(state.clamped(table)), table, bins):
-            yield log_b > log_d
+        return cl._forward_brighter(state.distinct(state.clamped(table)), table, bins)
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -738,8 +738,8 @@ def pi_pulse_sweep(spec: SweepSpec, detector, epsilon_pi: float,
     _require(not isinstance(detector, DoubleThresholdClassifier),
              "pulse pairs need a non-abstaining single-detection method")
     detector = detector.fixed()
-    if not 0.0 <= epsilon_pi <= 1.0:
-        raise ConfigError("epsilon_pi must lie in [0, 1]")
+    if isinstance(epsilon_pi, bool) or not 0.0 <= epsilon_pi <= 1.0:
+        raise ConfigError(f"epsilon_pi must lie in [0, 1], got {epsilon_pi!r}")
     return [_pi_pulse_point(spec, detector, epsilon_pi, t_b, i, threads)
             for i, t_b in enumerate(spec.t_b_values)]
 

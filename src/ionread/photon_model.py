@@ -119,6 +119,9 @@ class RateParams:
         # discrimination information-free.  Lifetimes may be +inf (a frozen
         # ion); NaN fails every comparison below, so rates and t_s are also
         # checked for finiteness.
+        for name in ("R_B", "R_D", "tau_B", "tau_D", "t_s"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
         for name in ("R_B", "R_D", "t_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -180,6 +183,14 @@ class RateParams:
 DEFAULT_PARAMS = RateParams(R_B=16.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
 
 
+def _warn(message: str) -> None:
+    """A RuntimeWarning naming the first frame outside ionread: the caller's line."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "ionread":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     """Probability that an ion in ``state`` has not flipped after time ``t``.
 
@@ -236,7 +247,8 @@ def _check_counts(n) -> np.ndarray:
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon count must be >= 0")
-    if n.dtype.kind not in "biu" and not np.all(np.isfinite(n) & (n == np.floor(n))):
+    if n.dtype.kind not in "iu" and (n.dtype.kind == "b"      # a bool is no count
+                                     or not np.all(np.isfinite(n) & (n == np.floor(n)))):
         raise ValueError("photon count must be a finite integer")
     return n
 
@@ -365,9 +377,8 @@ class ObservationTable:
         if over:
             with self._clamp_lock:
                 self.clamped_lookups += over
-            warnings.warn(f"{over} counts exceed the table's n_max = {self.n_max} (largest "
-                          f"{counts.max()}); they are scored as {self.n_max}",
-                          RuntimeWarning, stacklevel=2)
+            _warn(f"{over} counts exceed the table's n_max = {self.n_max} (largest "
+                  f"{counts.max()}); they are scored as {self.n_max}")
             return np.minimum(counts, self.n_max)
         return counts
 

@@ -72,8 +72,8 @@ class DataFormatError(ValueError):
 
 def n_bins(t_b: float, t_s: float) -> int:
     """Number of whole sub-bins in a window; rejects non-integer ratios."""
-    if not (0 < t_b < np.inf and 0 < t_s < np.inf):  # also False for NaN
-        raise ValueError(f"t_b and t_s must be finite and > 0, got t_b={t_b}, t_s={t_s}")
+    if bool in (type(t_b), type(t_s)) or not (0 < t_b < np.inf and 0 < t_s < np.inf):  # NaN too
+        raise ValueError(f"t_b and t_s must be finite and > 0, got t_b={t_b!r}, t_s={t_s!r}")
     m = round(t_b / t_s)
     if m < 1 or abs(m * t_s - t_b) > 1e-6 * t_s:
         raise ValueError(f"t_b={t_b} is not an integer multiple of t_s={t_s}")

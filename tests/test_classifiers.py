@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionread import classifiers, harness
 from ionread.classifiers import (
@@ -36,6 +38,7 @@ from ionread.classifiers import (
 from ionread.photon_model import (
     DEFAULT_PARAMS,
     IonState,
+    ObservationTable,
     RateParams,
     _poisson_logpmf,
     build_observation_table,
@@ -313,14 +316,24 @@ class TestSimpleTimeResolved:
             warnings.simplefilter("error")
             assert len(simple_loglik(np.array([counts[:5]]), P, tau=0.5)) == 2
 
-    def test_prefactor_warning_names_the_caller(self):
+    def test_prefactor_warning_names_the_caller(self, table):
         # The warning points at the line that called simple_loglik, not at
-        # the kernel's own frames.
+        # the kernel's own frames.  So do the one-record classifier's, the
+        # general kernel's clamp warning and a sweep's, once per state.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
             simple_loglik([[0] * 10], P, tau=0.5)
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        spec = harness.SweepSpec(t_b_values=(0.5, 1.0), n_trials=64, seed=1, params=P,
+                                 classifiers=({"method": "simple", "tau_ms": 0.5},))
+        for call, times in ((lambda: simple_time_resolved_classify([0] * 10, P, tau=0.5), 1),
+                            (lambda: general_loglik([[0, 99]], table), 1),
+                            (lambda: harness.sweep(spec), 2)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.filename for w in caught] == [__file__] * times
 
     def test_default_tau_is_dark_lifetime(self):
         counts = [0, 1, 2]
@@ -770,39 +783,94 @@ class TestPrefixColumnsExact:
             [[warns] * 2, [warns], [warns]] if warns else [[], [], []])
 
 
-@pytest.mark.parametrize("ulps", [0, 4, -4])
-@pytest.mark.parametrize("decaying", list(IonState))
-def test_bright_masks_from_operands_hold_for_a_few_ulps(monkeypatch, decaying, ulps):
-    """The masks a sweep decides from (stable, p, q) equal the comparisons
-    with logaddexp(p, q) even if that is off by a few ulps, next to both
-    margins, at large magnitudes, and with NaN and infinities."""
-    logaddexp = np.logaddexp
+@pytest.fixture(scope="module")
+def band_tables(table):
+    """The tables the banded general masks meet: the default one, one
+    without dark counts (zero entries), one whose count-2 matrix is zero (a
+    record holding a 2 has a zero-norm product from there on), one whose
+    two initial-state columns are equal (every column sum ties), and one
+    whose bright column is an ulp above that (column sums an ulp or so
+    apart, whose logs may still tie)."""
+    zero, tie, near = (table.entries.copy() for _ in range(3))
+    zero[2] = 0.0
+    tie[:, :, 1] = near[:, :, 1] = tie[:, :, 0]
+    near[:, :, 0] = np.nextafter(tie[:, :, 0], 1.0)
+    return {"default": table, "no_dark": build_observation_table(TestPrefixColumnsExact.NO_DARK),
+            **{name: ObservationTable(P, table.n_max, entries, table.truncation_mass)
+               for name, entries in (("zero_norm", zero), ("ties", tie), ("near_ties", near))}}
 
-    def off_by_ulps(a, b, **out):
-        exact = logaddexp(a, b, **out)
-        return np.where(np.isfinite(exact), exact + ulps * np.abs(np.spacing(exact)), exact)
 
-    offsets = np.array([-1.0, -2.0 ** -9, -1e-3, 0.0, 1e-3, 0.69, math.log(2), 0.6932, 0.7, 1.0])
-    steps = []
-    for m in (0.0, -3.7, -1e3, -2.0 ** 39, -1e17, 1e17):
-        for second in (0.0, -0.5, -30.0, -math.inf):
-            ulp = abs(np.spacing(m)) or 1e-300
-            near = ulp * np.arange(-5.0, 6.0)       # next to both ends of the bound
-            stable = m + np.concatenate([offsets, near, math.log(2) + near])
-            steps.append((stable, np.full(stable.size, m), np.full(stable.size, m + second)))
-    specials = [math.nan, math.inf, -math.inf, 0.0, -2.0]
-    grid = np.array(list(itertools.product(specials, repeat=3))).T
-    runs = [steps, [tuple(np.ascontiguousarray(row) for row in grid)]]   # one row count per run
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "logaddexp", off_by_ulps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in the reference
-            masks = [mask.copy() for run in runs for mask in classifiers._single_change_brighter(
-                (tuple(map(np.copy, step)) for step in run), decaying)]
-            for mask, (stable, p, q) in zip(masks, steps + runs[1], strict=True):
-                mixed = off_by_ulps(p, q)
-                log_b, log_d = (stable, mixed) if decaying is IonState.DARK else (mixed, stable)
-                assert np.array_equal(mask, decide_from_logs(log_b, log_d) == Decision.BRIGHT)
+class TestBandedMasks:
+    """A sweep decides each Bright mask from a cheap pass and a band, and
+    from the exact pair inside the band: the column tallies of both
+    likelihood rules equal those of decide_from_logs on the exact kernels
+    at every prefix, on grouped and ungrouped states, with the vector
+    log1p off by a few ulps, and with the band at inf, where every row
+    takes the exact path."""
+
+    PARAMS = {"default": P, "no_dark": TestPrefixColumnsExact.NO_DARK,
+              "ties": TestPrefixColumnsExact.TIES}
+
+    @staticmethod
+    def _counts(data):
+        """A drawn record block, and the same records repeated past the
+        grouping sample (grouped, with weights)."""
+        n_rows = data.draw(st.integers(1, 24), label="rows")
+        n_bins = data.draw(st.sampled_from([1, 2, 7, 30, 300]), label="bins")
+        high = data.draw(st.sampled_from([1, 3, 16, 40]), label="largest count")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        counts = np.random.default_rng(seed).integers(0, high + 1, size=(n_rows, n_bins))
+        return counts, np.tile(counts, (-(-harness._GROUP_SAMPLE // n_rows), 1))
+
+    @staticmethod
+    def _exact_tallies(clf, columns, bright, dark):
+        """Tallies of ``decide_from_logs`` on every prefix's exact pair."""
+        codes = [decide_from_logs(*columns(rows)) for rows in (bright, dark)]
+        n_b, n_d = len(bright), len(dark)
+        return [(clf, (n_b, n_b, int(np.count_nonzero(b == Decision.DARK))),
+                 (n_d, n_d, int(np.count_nonzero(d == Decision.BRIGHT))))
+                for b, d in zip(codes[0].T, codes[1].T, strict=True)]
+
+    @staticmethod
+    def _log1p_off_by(ulps):
+        log1p = np.log1p
+        return lambda x, out: np.add(log1p(x, out=out), ulps * np.spacing(out), out=out)
+
+    @pytest.mark.parametrize("band", [classifiers._BAND, math.inf], ids=["band", "inf"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_simple(self, band, data):
+        params = self.PARAMS[data.draw(st.sampled_from(sorted(self.PARAMS)), label="params")]
+        tau = data.draw(st.sampled_from([None, 0.5, math.inf]), label="tau")
+        decaying = data.draw(st.sampled_from(list(IonState)), label="decaying")
+        ulps = data.draw(st.sampled_from([0, 4, -4]), label="log1p ulps")
+        counts, grouped = self._counts(data)
+        clf = harness.SimpleClassifier(decaying, tau)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", RuntimeWarning)     # a clamped prefactor
+            want = self._exact_tallies(
+                clf, lambda rows: simple_columns(rows, params, tau, decaying=decaying),
+                counts, grouped)
+            patch.setattr(classifiers, "_BAND", band)
+            patch.setattr(np, "log1p", self._log1p_off_by(ulps))
+            cols = list(range(counts.shape[1]))
+            assert clf.column_tallies(counts, grouped, cols, params) == want
+
+    @pytest.mark.parametrize("band", [classifiers._BAND, math.inf], ids=["band", "inf"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_general(self, band_tables, band, data):
+        table = band_tables[data.draw(st.sampled_from(sorted(band_tables)), label="table")]
+        counts, grouped = self._counts(data)
+        clf = harness.GeneralClassifier()
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", RuntimeWarning)     # counts above n_max
+            want = self._exact_tallies(clf, lambda rows: general_columns(rows, table),
+                                       counts, grouped)
+            patch.setattr(classifiers, "_BAND", band)
+            patch.setattr(harness, "observation_table_for", lambda params: table)
+            cols = list(range(counts.shape[1]))
+            assert clf.column_tallies(counts, grouped, cols, P) == want
 
 
 def _logaddexp_operands(monkeypatch, kernel, *args, **kwargs):

@@ -2,10 +2,13 @@
 
 Each numeric argument of the threshold rules, ``_deterministic_uniforms``,
 the population dynamics, the fluorescence formula, ``mean_count_series``,
-``RateParams.scaled`` and ``compare_methods`` gets NaN, both infinities, a
+``RateParams`` and its ``scaled``, ``SimConfig`` and ``n_bins``,
+``simple_loglik``'s tau, ``pi_pulse_error``, ``count_pmf``,
+``mean_count_window`` and ``compare_methods`` gets NaN, both infinities, a
 bool, a negative value, 1.5 and numpy scalars.  A call must raise
 ValueError naming the argument (ConfigError is one) or return a finite
-result; it must never raise TypeError or hand back NaN.
+result; it must never raise TypeError or hand back NaN, and never run on
+a bool as the number 1.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from ionread import (
     ConfigError,
     IonState,
     LaserPhysics,
+    SimConfig,
     SweepSpec,
     compare_methods,
     count_pmf,
@@ -26,7 +30,10 @@ from ionread import (
     fluorescence_rate,
     mean_count_series,
     mean_count_window,
+    n_bins,
+    pi_pulse_error,
     population_dynamics,
+    simple_loglik,
     stay_prob,
     threshold_classify,
 )
@@ -39,6 +46,7 @@ HOSTILE_IDS = ["nan", "inf", "-inf", "bool", "negative", "1.5", "np.int64", "np.
 PHYSICS = {"eta": 3.1e-3, "gamma": 2.0, "Omega": 1.5, "Delta": 0.3, "delta": 0.8}
 COUNTS = np.array([[0, 1, 3], [2, 0, 0], [5, 4, 6]])
 SPEC = SweepSpec(t_b_values=(0.1, 0.2), n_trials=64, seed=3, params=DEFAULT_PARAMS)
+M_B, M_D = [[0.9, 0.02], [0.03, 0.01]], [[0.05, 0.04], [0.02, 0.93]]
 
 # (name of the argument, the call with ``value`` in its place)
 CALLS = [
@@ -56,6 +64,16 @@ CALLS = [
       for name in PHYSICS),
     ("t_s", lambda v: mean_count_series([0, 1, 0], COUNTS, v)),
     ("r", lambda v: DEFAULT_PARAMS.scaled(v)),
+    *((name, lambda v, name=name: dataclasses.replace(DEFAULT_PARAMS, **{name: v}))
+      for name in ("R_B", "R_D", "t_s")),     # the lifetimes may be inf
+    ("t_b", lambda v: SimConfig(n_trials=4, t_b=v, seed=1, params=DEFAULT_PARAMS)),
+    ("t_b", lambda v: n_bins(v, 0.1)),
+    ("t_s", lambda v: n_bins(1.0, v)),
+    ("tau", lambda v: simple_loglik(COUNTS, DEFAULT_PARAMS, tau=v)),
+    ("epsilon_pi", lambda v: pi_pulse_error(M_B, M_D, v)),
+    ("photon count", lambda v: count_pmf(IonState.BRIGHT, v, DEFAULT_PARAMS)),
+    ("t0", lambda v: mean_count_window(v, 0.5, DEFAULT_PARAMS, IonState.BRIGHT)),
+    ("dt", lambda v: mean_count_window(1.0, v, DEFAULT_PARAMS, IonState.BRIGHT)),
     ("repetitions", lambda v: compare_methods(SPEC, repetitions=v)),
     ("threads", lambda v: compare_methods(SPEC, threads=v)),
 ]
@@ -85,6 +103,7 @@ def test_refused_by_name_or_finite(name, call, value):
     except ValueError as exc:
         assert name in str(exc)
         return
+    assert not isinstance(value, bool), f"{name}={value} ran as a number"
     numbers = _numbers(result)
     assert numbers and all(math.isfinite(x) for x in numbers)
 
