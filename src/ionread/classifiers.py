@@ -41,18 +41,22 @@ changeable log-likelihoods differ by under 2**-24 (1 + |stable| + |mixed|).
 :func:`_forward_brighter` has the exact column sums: one 1 + 2**-20 times
 the other puts their logs 2**-21 apart, which adding |log_scale| < 2**20
 keeps.
+
+The masks need no NaN check.  The single-change formula refuses a stable
+state of mean count 0, so its terms are finite or -inf (the vector
+logaddexp's NaN on two -inf leaves the row to the exact pass), and the
+forward filter's entries stay finite and >= 0, a norm not > 0 reading as 1.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .photon_model import (IonState, ObservationTable, RateParams, _check_counts,
-                           _poisson_logpmf, _warn)
+                           _check_number, _poisson_logpmf, _warn)
 from .trajectory import _check_int
 
 
@@ -84,10 +88,9 @@ def _as_count_matrix(counts) -> np.ndarray:
 
 def _as_counts(counts) -> np.ndarray:
     """One record, as the (1, n_bins) count matrix of the batch entry points."""
-    arr = np.asarray(counts)
-    if arr.ndim != 1 or arr.size == 0:
+    if np.ndim(counts) != 1 or np.size(counts) == 0:
         raise ValueError("counts must be a non-empty 1-d sequence")
-    return _as_count_matrix(arr)
+    return _as_count_matrix(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +165,13 @@ def _single_change_steps(counts_t, params: RateParams, tau: float | None, decayi
     decaying, logaddexp = IonState(decaying), logaddexp or np.logaddexp
     if tau is None:
         tau = params.tau_D if decaying is IonState.DARK else params.tau_B
-    if isinstance(tau, bool) or not tau > 0:     # NaN too; tau = inf is a stable state
-        raise ValueError(f"tau must be > 0, got {tau!r}")
+    _check_number(tau, "tau", lambda v: v > 0, "> 0")     # tau = inf is a stable state
     m, n = counts_t.shape
     means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
+    if means[1] == 0:   # its log-pmf is -inf at every count > 0: inf - inf below
+        raise ValueError(f"R_D={params.R_D}, R_B={params.R_B}: the single-change formula's "
+                         f"stable {IonState(1 - decaying).name.lower()} state never emits; "
+                         "use the general method")
     # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
     hi = int(counts_t.max(initial=0))
     vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
@@ -345,9 +351,11 @@ def generalized_time_resolved_classify(counts, table: ObservationTable):
 
 
 def decide_from_logs(log_pb: np.ndarray, log_pd: np.ndarray) -> np.ndarray:
-    """Vectorized Bright/Dark decisions from log-likelihoods (tie -> Dark)."""
-    return np.where(np.asarray(log_pb) > np.asarray(log_pd),
-                    Decision.BRIGHT, Decision.DARK).astype(np.int8)
+    """Vectorized Bright/Dark decisions from log-likelihoods (tie -> Dark, NaN -> ValueError)."""
+    log_pb, log_pd = np.asarray(log_pb), np.asarray(log_pd)
+    if np.isnan(log_pb).any() or np.isnan(log_pd).any():
+        raise ValueError("log_pb and log_pd must not be NaN")
+    return np.where(log_pb > log_pd, Decision.BRIGHT, Decision.DARK).astype(np.int8)
 
 
 def _decided(logs) -> tuple:
@@ -465,8 +473,7 @@ def pi_pulse_error(m_b, m_d, epsilon_pi: float) -> PiPulseResult:
     """
     m_b = _check_transfer_matrix(m_b, "M_B")
     m_d = _check_transfer_matrix(m_d, "M_D")
-    if isinstance(epsilon_pi, bool) or not 0.0 <= epsilon_pi <= 1.0:
-        raise ValueError(f"epsilon_pi must lie in [0, 1], got {epsilon_pi!r}")
+    _check_number(epsilon_pi, "epsilon_pi", lambda v: 0 <= v <= 1, "in [0, 1]")
     m_pi = np.array([[epsilon_pi, 1.0 - epsilon_pi],
                      [1.0 - epsilon_pi, epsilon_pi]])
     v_b = np.array([1.0, 0.0])
@@ -477,8 +484,7 @@ def pi_pulse_error(m_b, m_d, epsilon_pi: float) -> PiPulseResult:
     if defined:
         eps = 0.5 * (bright.epsilon_rel + dark.epsilon_rel)
     else:
-        warnings.warn("no ions retained: relative error undefined",
-                      RuntimeWarning, stacklevel=2)
+        _warn("no ions retained: relative error undefined")
         eps = np.nan
     n_r = 0.5 * (bright.retained + dark.retained)
     return PiPulseResult(bright=bright, dark=dark, epsilon_rel=eps,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams
+from .photon_model import IonState, RateParams, _check_number
 
 #: Objective evaluations allowed to each simplex run of :func:`fit_decay_curves`.
 MAX_EVALS = 10_000
@@ -111,26 +111,18 @@ class LaserPhysics:
     delta: float
 
     def __post_init__(self):
-        for name in ("eta", "gamma", "Omega", "Delta", "delta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            if name != "Delta" and value < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("eta", "gamma", "Omega", "delta"):
+            _check_number(getattr(self, name), name, lambda v: 0 <= v < math.inf, "finite and >= 0")
+        _check_number(self.Delta, "Delta", math.isfinite, "finite")
 
 
 # ---------------------------------------------------------------------------
 # Closed-form population dynamics
 
 
-def _check_positive(value, name: str) -> None:
-    if isinstance(value, bool) or not 0 < value < math.inf:     # NaN too
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _relaxation_constants(tau_B: float, tau_D: float):
-    _check_positive(tau_B, "tau_B")
-    _check_positive(tau_D, "tau_D")
+    for value, name in ((tau_B, "tau_B"), (tau_D, "tau_D")):
+        _check_number(value, name, lambda v: 0 < v < math.inf, "finite and > 0")
     a = tau_D / (tau_B + tau_D)
     b = tau_B / (tau_B + tau_D)
     tau = tau_B * tau_D / (tau_B + tau_D)
@@ -170,8 +162,8 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
     the (a, b, c) parameterization that fit_decay_curves recovers.  t0 = inf
     gives the steady-state level a (0.159 at ``DEFAULT_PARAMS`` for dt = t_s).
     """
-    if bool in (type(t0), type(dt)) or not (t0 >= dt > 0):     # NaN too
-        raise ValueError(f"need numbers t0 >= dt > 0, got t0={t0!r}, dt={dt!r}")
+    _check_number(dt, "dt", lambda v: 0 < v < math.inf, "finite and > 0")
+    _check_number(t0, "t0", lambda v: v >= dt, f">= dt={dt!r}")
     a, b, tau = _relaxation_constants(params.tau_B, params.tau_D)
     amp = a if IonState(initial) is IonState.BRIGHT else -b
     steady = dt * (params.R_B * b + params.R_D)
@@ -375,7 +367,7 @@ def mean_count_series(initials: np.ndarray, counts: np.ndarray, t_s: float):
     Returns {IonState: (K, 2) series} with times at sub-bin end (k * t_s),
     the form fit_decay_curves consumes; ingested CSV rows plug in directly.
     """
-    _check_positive(t_s, "t_s")
+    _check_number(t_s, "t_s", lambda v: 0 < v < math.inf, "finite and > 0")
     initials = np.asarray(initials)
     counts = np.asarray(counts)
     times = (np.arange(counts.shape[1]) + 1) * t_s

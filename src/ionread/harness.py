@@ -47,7 +47,7 @@ import numpy as np
 
 from . import classifiers as cl
 from .classifiers import Decision
-from .photon_model import IonState, RateParams, build_observation_table
+from .photon_model import IonState, RateParams, _check_number, build_observation_table
 from .trajectory import (
     Ensemble,
     SimConfig,
@@ -623,8 +623,9 @@ class SweepSpec:
         _require(len(self.classifiers) > 0, "classifiers must be non-empty")
         for spec in self.classifiers:
             resolve_classifier(spec)
-        _require(all(0 < r < math.inf for r in self.efficiency_factors),
-                 "efficiency factors must be finite and > 0")
+        for r in self.efficiency_factors:
+            _check_number(r, "efficiency factors", lambda v: 0 < v < math.inf, "finite and > 0",
+                          error=ConfigError)
         _require(len({_rtag(r) for r in self.efficiency_factors}) == len(self.efficiency_factors),
                  "efficiency factors must differ by at least 1e-9: each draws its own ensembles")
         object.__setattr__(self, "t_b_values", tuple(sorted(self.t_b_values)))
@@ -738,8 +739,7 @@ def pi_pulse_sweep(spec: SweepSpec, detector, epsilon_pi: float,
     _require(not isinstance(detector, DoubleThresholdClassifier),
              "pulse pairs need a non-abstaining single-detection method")
     detector = detector.fixed()
-    if isinstance(epsilon_pi, bool) or not 0.0 <= epsilon_pi <= 1.0:
-        raise ConfigError(f"epsilon_pi must lie in [0, 1], got {epsilon_pi!r}")
+    _check_number(epsilon_pi, "epsilon_pi", lambda v: 0 <= v <= 1, "in [0, 1]", error=ConfigError)
     return [_pi_pulse_point(spec, detector, epsilon_pi, t_b, i, threads)
             for i, t_b in enumerate(spec.t_b_values)]
 

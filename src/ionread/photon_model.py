@@ -58,6 +58,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -85,6 +86,16 @@ class IonState(enum.IntEnum):
 class DegenerateModelError(ValueError):
     """Raised when R_B = 0: state changes are unobservable and the mixture
     density's change of variables is singular."""
+
+
+def _check_number(value, name: str, ok, want: str, *, integer=False, error=ValueError) -> None:
+    """Raise ``error`` "<name> must be <want>, got <value!r>" unless ``value``
+    is a real number (an integer if ``integer``), not a Python or numpy bool,
+    and ``ok(value)`` holds.  NaN fails every comparison, so an ``ok`` that
+    compares refuses it."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind) or not ok(value):
+        raise error(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,22 +127,12 @@ class RateParams:
     def __post_init__(self):
         # R_B = 0 is allowed to exist (a dark-only model is well defined) but
         # is rejected by mixed_pmf and table construction, where it makes
-        # discrimination information-free.  Lifetimes may be +inf (a frozen
-        # ion); NaN fails every comparison below, so rates and t_s are also
-        # checked for finiteness.
-        for name in ("R_B", "R_D", "tau_B", "tau_D", "t_s"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
-        for name in ("R_B", "R_D", "t_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.R_B < 0:
-            raise ValueError(f"R_B must be >= 0, got {self.R_B}")
-        if self.R_D < 0:
-            raise ValueError(f"R_D must be >= 0, got {self.R_D}")
-        for name in ("tau_B", "tau_D", "t_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # discrimination information-free.  Lifetimes may be +inf (a frozen ion).
+        for name in ("R_B", "R_D"):
+            _check_number(getattr(self, name), name, lambda v: 0 <= v < math.inf, "finite and >= 0")
+        for name in ("tau_B", "tau_D"):
+            _check_number(getattr(self, name), name, lambda v: v > 0, "> 0")
+        _check_number(self.t_s, "t_s", lambda v: 0 < v < math.inf, "finite and > 0")
 
     @property
     def bright_mean(self) -> float:
@@ -152,8 +153,7 @@ class RateParams:
     def scaled(self, r: float) -> "RateParams":
         """Rates scaled by a collection-efficiency factor r; lifetimes are a
         property of the ion and stay fixed.  ``r`` must be a finite number > 0."""
-        if isinstance(r, bool) or not (math.isfinite(r) and r > 0):
-            raise ValueError(f"efficiency factor r must be finite and > 0, got {r!r}")
+        _check_number(r, "efficiency factor r", lambda v: 0 < v < math.inf, "finite and > 0")
         return replace(self, R_B=r * self.R_B, R_D=r * self.R_D)
 
     def to_json_dict(self) -> dict:
@@ -183,12 +183,12 @@ class RateParams:
 DEFAULT_PARAMS = RateParams(R_B=16.0, R_D=0.3, tau_B=4.9, tau_D=56.0, t_s=0.1)
 
 
-def _warn(message: str) -> None:
-    """A RuntimeWarning naming the first frame outside ionread: the caller's line."""
+def _warn(message: str, category=RuntimeWarning) -> None:
+    """A warning naming the first frame outside ionread: the caller's line."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "ionread":
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, RuntimeWarning, stacklevel=level)
+    warnings.warn(message, category, stacklevel=level)
 
 
 def stay_prob(state: IonState, t: float, params: RateParams) -> float:
@@ -199,8 +199,7 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     up to one sub-bin are meaningful here; longer-time occupancies (which
     include flips back) live in :func:`ionread.estimation.population_dynamics`.
     """
-    if not 0 <= t <= params.t_s:    # NaN too
-        raise ValueError(f"t must be in [0, t_s={params.t_s}], got {t}")
+    _check_number(t, "t", lambda v: 0 <= v <= params.t_s, f"in [0, t_s={params.t_s}]")
     tau = params.tau_B if IonState(state) is IonState.BRIGHT else params.tau_D
     return float(np.exp(-t / tau))
 
@@ -244,6 +243,9 @@ def _poisson_logpmf(n, mean):
 
 
 def _check_counts(n) -> np.ndarray:
+    if not isinstance(n, np.ndarray):   # asarray reads True in a list as 1: check each type
+        for x in {type(x): x for x in np.asarray(n, dtype=object).ravel().tolist()}.values():
+            _check_number(x, "photon count", lambda v: True, "a number")
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon count must be >= 0")
@@ -517,8 +519,8 @@ def build_observation_table(params: RateParams) -> ObservationTable:
     if params.R_B == 0:
         raise DegenerateModelError("R_B = 0: no usable signal, refusing to build table")
     if params.coarse_subbin:
-        warnings.warn(f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
-                      "single-change-per-sub-bin observation model degrades", stacklevel=2)
+        _warn(f"t_s={params.t_s} exceeds tau_B/10={params.tau_B / 10:.4g}; the "
+              "single-change-per-sub-bin observation model degrades", UserWarning)
     entry = _cache_entry(params)
     if entry is not None:
         table = _load_table(*entry, params)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams
+from .photon_model import IonState, RateParams, _check_number
 
 #: Fixed chunk width of the vectorized simulation; part of the determinism
 #: contract (changing it changes the random layout), so it is not tunable.
@@ -72,8 +72,8 @@ class DataFormatError(ValueError):
 
 def n_bins(t_b: float, t_s: float) -> int:
     """Number of whole sub-bins in a window; rejects non-integer ratios."""
-    if bool in (type(t_b), type(t_s)) or not (0 < t_b < np.inf and 0 < t_s < np.inf):  # NaN too
-        raise ValueError(f"t_b and t_s must be finite and > 0, got t_b={t_b!r}, t_s={t_s!r}")
+    for value, name in ((t_b, "t_b"), (t_s, "t_s")):
+        _check_number(value, name, lambda v: 0 < v < np.inf, "finite and > 0")
     m = round(t_b / t_s)
     if m < 1 or abs(m * t_s - t_b) > 1e-6 * t_s:
         raise ValueError(f"t_b={t_b} is not an integer multiple of t_s={t_s}")
@@ -86,15 +86,13 @@ def _narrowest(counts: np.ndarray) -> np.ndarray:
 
 
 def _check_seed(seed, error=ValueError) -> None:   # each seed in range keys streams of its own
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise error(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_number(seed, "seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)",
+                  integer=True, error=error)
 
 
 def _check_int(value, name: str, low: int, error=ValueError) -> None:   # range() takes no 2.5
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise error(f"{name} must be >= {low}, got {value!r}")
+    _check_number(value, name, lambda v: True, "an integer", integer=True, error=error)
+    _check_number(value, name, lambda v: v >= low, f">= {low}", error=error)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,18 @@ def simple_columns(counts, params, tau=None, *, decaying=IonState.DARK):
     return _stacked(classifiers._single_change_logs(steps, decaying))
 
 
+def _refused_for_a_silent_stable_state(params, decaying, *calls) -> bool:
+    """Whether ``params`` give the single-change formula a stable state with
+    a mean count of 0 (no dark counts, a decaying bright state); then each
+    of ``calls`` must refuse them by R_D."""
+    if params.R_D > 0 or IonState(decaying) is IonState.DARK:
+        return False
+    for call in calls:
+        with pytest.raises(ValueError, match="^R_D=0.0, .* stable dark state never emits"):
+            call()
+    return True
+
+
 class TestThreshold:
     def test_all_zeros_is_dark(self):
         assert threshold_classify([0, 0, 0], n_c=1) is Decision.DARK
@@ -319,7 +331,8 @@ class TestSimpleTimeResolved:
     def test_prefactor_warning_names_the_caller(self, table):
         # The warning points at the line that called simple_loglik, not at
         # the kernel's own frames.  So do the one-record classifier's, the
-        # general kernel's clamp warning and a sweep's, once per state.
+        # general kernel's clamp warning and a sweep's, once per state, and
+        # the coarse sub-bin warning of the table a sweep builds.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
@@ -327,9 +340,13 @@ class TestSimpleTimeResolved:
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
         spec = harness.SweepSpec(t_b_values=(0.5, 1.0), n_trials=64, seed=1, params=P,
                                  classifiers=({"method": "simple", "tau_ms": 0.5},))
+        coarse = harness.SweepSpec(t_b_values=(0.5,), n_trials=64, seed=1,
+                                   params=RateParams(16.0, 0.3, 0.61, 56.0, 0.1),
+                                   classifiers=({"method": "general"},))
         for call, times in ((lambda: simple_time_resolved_classify([0] * 10, P, tau=0.5), 1),
                             (lambda: general_loglik([[0, 99]], table), 1),
-                            (lambda: harness.sweep(spec), 2)):
+                            (lambda: harness.sweep(spec), 2),
+                            (lambda: harness.sweep(coarse), 1)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 call()
@@ -667,11 +684,18 @@ class TestPrefixColumnsExact:
         for k, final in enumerate(finals):
             assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("params", [P, NO_DARK], ids=["default", "no_dark"])
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
     @pytest.mark.parametrize("decaying", list(IonState))
     def test_simple(self, counts, params, tau, decaying, monkeypatch):
+        # With no dark counts and a decaying bright state, [3, 2, 1, 0, 0, 0]
+        # once gave log_p_B = NaN and was decided Dark.
+        if _refused_for_a_silent_stable_state(
+                params, decaying, lambda: simple_columns(counts, params, tau, decaying=decaying),
+                lambda: simple_loglik(counts, params, tau, decaying=decaying),
+                lambda: simple_time_resolved_classify([3, 2, 1, 0, 0, 0], params, tau,
+                                                      decaying=decaying)):
+            return
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
         with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau == 0.5
               else contextlib.nullcontext()):
@@ -730,6 +754,9 @@ class TestPrefixColumnsExact:
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
     @pytest.mark.parametrize("decaying", list(IonState))
     def test_single_change_steps_at_bins(self, counts, params, tau, decaying):
+        if _refused_for_a_silent_stable_state(
+                params, decaying, lambda: simple_columns(counts, params, tau, decaying=decaying)):
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             stacked = simple_columns(counts, params, tau, decaying=decaying)
@@ -761,6 +788,9 @@ class TestPrefixColumnsExact:
             assert (first is inverse) is distinct
         clf = harness.resolve_classifier({"method": "simple", "decaying": decaying.name.lower(),
                                           "tau_ms": tau})
+        if _refused_for_a_silent_stable_state(
+                params, decaying, lambda: clf.column_tallies(grouped, counts, [0], params)):
+            return
         warns = "t_b >= tau: single-change prefactor clamped to 0" if tau == 0.5 else None
         cols = list(range(counts.shape[1]))
         texts = []
@@ -846,6 +876,9 @@ class TestBandedMasks:
         ulps = data.draw(st.sampled_from([0, 4, -4]), label="log1p ulps")
         counts, grouped = self._counts(data)
         clf = harness.SimpleClassifier(decaying, tau)
+        if _refused_for_a_silent_stable_state(
+                params, decaying, lambda: clf.column_tallies(counts, grouped, [0], params)):
+            return
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("ignore", RuntimeWarning)     # a clamped prefactor
             want = self._exact_tallies(
@@ -1055,6 +1088,13 @@ class TestDecisionEnum:
     def test_decide_from_logs_tie_is_dark(self):
         out = decide_from_logs(np.array([-1.0, -1.0]), np.array([-1.0, -2.0]))
         assert out.tolist() == [int(Decision.DARK), int(Decision.BRIGHT)]
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, math.nan),
+                                      ([-1.0, math.nan], [-2.0, -1.0])])
+    def test_decide_from_logs_refuses_nan(self, pair):
+        # NaN fails every comparison, so it once decided Dark.
+        with pytest.raises(ValueError, match="^log_pb and log_pd must not be NaN$"):
+            decide_from_logs(*pair)
 
 
 class TestCountWidths:

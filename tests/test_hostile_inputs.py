@@ -3,12 +3,13 @@
 Each numeric argument of the threshold rules, ``_deterministic_uniforms``,
 the population dynamics, the fluorescence formula, ``mean_count_series``,
 ``RateParams`` and its ``scaled``, ``SimConfig`` and ``n_bins``,
-``simple_loglik``'s tau, ``pi_pulse_error``, ``count_pmf``,
-``mean_count_window`` and ``compare_methods`` gets NaN, both infinities, a
-bool, a negative value, 1.5 and numpy scalars.  A call must raise
-ValueError naming the argument (ConfigError is one) or return a finite
-result; it must never raise TypeError or hand back NaN, and never run on
-a bool as the number 1.
+``simple_loglik``'s tau and counts, ``pi_pulse_error``, ``pi_pulse_sweep``,
+``count_pmf``, ``stay_prob``, ``mean_count_window``, ``SweepSpec``'s
+efficiency factors and ``compare_methods`` gets NaN, both infinities, a
+Python and a numpy bool, a negative value, 1.5 and numpy scalars.  A call
+must raise ValueError naming the argument (ConfigError is one) or return a
+finite result; it must never raise TypeError or hand back NaN, and never
+run on a bool as the number 1.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from ionread import (
     mean_count_window,
     n_bins,
     pi_pulse_error,
+    pi_pulse_sweep,
     population_dynamics,
     simple_loglik,
     stay_prob,
@@ -40,8 +42,10 @@ from ionread import (
 from ionread.classifiers import double_threshold_decide
 from ionread.trajectory import _deterministic_uniforms
 
-HOSTILE = [math.nan, math.inf, -math.inf, True, -1, 1.5, np.int64(3), np.float32(math.nan)]
-HOSTILE_IDS = ["nan", "inf", "-inf", "bool", "negative", "1.5", "np.int64", "np.float32_nan"]
+HOSTILE = [math.nan, math.inf, -math.inf, True, np.True_, -1, 1.5, np.int64(3),
+           np.float32(math.nan)]
+HOSTILE_IDS = ["nan", "inf", "-inf", "bool", "np.bool", "negative", "1.5", "np.int64",
+               "np.float32_nan"]
 
 PHYSICS = {"eta": 3.1e-3, "gamma": 2.0, "Omega": 1.5, "Delta": 0.3, "delta": 0.8}
 COUNTS = np.array([[0, 1, 3], [2, 0, 0], [5, 4, 6]])
@@ -76,6 +80,11 @@ CALLS = [
     ("dt", lambda v: mean_count_window(1.0, v, DEFAULT_PARAMS, IonState.BRIGHT)),
     ("repetitions", lambda v: compare_methods(SPEC, repetitions=v)),
     ("threads", lambda v: compare_methods(SPEC, threads=v)),
+    ("photon count", lambda v: count_pmf(IonState.BRIGHT, [v, 2], DEFAULT_PARAMS)),
+    ("photon count", lambda v: simple_loglik([[v, 2]], DEFAULT_PARAMS)),
+    ("t", lambda v: stay_prob(IonState.BRIGHT, v, dataclasses.replace(DEFAULT_PARAMS, t_s=2.0))),
+    ("efficiency factor", lambda v: dataclasses.replace(SPEC, efficiency_factors=(v,))),
+    ("epsilon_pi", lambda v: pi_pulse_sweep(SPEC, {"method": "threshold", "n_c": 1}, v)),
 ]
 
 
@@ -103,7 +112,7 @@ def test_refused_by_name_or_finite(name, call, value):
     except ValueError as exc:
         assert name in str(exc)
         return
-    assert not isinstance(value, bool), f"{name}={value} ran as a number"
+    assert not isinstance(value, (bool, np.bool_)), f"{name}={value!r} ran as a number"
     numbers = _numbers(result)
     assert numbers and all(math.isfinite(x) for x in numbers)
 
