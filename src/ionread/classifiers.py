@@ -11,18 +11,19 @@ All classifiers are pure functions.  The batch entry points operate on
 pair for the whole window.  They reject negative and fractional counts.  The
 scalar classifiers wrap them on one row; the likelihood ones return
 (Decision, log_p_B, log_p_D), bit for bit the batch row and its
-:func:`decide_from_logs` decision.  Inside, both kernels are filters: one
-step per bin on bin-major counts updates a few length-n_trials rows, and one
-generator per kernel (``_forward_logs``, ``_single_change_steps``) yields
-each prefix's pair, or its operands, at the bins a caller asks for.  The
-batch entry points read it at the last bin; the sweep harness reads it at
-the columns it tallies, so a sweep holds O(n_trials) scratch.  The
-single-change formula gathers each bin's Poisson log-pmf (numpy and
-``math.log`` only) from a vector over 0..max count instead of evaluating it
-per cell, and carries its running sums with one elementwise add or logaddexp
-per bin, the operations of ``ufunc.accumulate`` in its order, on rows
-allocated once per call.  Each bin yields the stable state's log-likelihood
-and the two terms p and q whose logaddexp is the changeable state's, which
+:func:`decide_from_logs` decision.  Inside, both kernel families are
+filters: each generator (``_forward_logs``, ``_single_change_steps`` and
+their ``_brighter`` masks) takes (n_trials, n_bins) counts, copies them
+bin-major once and, one step per bin updating a few length-n_trials rows,
+yields each prefix's pair, its operands or its mask at the bins asked for.
+The batch entry points read the last bin; the sweep harness reads the
+columns it tallies, so a sweep holds O(n_trials) scratch.  The
+single-change formula gathers each bin's two Poisson log-pmfs (numpy and
+``math.log`` only) with one take from a (2, max count + 1) array, and
+carries its running sums with one elementwise add or logaddexp per bin, the
+operations of ``ufunc.accumulate`` in its order, on rows allocated once per
+call.  Each bin yields the stable state's log-likelihood and the two terms
+p and q whose logaddexp is the changeable state's, which
 :func:`simple_loglik` combines.  The hidden-Markov product is a scaled
 forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
 layout: four length-n_trials arrays hold the entries of every trial's
@@ -127,8 +128,7 @@ def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarra
 # Simple time-resolved method (single dark->bright change)
 
 
-def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = None,
-                  *, decaying: IonState = IonState.DARK):
+def simple_loglik(counts: np.ndarray, params: RateParams, *, decaying: IonState = IonState.DARK):
     """Log-likelihoods of the single-change formula, vectorized.
 
     One designated state may change exactly once inside the window; the other
@@ -137,65 +137,61 @@ def simple_loglik(counts: np.ndarray, params: RateParams, tau: float | None = No
         + (t_s/tau) sum_k prod_{j<k} P_D(n_j) prod_{j>=k} P_B(n_j)
     while p_B = prod_k P_B(n_k); ``decaying=BRIGHT`` mirrors the roles (a
     bright prefix that may drop to dark once), which is the variant suited to
-    qubits whose dominant change is bright-to-dark.  ``tau`` defaults to the
-    decaying state's lifetime.
+    qubits whose dominant change is bright-to-dark.  tau is the decaying
+    state's lifetime in ``params`` (tau_D, or tau_B when bright decays).
 
     Returns (log_p_B, log_p_D) of shape (n_trials,); a window longer than
     tau clamps the linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
-    counts_t = np.ascontiguousarray(_as_count_matrix(counts).T)
-    steps = _single_change_steps(counts_t, params, tau, decaying, (len(counts_t) - 1,))
+    counts2d = _as_count_matrix(counts)
+    steps = _single_change_steps(counts2d, params, decaying, (counts2d.shape[1] - 1,))
     [logs] = _single_change_logs(steps, decaying)
     return logs
 
 
-def _single_change_steps(counts_t, params: RateParams, tau: float | None, decaying,
-                         bins, logaddexp=None, *, warn=True):
-    """Per-bin (stable, p, q) of the single-change formula on bin-major
-    counts, at each bin in ``bins``: the stable state's log-likelihood and
-    the two terms whose logaddexp is the changeable state's.  Each triple
-    holds until the next step.  The running log-pmf sums of the changeable
-    (``stay``) and the stable state (``after``), the running ``logaddexp``
-    (None: ``np.logaddexp``) ``inner`` of the change terms, the per-bin
-    gathers and p and q are n_trials rows, allocated once and updated in
-    place.  ``tau`` None takes the decaying state's lifetime.  A negative
-    linear-in-t_b prefactor is clamped to zero, which warns (RuntimeWarning)
-    once per call unless ``warn`` is False.
+def _single_change_steps(counts2d, params: RateParams, decaying, bins, logaddexp=None, *,
+                         warn=True):
+    """Per-bin (stable, p, q) of the single-change formula on (n_trials,
+    n_bins) counts, at each bin in ``bins``: the stable state's
+    log-likelihood and the two terms whose logaddexp is the changeable
+    state's.  Each triple holds until the next step.  The running log-pmf
+    sums of the changeable (``stay``) and the stable state (``after``), the
+    running ``logaddexp`` (None: ``np.logaddexp``) ``inner`` of the change
+    terms, the per-bin gathers and p and q are n_trials rows, allocated once
+    and updated in place.  tau is the decaying state's lifetime (inf: a
+    stable state).  A negative linear-in-t_b prefactor is clamped to zero,
+    which warns (RuntimeWarning) once per call unless ``warn`` is False.
     """
     decaying, logaddexp = IonState(decaying), logaddexp or np.logaddexp
-    if tau is None:
-        tau = params.tau_D if decaying is IonState.DARK else params.tau_B
-    _check_number(tau, "tau", lambda v: v > 0, "> 0")     # tau = inf is a stable state
-    m, n = counts_t.shape
+    tau, (n, m) = (params.tau_B, params.tau_D)[decaying], counts2d.shape
     means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
     if means[1] == 0:   # its log-pmf is -inf at every count > 0: inf - inf below
         raise ValueError(f"R_D={params.R_D}, R_B={params.R_B}: the single-change formula's "
                          f"stable {IonState(1 - decaying).name.lower()} state never emits; "
                          "use the general method")
-    # Gather from a log-pmf vector over 0..max count unless it outgrows counts.
-    hi = int(counts_t.max(initial=0))
-    vectors = ([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means]
-               if hi < counts_t.size else (None, None))
+    # Gather from (2, max + 1) log-pmf vectors unless they outgrow the counts.
+    hi = int(counts2d.max(initial=0))
+    vectors = (np.array([_poisson_logpmf(np.arange(hi + 1), mean) for mean in means])
+               if hi < counts2d.size else None)
     prefac = 1.0 - np.arange(1, m + 1) * params.t_s / tau
     if prefac[-1] < 0 and warn:
         _warn("t_b >= tau: single-change prefactor clamped to 0")
     log_prefac = np.where(prefac > 0, np.log(np.maximum(prefac, 1e-300)), -np.inf)
     with np.errstate(divide="ignore"):  # tau = inf gives a vanishing change term
         log_rate = np.log(params.t_s / tau)
-    stay, after, stay_k, after_k, p, q = (np.empty(n) for _ in range(6))
-    inner = np.zeros(n)
+    sums, gathered, (p, q) = np.empty((3, 2, n))
+    (stay, after), inner = sums, np.zeros(n)
     # A change during bin i contributes exp(stay[i-1] + after[k] - after[i-1])
     # to the k-bin prefix; exp(after[k]) is factored out of the inner sum.
-    for k, row in enumerate(counts_t):
-        for out, mean, vector in zip((stay_k, after_k) if k else (stay, after), means, vectors):
-            if vector is None:
-                out[...] = _poisson_logpmf(row, mean)
-            else:       # "clip" writes straight to out; every count is in range
-                np.take(vector, row, out=out, mode="clip")
+    for k, row in enumerate(np.ascontiguousarray(counts2d.T)):
+        out = gathered if k else sums
+        if vectors is None:
+            out[...] = [_poisson_logpmf(row, mean) for mean in means]
+        else:           # "clip" writes straight to out; every count is in range
+            np.take(vectors, row, axis=1, out=out, mode="clip")
         if k:
             logaddexp(inner, np.subtract(stay, after, out=p), out=inner)
-            stay += stay_k
-            after += after_k
+            sums += gathered
         if k in bins:
             np.add(stay, log_prefac[k], out=p)
             np.add(inner, np.add(after, log_rate, out=q), out=q)
@@ -214,11 +210,11 @@ def _single_change_logs(steps, decaying):
 _BAND = 2.0 ** -20      # the relative band of a sweep's masks (see the module docstring)
 
 
-def _single_change_brighter(counts_t, params: RateParams, tau, decaying, bins):
+def _single_change_brighter(counts2d, params: RateParams, decaying, bins):
     """The Bright mask of the single-change pair at each bin in ``bins``,
     valid until the next: from the vector-logaddexp pass outside the band,
     and inside it from the exact kernel, rerun on the first k + 1 bins."""
-    dark, n = IonState(decaying) is IonState.DARK, counts_t.shape[1]
+    dark, n = IonState(decaying) is IonState.DARK, len(counts2d)
     gap, (brighter, decided) = np.empty(n), np.empty((2, n), bool)
 
     def logaddexp(x, y, out):
@@ -227,7 +223,7 @@ def _single_change_brighter(counts_t, params: RateParams, tau, decaying, bins):
         np.log1p(np.exp(np.negative(gap, out=gap), out=gap), out=gap)
         return np.add(np.maximum(x, y, out=out), gap, out=out)
 
-    steps = _single_change_steps(counts_t, params, tau, decaying, bins, logaddexp)
+    steps = _single_change_steps(counts2d, params, decaying, bins, logaddexp)
     for k, (stable, p, q) in zip(bins, steps):
         mixed = logaddexp(p, q, out=p)
         with np.errstate(invalid="ignore"):
@@ -240,22 +236,21 @@ def _single_change_brighter(counts_t, params: RateParams, tau, decaying, bins):
         rows = np.flatnonzero(np.logical_not(decided, out=decided))
         if rows.size:
             [(log_b, log_d)] = _single_change_logs(_single_change_steps(
-                counts_t[:k + 1, rows], params, tau, decaying, (k,), warn=False), decaying)
+                counts2d[rows, :k + 1], params, decaying, (k,), warn=False), decaying)
             brighter[rows] = log_b > log_d
         yield brighter
 
 
-def simple_time_resolved_classify(counts, params: RateParams,
-                                  tau: float | None = None,
-                                  *, decaying: IonState = IonState.DARK):
+def simple_time_resolved_classify(counts, params: RateParams, *,
+                                  decaying: IonState = IonState.DARK):
     """Classify one count sequence with the single-change formula.
 
     Returns (Decision, log_p_B, log_p_D): the record's row of
     :func:`simple_loglik` and the :func:`decide_from_logs` decision on it
     (a tie is Dark), so one record and one batch row agree bit for bit.
-    A window longer than tau clamps the prefactor with a RuntimeWarning.
+    A window longer than the decaying state's lifetime warns, as there.
     """
-    return _decided(simple_loglik(_as_counts(counts), params, tau, decaying=decaying))
+    return _decided(simple_loglik(_as_counts(counts), params, decaying=decaying))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams, _check_number
+from .photon_model import IonState, RateParams, _check_array, _check_counts, _check_number
+from .trajectory import _initial_states
 
 #: Objective evaluations allowed to each simplex run of :func:`fit_decay_curves`.
 MAX_EVALS = 10_000
@@ -139,8 +140,8 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     tau = tau_B*tau_D/(tau_B + tau_D).  W_B + W_D = 1 exactly; t may be a
     scalar or an array.
     """
-    boolean, t = np.asarray(t).dtype == bool, np.asarray(t, dtype=float)
-    if boolean or not np.all(t >= 0):           # NaN too
+    t = np.asarray(_check_array(t, "t", ">= 0"), dtype=float)
+    if not np.all(t >= 0):           # NaN too
         raise ValueError("t must be >= 0")
     a, b, tau = _relaxation_constants(tau_B, tau_D)
     amp = a if IonState(initial) is IonState.BRIGHT else -b
@@ -368,8 +369,9 @@ def mean_count_series(initials: np.ndarray, counts: np.ndarray, t_s: float):
     the form fit_decay_curves consumes; ingested CSV rows plug in directly.
     """
     _check_number(t_s, "t_s", lambda v: 0 < v < math.inf, "finite and > 0")
-    initials = np.asarray(initials)
-    counts = np.asarray(counts)
+    initials, counts = _initial_states(initials), _check_counts(counts)
+    if counts.ndim != 2 or initials.shape != counts.shape[:1]:
+        raise ValueError("counts must be (n_trials, n_bins), one row per initial state")
     times = (np.arange(counts.shape[1]) + 1) * t_s
     out = {}
     for state in (IonState.BRIGHT, IonState.DARK):

@@ -73,7 +73,7 @@ _CTX_COMPARE = 6
 _PI_WINDOW_ONE, _PI_WINDOW_TWO, _PI_PULSE = 1, 2, 3
 
 _METHOD_KEYS = {"threshold": ("method", "n_c"), "double_threshold": ("method", "n_D", "n_B"),
-                "simple": ("method", "decaying", "tau_ms"), "general": ("method",)}
+                "simple": ("method", "decaying"), "general": ("method",)}
 # The paper's headline pair: optimized count threshold against the
 # generalized likelihood.
 _HEADLINE_CLASSIFIERS = (
@@ -313,8 +313,8 @@ class _PreparedCounts:
         width = int(self.counts.sum(axis=1, dtype=np.int64).max(initial=0)) + 2
         hist = np.empty((self.counts.shape[1], width), np.int64)
         totals = np.zeros(self.counts.shape[0], np.int64)
-        for k, column in enumerate(self.counts.T):
-            totals += column.astype(np.int64)
+        for k in range(len(hist)):
+            totals += self.counts[:, k].astype(np.int64)
             hist[k] = np.bincount(totals, minlength=width)
         return np.cumsum(hist, axis=1, out=hist)
 
@@ -364,27 +364,23 @@ class _LikelihoodRule(Classifier):
 
 @dataclass(frozen=True)
 class SimpleClassifier(_LikelihoodRule):
-    """The single-change formula; ``tau_ms`` None takes the decaying
-    state's lifetime.  A window longer than tau clamps the no-change
+    """The single-change formula, its change weighted by the decaying state's
+    lifetime in the rate parameters.  A longer window clamps the no-change
     prefactor to 0, and :func:`classifiers.simple_loglik` warns."""
 
     decaying: IonState = IonState.DARK
-    tau_ms: float | None = None
     label = "simple_time_resolved"
 
     @property
     def detail(self):
-        tau = f"tau={self.tau_ms:g}" if self.tau_ms else f"tau=tau_{self.decaying.label}"
-        return f"decaying={self.decaying.name.lower()};{tau}"
+        return f"decaying={self.decaying.name.lower()};tau=tau_{self.decaying.label}"
 
     def _loglik(self, state, params):
-        return cl.simple_loglik(state.distinct(state.counts), params, self.tau_ms,
-                                decaying=self.decaying)
+        return cl.simple_loglik(state.distinct(state.counts), params, decaying=self.decaying)
 
     def _masks(self, state, params, bins):
         """A cheap pass and a band (:func:`classifiers._single_change_brighter`)."""
-        return cl._single_change_brighter(np.ascontiguousarray(state.distinct(state.counts).T),
-                                          params, self.tau_ms, self.decaying, bins)
+        return cl._single_change_brighter(state.distinct(state.counts), params, self.decaying, bins)
 
 
 @dataclass(frozen=True)
@@ -430,13 +426,9 @@ def resolve_classifier(spec) -> Classifier:
         _require(n_b == "optimize" or n_b >= n_d, "n_B must be an integer >= n_D or 'optimize'")
         return DoubleThresholdClassifier(n_b, n_d)
     if method == "simple":
-        tau = spec.get("tau_ms")
-        _require(tau is None or config_number(tau, "tau_ms") > 0, "tau_ms must be positive when given")
         decaying = spec.get("decaying", "dark")
-        _require(decaying in ("dark", "bright"),
-                 "decaying must be 'dark' or 'bright'")
-        return SimpleClassifier(IonState.BRIGHT if decaying == "bright" else IonState.DARK,
-                                tau)
+        _require(decaying in ("dark", "bright"), "decaying must be 'dark' or 'bright'")
+        return SimpleClassifier(IonState.BRIGHT if decaying == "bright" else IonState.DARK)
     return GeneralClassifier()
 
 

@@ -242,15 +242,23 @@ def _poisson_logpmf(n, mean):
     return -mean + xlogy - lgam
 
 
+def _check_array(values, name: str, want: str) -> np.ndarray:
+    """``values`` as an array, refusing a bool array and, before ``np.asarray``
+    reads True in a list as 1, any item that :func:`_check_number` refuses."""
+    if not isinstance(values, np.ndarray):  # one item per type
+        for x in {type(x): x for x in np.asarray(values, dtype=object).ravel().tolist()}.values():
+            _check_number(x, name, lambda v: True, want)
+    values = np.asarray(values)
+    if values.dtype.kind == "b":
+        raise ValueError(f"{name} must be {want}, got a bool array")
+    return values
+
+
 def _check_counts(n) -> np.ndarray:
-    if not isinstance(n, np.ndarray):   # asarray reads True in a list as 1: check each type
-        for x in {type(x): x for x in np.asarray(n, dtype=object).ravel().tolist()}.values():
-            _check_number(x, "photon count", lambda v: True, "a number")
-    n = np.asarray(n)
+    n = _check_array(n, "photon count", "a number")
     if np.any(n < 0):
         raise ValueError("photon count must be >= 0")
-    if n.dtype.kind not in "iu" and (n.dtype.kind == "b"      # a bool is no count
-                                     or not np.all(np.isfinite(n) & (n == np.floor(n)))):
+    if n.dtype.kind not in "iu" and not np.all(np.isfinite(n) & (n == np.floor(n))):
         raise ValueError("photon count must be a finite integer")
     return n
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams, _check_number
+from .photon_model import IonState, RateParams, _check_array, _check_number
 
 #: Fixed chunk width of the vectorized simulation; part of the determinism
 #: contract (changing it changes the random layout), so it is not tunable.
@@ -120,8 +120,8 @@ class SimConfig:
 
 
 def _initial_states(initial) -> np.ndarray:
-    """``initial`` as int8 states, each checked before the cast to be 0 or 1."""
-    raw = np.asarray(initial)
+    """``initial`` as int8 states, each checked before the cast to be 0 or 1, not a bool."""
+    raw = _check_array(initial, "initial states", "0 (bright) or 1 (dark)")
     bad = raw[~np.isin(raw, (0, 1))]
     if bad.size:
         raise ValueError(f"initial states must be 0 (bright) or 1 (dark), got {bad[0].item()!r}")
@@ -199,9 +199,9 @@ class Ensemble:
     an NaN-padded (N, J_max) array; trial i is row i of both.  ``initial``
     is a read-only int8 copy of the initial states, one per trial, taken
     from one state or from a per-trial array (e.g. the second window of a
-    pulse pair); a state other than 0 or 1 raises ValueError.  Ingested
-    ensembles have no ``params`` and no change times: ground-truth methods
-    raise on them.
+    pulse pair); a state other than 0 or 1 raises ValueError, as do
+    ``params`` whose t_s is not the ensemble's.  Ingested ensembles have no
+    ``params`` and no change times: ground-truth methods raise on them.
     """
 
     def __init__(self, initial, counts, change_times, t_b, t_s, params=None):
@@ -210,6 +210,8 @@ class Ensemble:
         self.t_b = float(t_b)
         self.t_s = float(t_s)
         self.params = params
+        if params is not None and params.t_s != self.t_s:
+            raise ValueError(f"params.t_s={params.t_s} differs from the ensemble's t_s={t_s}")
         if self.counts.ndim != 2 or self.counts.shape[1] != n_bins(t_b, t_s):
             raise ValueError("counts must be (n_trials, n_bins)")
         self.initial = np.broadcast_to(_initial_states(initial), len(self)).copy()

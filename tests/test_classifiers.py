@@ -8,6 +8,7 @@ regression cannot hide inside a shared helper.
 
 import collections
 import contextlib
+import dataclasses
 import inspect
 import itertools
 import math
@@ -171,13 +172,25 @@ def general_columns(counts, table):
     return _stacked(classifiers._forward_logs(counts, table, range(counts.shape[1])))
 
 
-def simple_columns(counts, params, tau=None, *, decaying=IonState.DARK):
+def simple_columns(counts, params, *, decaying=IonState.DARK):
     """Every prefix's (log_p_B, log_p_D) of the single-change formula:
     ``_single_change_logs`` of ``_single_change_steps`` read at each bin."""
-    counts_t = np.ascontiguousarray(np.asarray(counts).T)
-    steps = classifiers._single_change_steps(counts_t, params, tau, decaying,
-                                             range(len(counts_t)))
+    counts = np.asarray(counts)
+    steps = classifiers._single_change_steps(counts, params, decaying, range(counts.shape[1]))
     return _stacked(classifiers._single_change_logs(steps, decaying))
+
+
+def with_lifetime(params, decaying, tau):
+    """``params`` with the decaying state's lifetime (tau_D, or tau_B when
+    bright decays) set to ``tau``; None keeps it."""
+    if tau is None:
+        return params
+    return dataclasses.replace(params, **{f"tau_{IonState(decaying).label}": tau})
+
+
+#: The default parameters with a dark lifetime of 0.5 ms: a window of more
+#: than 5 bins clamps the dark-decay prefactor.
+SHORT_D = with_lifetime(P, IonState.DARK, 0.5)
 
 
 def _refused_for_a_silent_stable_state(params, decaying, *calls) -> bool:
@@ -272,9 +285,9 @@ class TestSimpleTimeResolved:
     def test_batch_matches_scalar_and_prefixes(self, records, wide_records):
         assert_scalar_is_batch_row(lambda c: simple_time_resolved_classify(c, P),
                                    lambda c: simple_loglik(c, P), records)
-        with pytest.warns(RuntimeWarning, match="prefactor clamped"):   # 3 ms > tau
-            assert_scalar_is_batch_row(lambda c: simple_time_resolved_classify(c, P, 0.5),
-                                       lambda c: simple_loglik(c, P, 0.5), wide_records)
+        with pytest.warns(RuntimeWarning, match="prefactor clamped"):   # 3 ms > tau_D
+            assert_scalar_is_batch_row(lambda c: simple_time_resolved_classify(c, SHORT_D),
+                                       lambda c: simple_loglik(c, SHORT_D), wide_records)
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(20, 9))
         log_b_pref, log_d_pref = simple_columns(counts, P)
@@ -315,18 +328,18 @@ class TestSimpleTimeResolved:
         # evaluation, and the batch row's.
         counts = [0] * 10
         with pytest.warns(RuntimeWarning, match="clamped"):
-            result = simple_time_resolved_classify(counts, P, tau=0.5)
-            log_b, log_d = simple_loglik([counts], P, tau=0.5)
+            result = simple_time_resolved_classify(counts, SHORT_D)
+            log_b, log_d = simple_loglik([counts], SHORT_D)
         change_only = naive_single_change(counts, P, 0.5)[1]     # max(0, 1 - t_b/tau) = 0
         assert log_d[0] == pytest.approx(math.log(change_only), rel=1e-12)
         assert result[1:] == (log_b[0], log_d[0])
         with pytest.warns(RuntimeWarning, match="^t_b >= tau: single-change prefactor "
                                                 "clamped to 0$"):
-            logs = simple_loglik(np.array([counts]), P, tau=0.5)
+            logs = simple_loglik(np.array([counts]), SHORT_D)
         assert len(logs) == 2 and all(log.shape == (1,) for log in logs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(simple_loglik(np.array([counts[:5]]), P, tau=0.5)) == 2
+            assert len(simple_loglik(np.array([counts[:5]]), SHORT_D)) == 2
 
     def test_prefactor_warning_names_the_caller(self, table):
         # The warning points at the line that called simple_loglik, not at
@@ -336,14 +349,14 @@ class TestSimpleTimeResolved:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
-            simple_loglik([[0] * 10], P, tau=0.5)
+            simple_loglik([[0] * 10], SHORT_D)
         assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
-        spec = harness.SweepSpec(t_b_values=(0.5, 1.0), n_trials=64, seed=1, params=P,
-                                 classifiers=({"method": "simple", "tau_ms": 0.5},))
+        spec = harness.SweepSpec(t_b_values=(0.5, 1.0), n_trials=64, seed=1, params=SHORT_D,
+                                 classifiers=({"method": "simple"},))
         coarse = harness.SweepSpec(t_b_values=(0.5,), n_trials=64, seed=1,
                                    params=RateParams(16.0, 0.3, 0.61, 56.0, 0.1),
                                    classifiers=({"method": "general"},))
-        for call, times in ((lambda: simple_time_resolved_classify([0] * 10, P, tau=0.5), 1),
+        for call, times in ((lambda: simple_time_resolved_classify([0] * 10, SHORT_D), 1),
                             (lambda: general_loglik([[0, 99]], table), 1),
                             (lambda: harness.sweep(spec), 2),
                             (lambda: harness.sweep(coarse), 1)):
@@ -352,22 +365,24 @@ class TestSimpleTimeResolved:
                 call()
             assert [w.filename for w in caught] == [__file__] * times
 
-    def test_default_tau_is_dark_lifetime(self):
+    def test_tau_is_the_dark_lifetime(self):
         counts = [0, 1, 2]
         default = simple_time_resolved_classify(counts, P)
-        assert default == simple_time_resolved_classify(counts, P, tau=P.tau_D)
-        assert default != simple_time_resolved_classify(counts, P, tau=P.tau_B)
+        assert default == simple_time_resolved_classify(counts, dataclasses.replace(P, tau_B=1.0))
+        assert default != simple_time_resolved_classify(counts, with_lifetime(P, IonState.DARK,
+                                                                              P.tau_B))
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
-            simple_loglik(np.array([[1]]), P, tau=0.0)
+            simple_loglik(np.array([[1]]), with_lifetime(P, IonState.DARK, 0.0))
 
     def test_nan_tau_rejected(self):
         # NaN once passed ``tau <= 0`` and gave log_p_D = NaN, decided Dark.
         for bad in (math.nan, -math.inf, -1.0):
-            with pytest.raises(ValueError, match="tau must be > 0"):
-                simple_loglik(np.array([[1]]), P, tau=bad)
-        assert np.isfinite(simple_loglik(np.array([[1, 0]]), P, tau=math.inf)).all()
+            with pytest.raises(ValueError, match="tau_D must be > 0"):
+                simple_loglik(np.array([[1]]), with_lifetime(P, IonState.DARK, bad))
+        assert np.isfinite(simple_loglik(np.array([[1, 0]]),
+                                         with_lifetime(P, IonState.DARK, math.inf))).all()
 
     @pytest.mark.parametrize("bad", [[[-1, 2]], [[1.7, 2]], np.array([[2.0, 0.5]])])
     @pytest.mark.parametrize("decaying", [IonState.DARK, IonState.BRIGHT])
@@ -432,12 +447,13 @@ class TestSimpleBrightDecay:
             assert math.exp(log_d) == pytest.approx(expect_d, rel=1e-10)
 
     def test_batch_matches_scalar(self, records, wide_records):
-        for tau, counts in ((None, records), (0.5, wide_records)):
+        for tau, counts in ((None, records), (0.5, wide_records)):     # 3 ms > tau_B = 0.5
+            params = with_lifetime(P, IonState.BRIGHT, tau)
             with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau
                   else contextlib.nullcontext()):
                 assert_scalar_is_batch_row(
-                    lambda c: simple_time_resolved_classify(c, P, tau, decaying=IonState.BRIGHT),
-                    lambda c: simple_loglik(c, P, tau, decaying=IonState.BRIGHT), counts)
+                    lambda c: simple_time_resolved_classify(c, params, decaying=IonState.BRIGHT),
+                    lambda c: simple_loglik(c, params, decaying=IonState.BRIGHT), counts)
 
     def test_single_bin_collapse(self):
         for n in range(5):
@@ -468,13 +484,13 @@ class TestSimpleBrightDecay:
                                                        decaying=IonState.BRIGHT)
         assert decision is Decision.BRIGHT
 
-    def test_default_tau_is_bright_lifetime(self):
+    def test_tau_is_the_bright_lifetime(self):
         counts = [2, 1, 0]
         default = simple_time_resolved_classify(counts, P, decaying=IonState.BRIGHT)
-        assert default == simple_time_resolved_classify(counts, P, tau=P.tau_B,
+        assert default == simple_time_resolved_classify(counts, dataclasses.replace(P, tau_D=1.0),
                                                         decaying=IonState.BRIGHT)
-        assert default != simple_time_resolved_classify(counts, P, tau=P.tau_D,
-                                                        decaying=IonState.BRIGHT)
+        assert default != simple_time_resolved_classify(
+            counts, with_lifetime(P, IonState.BRIGHT, P.tau_D), decaying=IonState.BRIGHT)
 
 
 class TestGeneralizedTimeResolved:
@@ -552,7 +568,8 @@ class TestGeneralizedTimeResolved:
             ratio_d = _log_poisson_product(counts, frozen.dark_mean)
             expect = Decision.BRIGHT if ratio_b > ratio_d else Decision.DARK
             assert decide_from_logs(log_b, log_d)[0] == int(expect)
-            lb_s, ld_s = simple_loglik(counts[None, :], frozen, tau=np.inf)
+            lb_s, ld_s = simple_loglik(counts[None, :], with_lifetime(frozen, IonState.DARK,
+                                                                      math.inf))
             assert decide_from_logs(lb_s, ld_s)[0] == int(expect)
 
     def test_monotone_sufficiency_without_transitions(self):
@@ -690,21 +707,22 @@ class TestPrefixColumnsExact:
     def test_simple(self, counts, params, tau, decaying, monkeypatch):
         # With no dark counts and a decaying bright state, [3, 2, 1, 0, 0, 0]
         # once gave log_p_B = NaN and was decided Dark.
+        no_dark, params = params is self.NO_DARK, with_lifetime(params, decaying, tau)
         if _refused_for_a_silent_stable_state(
-                params, decaying, lambda: simple_columns(counts, params, tau, decaying=decaying),
-                lambda: simple_loglik(counts, params, tau, decaying=decaying),
-                lambda: simple_time_resolved_classify([3, 2, 1, 0, 0, 0], params, tau,
+                params, decaying, lambda: simple_columns(counts, params, decaying=decaying),
+                lambda: simple_loglik(counts, params, decaying=decaying),
+                lambda: simple_time_resolved_classify([3, 2, 1, 0, 0, 0], params,
                                                       decaying=decaying)):
             return
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
         with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau == 0.5
               else contextlib.nullcontext()):
-            if tau is not None or params is self.NO_DARK:     # -inf terms are covered
+            if tau is not None or no_dark:     # -inf terms are covered
                 assert any(np.isneginf(term).any()
                            for term in _logaddexp_operands(monkeypatch, simple_columns, counts,
-                                                           params, tau, decaying=decaying))
-            prefix = simple_columns(counts, params, tau, decaying=decaying)
-            finals = [simple_loglik(counts[:, :k + 1], params, tau, decaying=decaying)
+                                                           params, decaying=decaying))
+            prefix = simple_columns(counts, params, decaying=decaying)
+            finals = [simple_loglik(counts[:, :k + 1], params, decaying=decaying)
                       for k in range(counts.shape[1])]
         for k, final in enumerate(finals):
             assert all(_same_bits(p[:, k], f) for p, f in zip(prefix, final, strict=True))
@@ -754,24 +772,24 @@ class TestPrefixColumnsExact:
     @pytest.mark.parametrize("tau", [None, 0.5, math.inf])
     @pytest.mark.parametrize("decaying", list(IonState))
     def test_single_change_steps_at_bins(self, counts, params, tau, decaying):
+        base, params = params, with_lifetime(params, decaying, tau)
         if _refused_for_a_silent_stable_state(
-                params, decaying, lambda: simple_columns(counts, params, tau, decaying=decaying)):
+                params, decaying, lambda: simple_columns(counts, params, decaying=decaying)):
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            stacked = simple_columns(counts, params, tau, decaying=decaying)
-            steps = classifiers._single_change_steps(np.ascontiguousarray(counts.T), params, tau,
-                                                     decaying, self.BINS)
+            stacked = simple_columns(counts, params, decaying=decaying)
+            steps = classifiers._single_change_steps(counts, params, decaying, self.BINS)
             steps = self._equal_at_bins(classifiers._single_change_logs(steps, decaying),
                                         stacked, self.BINS)
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
-        self._warns_per_call((simple_loglik, simple_columns), counts, params, tau,
+        self._warns_per_call((simple_loglik, simple_columns), counts, params,
                              decaying=decaying,
                              text="t_b >= tau: single-change prefactor clamped to 0",
                              times=int(tau == 0.5))
-        if params is self.NO_DARK:      # -inf dark log-pmfs enter the running sums
+        if base is self.NO_DARK:      # -inf dark log-pmfs enter the running sums
             assert np.isneginf(_poisson_logpmf(counts, params.dark_mean)).any()
-        if params is self.TIES and tau == math.inf:
+        if base is self.TIES and tau == math.inf:
             assert all(_same_bits(log_b, log_d) for log_b, log_d in steps)
 
     @pytest.mark.parametrize("params", [P, NO_DARK, TIES], ids=["default", "no_dark", "ties"])
@@ -786,8 +804,8 @@ class TestPrefixColumnsExact:
         for rows, distinct in ((grouped, False), (counts, True)):
             first, inverse = harness._distinct_records(rows)
             assert (first is inverse) is distinct
-        clf = harness.resolve_classifier({"method": "simple", "decaying": decaying.name.lower(),
-                                          "tau_ms": tau})
+        clf = harness.resolve_classifier({"method": "simple", "decaying": decaying.name.lower()})
+        params = with_lifetime(params, decaying, tau)
         if _refused_for_a_silent_stable_state(
                 params, decaying, lambda: clf.column_tallies(grouped, counts, [0], params)):
             return
@@ -802,7 +820,7 @@ class TestPrefixColumnsExact:
         for rows in (grouped, counts):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                log_b, log_d = simple_columns(rows, params, tau, decaying=decaying)
+                log_b, log_d = simple_columns(rows, params, decaying=decaying)
             texts.append([str(w.message) for w in caught])
             brighter.append(np.count_nonzero(log_b > log_d, axis=0).tolist())
         n_b, n_d = len(grouped), len(counts)
@@ -875,14 +893,14 @@ class TestBandedMasks:
         decaying = data.draw(st.sampled_from(list(IonState)), label="decaying")
         ulps = data.draw(st.sampled_from([0, 4, -4]), label="log1p ulps")
         counts, grouped = self._counts(data)
-        clf = harness.SimpleClassifier(decaying, tau)
+        clf, params = harness.SimpleClassifier(decaying), with_lifetime(params, decaying, tau)
         if _refused_for_a_silent_stable_state(
                 params, decaying, lambda: clf.column_tallies(counts, grouped, [0], params)):
             return
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("ignore", RuntimeWarning)     # a clamped prefactor
             want = self._exact_tallies(
-                clf, lambda rows: simple_columns(rows, params, tau, decaying=decaying),
+                clf, lambda rows: simple_columns(rows, params, decaying=decaying),
                 counts, grouped)
             patch.setattr(classifiers, "_BAND", band)
             patch.setattr(np, "log1p", self._log1p_off_by(ulps))

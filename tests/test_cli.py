@@ -43,12 +43,12 @@ def _non_finite_cases(sim, sweep):
     x = _NON_FINITE
     params = {"tau_B_ms": 4.9, "tau_D_ms": 56.0, "R_B_per_ms": 16.0, "R_D_per_ms": 0.3,
               "t_s_ms": 0.1}
-    threshold, simple = {"method": "threshold", "n_c": x}, {"method": "simple", "tau_ms": x}
+    threshold = {"method": "threshold", "n_c": x}
     cases = {"version": (every, {"version": x})}
     cases.update({key: (every, {"params": {**params, key: x}}) for key in params})
     cases.update({f"simulate.{key}": (("simulate",), {"simulate": {**sim, key: x}})
                   for key in sim})
-    for name, classifier in (("n_c", threshold), ("tau_ms", simple),
+    for name, classifier in (("n_c", threshold),
                              ("n_D", {"method": "double_threshold", "n_D": x, "n_B": 4}),
                              ("n_B", {"method": "double_threshold", "n_D": 0, "n_B": x})):
         cases[name] = (("classify",), {"classify": {"classifier": classifier}})
@@ -56,7 +56,6 @@ def _non_finite_cases(sim, sweep):
                        ("efficiency_factors", [1.0, x])):
         cases[f"sweep.{key}"] = (("sweep", "compare"), {"sweep": {**sweep, key: value}})
     for name, value in (("sweep.n_c", {"classifiers": [threshold]}),
-                        ("sweep.tau_ms", {"classifiers": [simple]}),
                         ("epsilon_pi", {"pi_pulse": {"epsilon_pi": x,
                                                      "detector": {"method": "general"}}})):
         cases[name] = (("sweep",), {"sweep": {**sweep, **value}})
@@ -248,11 +247,11 @@ class TestSimulateClassify:
             assert capsys.readouterr().err.splitlines() == warning
 
     def test_classify_warns_about_a_clamped_single_change_prefactor(self, tmp_path, capsys):
-        cfg = _config(
+        cfg = _config(      # a 6 ms window against tau_B = 4.9 ms
             tmp_path,
-            simulate={"t_b_ms": 3.0, "n_trials": 64, "seed": 5, "initial": "both"},
+            simulate={"t_b_ms": 6.0, "n_trials": 64, "seed": 5, "initial": "both"},
             classify={"input": "counts.csv",
-                      "classifier": {"method": "simple", "tau_ms": 0.5}},
+                      "classifier": {"method": "simple", "decaying": "bright"}},
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
@@ -265,7 +264,8 @@ class TestSimulateClassify:
                                              for name in ("decisions.csv", "report.csv")]
         _, _, counts = read_counts_csv(out / "counts.csv")
         with pytest.warns(RuntimeWarning, match="prefactor clamped"):
-            log_b, log_d = classifiers.simple_loglik(counts, DEFAULT_PARAMS, 0.5)
+            log_b, log_d = classifiers.simple_loglik(counts, DEFAULT_PARAMS,
+                                                     decaying=IonState.BRIGHT)
         with open(out / "decisions.csv") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         assert [row["decision"] for row in rows] == [
@@ -635,8 +635,6 @@ class TestExitCodes:
             "method": "double_threshold", "n_D": True, "n_B": 4}}}),
         ("classify", "n_B", {"classify": {"input": "none.csv", "classifier": {
             "method": "double_threshold", "n_D": 0, "n_B": True}}}),
-        ("classify", "tau_ms", {"classify": {"input": "none.csv", "classifier": {
-            "method": "simple", "tau_ms": True}}}),
         # A JSON string is no number either, though float() reads it.
         ("simulate", "n_trials", {"simulate": {**_SIM, "n_trials": "7"}}),
         ("simulate", "t_b_ms", {"simulate": {**_SIM, "t_b_ms": "1"}}),
@@ -734,6 +732,9 @@ class TestExitCodes:
         ("sweep", "epsilon", {"sweep": {**_SWEEP, "pi_pulse": {
             "epsilon": 0.02, "detector": {"method": "general"}}}}),
         ("compare", "repetition", {"sweep": _SWEEP, "compare": {"repetition": 5}}),
+        # The single-change lifetime comes from params: the old key is refused.
+        ("classify", "tau_ms", {"classify": {"input": "none.csv", "classifier": {
+            "method": "simple", "tau_ms": 0.5}}}),
     ])
     def test_misspelt_key_refused(self, tmp_path, capsys, command, key, doc):
         # Read without a check, each key would run as its default.

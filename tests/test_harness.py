@@ -457,7 +457,7 @@ class TestEntryPointsAgree:
     @pytest.mark.parametrize("method", [
         {"method": "threshold", "n_c": 1},
         {"method": "double_threshold", "n_D": 0, "n_B": 4},
-        {"method": "simple", "decaying": "bright", "tau_ms": 5.0},
+        {"method": "simple", "decaying": "bright"},
         {"method": "general"},
     ])
     def test_same_counts_and_epsilon(self, method):
@@ -494,16 +494,18 @@ class TestPrefixTallies:
         {"method": "double_threshold", "n_D": 1, "n_B": 6},
         {"method": "double_threshold", "n_D": 0, "n_B": 1000},
         {"method": "simple", "decaying": "bright"},
-        {"method": "simple", "tau_ms": 0.5},        # prefactor clamped past 0.5 ms
-        {"method": "simple", "tau_ms": math.inf},
+        {"method": "simple"},
         {"method": "general"},
     )
+    # The dark lifetimes the rows are checked at: the default, 0.5 ms (the
+    # dark-decay prefactor is clamped past 0.5 ms) and inf.
+    TAU_D = (DEFAULT_PARAMS.tau_D, 0.5, math.inf)
     # R_B = 0 makes both states emit alike: the single-change formula with
-    # tau = inf then ties exactly on every record, and with 5 dark counts
+    # tau_D = inf then ties exactly on every record, and with 5 dark counts
     # per bin no trial keeps a zero total past one bin, so the n_B = 1000
     # double threshold retains nothing there.  The generalized method
     # refuses a table without signal, so it sits this case out.
-    EDGE_PARAMS = RateParams(R_B=0.0, R_D=50.0, tau_B=4.9, tau_D=56.0, t_s=0.1)
+    EDGE_PARAMS = RateParams(R_B=0.0, R_D=50.0, tau_B=4.9, tau_D=math.inf, t_s=0.1)
 
     @staticmethod
     def _reference(clf, counts_b, counts_d, t_b, params, r):
@@ -520,8 +522,7 @@ class TestPrefixTallies:
                 return double_threshold_decide(counts.sum(axis=1), clf.n_D, clf.n_c)
             if clf.label == "generalized_time_resolved":
                 return decide_from_logs(*general_loglik(counts, harness.observation_table_for(params)))
-            return decide_from_logs(*simple_loglik(counts, params, clf.tau_ms,
-                                                   decaying=clf.decaying))
+            return decide_from_logs(*simple_loglik(counts, params, decaying=clf.decaying))
 
         return replace(report_from_decisions(decide(counts_b), decide(counts_d),
                                              classifier=clf.label, detail=clf.detail,
@@ -542,8 +543,11 @@ class TestPrefixTallies:
 
     @pytest.mark.parametrize("r", [1.0, 0.5])
     def test_rows_equal_decision_reference(self, r):
-        with pytest.warns(RuntimeWarning, match="prefactor clamped"):    # tau_ms 0.5 at 1 ms
-            self._check(DEFAULT_PARAMS, (0.1, 0.2, 0.5, 1.0), r, seed=61)
+        for tau_d in self.TAU_D:
+            with (pytest.warns(RuntimeWarning, match="prefactor clamped") if tau_d == 0.5
+                  else contextlib.nullcontext()):       # tau_D = 0.5 ms at 1 ms
+                self._check(replace(DEFAULT_PARAMS, tau_D=tau_d), (0.1, 0.2, 0.5, 1.0), r,
+                            seed=61)
 
     def test_undefined_column_and_exact_tie(self):
         rows, ens_b, _ = self._check(self.EDGE_PARAMS, (0.1, 0.3), 1.0, seed=62,
@@ -552,9 +556,9 @@ class TestPrefixTallies:
         assert wide[0].defined and not wide[1].defined
         assert math.isnan(wide[1].epsilon) and wide[1].retained_bright == 0
         for k in range(1, ens_b.n_bins + 1):
-            log_b, log_d = simple_loglik(ens_b.counts[:, :k], self.EDGE_PARAMS, math.inf)
+            log_b, log_d = simple_loglik(ens_b.counts[:, :k], self.EDGE_PARAMS)
             assert np.array_equal(log_b, log_d)
-        tie_rows = [row for row in rows if row.detail == "decaying=dark;tau=inf"]
+        tie_rows = [row for row in rows if row.detail == "decaying=dark;tau=tau_D"]
         assert [row.wrong_bright for row in tie_rows] == [2048, 2048]   # ties go to Dark
         assert [row.wrong_dark for row in tie_rows] == [0, 0]
 
@@ -566,7 +570,7 @@ class TestDistinctRecordScoring:
     RULES = {
         "general": {"method": "general"},
         "simple_bright": {"method": "simple", "decaying": "bright"},
-        "simple_dark_tau": {"method": "simple", "tau_ms": 20.0},
+        "simple_dark": {"method": "simple"},
     }
 
     @staticmethod
@@ -589,7 +593,7 @@ class TestDistinctRecordScoring:
         if spec["method"] == "general":
             return general_loglik(counts, harness.observation_table_for(DEFAULT_PARAMS))
         decaying = IonState.BRIGHT if spec.get("decaying") == "bright" else IonState.DARK
-        return simple_loglik(counts, DEFAULT_PARAMS, spec.get("tau_ms"), decaying=decaying)
+        return simple_loglik(counts, DEFAULT_PARAMS, decaying=decaying)
 
     @pytest.mark.parametrize("case, grouped", [
         ("dark_ensemble", True), ("pulse_windows", True),
@@ -798,9 +802,9 @@ class TestSharedPreparation:
         with pytest.warns(RuntimeWarning, match=f"2 counts exceed the table's n_max = "
                                                 f"{table.n_max} \\(largest {table.n_max + 3}\\)"):
             decisions_for(hot, {"method": "general"}, DEFAULT_PARAMS)
-        long_window = np.zeros((3, 10), dtype=int)     # 1 ms against tau = 0.5 ms
+        long_window = np.zeros((3, 10), dtype=int)     # 1 ms against tau_D = 0.5 ms
         with pytest.warns(RuntimeWarning, match="prefactor clamped"):
-            decisions_for(long_window, {"method": "simple", "tau_ms": 0.5}, DEFAULT_PARAMS)
+            decisions_for(long_window, {"method": "simple"}, replace(DEFAULT_PARAMS, tau_D=0.5))
 
     def test_count_rule_tallies_reject_bad_counts(self):
         with pytest.raises(ValueError, match="photon count"):
@@ -996,6 +1000,7 @@ class TestValidateClassifier:
         ({"method": "simple", "tau": 0.5}, "tau"),
         ({"method": "double_threshold", "n_D": 0, "n_B": 4, "n_c": 2}, "n_c"),
         ({"method": "general", "decaying": "dark"}, "decaying"),
+        ({"method": "simple", "tau_ms": 0.5}, "tau_ms"),  # the lifetime comes from params
     ])
     def test_unknown_key_rejected(self, spec, key):
         # A misspelt key must not fall back to the default (n_c "optimize", tau_D).

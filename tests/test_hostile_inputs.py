@@ -1,12 +1,13 @@
 """Hostile numbers at the library's numeric arguments.
 
 Each numeric argument of the threshold rules, ``_deterministic_uniforms``,
-the population dynamics, the fluorescence formula, ``mean_count_series``,
-``RateParams`` and its ``scaled``, ``SimConfig`` and ``n_bins``,
-``simple_loglik``'s tau and counts, ``pi_pulse_error``, ``pi_pulse_sweep``,
-``count_pmf``, ``stay_prob``, ``mean_count_window``, ``SweepSpec``'s
-efficiency factors and ``compare_methods`` gets NaN, both infinities, a
-Python and a numpy bool, a negative value, 1.5 and numpy scalars.  A call
+the population dynamics, the fluorescence formula, ``mean_count_series``
+(its counts and initial states too), ``RateParams`` and its ``scaled``,
+``SimConfig`` and ``n_bins``, ``simple_loglik``'s counts, ``pi_pulse_error``,
+``pi_pulse_sweep``, ``count_pmf``, ``stay_prob``, ``mean_count_window``,
+``SweepSpec``'s efficiency factors and ``compare_methods`` gets NaN, both
+infinities, a Python and a numpy bool, a negative value, 1.5 and numpy
+scalars.  A call
 must raise ValueError naming the argument (ConfigError is one) or return a
 finite result; it must never raise TypeError or hand back NaN, and never
 run on a bool as the number 1.
@@ -73,7 +74,7 @@ CALLS = [
     ("t_b", lambda v: SimConfig(n_trials=4, t_b=v, seed=1, params=DEFAULT_PARAMS)),
     ("t_b", lambda v: n_bins(v, 0.1)),
     ("t_s", lambda v: n_bins(1.0, v)),
-    ("tau", lambda v: simple_loglik(COUNTS, DEFAULT_PARAMS, tau=v)),
+    ("photon count", lambda v: mean_count_series([0, 1], [[v, 2], [1, 0]], 0.1)),
     ("epsilon_pi", lambda v: pi_pulse_error(M_B, M_D, v)),
     ("photon count", lambda v: count_pmf(IonState.BRIGHT, v, DEFAULT_PARAMS)),
     ("t0", lambda v: mean_count_window(v, 0.5, DEFAULT_PARAMS, IonState.BRIGHT)),
@@ -85,6 +86,8 @@ CALLS = [
     ("t", lambda v: stay_prob(IonState.BRIGHT, v, dataclasses.replace(DEFAULT_PARAMS, t_s=2.0))),
     ("efficiency factor", lambda v: dataclasses.replace(SPEC, efficiency_factors=(v,))),
     ("epsilon_pi", lambda v: pi_pulse_sweep(SPEC, {"method": "threshold", "n_c": 1}, v)),
+    ("initial states", lambda v: mean_count_series([v, 1], [[0, 2], [1, 0]], 0.1)),
+    ("t", lambda v: population_dynamics([v, 2.0], IonState.BRIGHT, 4.9, 53.0)),
 ]
 
 

@@ -723,6 +723,16 @@ class TestMixedInitialStates:
             Ensemble(initial, np.zeros((2, 5), dtype=int), None, 0.5, 0.1)
         Ensemble(np.array([1.0, 0.0]), np.zeros((2, 5), dtype=int), None, 0.5, 0.1)
 
+    def test_ensemble_rejects_params_of_another_sub_bin(self):
+        # Counts drawn at t_s = 0.1 ms and scored with a t_s = 0.2 ms model
+        # once gave a general-method error of 4.71 % instead of 1.70 %
+        # (2 x 20,000 trials, t_b = 3 ms, seed 1), without a word.
+        counts = np.zeros((2, 5), dtype=int)
+        with pytest.raises(ValueError, match=r"^params\.t_s=0\.2 differs from the "
+                                             r"ensemble's t_s=0\.1$"):
+            Ensemble(IonState.BRIGHT, counts, None, 0.5, 0.1, params=replace(P, t_s=0.2))
+        assert Ensemble(IonState.BRIGHT, counts, None, 0.5, 0.1, params=P).params is P
+
 
 class TestEnsembleStates:
     def test_state_at(self):
