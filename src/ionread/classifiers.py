@@ -56,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import (IonState, ObservationTable, RateParams, _check_counts,
-                           _check_number, _poisson_logpmf, _warn)
+from .photon_model import (IonState, ObservationTable, RateParams, _check_array,
+                           _check_counts, _check_number, _poisson_logpmf, _warn)
 from .trajectory import _check_int
 
 
@@ -75,16 +75,23 @@ class Decision(enum.IntEnum):
 
 
 def _as_count_matrix(counts) -> np.ndarray:
-    """(n_trials, n_bins) counts with at least one bin, integer input at its
-    own width and anything else as int64.
-
-    Negative and fractional counts raise ValueError; counts above a table's
-    n_max pass, for the table to clamp and tally.
-    """
+    """(n_trials, n_bins) counts with at least one bin, as :func:`_check_counts`
+    returns them; counts above a table's n_max pass, for the table to clamp."""
     counts2d = np.atleast_2d(_check_counts(counts))
     if counts2d.ndim != 2 or counts2d.shape[1] == 0:
         raise ValueError("counts must be a 2-d array with at least one bin")
-    return counts2d if counts2d.dtype.kind in "iu" else counts2d.astype(np.int64)
+    return counts2d
+
+
+def _count_totals(counts2d: np.ndarray) -> np.ndarray:
+    """Row totals of checked (n_trials, n_bins) counts in int64, refusing one
+    too large for the two bins a threshold landscape adds past it: where the
+    largest count times n_bins could pass that, a float64 sum tells a wrap."""
+    totals = counts2d.sum(axis=1, dtype=np.int64)
+    if int(counts2d.max(initial=0)) * counts2d.shape[1] > 2**63 - 3 and not np.all(
+            (totals <= 2**63 - 3) & (counts2d.sum(axis=1, dtype=np.float64) - totals < 2.0**62)):
+        raise ValueError("photon count totals must be at most 2**63 - 3 to be summed in int64")
+    return totals
 
 
 def _as_counts(counts) -> np.ndarray:
@@ -101,12 +108,12 @@ def _as_counts(counts) -> np.ndarray:
 def threshold_classify(counts, n_c: int) -> Decision:
     """Bright iff strictly more than n_c photons arrived in total."""
     _check_int(n_c, "n_c", 0)
-    return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_c, n_c)))
+    return Decision(int(double_threshold_decide(_count_totals(_as_counts(counts))[0], n_c, n_c)))
 
 
 def double_threshold_classify(counts, n_D: int, n_B: int) -> Decision:
     """Dark if the total is <= n_D, Bright if > n_B, else Inconclusive."""
-    return Decision(int(double_threshold_decide(_as_counts(counts).sum(), n_D, n_B)))
+    return Decision(int(double_threshold_decide(_count_totals(_as_counts(counts))[0], n_D, n_B)))
 
 
 def double_threshold_decide(totals: np.ndarray, n_D: int, n_B: int) -> np.ndarray:
@@ -347,7 +354,7 @@ def generalized_time_resolved_classify(counts, table: ObservationTable):
 
 def decide_from_logs(log_pb: np.ndarray, log_pd: np.ndarray) -> np.ndarray:
     """Vectorized Bright/Dark decisions from log-likelihoods (tie -> Dark, NaN -> ValueError)."""
-    log_pb, log_pd = np.asarray(log_pb), np.asarray(log_pd)
+    log_pb, log_pd = _check_array(log_pb, "log_pb", "real"), _check_array(log_pd, "log_pd", "real")
     if np.isnan(log_pb).any() or np.isnan(log_pd).any():
         raise ValueError("log_pb and log_pd must not be NaN")
     return np.where(log_pb > log_pd, Decision.BRIGHT, Decision.DARK).astype(np.int8)
@@ -372,10 +379,10 @@ def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     perfect inversion and are discarded as Inconclusive.  A code other than
     Bright or Dark (Inconclusive, another number, NaN) raises ValueError.
     """
-    first, second = np.asarray(first), np.asarray(second)
-    if not all(np.isin(codes, (Decision.BRIGHT, Decision.DARK)).all() for codes in (first, second)):
-        raise ValueError("single detections feeding a pulse pair never abstain: "
-                         "every code must be Bright (0) or Dark (1)")
+    first, second = (_check_array(codes, "single detections feeding a pulse pair never abstain: "
+                                  "every code", f"Bright (0) or Dark (1) in {name}", integer=True,
+                                  ok=lambda c: np.isin(c, (Decision.BRIGHT, Decision.DARK)))
+                     for codes, name in ((first, "first"), (second, "second")))
     return np.where(first == second, Decision.INCONCLUSIVE, first).astype(np.int8)
 
 
@@ -399,24 +406,22 @@ def estimate_transfer_matrices(ensemble_bright, ensemble_dark,
     (M_B + M_D) sum to 1 exactly because every trial lands in exactly one of
     the four cells.
     """
-    m_b = np.zeros((2, 2))
-    m_d = np.zeros((2, 2))
-    for col, ens, decisions in ((0, ensemble_bright, decisions_bright),
-                                (1, ensemble_dark, decisions_dark)):
+    m_b, m_d = np.zeros((2, 2, 2))
+    for col, ens, decisions, name in ((0, ensemble_bright, decisions_bright, "decisions_bright"),
+                                      (1, ensemble_dark, decisions_dark, "decisions_dark")):
         if ens is None or len(ens) == 0:
             raise ValueError("transfer matrix estimation needs non-empty ensembles")
-        decisions = np.asarray(decisions)
+        decisions = _check_array(decisions, name, "Bright (0) or Dark (1)", integer=True,
+                                 ok=lambda d: np.isin(d, (Decision.BRIGHT, Decision.DARK)))
         if decisions.shape != (len(ens),):
-            raise ValueError("transfer matrix estimation needs one decision per trial")
-        if not np.isin(decisions, (Decision.BRIGHT, Decision.DARK)).all():
-            raise ValueError("detector must return Bright or Dark for every trial")
+            raise ValueError(f"transfer matrix estimation needs one decision per trial in {name}")
         cells = np.bincount(2 * decisions.astype(np.intp) + ens.final_states(), minlength=4)
         m_b[:, col], m_d[:, col] = cells[:2] / len(ens), cells[2:] / len(ens)
     return m_b, m_d
 
 
 def _check_transfer_matrix(m, name: str):
-    m = np.asarray(m, dtype=float)
+    m = _check_array(m, name, "a 2x2 matrix")
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2")
     if not np.all((m >= 0) & (m <= 1)):     # NaN too

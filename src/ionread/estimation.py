@@ -32,9 +32,9 @@ MAX_EVALS = 10_000
 class DecayFit:
     """Joint fit of the bright and dark mean-count decay curves.
 
-    Model: n_B(t) = a + b*exp(-t/tau), n_D(t) = a - c*exp(-t/tau) with a
-    shared steady-state level a and relaxation time tau.  ``residual`` is
-    the root-sum-square objective over both series.  ``degenerate`` marks
+    Model: n_B(t) = a + b*exp(-t/tau), n_D(t) = a - c*exp(-t/tau), t >= 0,
+    with a shared steady-state level a and relaxation time tau.  ``residual``
+    is the root-sum-square objective over both series.  ``degenerate`` marks
     fits where b or c collapsed to zero (flat data carries no lifetime
     information on that side).
     """
@@ -49,10 +49,12 @@ class DecayFit:
     degenerate: bool = False
 
     def bright_curve(self, t):
-        return self.a + self.b * np.exp(-np.asarray(t) / self.tau)
+        return self.a + self.b * np.exp(-_check_array(t, "t", ">= 0", ok=lambda v: v >= 0)
+                                        / self.tau)
 
     def dark_curve(self, t):
-        return self.a - self.c * np.exp(-np.asarray(t) / self.tau)
+        return self.a - self.c * np.exp(-_check_array(t, "t", ">= 0", ok=lambda v: v >= 0)
+                                        / self.tau)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,9 +142,7 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     tau = tau_B*tau_D/(tau_B + tau_D).  W_B + W_D = 1 exactly; t may be a
     scalar or an array.
     """
-    t = np.asarray(_check_array(t, "t", ">= 0"), dtype=float)
-    if not np.all(t >= 0):           # NaN too
-        raise ValueError("t must be >= 0")
+    t = _check_array(t, "t", ">= 0", ok=lambda v: v >= 0)     # NaN fails too
     a, b, tau = _relaxation_constants(tau_B, tau_D)
     amp = a if IonState(initial) is IonState.BRIGHT else -b
     w_b = b + amp * np.exp(-t / tau)
@@ -178,7 +178,7 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
 
 def _as_series(series, name: str):
     """(t, mean) columns of a (K, 2) series, K >= 3, at rising times > 0."""
-    arr = np.asarray(series, dtype=float)
+    arr = _check_array(series, name, "a (K, 2) series of (t, mean) pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{name} must be a (K, 2) series of (t, mean) pairs")
     t, y = arr[:, 0], arr[:, 1]
@@ -377,8 +377,7 @@ def mean_count_series(initials: np.ndarray, counts: np.ndarray, t_s: float):
     for state in (IonState.BRIGHT, IonState.DARK):
         mask = initials == int(state)
         if np.any(mask):
-            means = counts[mask].mean(axis=0)
-            out[state] = np.column_stack([times, means])
+            out[state] = np.column_stack([times, np.mean(counts, axis=0, where=mask[:, None])])
     return out
 
 

@@ -166,7 +166,7 @@ class _CountRule(Classifier):
         return self
 
     def score(self, counts, params=None):
-        totals = _prepare(counts).counts.sum(axis=1)
+        totals = cl._count_totals(_prepare(counts).counts)
         return cl.double_threshold_decide(totals, self.fixed().n_D, self.n_c), None
 
     def optimum(self, cdf_b, cdf_d):
@@ -310,7 +310,7 @@ class _PreparedCounts:
         over the totals 0..width-1 of bins 0..k; the width, the largest total
         + 2, leaves each row's last entry at n.  Built bin by bin from one
         running int64 total per trial."""
-        width = int(self.counts.sum(axis=1, dtype=np.int64).max(initial=0)) + 2
+        width = int(cl._count_totals(self.counts).max(initial=0)) + 2
         hist = np.empty((self.counts.shape[1], width), np.int64)
         totals = np.zeros(self.counts.shape[0], np.int64)
         for k in range(len(hist)):

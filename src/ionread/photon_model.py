@@ -242,25 +242,32 @@ def _poisson_logpmf(n, mean):
     return -mean + xlogy - lgam
 
 
-def _check_array(values, name: str, want: str) -> np.ndarray:
-    """``values`` as an array, refusing a bool array and, before ``np.asarray``
-    reads True in a list as 1, any item that :func:`_check_number` refuses."""
-    if not isinstance(values, np.ndarray):  # one item per type
-        for x in {type(x): x for x in np.asarray(values, dtype=object).ravel().tolist()}.values():
+def _check_array(values, name: str, want: str, *, ok=lambda v: True, integer=False) -> np.ndarray:
+    """``values`` as a float64 array, or with ``integer`` an integer one at its
+    own width (whole floats below 2**63 in magnitude as int64): the one dtype
+    rule for arrays, as :func:`_check_number` is for scalars.  ValueError
+    "<name> must be <want>, got ..." refuses any other dtype (bool, complex,
+    str, bytes, datetime, timedelta, void), an item of a list or object array
+    that :func:`_check_number` refuses (one per type) and where ``ok`` fails."""
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        items = np.asarray(values, dtype=object)
+        for x in {type(x): x for x in items.ravel().tolist()}.values():
             _check_number(x, name, lambda v: True, want)
-    values = np.asarray(values)
-    if values.dtype.kind == "b":
-        raise ValueError(f"{name} must be {want}, got a bool array")
-    return values
+        values = np.asarray(items.tolist())
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {want}, got an array of dtype {values.dtype}")
+    whole = integer and values.dtype.kind == "f"
+    good = ok(values)
+    if whole:   # NaN and infinities fail too
+        good &= (values == np.floor(values)) & (abs(values) < np.float64(2**63))
+    if not np.all(good):
+        raise ValueError(f"{name} must be {want}, got {values[~good].flat[0].item()!r}")
+    return values if integer and not whole else values.astype(
+        np.int64 if whole else np.float64, copy=False)
 
 
 def _check_counts(n) -> np.ndarray:
-    n = _check_array(n, "photon count", "a number")
-    if np.any(n < 0):
-        raise ValueError("photon count must be >= 0")
-    if n.dtype.kind not in "iu" and not np.all(np.isfinite(n) & (n == np.floor(n))):
-        raise ValueError("photon count must be a finite integer")
-    return n
+    return _check_array(n, "photon count", "an integer >= 0", ok=lambda v: v >= 0, integer=True)
 
 
 def count_pmf(state: IonState, n, params: RateParams):
@@ -371,10 +378,11 @@ class ObservationTable:
                  truncation_mass: np.ndarray):
         self.params = params
         self.n_max = int(n_max)
-        self.entries = np.asarray(entries, dtype=float)
+        self.entries, self.truncation_mass = (
+            _check_array(p, name, "in [0, 1]", ok=lambda v: (v >= 0) & (v <= 1)).copy()
+            for p, name in ((entries, "entries"), (truncation_mass, "truncation_mass")))
         if self.entries.shape != (self.n_max + 1, 2, 2):
             raise ValueError(f"entries must have shape ({self.n_max + 1}, 2, 2)")
-        self.truncation_mass = np.array(truncation_mass, dtype=float)
         for array in (self.entries, self.truncation_mass):
             array.setflags(write=False)
         self.clamped_lookups = 0

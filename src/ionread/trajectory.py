@@ -121,11 +121,8 @@ class SimConfig:
 
 def _initial_states(initial) -> np.ndarray:
     """``initial`` as int8 states, each checked before the cast to be 0 or 1, not a bool."""
-    raw = _check_array(initial, "initial states", "0 (bright) or 1 (dark)")
-    bad = raw[~np.isin(raw, (0, 1))]
-    if bad.size:
-        raise ValueError(f"initial states must be 0 (bright) or 1 (dark), got {bad[0].item()!r}")
-    return raw.astype(np.int8)
+    return _check_array(initial, "initial states", "0 (bright) or 1 (dark)", integer=True,
+                        ok=lambda s: (s == 0) | (s == 1)).astype(np.int8)
 
 
 def _chunk_rng(seed: int, stream: int, context: tuple, chunk_index: int) -> np.random.Generator:

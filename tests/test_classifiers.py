@@ -47,7 +47,7 @@ from ionread.photon_model import (
     mixed_pmf,
     stay_prob,
 )
-from ionread.trajectory import SimConfig, simulate_ensemble
+from ionread.trajectory import Ensemble, SimConfig, simulate_ensemble
 
 P = DEFAULT_PARAMS
 
@@ -672,6 +672,25 @@ class TestForwardFilterReference:
         got = np.reshape(entries, (2, 2)) * np.exp(log_scale[0])     # (a00, a01, a10, a11)
         np.testing.assert_allclose(got, acc, rtol=1e-12, atol=0)
 
+    def test_an_added_photon_can_turn_bright_to_dark(self, table):
+        # The README example: the generalized method is not monotone in added
+        # photons.  A 1 right after the 4 makes a path with more state changes
+        # likelier, and that favours the dark start.
+        record = np.array([0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                           0, 2, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 0, 0, 0])
+        more = record.copy()
+        more[5] += 1
+        for counts, decision, ratio in ((record, Decision.BRIGHT, 0.0451),
+                                        (more, Decision.DARK, -0.0273)):
+            got, log_b, log_d = generalized_time_resolved_classify(counts, table)
+            acc = np.eye(2)
+            for n in counts:
+                acc = table.entries[n] @ acc
+            plain_b, plain_d = np.log(acc.sum(axis=0))
+            assert got is decision
+            assert log_b - log_d == pytest.approx(ratio, abs=5e-5)
+            assert plain_b - plain_d == pytest.approx(log_b - log_d, rel=1e-9)
+
 
 def _same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -1156,3 +1175,34 @@ class TestLargestCount:
     def test_simple_loglik_finite(self, decaying):
         logs = simple_loglik(np.array([[2**63 - 1, 0, 1]]), P, decaying=decaying)
         assert np.isfinite(logs).all()
+
+
+class TestCountTotals:
+    """The count rules sum each record in int64 and refuse a total that,
+    with the two bins the threshold landscape adds past it, would pass
+    int64; a wrapped total once read as negative, and so as Dark."""
+
+    TOO_LARGE = [np.array([2**62] * 3), np.array([2**63 - 1, 0, 1]), np.array([2**63 - 2]),
+                 np.array([2**64 - 1, 0], dtype=np.uint64)]
+    MESSAGE = "^photon count totals must be at most 2\\*\\*63 - 3"
+
+    @pytest.mark.parametrize("counts", TOO_LARGE, ids=["3x2^62", "2^63", "2^63-2", "uint64"])
+    def test_too_large_a_total_is_refused(self, counts):
+        calls = (lambda: threshold_classify(counts, n_c=2),
+                 lambda: double_threshold_classify(counts, n_D=0, n_B=2),
+                 lambda: harness.decisions_for(counts[None, :], {"method": "threshold", "n_c": 2},
+                                               None),
+                 lambda: harness.optimize_threshold(
+                     Ensemble(0, counts[None, :], None, 0.1 * counts.size, 0.1),
+                     Ensemble(1, np.zeros((1, counts.size), np.int8), None,
+                              0.1 * counts.size, 0.1)))
+        for call in calls:
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call()
+
+    def test_the_largest_total_is_scored(self):
+        counts = np.array([2**63 - 4, 0, 1], dtype=np.uint64)
+        assert threshold_classify(counts, n_c=2**62) is Decision.BRIGHT
+        assert double_threshold_classify(counts, n_D=0, n_B=2**63 - 3) is Decision.INCONCLUSIVE
+        assert harness.decisions_for(counts[None, :], {"method": "threshold", "n_c": 2},
+                                     None).tolist() == [Decision.BRIGHT]
