@@ -12,41 +12,37 @@ pair for the whole window.  They reject negative and fractional counts.  The
 scalar classifiers wrap them on one row; the likelihood ones return
 (Decision, log_p_B, log_p_D), bit for bit the batch row and its
 :func:`decide_from_logs` decision.  Inside, both kernel families are
-filters: each generator (``_forward_logs``, ``_single_change_steps`` and
-their ``_brighter`` masks) takes (n_trials, n_bins) counts, copies them
+filters with one per-bin contract: each generator (``_forward_logs`` and
+``_single_change_logs``) takes (n_trials, n_bins) counts, copies them
 bin-major once and, one step per bin updating a few length-n_trials rows,
-yields each prefix's pair, its operands or its mask at the bins asked for.
-The batch entry points read the last bin; the sweep harness reads the
-columns it tallies, so a sweep holds O(n_trials) scratch.  The
-single-change formula gathers each bin's two Poisson log-pmfs (numpy and
-``math.log`` only) with one take from a (2, max count + 1) array, and
-carries its running sums with one elementwise add or logaddexp per bin, the
-operations of ``ufunc.accumulate`` in its order, on rows allocated once per
-call.  Each bin yields the stable state's log-likelihood and the two terms
-p and q whose logaddexp is the changeable state's, which
-:func:`simple_loglik` combines.  The hidden-Markov product is a scaled
-forward filter (Rabiner, Proc. IEEE 77:257, 1989) in structure-of-arrays
-layout: four length-n_trials arrays hold the entries of every trial's
-accumulated 2x2 product, each bin updates them elementwise from four
-gathered columns of the observation table, and a per-bin renormalisation,
-tallied in a log scale, keeps windows of any length in floating range.
+yields each prefix's (log_p_B, log_p_D) at the bins asked for, on two rows
+valid until the next step.  The batch entry points read the last bin; the
+sweep harness reads the columns it tallies, so a sweep holds O(n_trials)
+scratch.  The single-change formula gathers each bin's two Poisson
+log-pmfs (numpy and ``math.log`` only) with one take from a (2, max count
++ 1) array, and carries its running sums with one elementwise add or
+logaddexp per bin, the operations of ``ufunc.accumulate`` in its order, on
+rows allocated once per call; the changeable state's log-likelihood is the
+logaddexp of two terms, the no-change and the change term.  The
+hidden-Markov product is a scaled forward filter (Rabiner, Proc. IEEE
+77:257, 1989) in structure-of-arrays layout: four length-n_trials arrays
+hold the entries of every trial's accumulated 2x2 product, each bin updates
+them elementwise from four gathered columns of the observation table, and a
+per-bin renormalisation, tallied in a log scale, keeps windows of any
+length in floating range.
 
-A sweep needs only each column's Bright mask.  It decides a row from a
-cheap pass where log_p_B and log_p_D lie more than a relative band of
-2**-20 apart, else (NaN and infinities too) from the exact pair.
-:func:`_single_change_brighter` runs logaddexp as max(x, y) + log1p(exp(-|x
-- y|)) on numpy's vector exp and log1p.  A step of either form is within
-2**-50 (8 + |result|) of the truth, and ``inner`` rises from 0 to below
-|stable| + log(k + 1) (log-pmfs are <= 0), so below 2**20 bins the two
-changeable log-likelihoods differ by under 2**-24 (1 + |stable| + |mixed|).
-:func:`_forward_brighter` has the exact column sums: one 1 + 2**-20 times
-the other puts their logs 2**-21 apart, which adding |log_scale| < 2**20
-keeps.
-
-The masks need no NaN check.  The single-change formula refuses a stable
-state of mean count 0, so its terms are finite or -inf (the vector
-logaddexp's NaN on two -inf leaves the row to the exact pass), and the
-forward filter's entries stay finite and >= 0, a norm not > 0 reading as 1.
+A sweep needs only each column's Bright mask.  The general one compares
+the exact pair.  :func:`_single_change_brighter` decides a row from a cheap
+pass where log_p_B and log_p_D lie more than a relative band of 2**-20
+apart, else (NaN and infinities too) from the exact pair: the cheap pass
+runs logaddexp as max(x, y) + log1p(exp(-|x - y|)) on numpy's vector exp
+and log1p.  A step of either form is within 2**-50 (8 + |result|) of the
+truth, and ``inner`` rises from 0 to below |stable| + log(k + 1) (log-pmfs
+are <= 0), so below 2**20 bins the two changeable log-likelihoods differ by
+under 2**-24 (1 + |stable| + |mixed|).  It needs no NaN check: the
+single-change formula refuses a stable state of mean count 0, so its terms
+are finite or -inf, and the vector logaddexp's NaN on two -inf leaves the
+row to the exact pass.
 """
 
 from __future__ import annotations
@@ -83,6 +79,10 @@ def _as_count_matrix(counts) -> np.ndarray:
     return counts2d
 
 
+class _CountTotalError(ValueError):
+    """Counts whose totals int64 cannot hold: a fault of the data, not of the model."""
+
+
 def _count_totals(counts2d: np.ndarray) -> np.ndarray:
     """Row totals of checked (n_trials, n_bins) counts in int64, refusing one
     too large for the two bins a threshold landscape adds past it: where the
@@ -90,7 +90,7 @@ def _count_totals(counts2d: np.ndarray) -> np.ndarray:
     totals = counts2d.sum(axis=1, dtype=np.int64)
     if int(counts2d.max(initial=0)) * counts2d.shape[1] > 2**63 - 3 and not np.all(
             (totals <= 2**63 - 3) & (counts2d.sum(axis=1, dtype=np.float64) - totals < 2.0**62)):
-        raise ValueError("photon count totals must be at most 2**63 - 3 to be summed in int64")
+        raise _CountTotalError("photon count totals must be at most 2**63 - 3 to be summed in int64")
     return totals
 
 
@@ -151,23 +151,23 @@ def simple_loglik(counts: np.ndarray, params: RateParams, *, decaying: IonState 
     tau clamps the linear-in-t_b prefactor to zero, with a RuntimeWarning.
     """
     counts2d = _as_count_matrix(counts)
-    steps = _single_change_steps(counts2d, params, decaying, (counts2d.shape[1] - 1,))
-    [logs] = _single_change_logs(steps, decaying)
+    [logs] = _single_change_logs(counts2d, params, decaying, (counts2d.shape[1] - 1,))
     return logs
 
 
-def _single_change_steps(counts2d, params: RateParams, decaying, bins, logaddexp=None, *,
-                         warn=True):
-    """Per-bin (stable, p, q) of the single-change formula on (n_trials,
-    n_bins) counts, at each bin in ``bins``: the stable state's
-    log-likelihood and the two terms whose logaddexp is the changeable
-    state's.  Each triple holds until the next step.  The running log-pmf
-    sums of the changeable (``stay``) and the stable state (``after``), the
-    running ``logaddexp`` (None: ``np.logaddexp``) ``inner`` of the change
-    terms, the per-bin gathers and p and q are n_trials rows, allocated once
-    and updated in place.  tau is the decaying state's lifetime (inf: a
-    stable state).  A negative linear-in-t_b prefactor is clamped to zero,
-    which warns (RuntimeWarning) once per call unless ``warn`` is False.
+def _single_change_logs(counts2d, params: RateParams, decaying, bins, logaddexp=None, *,
+                        warn=True):
+    """Per-bin (log_p_B, log_p_D) of the single-change formula on (n_trials,
+    n_bins) counts, at each bin in ``bins``, valid until the next step: the
+    stable state's log-likelihood, and the changeable state's, ``logaddexp``
+    (None: ``np.logaddexp``) of its no-change term p and its change term q,
+    written over p.  The running log-pmf sums of the changeable (``stay``)
+    and the stable state (``after``), the running ``logaddexp`` ``inner`` of
+    the change terms, the per-bin gathers and p and q are n_trials rows,
+    allocated once and updated in place.  tau is the decaying state's
+    lifetime (inf: a stable state).  A negative linear-in-t_b prefactor is
+    clamped to zero, which warns (RuntimeWarning) once per call unless
+    ``warn`` is False.
     """
     decaying, logaddexp = IonState(decaying), logaddexp or np.logaddexp
     tau, (n, m) = (params.tau_B, params.tau_D)[decaying], counts2d.shape
@@ -202,27 +202,19 @@ def _single_change_steps(counts2d, params: RateParams, decaying, bins, logaddexp
         if k in bins:
             np.add(stay, log_prefac[k], out=p)
             np.add(inner, np.add(after, log_rate, out=q), out=q)
-            yield after, p, q
+            mixed = logaddexp(p, q, out=p)
+            yield (after, mixed) if decaying is IonState.DARK else (mixed, after)
 
 
-def _single_change_logs(steps, decaying):
-    """(log_p_B, log_p_D) of each single-change step: the changeable state's
-    log-likelihood is logaddexp(p, q), written over p."""
-    dark = IonState(decaying) is IonState.DARK
-    for stable, p, q in steps:
-        mixed = np.logaddexp(p, q, out=p)
-        yield (stable, mixed) if dark else (mixed, stable)
-
-
-_BAND = 2.0 ** -20      # the relative band of a sweep's masks (see the module docstring)
+_BAND = 2.0 ** -20      # the relative band of the single-change mask (see the module docstring)
 
 
 def _single_change_brighter(counts2d, params: RateParams, decaying, bins):
     """The Bright mask of the single-change pair at each bin in ``bins``,
     valid until the next: from the vector-logaddexp pass outside the band,
     and inside it from the exact kernel, rerun on the first k + 1 bins."""
-    dark, n = IonState(decaying) is IonState.DARK, len(counts2d)
-    gap, (brighter, decided) = np.empty(n), np.empty((2, n), bool)
+    n = len(counts2d)
+    gap, bound, (brighter, decided) = np.empty(n), np.empty(n), np.empty((2, n), bool)
 
     def logaddexp(x, y, out):
         with np.errstate(invalid="ignore"):     # inf - inf: NaN, and the row stays open
@@ -230,20 +222,20 @@ def _single_change_brighter(counts2d, params: RateParams, decaying, bins):
         np.log1p(np.exp(np.negative(gap, out=gap), out=gap), out=gap)
         return np.add(np.maximum(x, y, out=out), gap, out=out)
 
-    steps = _single_change_steps(counts2d, params, decaying, bins, logaddexp)
-    for k, (stable, p, q) in zip(bins, steps):
-        mixed = logaddexp(p, q, out=p)
+    steps = _single_change_logs(counts2d, params, decaying, bins, logaddexp)
+    for k, logs in zip(bins, steps):
         with np.errstate(invalid="ignore"):
-            np.subtract(stable, mixed, out=gap) if dark else np.subtract(mixed, stable, out=gap)
+            np.subtract(*logs, out=gap)
         np.greater(gap, 0.0, out=brighter)
+        # logs[1 - decaying] is the stable state's log-likelihood:
         # |gap| > 2 _BAND (1 + 2 |stable|) implies |gap| > _BAND (1 + |stable| + |mixed|).
         band = 2.0 * _BAND if k < 2 ** 20 else np.inf
-        bound = np.multiply(np.abs(stable, out=q), 2.0 * band, out=q)     # q is read: scratch
+        np.multiply(np.abs(logs[1 - decaying], out=bound), 2.0 * band, out=bound)
         np.greater(np.abs(gap, out=gap), np.add(bound, band, out=bound), out=decided)
         rows = np.flatnonzero(np.logical_not(decided, out=decided))
         if rows.size:
-            [(log_b, log_d)] = _single_change_logs(_single_change_steps(
-                counts2d[rows, :k + 1], params, decaying, (k,), warn=False), decaying)
+            [(log_b, log_d)] = _single_change_logs(counts2d[rows, :k + 1], params, decaying,
+                                                   (k,), warn=False)
             brighter[rows] = log_b > log_d
         yield brighter
 
@@ -304,31 +296,16 @@ def _forward_product(counts2d: np.ndarray, table: ObservationTable):
 
 
 def _forward_logs(counts2d: np.ndarray, table: ObservationTable, bins):
-    """(log_p_B, log_p_D) of :func:`_forward_product` at each bin in ``bins``:
-    the logs of its column sums plus its log scale."""
+    """(log_p_B, log_p_D) of :func:`_forward_product` at each bin in ``bins``,
+    valid until the next step: the logs of its column sums plus its log
+    scale, written into two rows made once per call."""
+    log_b, log_d = np.empty((2, len(counts2d)))
     for k, ((a00, a01, a10, a11), log_scale) in enumerate(_forward_product(counts2d, table)):
         if k in bins:
             with np.errstate(divide="ignore"):      # a zero column sum
-                logs = np.log(a00 + a10) + log_scale, np.log(a01 + a11) + log_scale
-            yield logs
-
-
-def _forward_brighter(counts2d: np.ndarray, table: ObservationTable, bins):
-    """The Bright mask of :func:`_forward_logs`' pair at each bin in ``bins``,
-    valid until the next: x > y on column sums the band apart, else the logs."""
-    (x, y), (brighter, darker) = np.empty((2, len(counts2d))), np.empty((2, len(counts2d)), bool)
-    shrink = 1.0 / (1.0 + _BAND)
-    for k, ((a00, a01, a10, a11), log_scale) in enumerate(_forward_product(counts2d, table)):
-        if k in bins:
-            bounded = np.abs(log_scale, out=x).max(initial=0.0) < 2 ** 20
-            np.multiply(np.add(a00, a10, out=x), shrink, out=x)
-            np.greater(x, np.add(a01, a11, out=y), out=brighter)       # x > y (1 + band)
-            np.greater(np.multiply(y, shrink * shrink, out=y), x, out=darker)  # y > x (1 + band)
-            rows = np.flatnonzero(~(brighter | darker)) if bounded else slice(None)
-            with np.errstate(divide="ignore"):      # a zero column sum
-                brighter[rows] = (np.log(a00[rows] + a10[rows]) + log_scale[rows]
-                                  > np.log(a01[rows] + a11[rows]) + log_scale[rows])
-            yield brighter
+                for log, (x, y) in ((log_b, (a00, a10)), (log_d, (a01, a11))):
+                    np.add(np.log(np.add(x, y, out=log), out=log), log_scale, out=log)
+            yield log_b, log_d
 
 
 def general_loglik(counts: np.ndarray, table: ObservationTable):

@@ -111,9 +111,13 @@ def _cmd_classify(cfg: dict, args):
     section = _section(cfg, "classify", ("input", "classifier"))
     params = rate_params_from_config(cfg)
     clf = resolve_classifier(section.get("classifier", {"method": "general"})).fixed()
-    trial_ids, initials, counts = read_counts_csv(_input_path(section, args.out_dir))
+    path = _input_path(section, args.out_dir)
+    trial_ids, initials, counts = read_counts_csv(path)
     t_b = counts.shape[1] * params.t_s
-    decisions, logs = clf.score(counts, params)
+    try:
+        decisions, logs = clf.score(counts, params)
+    except cl._CountTotalError as exc:
+        raise DataFormatError(path, None, exc) from None
     per_state = [decisions[initials == int(s)] for s in (IonState.BRIGHT, IonState.DARK)]
     report = (report_from_decisions(*per_state, classifier=clf.label, detail=clf.detail,
                                     t_b=t_b, n_c=clf.n_c)

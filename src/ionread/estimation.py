@@ -277,6 +277,7 @@ def _nelder_mead(func, x0, maxfev):
     return np.array(sim[0]), np.min(fsim), nfev
 
 
+@np.errstate(over="ignore")     # exp overflows at far simplex vertices: an inf residual
 def fit_decay_curves(mean_bright, mean_dark) -> DecayFit:
     """Jointly fit (a, b, c, tau) to bright and dark mean-count series.
 

@@ -22,8 +22,9 @@ equal log-likelihoods, so the kernel runs on one row per record (grouped
 by its bytes, zero-padded to unsigned integer words and sorted with
 ``np.lexsort``).  A sweep runs the kernel's filter once, to its last
 column, and tallies one Bright mask on those rows per column, weighted by
-how many trials hold each record.  Each mask is decided from a cheap pass
-outside a proven relative band and from the exact pair inside it (see
+how many trials hold each record.  The general method's mask compares the
+exact pair; the simple method's is decided from a cheap pass outside a
+proven relative band and from the exact pair inside it (see
 :mod:`classifiers`), so the counts are those of the exact pairs.  ``score``
 decides on the exact pairs of those rows and gathers codes and logs back to
 every trial with one index.  Grouping is skipped where it cannot pay,
@@ -395,9 +396,10 @@ class GeneralClassifier(_LikelihoodRule):
         return cl.general_loglik(state.distinct(state.clamped(table)), table)
 
     def _masks(self, state, params, bins):
-        """Column sums and a band (:func:`classifiers._forward_brighter`)."""
+        """The exact pair of :func:`classifiers._forward_logs`, compared in place."""
         table = observation_table_for(params)
-        return cl._forward_brighter(state.distinct(state.clamped(table)), table, bins)
+        pairs = cl._forward_logs(state.distinct(state.clamped(table)), table, bins)
+        return (np.greater(log_b, log_d) for log_b, log_d in pairs)
 
 
 def resolve_classifier(spec) -> Classifier:
@@ -528,28 +530,29 @@ def report_from_tallies(bright, dark, *, classifier, detail, t_b, r=1.0, n_c=Non
     )
 
 
-def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
-             classifier, params: RateParams | None = None) -> ErrorReport:
-    """Evaluate one classifier (spec dict or :class:`Classifier`) on a
-    bright and a dark ensemble: the last column of the prefix evaluation."""
-    t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
-    params = params or ensemble_bright.params or ensemble_dark.params
+def evaluate(ensemble_bright: Ensemble, ensemble_dark: Ensemble, classifier) -> ErrorReport:
+    """Evaluate one classifier (spec dict or :class:`Classifier`) on a bright
+    and a dark ensemble, with their rate parameters: the last prefix column."""
+    t_bs, cols, params, *states = _window(ensemble_bright, ensemble_dark)
     (report,) = resolve_classifier(classifier).fixed().column_reports(*states, t_bs, cols, params)
     return report
 
 
-def _window(ensemble_bright, ensemble_dark, t_bs=None, t_s=None):
-    """Sorted ``t_bs`` (default: the window's t_b), their last columns and the
-    prepared counts of two ensembles that share a window binned at ``t_s``."""
-    t_b, ens_t_s = ensemble_bright.t_b, ensemble_bright.t_s
-    if (t_b, ens_t_s) != (ensemble_dark.t_b, ensemble_dark.t_s):
-        raise ValueError("ensembles must share (t_b, t_s)")
-    t_bs = t_bs or [t_b]
-    cols = [n_bins(t, t_s or ens_t_s) - 1 for t in t_bs]
-    if t_s not in (None, ens_t_s) or cols[-1] >= ensemble_bright.n_bins:
-        raise ValueError(f"t_b up to {t_bs[-1]} ms at t_s = {t_s} ms does not fit ensembles "
-                         f"of t_b = {t_b} ms at t_s = {ens_t_s} ms")
-    return t_bs, cols, *(_prepare(e.counts) for e in (ensemble_bright, ensemble_dark))
+def _window(ensemble_bright, ensemble_dark, params=None, t_bs=None):
+    """Sorted ``t_bs`` (default: the window's t_b), their last columns, the one
+    model that scores both ensembles (their shared params, else the caller's
+    ``params``, which set t_s and must match theirs) and their prepared counts."""
+    t_b, t_s, own = ensemble_bright.t_b, ensemble_bright.t_s, ensemble_bright.params
+    if (t_b, t_s, own) != (ensemble_dark.t_b, ensemble_dark.t_s, ensemble_dark.params):
+        raise ValueError("ensembles must share (t_b, t_s, params)")
+    t_bs, bin_t_s = t_bs or [t_b], t_s if params is None else params.t_s
+    cols = [n_bins(t, bin_t_s) - 1 for t in t_bs]
+    if bin_t_s != t_s or cols[-1] >= ensemble_bright.n_bins:
+        raise ValueError(f"t_b up to {t_bs[-1]} ms at t_s = {bin_t_s} ms does not fit ensembles "
+                         f"of t_b = {t_b} ms at t_s = {t_s} ms")
+    if None not in (own, params) and own != params:
+        raise ValueError(f"ensembles drawn with {own} cannot be scored with {params}")
+    return t_bs, cols, own or params, *(_prepare(e.counts) for e in (ensemble_bright, ensemble_dark))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +581,7 @@ def optimize_threshold(ensemble_bright: Ensemble, ensemble_dark: Ensemble,
     rule = resolve_classifier(classifier)
     _require(isinstance(rule, _CountRule) and rule.n_c == "optimize", "optimize_threshold needs "
              f"a count rule whose cutoff is 'optimize', got {rule.label}({rule.detail})")
-    t_bs, cols, *states = _window(ensemble_bright, ensemble_dark)
+    t_bs, cols, _, *states = _window(ensemble_bright, ensemble_dark)
     best, values, eps = rule.optimum(*(state.cdfs[-1] for state in states))
     (report,) = best.column_reports(*states, t_bs, cols, None)
     return ThresholdOptimum(best=best.n_c, report=report,
@@ -792,10 +795,10 @@ def _sweep_on_streams(spec: SweepSpec, r: float, threads: int, context: tuple):
 
 def evaluate_prefixes(spec: SweepSpec, ens_b: Ensemble, ens_d: Ensemble,
                       *, r: float = 1.0) -> list:
-    """Evaluate the configured classifiers on existing ensembles, binned at
-    the spec's t_s and spanning its longest t_b, at every t_b."""
-    t_bs, cols, *states = _window(ens_b, ens_d, spec.t_b_values, spec.t_s)
-    params = ens_b.params or spec.params.scaled(r)
+    """Evaluate the configured classifiers at every t_b on existing ensembles
+    binned at the spec's t_s, spanning its longest t_b and drawn with its
+    rate parameters scaled by r (or ingested, without any)."""
+    t_bs, cols, params, *states = _window(ens_b, ens_d, spec.params.scaled(r), spec.t_b_values)
     return [row for clf in map(resolve_classifier, spec.classifiers)
             for row in clf.column_reports(*states, t_bs, cols, params, r)]
 

@@ -173,11 +173,11 @@ def general_columns(counts, table):
 
 
 def simple_columns(counts, params, *, decaying=IonState.DARK):
-    """Every prefix's (log_p_B, log_p_D) of the single-change formula:
-    ``_single_change_logs`` of ``_single_change_steps`` read at each bin."""
+    """Every prefix's (log_p_B, log_p_D) of the single-change formula: its
+    per-bin generator, ``_single_change_logs``, read at each bin."""
     counts = np.asarray(counts)
-    steps = classifiers._single_change_steps(counts, params, decaying, range(counts.shape[1]))
-    return _stacked(classifiers._single_change_logs(steps, decaying))
+    return _stacked(classifiers._single_change_logs(counts, params, decaying,
+                                                    range(counts.shape[1])))
 
 
 def with_lifetime(params, decaying, tau):
@@ -798,9 +798,9 @@ class TestPrefixColumnsExact:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             stacked = simple_columns(counts, params, decaying=decaying)
-            steps = classifiers._single_change_steps(counts, params, decaying, self.BINS)
-            steps = self._equal_at_bins(classifiers._single_change_logs(steps, decaying),
-                                        stacked, self.BINS)
+            steps = self._equal_at_bins(
+                classifiers._single_change_logs(counts, params, decaying, self.BINS),
+                stacked, self.BINS)
         # tau = 0.5 ms against a 3 ms window clamps the prefactor.
         self._warns_per_call((simple_loglik, simple_columns), counts, params,
                              decaying=decaying,
@@ -852,7 +852,7 @@ class TestPrefixColumnsExact:
 
 @pytest.fixture(scope="module")
 def band_tables(table):
-    """The tables the banded general masks meet: the default one, one
+    """The tables the general masks meet: the default one, one
     without dark counts (zero entries), one whose count-2 matrix is zero (a
     record holding a 2 has a zero-norm product from there on), one whose
     two initial-state columns are equal (every column sum ties), and one
@@ -868,12 +868,13 @@ def band_tables(table):
 
 
 class TestBandedMasks:
-    """A sweep decides each Bright mask from a cheap pass and a band, and
-    from the exact pair inside the band: the column tallies of both
-    likelihood rules equal those of decide_from_logs on the exact kernels
-    at every prefix, on grouped and ungrouped states, with the vector
-    log1p off by a few ulps, and with the band at inf, where every row
-    takes the exact path."""
+    """A sweep decides the simple method's Bright mask from a cheap pass and
+    a band, and from the exact pair inside the band, and the general
+    method's from the exact pair: the column tallies of both likelihood
+    rules equal those of decide_from_logs on the exact kernels at every
+    prefix, on grouped and ungrouped states; the simple ones also with the
+    vector log1p off by a few ulps, and with the band at inf, where every
+    row takes the exact path."""
 
     PARAMS = {"default": P, "no_dark": TestPrefixColumnsExact.NO_DARK,
               "ties": TestPrefixColumnsExact.TIES}
@@ -926,10 +927,9 @@ class TestBandedMasks:
             cols = list(range(counts.shape[1]))
             assert clf.column_tallies(counts, grouped, cols, params) == want
 
-    @pytest.mark.parametrize("band", [classifiers._BAND, math.inf], ids=["band", "inf"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_general(self, band_tables, band, data):
+    def test_general(self, band_tables, data):
         table = band_tables[data.draw(st.sampled_from(sorted(band_tables)), label="table")]
         counts, grouped = self._counts(data)
         clf = harness.GeneralClassifier()
@@ -937,7 +937,6 @@ class TestBandedMasks:
             warnings.simplefilter("ignore", RuntimeWarning)     # counts above n_max
             want = self._exact_tallies(clf, lambda rows: general_columns(rows, table),
                                        counts, grouped)
-            patch.setattr(classifiers, "_BAND", band)
             patch.setattr(harness, "observation_table_for", lambda params: table)
             cols = list(range(counts.shape[1]))
             assert clf.column_tallies(counts, grouped, cols, P) == want

@@ -546,6 +546,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
 
+    def test_count_totals_past_int64_are_a_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text(f"trial,initial,n_1,n_2,n_3\n0,B,{2**63 - 1},0,1\n")
+        cfg = _config(tmp_path, classify={"input": str(csv_path),
+                                          "classifier": {"method": "threshold", "n_c": 1}})
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"data error: {csv_path}: photon count totals must "
+                                           "be at most 2**63 - 3 to be summed in int64\n")
+
+    @pytest.mark.parametrize("params, classifier, message", [
+        ({"R_D_per_ms": 0.0}, {"method": "simple", "decaying": "bright"},
+         "config error: R_D=0.0, R_B=16.0: the single-change formula's stable dark state "
+         "never emits"),
+        ({"R_B_per_ms": 1e4}, {"method": "general"},
+         "config error: mixture entry n=0 is not representable"),
+    ], ids=["silent_stable_state", "unrepresentable_table"])
+    def test_model_faults_found_while_scoring_are_config_errors(
+            self, tmp_path, capsys, params, classifier, message):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("trial,initial,n_1,n_2\n0,B,3,1\n1,D,0,1\n")
+        _config(tmp_path)
+        doc = json.loads((tmp_path / "config.json").read_text())
+        cfg = _write(tmp_path / "model.json", {
+            **doc, "params": {**doc["params"], **params},
+            "classify": {"input": str(csv_path), "classifier": classifier}})
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one(self, tmp_path, capsys, threads):
         cfg = _config(tmp_path, simulate={"t_b_ms": 0.5, "n_trials": 10, "seed": 1})

@@ -8,6 +8,7 @@ simulation.
 
 import inspect
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ class TestFitDecayCurves:
         assert fit.degenerate
         with pytest.raises(ValueError):
             derive_lifetimes(fit)
+
+    def test_far_simplex_vertices_overflow_without_a_warning(self):
+        # Vertices far out in log-parameter space overflow exp and the
+        # residual's dot product: an infinite residual, which the descent
+        # leaves behind, not a RuntimeWarning (an error under tier-1's filter).
+        bright = np.column_stack([np.arange(1.0, 6.0), [1, 2, 2, 3, 3]])
+        dark = np.column_stack([np.arange(1.0, 5.0), [1, 6, 4, 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay_curves(bright, dark)
+        assert fit.converged and fit.degenerate
+        assert fit.n_evaluations == 77058
 
     def test_simulated_ensemble_recovers_relaxation_time(self):
         """Ground-truth simulation: 2000 ions per state, 30 bins of 1/3 ms;

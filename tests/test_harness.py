@@ -192,9 +192,7 @@ class TestEvaluate:
 
     def test_zero_conclusive_reported_undefined(self):
         pair = [Ensemble(state, np.full((5, 5), 2), None, 0.5, 0.1) for state in IonState]
-        report = evaluate(*pair,
-                          {"method": "double_threshold", "n_D": 0, "n_B": 100},
-                          DEFAULT_PARAMS)
+        report = evaluate(*pair, {"method": "double_threshold", "n_D": 0, "n_B": 100})
         assert not report.defined
         assert math.isnan(report.epsilon)
         assert math.isnan(report.stderr)
@@ -207,6 +205,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="share"):
             evaluate(ens_a, ens_b, {"method": "threshold", "n_c": 1})
 
+    @pytest.mark.parametrize("method", [{"method": "general"},
+                                        {"method": "threshold", "n_c": 1}],
+                             ids=["general", "threshold"])
+    def test_ensembles_of_two_models_rejected(self, method):
+        # Scored with the bright ensemble's rates, such a pair once read
+        # epsilon 1.70 % with the general method, and 97.8 % swapped.
+        ens_b, _ = _sim_pair(DEFAULT_PARAMS, 0.5, 10, seed=0)
+        _, ens_d = _sim_pair(replace(DEFAULT_PARAMS, R_B=8.0), 0.5, 10, seed=0)
+        ingested = Ensemble(IonState.DARK, ens_d.counts, None, 0.5, DEFAULT_PARAMS.t_s)
+        for pair in ((ens_b, ens_d), (ens_d, ens_b), (ens_b, ingested)):
+            with pytest.raises(ValueError, match=r"share \(t_b, t_s, params\)"):
+                evaluate(*pair, method)
+
     def test_abstention_accounting_exact(self):
         totals_b = np.array([0, 1, 2, 3, 10])
         totals_d = np.array([0, 2, 2, 5, 0, 1])
@@ -214,9 +225,7 @@ class TestEvaluate:
         counts_d = np.column_stack([totals_d, np.zeros(6, dtype=int)])
         pair = [Ensemble(state, counts, None, 0.2, 0.1)
                 for state, counts in zip(IonState, (counts_b, counts_d))]
-        report = evaluate(*pair,
-                          {"method": "double_threshold", "n_D": 1, "n_B": 3},
-                          DEFAULT_PARAMS)
+        report = evaluate(*pair, {"method": "double_threshold", "n_D": 1, "n_B": 3})
         # Bright totals [0,1] decided dark, [2,3] abstain, [10] decided
         # bright; dark totals [0,0,1] dark, [2,2] abstain, [5] bright.
         assert (report.wrong_bright, report.retained_bright) == (2, 3)
@@ -398,6 +407,21 @@ class TestSweep:
         ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 1.0, 200, seed=1)
         with pytest.raises(ValueError, match="does not fit ensembles of t_b = 1.0 ms"):
             evaluate_prefixes(spec, ens_b, ens_d)
+
+    def test_evaluate_prefixes_refuses_ensembles_of_another_model(self):
+        ens_b, ens_d = _sim_pair(DEFAULT_PARAMS, 1.0, 200, seed=1)
+        for spec, r in ((_spec(params=replace(DEFAULT_PARAMS, R_B=8.0)), 1.0),
+                        (_spec(), 2.0)):        # r scales the spec's rates
+            with pytest.raises(ValueError, match="cannot be scored with RateParams"):
+                evaluate_prefixes(spec, ens_b, ens_d, r=r)
+        doubled = _sim_pair(DEFAULT_PARAMS.scaled(2.0), 1.0, 200, seed=1)
+        assert evaluate_prefixes(_spec(), *doubled, r=2.0)
+
+    def test_evaluate_prefixes_scores_ingested_ensembles_with_the_spec(self):
+        simulated = _sim_pair(DEFAULT_PARAMS, 1.0, 200, seed=1)
+        ingested = [Ensemble(e.initial, e.counts, None, e.t_b, e.t_s) for e in simulated]
+        spec = _spec(classifiers=({"method": "simple"}, {"method": "general"}))
+        assert evaluate_prefixes(spec, *ingested) == evaluate_prefixes(spec, *simulated)
 
 
 class TestEfficiencySweep:
