@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import (IonState, ObservationTable, RateParams, _check_array,
-                           _check_counts, _check_number, _poisson_logpmf, _warn)
-from .trajectory import _check_int
+from .photon_model import (IonState, ObservationTable, RateParams, _check_array, _check_codes,
+                           _check_counts, _check_int, _check_number, _check_state,
+                           _poisson_logpmf, _warn)
 
 
 class Decision(enum.IntEnum):
@@ -169,12 +169,12 @@ def _single_change_logs(counts2d, params: RateParams, decaying, bins, logaddexp=
     clamped to zero, which warns (RuntimeWarning) once per call unless
     ``warn`` is False.
     """
-    decaying, logaddexp = IonState(decaying), logaddexp or np.logaddexp
+    decaying, logaddexp = _check_state(decaying, "decaying"), logaddexp or np.logaddexp
     tau, (n, m) = (params.tau_B, params.tau_D)[decaying], counts2d.shape
     means = (params.dark_mean, params.bright_mean)[::1 if decaying is IonState.DARK else -1]
     if means[1] == 0:   # its log-pmf is -inf at every count > 0: inf - inf below
         raise ValueError(f"R_D={params.R_D}, R_B={params.R_B}: the single-change formula's "
-                         f"stable {IonState(1 - decaying).name.lower()} state never emits; "
+                         f"stable {('dark', 'bright')[decaying]} state never emits; "
                          "use the general method")
     # Gather from (2, max + 1) log-pmf vectors unless they outgrow the counts.
     hi = int(counts2d.max(initial=0))
@@ -356,9 +356,8 @@ def pi_pulse_combine(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     perfect inversion and are discarded as Inconclusive.  A code other than
     Bright or Dark (Inconclusive, another number, NaN) raises ValueError.
     """
-    first, second = (_check_array(codes, "single detections feeding a pulse pair never abstain: "
-                                  "every code", f"Bright (0) or Dark (1) in {name}", integer=True,
-                                  ok=lambda c: np.isin(c, (Decision.BRIGHT, Decision.DARK)))
+    first, second = (_check_codes(codes, "single detections feeding a pulse pair never abstain: "
+                                  "every code", f"Bright (0) or Dark (1) in {name}")
                      for codes, name in ((first, "first"), (second, "second")))
     return np.where(first == second, Decision.INCONCLUSIVE, first).astype(np.int8)
 
@@ -388,8 +387,7 @@ def estimate_transfer_matrices(ensemble_bright, ensemble_dark,
                                       (1, ensemble_dark, decisions_dark, "decisions_dark")):
         if ens is None or len(ens) == 0:
             raise ValueError("transfer matrix estimation needs non-empty ensembles")
-        decisions = _check_array(decisions, name, "Bright (0) or Dark (1)", integer=True,
-                                 ok=lambda d: np.isin(d, (Decision.BRIGHT, Decision.DARK)))
+        decisions = _check_codes(decisions, name, "Bright (0) or Dark (1)")
         if decisions.shape != (len(ens),):
             raise ValueError(f"transfer matrix estimation needs one decision per trial in {name}")
         cells = np.bincount(2 * decisions.astype(np.intp) + ens.final_states(), minlength=4)

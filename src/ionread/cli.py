@@ -45,11 +45,10 @@ from .harness import (
     sweep,
     sweep_spec_from_config,
 )
-from .photon_model import IonState
+from .photon_model import IonState, _check_int, _check_seed
 from .trajectory import (
     DataFormatError,
     SimConfig,
-    _check_seed,
     _labels,
     read_counts_csv,
     simulate_ensemble,
@@ -90,8 +89,7 @@ def _cmd_simulate(cfg: dict, args):
              "initial must be 'bright', 'dark' or 'both'")
     _require(type(section.get("change_times", False)) is bool, "change_times must be true or false")
     config = SimConfig(n_trials=n_trials, t_b=t_b, seed=seed, params=params)
-    states = ((IonState.BRIGHT, IonState.DARK) if initial == "both"
-              else (IonState[initial.upper()],))
+    states = list(IonState) if initial == "both" else [IonState[initial.upper()]]
     ensembles = [simulate_ensemble(config, s, threads=args.threads)
                  for s in states]
     if args.format == "csv":
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:   # model mismatch: to stderr
         warnings.simplefilter("always")
         try:
-            _require(args.threads >= 1, "threads must be >= 1")
+            _check_int(args.threads, "threads", 1)
             if args.seed is not None:    # classify and fit only echo it into artifacts
                 _check_seed(args.seed)
             cfg = load_config(args.config)

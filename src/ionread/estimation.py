@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams, _check_array, _check_counts, _check_number
-from .trajectory import _initial_states
+from .photon_model import (IonState, RateParams, _check_array, _check_codes, _check_counts,
+                           _check_number, _check_state)
 
 #: Objective evaluations allowed to each simplex run of :func:`fit_decay_curves`.
 MAX_EVALS = 10_000
@@ -144,7 +144,7 @@ def population_dynamics(t, initial: IonState, tau_B: float, tau_D: float):
     """
     t = _check_array(t, "t", ">= 0", ok=lambda v: v >= 0)     # NaN fails too
     a, b, tau = _relaxation_constants(tau_B, tau_D)
-    amp = a if IonState(initial) is IonState.BRIGHT else -b
+    amp = (a, -b)[_check_state(initial, "initial")]
     w_b = b + amp * np.exp(-t / tau)
     w_d = 1.0 - w_b
     if w_b.ndim == 0:
@@ -166,7 +166,7 @@ def mean_count_window(t0: float, dt: float, params: RateParams,
     _check_number(dt, "dt", lambda v: 0 < v < math.inf, "finite and > 0")
     _check_number(t0, "t0", lambda v: v >= dt, f">= dt={dt!r}")
     a, b, tau = _relaxation_constants(params.tau_B, params.tau_D)
-    amp = a if IonState(initial) is IonState.BRIGHT else -b
+    amp = (a, -b)[_check_state(initial, "initial")]
     steady = dt * (params.R_B * b + params.R_D)
     transient = params.R_B * amp * tau * (math.exp(dt / tau) - 1.0) * math.exp(-t0 / tau)
     return steady + transient
@@ -370,7 +370,7 @@ def mean_count_series(initials: np.ndarray, counts: np.ndarray, t_s: float):
     the form fit_decay_curves consumes; ingested CSV rows plug in directly.
     """
     _check_number(t_s, "t_s", lambda v: 0 < v < math.inf, "finite and > 0")
-    initials, counts = _initial_states(initials), _check_counts(counts)
+    initials, counts = _check_codes(initials, "initial states"), _check_counts(counts)
     if counts.ndim != 2 or initials.shape != counts.shape[:1]:
         raise ValueError("counts must be (n_trials, n_bins), one row per initial state")
     times = (np.arange(counts.shape[1]) + 1) * t_s

@@ -48,12 +48,11 @@ import numpy as np
 
 from . import classifiers as cl
 from .classifiers import Decision
-from .photon_model import IonState, RateParams, _check_number, build_observation_table
+from .photon_model import (IonState, RateParams, _check_int, _check_number, _check_seed,
+                           _check_state, build_observation_table)
 from .trajectory import (
     Ensemble,
     SimConfig,
-    _check_int,
-    _check_seed,
     _deterministic_uniforms,
     _labels,
     _narrowest,
@@ -371,6 +370,9 @@ class SimpleClassifier(_LikelihoodRule):
 
     decaying: IonState = IonState.DARK
     label = "simple_time_resolved"
+
+    def __post_init__(self):
+        object.__setattr__(self, "decaying", _check_state(self.decaying, "decaying"))
 
     @property
     def detail(self):
@@ -840,8 +842,7 @@ def _section(cfg: dict, name: str, keys: tuple) -> dict:
 
 
 def rate_params_from_config(cfg: dict) -> RateParams:
-    section = _section(cfg, "params",
-                       ("R_B_per_ms", "R_D_per_ms", "tau_B_ms", "tau_D_ms", "t_s_ms"))
+    section = _section(cfg, "params", RateParams._JSON_KEYS)
     try:
         return RateParams.from_json_dict({k: config_number(v, k) for k, v in section.items()})
     except (KeyError, TypeError, ValueError) as exc:

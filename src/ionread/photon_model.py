@@ -16,6 +16,9 @@ The table is the input of the generalized time-resolved classifier: the
 ordered product of ``O(n_k)`` over the sub-bins of a measurement yields the
 likelihood of the count sequence for either initial state.
 
+Every input rule of the package lives here, once: ``_check_number``, ``_check_int``,
+``_check_seed``, ``_check_array``, ``_check_counts``, ``_check_codes`` and ``_check_state``.
+
 The pure-state pmf and the single-change classifier
 (:func:`ionread.classifiers.simple_loglik`) share one Poisson log-pmf,
 ``_poisson_logpmf``, which ports scipy.special's ``gammaln`` bit for bit;
@@ -65,7 +68,7 @@ import tempfile
 import threading
 import warnings
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -98,6 +101,16 @@ def _check_number(value, name: str, ok, want: str, *, integer=False, error=Value
         raise error(f"{name} must be {want}, got {value!r}")
 
 
+def _check_int(value, name: str, low: int, error=ValueError) -> None:   # range() takes no 2.5
+    _check_number(value, name, lambda v: True, "an integer", integer=True, error=error)
+    _check_number(value, name, lambda v: v >= low, f">= {low}", error=error)
+
+
+def _check_seed(seed, error=ValueError) -> None:   # each seed in range keys streams of its own
+    _check_number(seed, "seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)",
+                  integer=True, error=error)
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Physical parameters of the readout model.
@@ -123,6 +136,9 @@ class RateParams:
     tau_B: float
     tau_D: float
     t_s: float
+
+    #: Each field's key in a rate document, in field order.
+    _JSON_KEYS = ("R_B_per_ms", "R_D_per_ms", "tau_B_ms", "tau_D_ms", "t_s_ms")
 
     def __post_init__(self):
         # R_B = 0 is allowed to exist (a dark-only model is well defined) but
@@ -157,26 +173,18 @@ class RateParams:
         return replace(self, R_B=r * self.R_B, R_D=r * self.R_D)
 
     def to_json_dict(self) -> dict:
-        return {
-            "R_B_per_ms": self.R_B,
-            "R_D_per_ms": self.R_D,
-            "tau_B_ms": self.tau_B,
-            "tau_D_ms": self.tau_D,
-            "t_s_ms": self.t_s,
-        }
+        return dict(zip(self._JSON_KEYS, astuple(self)))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RateParams":
+        """Parameters from a rate document; a value that is no real number is refused by its key."""
         try:
-            return cls(
-                R_B=float(doc["R_B_per_ms"]),
-                R_D=float(doc["R_D_per_ms"]),
-                tau_B=float(doc["tau_B_ms"]),
-                tau_D=float(doc["tau_D_ms"]),
-                t_s=float(doc["t_s_ms"]),
-            )
+            values = [doc[key] for key in cls._JSON_KEYS]
         except KeyError as exc:
             raise ValueError(f"params document missing key {exc.args[0]!r}") from None
+        for key, value in zip(cls._JSON_KEYS, values):
+            _check_number(value, key, lambda v: True, "a real number")
+        return cls(*map(float, values))
 
 
 #: Simulation parameter set used for all headline error-rate targets.
@@ -200,7 +208,7 @@ def stay_prob(state: IonState, t: float, params: RateParams) -> float:
     include flips back) live in :func:`ionread.estimation.population_dynamics`.
     """
     _check_number(t, "t", lambda v: 0 <= v <= params.t_s, f"in [0, t_s={params.t_s}]")
-    tau = params.tau_B if IonState(state) is IonState.BRIGHT else params.tau_D
+    tau = (params.tau_B, params.tau_D)[_check_state(state, "state")]
     return float(np.exp(-t / tau))
 
 
@@ -266,6 +274,21 @@ def _check_array(values, name: str, want: str, *, ok=lambda v: True, integer=Fal
         np.int64 if whole else np.float64, copy=False)
 
 
+def _check_codes(values, name: str, want: str = "0 (bright) or 1 (dark)") -> np.ndarray:
+    """``values`` as int8 0/1 codes by :func:`_check_array`'s rule, the one rule for states and
+    Bright/Dark decisions: a bool, 2, 0.5, NaN or a string is refused by ``name``."""
+    return _check_array(values, name, want, integer=True,
+                        ok=lambda c: (c == 0) | (c == 1)).astype(np.int8)
+
+
+def _check_state(state, name: str) -> IonState:
+    """One code as an IonState by :func:`_check_codes`' rule; an IonState passes through."""
+    code = state if isinstance(state, IonState) else _check_codes(state, name)
+    if np.ndim(code):
+        raise ValueError(f"{name} must be a single state code, got an array of shape {code.shape}")
+    return IonState(int(code))
+
+
 def _check_counts(n) -> np.ndarray:
     return _check_array(n, "photon count", "an integer >= 0", ok=lambda v: v >= 0, integer=True)
 
@@ -277,7 +300,7 @@ def count_pmf(state: IonState, n, params: RateParams):
     or an array of integer counts.
     """
     n = _check_counts(n)
-    mean = params.bright_mean if IonState(state) is IonState.BRIGHT else params.dark_mean
+    mean = (params.bright_mean, params.dark_mean)[_check_state(state, "state")]
     out = np.exp(_poisson_logpmf(n, mean))
     return float(out) if out.ndim == 0 else out
 
@@ -322,10 +345,8 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
         raise ValueError(f"direction must be 'BD' or 'DB', got {direction!r}")
     n = int(_check_counts(n))
     if params.R_B == 0:
-        raise DegenerateModelError(
-            "R_B = 0: bright and dark are indistinguishable and the mixture "
-            "density over the count mean is singular"
-        )
+        raise DegenerateModelError("R_B = 0: bright and dark are indistinguishable and the "
+                                   "mixture density over the count mean is singular")
     lo = params.R_D * params.t_s
     hi = (params.R_D + params.R_B) * params.t_s
     if direction == "BD":
@@ -343,12 +364,11 @@ def mixed_pmf(direction: str, n: int, params: RateParams) -> float:
     for k in range(1, n + 2):
         p_hi *= hi / k
         p_lo *= lo / k
-    value = (p_hi * hyp1f1(1, n + 2, a * hi) - p_lo * hyp1f1(1, n + 2, a * lo)) / s
+    # Python floats: 0 * inf is NaN without a numpy warning, and refused below.
+    value = (p_hi * float(hyp1f1(1, n + 2, a * hi)) - p_lo * float(hyp1f1(1, n + 2, a * lo))) / s
     if not math.isfinite(value):
-        raise ValueError(
-            f"mixture entry n={n} is not representable: bright mean "
-            f"{hi:.4g} counts per sub-bin is too large"
-        )
+        raise ValueError(f"mixture entry n={n} is not representable: bright mean "
+                         f"{hi:.4g} counts per sub-bin is too large")
     return value
 
 
@@ -376,15 +396,15 @@ class ObservationTable:
 
     def __init__(self, params: RateParams, n_max: int, entries: np.ndarray,
                  truncation_mass: np.ndarray):
-        self.params = params
-        self.n_max = int(n_max)
-        self.entries, self.truncation_mass = (
-            _check_array(p, name, "in [0, 1]", ok=lambda v: (v >= 0) & (v <= 1)).copy()
-            for p, name in ((entries, "entries"), (truncation_mass, "truncation_mass")))
-        if self.entries.shape != (self.n_max + 1, 2, 2):
-            raise ValueError(f"entries must have shape ({self.n_max + 1}, 2, 2)")
-        for array in (self.entries, self.truncation_mass):
+        _check_int(n_max, "n_max", 1)
+        self.params, self.n_max = params, int(n_max)
+        for name, values, shape in (("entries", entries, (self.n_max + 1, 2, 2)),
+                                    ("truncation_mass", truncation_mass, (2,))):
+            array = _check_array(values, name, "in [0, 1]", ok=lambda v: (v >= 0) & (v <= 1)).copy()
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
             array.setflags(write=False)
+            setattr(self, name, array)
         self.clamped_lookups = 0
         self._clamp_lock = threading.Lock()
 
@@ -486,21 +506,17 @@ def _cache_entry(params: RateParams) -> tuple[str, str] | None:
 
 
 def _load_table(path: str, key: str, params: RateParams) -> ObservationTable | None:
-    """The table stored at ``path`` under ``key``; None when the file is
-    missing, unreadable, malformed or stored under another key."""
+    """The table stored at ``path`` under ``key``; None when the file is missing, unreadable,
+    under another key, or holds non-float64 arrays or what :class:`ObservationTable` refuses."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            stored = data["key"]
-            if stored.shape != () or str(stored) != key:
+            stored, arrays = data["key"], (data["entries"], data["truncation_mass"])
+            if (stored.shape != () or str(stored) != key
+                    or any(a.dtype != np.float64 for a in arrays)):
                 return None
-            entries, truncation = data["entries"], data["truncation_mass"]
-            n_max = int(data["n_max"])
+            return ObservationTable(params, data["n_max"].item(), *arrays)
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    if (n_max < 1 or entries.dtype != np.float64 or truncation.dtype != np.float64
-            or entries.shape != (n_max + 1, 2, 2) or truncation.shape != (2,)):
-        return None
-    return ObservationTable(params, n_max, entries, truncation)
 
 
 def _store_table(path: str, key: str, table: ObservationTable) -> None:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photon_model import IonState, RateParams, _check_array, _check_number
+from .photon_model import (IonState, RateParams, _check_codes, _check_int, _check_number,
+                           _check_seed)
 
 #: Fixed chunk width of the vectorized simulation; part of the determinism
 #: contract (changing it changes the random layout), so it is not tunable.
@@ -74,6 +75,8 @@ def n_bins(t_b: float, t_s: float) -> int:
     """Number of whole sub-bins in a window; rejects non-integer ratios."""
     for value, name in ((t_b, "t_b"), (t_s, "t_s")):
         _check_number(value, name, lambda v: 0 < v < np.inf, "finite and > 0")
+    if not t_b / t_s < 2**63:     # round() overflows on inf
+        raise ValueError(f"t_b={t_b} spans too many sub-bins of t_s={t_s}")
     m = round(t_b / t_s)
     if m < 1 or abs(m * t_s - t_b) > 1e-6 * t_s:
         raise ValueError(f"t_b={t_b} is not an integer multiple of t_s={t_s}")
@@ -83,16 +86,6 @@ def n_bins(t_b: float, t_s: float) -> int:
 def _narrowest(counts: np.ndarray) -> np.ndarray:
     """Non-negative counts at the narrowest signed integer width holding their largest."""
     return counts.astype(np.min_scalar_type(-1 - int(counts.max(initial=0))), copy=False)
-
-
-def _check_seed(seed, error=ValueError) -> None:   # each seed in range keys streams of its own
-    _check_number(seed, "seed", lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)",
-                  integer=True, error=error)
-
-
-def _check_int(value, name: str, low: int, error=ValueError) -> None:   # range() takes no 2.5
-    _check_number(value, name, lambda v: True, "an integer", integer=True, error=error)
-    _check_number(value, name, lambda v: v >= low, f">= {low}", error=error)
 
 
 @dataclass(frozen=True)
@@ -117,12 +110,6 @@ class SimConfig:
     @property
     def n_bins(self) -> int:
         return n_bins(self.t_b, self.t_s)
-
-
-def _initial_states(initial) -> np.ndarray:
-    """``initial`` as int8 states, each checked before the cast to be 0 or 1, not a bool."""
-    return _check_array(initial, "initial states", "0 (bright) or 1 (dark)", integer=True,
-                        ok=lambda s: (s == 0) | (s == 1)).astype(np.int8)
 
 
 def _chunk_rng(seed: int, stream: int, context: tuple, chunk_index: int) -> np.random.Generator:
@@ -196,9 +183,9 @@ class Ensemble:
     an NaN-padded (N, J_max) array; trial i is row i of both.  ``initial``
     is a read-only int8 copy of the initial states, one per trial, taken
     from one state or from a per-trial array (e.g. the second window of a
-    pulse pair); a state other than 0 or 1 raises ValueError, as do
-    ``params`` whose t_s is not the ensemble's.  Ingested ensembles have no
-    ``params`` and no change times: ground-truth methods raise on them.
+    pulse pair); ``params`` whose t_s is not the ensemble's raise
+    ValueError.  Ingested ensembles have no ``params`` and no change
+    times: ground-truth methods raise on them.
     """
 
     def __init__(self, initial, counts, change_times, t_b, t_s, params=None):
@@ -211,7 +198,7 @@ class Ensemble:
             raise ValueError(f"params.t_s={params.t_s} differs from the ensemble's t_s={t_s}")
         if self.counts.ndim != 2 or self.counts.shape[1] != n_bins(t_b, t_s):
             raise ValueError("counts must be (n_trials, n_bins)")
-        self.initial = np.broadcast_to(_initial_states(initial), len(self)).copy()
+        self.initial = np.broadcast_to(_check_codes(initial, "initial states"), len(self)).copy()
         self.initial.setflags(write=False)
 
     def __len__(self) -> int:
@@ -292,11 +279,10 @@ def simulate_ensemble(config: SimConfig, initial, *,
     ``context`` namespaces the random streams so that several ensembles of
     the same initial state (e.g. repeated experiments, or the two windows of
     a pulse pair) can be drawn independently from one seed.  ``initial`` is
-    one state (an IonState or the int 0 or 1), which also keys the streams,
-    or a per-trial array of 0s and 1s of shape (n_trials,), keyed by
-    ``context`` alone; any other value raises ValueError before a draw.
+    one state, which also keys the streams, or one per trial, of shape
+    (n_trials,), keyed by ``context`` alone; both are checked before a draw.
     """
-    states = _initial_states(initial)
+    states = _check_codes(initial, "initial states")
     fill = int(states) if states.ndim == 0 else 0
     if states.ndim == 0:
         context = (*context, fill)

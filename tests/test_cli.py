@@ -574,6 +574,19 @@ class TestExitCodes:
         assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
+    def test_an_unrepresentable_table_is_refused_before_numpy_warns(self, tmp_path, capsys):
+        # 0 * inf in the mixture entry is a NaN the refusal names, not a numpy warning first.
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("trial,initial,n_1,n_2\n0,B,3,1\n1,D,0,1\n")
+        _config(tmp_path)
+        doc = json.loads((tmp_path / "config.json").read_text())
+        cfg = _write(tmp_path / "model.json", {
+            **doc, "params": {**doc["params"], "R_B_per_ms": 1e4},
+            "classify": {"input": str(csv_path), "classifier": {"method": "general"}}})
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: mixture entry n=0 is not representable")
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one(self, tmp_path, capsys, threads):
         cfg = _config(tmp_path, simulate={"t_b_ms": 0.5, "n_trials": 10, "seed": 1})

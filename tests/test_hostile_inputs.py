@@ -10,7 +10,10 @@ infinities, a Python and a numpy bool, a negative value, 1.5 and numpy
 scalars.  A call
 must raise ValueError naming the argument (ConfigError is one) or return a
 finite result; it must never raise TypeError or hand back NaN, and never
-run on a bool as the number 1.
+run on a bool as the number 1.  Every state argument, ``decaying`` and
+``SimpleClassifier`` included, follows one 0/1-code rule
+(``photon_model._check_codes``): a bool, a string, 0.5 and NaN are
+refused by name, never run as Dark.
 
 Arrays follow one rule, ``photon_model._check_array``: integer, unsigned
 and float dtypes are numbers, an object array is read item by item as a
@@ -26,6 +29,7 @@ the one on the array's native int64, uint64 or float64 copy.
 
 import dataclasses
 import functools
+import json
 import math
 import warnings
 
@@ -43,6 +47,7 @@ from ionread import (
     IonState,
     LaserPhysics,
     ObservationTable,
+    RateParams,
     SimConfig,
     SweepSpec,
     build_observation_table,
@@ -70,6 +75,8 @@ from ionread import (
     threshold_classify,
 )
 from ionread.classifiers import double_threshold_decide
+from ionread.cli import main
+from ionread.harness import SimpleClassifier
 from ionread.trajectory import _deterministic_uniforms
 
 HOSTILE = [math.nan, math.inf, -math.inf, True, np.True_, -1, 1.5, np.int64(3),
@@ -164,26 +171,74 @@ def test_a_bool_repetition_count_is_refused():
     assert {row.r for row in rows} == {1.0, 2.0}
 
 
-# Each function of an ion state, with the state in its place.
+# Each function of an ion state, with the state in its place, and the name of its argument.
 STATE_CALLS = [
-    lambda s: stay_prob(s, 0.05, DEFAULT_PARAMS),
-    lambda s: count_pmf(s, np.arange(4), DEFAULT_PARAMS),
-    lambda s: population_dynamics([0.5, 2.0], s, 4.9, 53.0),
-    lambda s: mean_count_window(1.0, 0.5, DEFAULT_PARAMS, s),
+    ("state", lambda s: stay_prob(s, 0.05, DEFAULT_PARAMS)),
+    ("state", lambda s: count_pmf(s, np.arange(4), DEFAULT_PARAMS)),
+    ("initial", lambda s: population_dynamics([0.5, 2.0], s, 4.9, 53.0)),
+    ("initial", lambda s: mean_count_window(1.0, 0.5, DEFAULT_PARAMS, s)),
 ]
+STATE_IDS = ["stay_prob", "count_pmf", "population_dynamics", "mean_count_window"]
 
 
-@pytest.mark.parametrize("call", STATE_CALLS, ids=["stay_prob", "count_pmf",
-                                                   "population_dynamics", "mean_count_window"])
-def test_a_state_code_reads_as_its_state(call):
+@pytest.mark.parametrize("name, call", STATE_CALLS, ids=STATE_IDS)
+def test_a_state_code_reads_as_its_state(name, call):
     # The bright code as a plain or numpy int is bright, not dark; no other code is a state.
     want = np.asarray(call(IonState.BRIGHT))
     assert not np.array_equal(want, np.asarray(call(IonState.DARK)))
     for code in (0, np.int8(0)):
         got = np.asarray(call(code))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="2 is not a valid IonState"):
+    with pytest.raises(ValueError, match=rf"^{name} must be 0 \(bright\) or 1 \(dark\), got 2$"):
         call(2)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, False, np.False_, "1", 0.5, math.nan],
+                         ids=["bool", "np.bool", "False", "np.False", "str", "0.5", "nan"])
+@pytest.mark.parametrize("name, call", [
+    *STATE_CALLS,
+    ("decaying", lambda s: simple_loglik([[0, 2]], DEFAULT_PARAMS, decaying=s)),
+    ("decaying", lambda s: simple_time_resolved_classify([0, 2], DEFAULT_PARAMS, decaying=s)),
+    ("decaying", lambda s: SimpleClassifier(decaying=s)),
+], ids=[*STATE_IDS, "simple_loglik", "simple_time_resolved_classify", "SimpleClassifier"])
+def test_a_state_argument_refuses_what_is_no_state_code(name, call, value):
+    # One rule for every state: a bool never runs as Dark (or Bright), and the refusal names it.
+    with pytest.raises(ValueError, match=rf"^{name} must be 0 \(bright\) or 1 \(dark\), got "):
+        call(value)
+
+
+def test_a_rate_document_value_is_a_real_number():
+    # A bool or a string is no rate: it is refused by its key, not read as 1.0 or 16.0.
+    doc = DEFAULT_PARAMS.to_json_dict()
+    assert RateParams.from_json_dict(doc) == DEFAULT_PARAMS
+    for bad in (True, np.True_, "16", b"16"):
+        with pytest.raises(ValueError, match=f"^R_B_per_ms must be a real number, got {bad!r}$"):
+            RateParams.from_json_dict({**doc, "R_B_per_ms": bad})
+
+
+def test_an_observation_table_checks_what_it_holds():
+    table = _table()
+    parts = (table.entries, table.truncation_mass)
+    for bad in (14.7, True, 0, np.float64(table.n_max)):
+        with pytest.raises(ValueError, match="^n_max must be "):
+            ObservationTable(DEFAULT_PARAMS, bad, *parts)
+    with pytest.raises(ValueError, match=r"^truncation_mass must have shape \(2,\)$"):
+        ObservationTable(DEFAULT_PARAMS, table.n_max, table.entries, np.zeros(7))
+    copy = ObservationTable(DEFAULT_PARAMS, np.int64(table.n_max), *parts)
+    assert copy.n_max == table.n_max and type(copy.n_max) is int
+
+
+def test_a_window_of_too_many_sub_bins_is_refused(tmp_path, capsys):
+    # t_b / t_s overflows to inf: a refusal naming both, and the CLI's config error (exit 2).
+    with pytest.raises(ValueError, match="^t_b=1e[+]308 spans too many sub-bins of t_s=1e-308$"):
+        n_bins(1e308, 1e-308)
+    params = {**DEFAULT_PARAMS.to_json_dict(), "t_s_ms": 1e-308}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "ionread_config", "version": 1, "params": params,
+                                  "simulate": {"t_b_ms": 1e308, "n_trials": 2, "seed": 1}}))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "t_b=1e+308" in line and "t_s=1e-308" in line
 
 
 # ---------------------------------------------------------------------------
